@@ -136,11 +136,12 @@ def translate(seq_file, table_file, frame):
     records = genetics.read_sequence_records(_read(seq_file))
     if not records:
         raise click.ClickException("no sequence records in file")
-    for _, dna in records:
-        if frame:
-            click.echo("".join(genetics.translate_frame(dna, table)))
-        else:
-            click.echo(genetics.translate_gene(dna, table))
+    if frame:
+        proteins = ["".join(genetics.translate_frame(dna, table)) for _, dna in records]
+    else:
+        proteins = [genetics.translate_gene(dna, table) for _, dna in records]
+    for protein in proteins:
+        click.echo(protein)
 
 
 # --- motifs ---------------------------------------------------------------------
@@ -296,8 +297,9 @@ def percolate(n, p_from, p_to, steps, trials, seed):
         p_values = [p_from]
     else:
         p_values = [p_from + i * (p_to - p_from) / (steps - 1) for i in range(steps)]
+    rows = graphs.percolation_sweep(n, p_values, trials, seed)
     click.echo("p,mean_fraction")
-    for p, fraction in graphs.percolation_sweep(n, p_values, trials, seed):
+    for p, fraction in rows:
         click.echo(f"{p:.6g},{fraction:.6f}")
 
 

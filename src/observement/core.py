@@ -3,7 +3,7 @@
 An observement system couples a finite set of objects (with named relations)
 to a finite set of observation values (with named relations) through one or
 more observation algorithms.  Because everything is finite and explicit, the
-three defining conditions are decidable by plain enumeration:
+three defining conditions are decidable mechanically:
 
 * representation: the algorithm's mapping is a homomorphism, meaning each
   object relation holds on a tuple exactly when the paired observation
@@ -11,7 +11,9 @@ three defining conditions are decidable by plain enumeration:
 * existence: at least one of the supplied algorithms satisfies representation;
 * uniqueness: for every ordered pair of valid algorithms there is a
   translation function between their observation values that commutes with
-  both mappings and preserves the paired relations.
+  both mappings and preserves the paired relations.  Commuting forces the
+  function on the first algorithm's image, so uniqueness is decided by
+  construction, not by search.
 
 A system meeting all three conditions classifies as strong; one that passes
 representation and existence but lacks some translation is weak.  Numeric
@@ -29,19 +31,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CapExceeded, ObservementError
-
-DEFAULT_FUNCTION_CAP = 10**6
+from .errors import ObservementError
 
 _SECTION_KEYWORDS = frozenset({"OBJECTS", "OBSERVATIONS", "RELATION", "MAP", "PAIR"})
 
 
 class SystemDefinitionError(ObservementError):
     """An object system, observation system, or algorithm violates its invariants."""
-
-
-class TranslationSearchError(CapExceeded):
-    """The translation search space exceeds the configured candidate cap."""
 
 
 class FixtureFormatError(ObservementError):
@@ -169,8 +165,8 @@ class HomomorphismReport:
 class TranslationWitness:
     """A function table between observation values, or absence of one.
 
-    ``mapping is None`` means the exhaustive search proved no translation
-    exists (distinct from the search being capped, which raises).
+    ``mapping is None`` means no translation exists: the only candidate map,
+    the one the two algorithms force, is not a function.
     """
 
     mapping: dict | None
@@ -262,35 +258,29 @@ def verify_existence(algorithms: Iterable[ObservationAlgorithm], system: ObjectS
     return False
 
 
-def _is_translation(f: dict, alg_a: ObservationAlgorithm, alg_b: ObservationAlgorithm,
-                    system: ObjectSystem, obs_a: ObservationSystem,
-                    obs_b: ObservationSystem) -> bool:
-    for x in system.objects:
-        if f[alg_a.mapping[x]] != alg_b.mapping[x]:
-            return False
-    for r_name in system.relations:
-        p_a = obs_a.relations[alg_a.relation_pairing[r_name]]
-        p_b = obs_b.relations[alg_b.relation_pairing[r_name]]
-        k = system.arities[r_name]
-        for members in itertools.product(system.objects, repeat=k):
-            image_a = tuple(alg_a.mapping[x] for x in members)
-            image_b = tuple(f[alg_a.mapping[x]] for x in members)
-            if (image_a in p_a) != (image_b in p_b):
-                return False
-    return True
+def _forced_translation(alg_a: ObservationAlgorithm, alg_b: ObservationAlgorithm) -> dict | None:
+    """The only map f with f(alg_a(x)) == alg_b(x) for every object, or None.
+
+    It exists iff ``alg_b`` is constant on every fibre of ``alg_a``; keys come
+    out in sorted order.
+    """
+    f: dict = {}
+    for x, value in alg_a.mapping.items():
+        if f.setdefault(value, alg_b.mapping[x]) != alg_b.mapping[x]:
+            return None
+    return dict(sorted(f.items()))
 
 
 def find_translation(alg_a: ObservationAlgorithm, alg_b: ObservationAlgorithm,
                      system: ObjectSystem, obs_a: ObservationSystem,
-                     obs_b: ObservationSystem, cap: int = DEFAULT_FUNCTION_CAP) -> TranslationWitness:
-    """Search for a translation from ``alg_a``'s observations to ``alg_b``'s.
+                     obs_b: ObservationSystem) -> TranslationWitness:
+    """The translation from ``alg_a``'s observations to ``alg_b``'s, if one exists.
 
-    Candidates are all functions from the image of ``alg_a`` into the
-    observation set of ``obs_b``, enumerated in lexicographic order over the
-    sorted identifiers; the first one that commutes with both mappings and
-    preserves every paired relation is returned.  Exhausting the space proves
-    absence.  A space larger than ``cap`` raises TranslationSearchError so
-    that "proved absent" is never conflated with "gave up".
+    A translation must satisfy f(alg_a(x)) = alg_b(x) for every object, which
+    fixes f on the whole image of ``alg_a``: it exists iff ``alg_b`` is
+    constant on every fibre of ``alg_a``.  Paired relations need no separate
+    check, because for valid algorithms alg_a(t) is in p_a iff t is in r iff
+    alg_b(t) is in p_b.  So a missing witness is a proof of absence.
     """
     for alg, obs in ((alg_a, obs_a), (alg_b, obs_b)):
         report = verify_representation(system, obs, alg)
@@ -299,25 +289,11 @@ def find_translation(alg_a: ObservationAlgorithm, alg_b: ObservationAlgorithm,
                 f"algorithm {alg.name!r} fails the representation condition; "
                 "translations are only defined between valid algorithms"
             )
-    domain = sorted(alg_a.image())
-    codomain = sorted(obs_b.observations)
-    if domain and not codomain:
-        return TranslationWitness(None)
-    space = len(codomain) ** len(domain)
-    if space > cap:
-        raise TranslationSearchError(
-            f"search exhausted: {space} candidate functions exceed the cap of {cap}"
-        )
-    for values in itertools.product(codomain, repeat=len(domain)):
-        f = dict(zip(domain, values))
-        if _is_translation(f, alg_a, alg_b, system, obs_a, obs_b):
-            return TranslationWitness(f)
-    return TranslationWitness(None)
+    return TranslationWitness(_forced_translation(alg_a, alg_b))
 
 
 def classify(system: ObjectSystem, observation_systems: Sequence[ObservationSystem],
-             algorithms: Sequence[ObservationAlgorithm],
-             cap: int = DEFAULT_FUNCTION_CAP) -> Classification:
+             algorithms: Sequence[ObservationAlgorithm]) -> Classification:
     """Classify a system as Strong, Weak, or NotObservement.
 
     ``algorithms[i]`` is read against ``observation_systems[i]``.  The verdict
@@ -332,13 +308,13 @@ def classify(system: ObjectSystem, observation_systems: Sequence[ObservationSyst
     for alg, obs in zip(algorithms, observation_systems):
         try:
             if verify_representation(system, obs, alg).holds:
-                valid.append((alg, obs))
+                valid.append(alg)
         except SystemDefinitionError:
             continue
     if not valid:
         return Classification.NOT_OBSERVEMENT
-    for (alg_a, obs_a), (alg_b, obs_b) in itertools.permutations(valid, 2):
-        if not find_translation(alg_a, alg_b, system, obs_a, obs_b, cap=cap).found:
+    for alg_a, alg_b in itertools.permutations(valid, 2):
+        if _forced_translation(alg_a, alg_b) is None:
             return Classification.WEAK
     return Classification.STRONG
 

@@ -325,7 +325,7 @@ def generate(grammar: Grammar, max_len: int, cap: int = DEFAULT_GENERATE_CAP) ->
     CapExceeded when more than ``cap`` distinct strings would be produced.
     """
     if max_len < 0:
-        raise ValueError("max_len must be >= 0")
+        raise GrammarError(f"max_len must be >= 0, got {max_len}")
     min_lengths = _min_lengths(grammar)
 
     def item_min(item):

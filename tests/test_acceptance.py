@@ -117,8 +117,8 @@ def test_criterion_02_height_systems_are_weak():
             "system_b", {h: label(h, 155, 178) for h in heights},
             {"comparable": "comparable_obs"},
         )
-        # Proved absent: the exhaustive search completes without hitting the
-        # candidate cap, so the missing witness is a theorem, not a timeout.
+        # Proved absent: system_b splits 152 and 180, which system_a reads as
+        # one value, so no function of system_a's values yields system_b's.
         witness = core.find_translation(alg_a, alg_b, system, obs, obs)
         assert witness.mapping is None
         assert core.classify(system, [obs, obs], [alg_a, alg_b]) is core.Classification.WEAK

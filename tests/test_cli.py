@@ -33,6 +33,35 @@ dave -> grace
 """
 
 
+def weighed_shelf_text():
+    """Twelve objects tied in pairs, read by two relabelled fine scales.
+
+    Both MAPs draw on one shared set of 24 observation values.
+    """
+    objects = [f"o{i:02d}" for i in range(12)]
+    relabel = [7, 2, 11, 0, 5, 9, 1, 10, 3, 6, 8, 4]
+    labels = {"a": list(range(12)), "b": relabel}
+    lines = ["OBJECTS", " ".join(objects), "RELATION not_lighter/2"]
+    lines += [f"{x} {y}" for i, x in enumerate(objects) for j, y in enumerate(objects)
+              if i // 2 >= j // 2]
+    lines += ["OBSERVATIONS", " ".join(f"{p}{k:02d}" for p in labels for k in range(12)),
+              "RELATION geq/2"]
+    for prefix, label in labels.items():
+        lines += [f"{prefix}{label[i]:02d} {prefix}{label[j]:02d}"
+                  for i in range(12) for j in range(12) if i // 2 >= j // 2]
+    for prefix, label in labels.items():
+        lines.append(f"MAP scale_{prefix}")
+        lines += [f"{x} {prefix}{label[i]:02d}" for i, x in enumerate(objects)]
+        lines += ["PAIR", "not_lighter geq"]
+    return "\n".join(lines) + "\n"
+
+
+def assert_domain_error_without_output(result):
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert isinstance(result.exception, SystemExit)
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()
@@ -83,6 +112,14 @@ class TestSystem:
         result = runner.invoke(cli, ["system", "verify", path, "--alg", "system_a"])
         assert result.output.strip() == "system_a: holds"
 
+    def test_classify_relabelled_twelve_value_scales(self, runner, tmp_path):
+        path = write(tmp_path / "shelf.obs", weighed_shelf_text())
+        assert runner.invoke(cli, ["system", "verify", path]).output.splitlines() == [
+            "scale_a: holds", "scale_b: holds"]
+        result = runner.invoke(cli, ["system", "classify", path])
+        assert result.exit_code == 0
+        assert result.stdout == "Strong\n"
+
 
 class TestGrammar:
     def test_check_member(self, runner, tmp_path):
@@ -94,6 +131,11 @@ class TestGrammar:
         path = write(tmp_path / "turtle.g", TURTLE)
         result = runner.invoke(cli, ["grammar", "gen", path, "--max-len", "2"])
         assert result.output.splitlines() == ["T", "FT", "LT", "RT"]
+
+    def test_gen_negative_max_len_is_domain_error(self, runner, tmp_path):
+        path = write(tmp_path / "turtle.g", TURTLE)
+        result = runner.invoke(cli, ["grammar", "gen", path, "--max-len", "-1"])
+        assert_domain_error_without_output(result)
 
 
 class TestTranslate:
@@ -120,6 +162,11 @@ class TestTranslate:
         result = runner.invoke(cli, ["translate", path])
         assert result.exit_code == 1
         assert "divisible" in result.output
+
+    def test_bad_second_gene_leaves_stdout_empty(self, runner, tmp_path):
+        path = write(tmp_path / "genes.fa", ">ok\natgaaagtttaa\n>bad\natgtaagcttaa\n")
+        result = runner.invoke(cli, ["translate", path])
+        assert_domain_error_without_output(result)
 
 
 class TestMotif:
@@ -215,6 +262,11 @@ class TestPercolate:
         assert via_env.output == via_flag.output
         other = runner.invoke(cli, args + ["--seed", "12"])
         assert other.output != via_flag.output
+
+    def test_probability_above_one_leaves_stdout_empty(self, runner):
+        result = runner.invoke(cli, ["percolate", "-n", "20", "--p-from", "0.5", "--p-to", "1.5",
+                                     "--steps", "3", "--trials", "2", "--seed", "1"])
+        assert_domain_error_without_output(result)
 
 
 class TestTree:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,8 +12,99 @@ from observement.core import (
     ObservationSystem,
     SystemDefinitionError,
     SystemFixture,
-    TranslationSearchError,
 )
+
+
+def _brute_is_translation(f, alg_a, alg_b, system, obs_a, obs_b):
+    for x in system.objects:
+        if f[alg_a.mapping[x]] != alg_b.mapping[x]:
+            return False
+    for r_name in system.relations:
+        p_a = obs_a.relations[alg_a.relation_pairing[r_name]]
+        p_b = obs_b.relations[alg_b.relation_pairing[r_name]]
+        for members in itertools.product(system.objects, repeat=system.arities[r_name]):
+            image_a = tuple(alg_a.mapping[x] for x in members)
+            image_b = tuple(f[alg_a.mapping[x]] for x in members)
+            if (image_a in p_a) != (image_b in p_b):
+                return False
+    return True
+
+
+def brute_force_translation(alg_a, alg_b, system, obs_a, obs_b):
+    """Reference search: every function from alg_a's image into obs_b, in
+    lexicographic order over sorted identifiers; the first translation wins."""
+    domain = sorted(alg_a.image())
+    for values in itertools.product(sorted(obs_b.observations), repeat=len(domain)):
+        f = dict(zip(domain, values))
+        if _brute_is_translation(f, alg_a, alg_b, system, obs_a, obs_b):
+            return f
+    return None
+
+
+def brute_force_classify(system, observation_systems, algorithms):
+    valid = [
+        (alg, obs) for alg, obs in zip(algorithms, observation_systems)
+        if core.verify_representation(system, obs, alg).holds
+    ]
+    if not valid:
+        return Classification.NOT_OBSERVEMENT
+    for (alg_a, obs_a), (alg_b, obs_b) in itertools.permutations(valid, 2):
+        if brute_force_translation(alg_a, alg_b, system, obs_a, obs_b) is None:
+            return Classification.WEAK
+    return Classification.STRONG
+
+
+def oracle_corpus():
+    """Every map from n <= 4 objects into m <= 3 values, over two relations.
+
+    ``r`` is either empty (every map valid) or the weak order "not lighter"
+    with objects tied in blocks of two.  Each map h observes into its own
+    system whose relation is h(r), so h is valid iff it never merges objects
+    across blocks; both valid and invalid maps occur.
+    """
+    for n in range(1, 5):
+        objects = [f"o{i}" for i in range(n)]
+        tied = {(objects[i], objects[j]) for i in range(n) for j in range(n) if i // 2 >= j // 2}
+        for relation in (set(), tied):
+            system = ObjectSystem(frozenset(objects), {"r": relation}, {"r": 2})
+            for m in range(1, 4):
+                values = [f"v{k}" for k in range(m)]
+                algorithms = []
+                for index, image in enumerate(itertools.product(values, repeat=n)):
+                    mapping = dict(zip(objects, image))
+                    obs = ObservationSystem(
+                        frozenset(values),
+                        {"p": {(mapping[x], mapping[y]) for x, y in relation}},
+                        {"p": 2},
+                    )
+                    algorithms.append((ObservationAlgorithm(f"h{index}", mapping, {"r": "p"}), obs))
+                yield system, algorithms
+
+
+def weighed_shelf_fixture():
+    """Twelve objects weighed on a scale that ties them in pairs.
+
+    ``fine_a`` and ``fine_b`` give every object its own value, ``fine_b``
+    under a shuffled labelling; ``coarse`` reads one value per tied pair.
+    With 12 values the space of candidate functions is 12**12.
+    """
+    objects = [f"o{i:02d}" for i in range(12)]
+    not_lighter = {(x, y) for i, x in enumerate(objects) for j, y in enumerate(objects)
+                   if i // 2 >= j // 2}
+    system = ObjectSystem(frozenset(objects), {"not_lighter": not_lighter})
+    shuffled = list(range(12))
+    random.Random(5).shuffle(shuffled)
+
+    def observed(prefix, label):
+        mapping = {x: f"{prefix}{label(i):02d}" for i, x in enumerate(objects)}
+        obs = ObservationSystem(
+            frozenset(mapping.values()),
+            {"geq": {(mapping[x], mapping[y]) for x, y in not_lighter}},
+        )
+        return ObservationAlgorithm(prefix, mapping, {"not_lighter": "geq"}), obs
+
+    return (system, observed("a", lambda i: i), observed("b", lambda i: shuffled[i]),
+            observed("c", lambda i: i // 2))
 
 
 def identity_fixture():
@@ -200,10 +292,26 @@ class TestFindTranslation:
         for value in alg_lb.image():
             assert forward[backward[value]] == value
 
-    def test_cap_raises_search_exhausted(self):
-        system, obs, alg = identity_fixture()
-        with pytest.raises(TranslationSearchError, match="search exhausted"):
-            core.find_translation(alg, alg, system, obs, obs, cap=3)
+    def test_relabelled_copies_beyond_any_enumeration_translate(self):
+        system, (alg_a, obs_a), (alg_b, obs_b), _ = weighed_shelf_fixture()
+        witness = core.find_translation(alg_a, alg_b, system, obs_a, obs_b)
+        assert witness.mapping == {alg_a.mapping[x]: alg_b.mapping[x] for x in system.objects}
+        assert list(witness.mapping) == sorted(obs_a.observations)
+        assert len(set(witness.mapping.values())) == 12
+
+    def test_agrees_with_brute_force_on_exhaustive_corpus(self):
+        compared = 0
+        for system, algorithms in oracle_corpus():
+            valid = [(alg, obs) for alg, obs in algorithms
+                     if core.verify_representation(system, obs, alg).holds]
+            for (alg_a, obs_a), (alg_b, obs_b) in itertools.product(valid, repeat=2):
+                witness = core.find_translation(alg_a, alg_b, system, obs_a, obs_b)
+                expected = brute_force_translation(alg_a, alg_b, system, obs_a, obs_b)
+                assert witness.mapping == expected
+                if expected is not None:
+                    assert list(witness.mapping) == list(expected)
+                compared += 1
+        assert compared > 1000
 
     def test_invalid_algorithm_rejected(self):
         system, obs, alg = identity_fixture()
@@ -259,6 +367,23 @@ class TestClassify:
         system, obs, alg = identity_fixture()
         with pytest.raises(SystemDefinitionError):
             core.classify(system, [obs, obs], [alg])
+
+    def test_relabelled_copies_are_strong_and_coarsening_is_weak(self):
+        system, (alg_a, obs_a), (alg_b, obs_b), (coarse, obs_c) = weighed_shelf_fixture()
+        assert core.classify(system, [obs_a, obs_b], [alg_a, alg_b]) is Classification.STRONG
+        verdict = core.classify(system, [obs_a, obs_b, obs_c], [alg_a, alg_b, coarse])
+        assert verdict is Classification.WEAK
+
+    def test_agrees_with_brute_force_on_exhaustive_corpus(self):
+        verdicts = set()
+        for system, algorithms in oracle_corpus():
+            for first, second in itertools.product(algorithms, repeat=2):
+                observations = [first[1], second[1]]
+                pair = [first[0], second[0]]
+                verdict = core.classify(system, observations, pair)
+                assert verdict is brute_force_classify(system, observations, pair)
+                verdicts.add(verdict)
+        assert verdicts == set(Classification)
 
 
 class TestSystemInvariants:
