@@ -202,16 +202,15 @@ def graph():
 def graph_convert(graph_file, target):
     """Re-express a graph file as edges, adjlist, matrix, or g6 text."""
     g = graphs.parse_graph_text(_read(graph_file))
-    if target == "edges":
-        click.echo(graphs.format_graph_file(g), nl=False)
-    elif target == "adjlist":
-        click.echo(graphs.format_adjacency_text(g), nl=False)
-    elif target == "matrix":
-        click.echo(graphs.format_matrix_text(g), nl=False)
-    else:
-        if not isinstance(g, graphs.Graph):
-            raise click.ClickException("graph6 encodes undirected graphs only")
-        click.echo(graphs.encode_graph6(g))
+    if target == "g6":
+        click.echo(graphs.convert(g, "g6"))
+        return
+    formatters = {
+        "edges": graphs.format_graph_file,
+        "adjlist": graphs.format_adjacency_text,
+        "matrix": graphs.format_matrix_text,
+    }
+    click.echo(formatters[target](g), nl=False)
 
 
 def _echo_mapping(mapping):
@@ -338,12 +337,8 @@ def tree_descendants(kinship_file, person):
 
 
 def _looks_like_graph(text: str) -> bool:
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head = line.split()[0]
-        return head in ("graph", "digraph", "matrix", "dmatrix", "adjlist", "dadjlist")
+    for _, line in graphs._significant_lines(text):
+        return line.split()[0] in graphs._HEADER_PARSERS
     return False
 
 

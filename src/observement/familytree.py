@@ -71,24 +71,32 @@ class KinshipGraph:
 
 
 def _assert_acyclic(arcs) -> None:
+    # Depth-first over sorted roots and sorted children, so the cycle reported
+    # does not depend on set order.  ``path`` is the current chain of
+    # ancestors (state 1); finished persons have state 2.
     children: dict = {}
-    for parent, child in arcs:
+    for parent, child in sorted(arcs):
         children.setdefault(parent, []).append(child)
     state: dict = {}
-
-    def visit(v, trail):
-        state[v] = 1
-        for w in children.get(v, ()):
-            if state.get(w) == 1:
-                cycle = trail[trail.index(w):] + [w]
-                raise KinshipError("parent arcs form a cycle: " + " -> ".join(cycle))
-            if w not in state:
-                visit(w, trail + [w])
-        state[v] = 2
-
-    for v in sorted(children):
-        if v not in state:
-            visit(v, [v])
+    for root in children:
+        if root in state:
+            continue
+        state[root] = 1
+        path = [root]
+        pending = [iter(children[root])]
+        while pending:
+            for w in pending[-1]:
+                if state.get(w) == 1:
+                    cycle = path[path.index(w):] + [w]
+                    raise KinshipError("parent arcs form a cycle: " + " -> ".join(cycle))
+                if w not in state:
+                    state[w] = 1
+                    path.append(w)
+                    pending.append(iter(children.get(w, ())))
+                    break
+            else:
+                state[path.pop()] = 2
+                pending.pop()
 
 
 # --- constructors -----------------------------------------------------------

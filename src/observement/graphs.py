@@ -3,9 +3,10 @@
 Vertices are integers 0..n-1.  Edge lists, adjacency lists, adjacency
 matrices, and graph6 text all encode the same structure and convert
 losslessly in every direction, which is exactly what makes the collection of
-representations interchangeable.  Also here: brute-force isomorphism and
-subgraph search (small sizes only, with explicit caps), the state-space
-digraph of a finite automaton, and random-graph percolation sweeps.
+representations interchangeable.  Also here: isomorphism and subgraph search
+sharing one exact backtracking routine (small sizes only, with explicit
+caps), the state-space digraph of a finite automaton, and random-graph
+percolation sweeps.
 """
 
 from __future__ import annotations
@@ -286,133 +287,85 @@ def _image_requirement(mask_row: int, below: int, mapping, offset: int = 0) -> i
     return need
 
 
-def _flatten_masks(g):
-    # Digraph rows become out | (in << n) so one integer carries both
-    # directions; the requirement mask gets the same offset treatment.
-    masks = g._masks
-    if len(masks) == 1:
-        return list(masks[0]), 0
-    out, into = masks
-    return [out[v] | into[v] << g.n for v in range(g.n)], g.n
+def _profiles(g) -> list:
+    # (out-degree, in-degree, self-loop) per vertex; an undirected row serves as both.
+    out, into = g._masks[0], g._masks[-1]
+    return [(out[v].bit_count(), into[v].bit_count(), out[v] >> v & 1) for v in range(g.n)]
 
 
-def are_isomorphic(g1, g2, cap: int = ISO_CAP):
+def _search(small, big, exact: bool):
+    """The lexicographically first injective map of ``small`` into ``big``, or None.
+
+    The map sends edges onto edges; when ``exact`` it also sends non-edges
+    onto non-edges among the images.  Pattern vertices are placed in index
+    order, each trying host vertices in index order.  Digraph host rows are
+    flattened to out | in << nb, so one mask test checks both directions.
+    """
+    ns, nb = small.n, big.n
+    out_s, in_s = small._masks[0], small._masks[-1]
+    out_b, in_b = big._masks[0], big._masks[-1]
+    directed = isinstance(small, Digraph)
+    shift = nb if directed else 0
+    rows_b = [out_b[w] | in_b[w] << nb for w in range(nb)] if directed else out_b
+    prof_s, prof_b = _profiles(small), _profiles(big)
+    if exact:
+        if sorted(prof_s) != sorted(prof_b):
+            return None
+        candidates = [[w for w, q in enumerate(prof_b) if q == p] for p in prof_s]
+    else:
+        candidates = [
+            [w for w, (o, i, s) in enumerate(prof_b) if o >= out and i >= into and s >= loop]
+            for out, into, loop in prof_s
+        ]
+    mapping = [-1] * ns
+
+    def extend(v, used):
+        if v == ns:
+            return True
+        below = (1 << v) - 1
+        need = _image_requirement(out_s[v], below, mapping)
+        if directed:
+            need |= _image_requirement(in_s[v], below, mapping, nb)
+        # Exact: w's adjacency to every placed image must match; else contain.
+        seen = used | used << shift if exact else need
+        for w in candidates[v]:
+            if not used >> w & 1 and rows_b[w] & seen == need:
+                mapping[v] = w
+                if extend(v + 1, used | 1 << w):
+                    return True
+        return False
+
+    return {v: mapping[v] for v in range(ns)} if extend(0, 0) else None
+
+
+def are_isomorphic(g1, g2):
     """A vertex bijection sending edges exactly onto edges, or None.
 
-    Brute-force backtracking with degree pruning; deterministic, returning
-    the lexicographically first witness.  Sizes above ``cap`` raise.
+    Exact backtracking with degree pruning; deterministic, returning the
+    lexicographically first witness.  Sizes above ``ISO_CAP`` raise.
     """
     _check_same_kind(g1, g2)
-    if max(g1.n, g2.n) > cap:
-        raise CapExceeded(f"isomorphism search capped at {cap} vertices")
+    if max(g1.n, g2.n) > ISO_CAP:
+        raise CapExceeded(f"isomorphism search capped at {ISO_CAP} vertices")
     size1 = len(g1.edges if isinstance(g1, Graph) else g1.arcs)
     size2 = len(g2.edges if isinstance(g2, Graph) else g2.arcs)
     if g1.n != g2.n or size1 != size2:
         return None
-    n = g1.n
-    if n == 0:
-        return {}
-    rows1, offset = _flatten_masks(g1)
-    rows2, _ = _flatten_masks(g2)
-    directed = offset > 0
-    deg1 = [r.bit_count() for r in rows1]
-    deg2 = [r.bit_count() for r in rows2]
-    if sorted(deg1) != sorted(deg2):
-        return None
-    candidates = [
-        [
-            w for w in range(n)
-            if deg2[w] == deg1[v] and (rows1[v] >> v & 1) == (rows2[w] >> w & 1)
-        ]
-        for v in range(n)
-    ]
-    mapping = [-1] * n
-
-    def extend(v, used_mask, image_mask):
-        if v == n:
-            return True
-        below = (1 << v) - 1
-        need = _image_requirement(rows1[v], below, mapping)
-        if directed:
-            need |= _image_requirement(rows1[v] >> offset, below, mapping, offset)
-        row_filter = image_mask | image_mask << offset if directed else image_mask
-        for w in candidates[v]:
-            if used_mask >> w & 1:
-                continue
-            if rows2[w] & row_filter == need:
-                mapping[v] = w
-                if extend(v + 1, used_mask | 1 << w, image_mask | 1 << w):
-                    return True
-        return False
-
-    if extend(0, 0, 0):
-        return {v: mapping[v] for v in range(n)}
-    return None
+    return _search(g1, g2, exact=True)
 
 
-def is_subgraph(small, big, cap: int = SUBGRAPH_CAP):
+def is_subgraph(small, big):
     """An injective map sending every edge of ``small`` onto an edge of ``big``, or None.
 
-    Non-induced: extra adjacencies among the images are fine.
+    Non-induced: extra adjacencies among the images are fine.  The witness is
+    the lexicographically first; patterns above ``SUBGRAPH_CAP`` vertices raise.
     """
     _check_same_kind(small, big)
-    if small.n > cap:
-        raise CapExceeded(f"subgraph search capped at {cap} pattern vertices")
+    if small.n > SUBGRAPH_CAP:
+        raise CapExceeded(f"subgraph search capped at {SUBGRAPH_CAP} pattern vertices")
     if small.n > big.n:
         return None
-    ns, nb = small.n, big.n
-    if ns == 0:
-        return {}
-    masks_s = small._masks
-    masks_b = big._masks
-    directed = len(masks_s) > 1
-    rows_s = list(masks_s[0])
-    rows_b = list(masks_b[0])
-    if directed:
-        # Different offsets would be needed to share one flattened integer,
-        # so keep the in-rows separate for the pattern and the host.
-        in_s = masks_s[1]
-        in_b = masks_b[1]
-        deg_s = [(rows_s[v].bit_count(), in_s[v].bit_count()) for v in range(ns)]
-        deg_b = [(rows_b[w].bit_count(), in_b[w].bit_count()) for w in range(nb)]
-        candidates = [
-            [
-                w for w in range(nb)
-                if deg_b[w][0] >= deg_s[v][0] and deg_b[w][1] >= deg_s[v][1]
-                and (not rows_s[v] >> v & 1 or rows_b[w] >> w & 1)
-            ]
-            for v in range(ns)
-        ]
-    else:
-        deg_s1 = [r.bit_count() for r in rows_s]
-        deg_b1 = [r.bit_count() for r in rows_b]
-        candidates = [
-            [w for w in range(nb) if deg_b1[w] >= deg_s1[v]]
-            for v in range(ns)
-        ]
-    mapping = [-1] * ns
-
-    def extend(v, used_mask):
-        if v == ns:
-            return True
-        below = (1 << v) - 1
-        need_out = _image_requirement(rows_s[v], below, mapping)
-        need_in = _image_requirement(in_s[v], below, mapping) if directed else 0
-        for w in candidates[v]:
-            if used_mask >> w & 1:
-                continue
-            if rows_b[w] & need_out != need_out:
-                continue
-            if directed and in_b[w] & need_in != need_in:
-                continue
-            mapping[v] = w
-            if extend(v + 1, used_mask | 1 << w):
-                return True
-        return False
-
-    if extend(0, 0):
-        return {v: mapping[v] for v in range(ns)}
-    return None
+    return _search(small, big, exact=False)
 
 
 def relabel(g, permutation: Sequence):
@@ -584,12 +537,9 @@ def parse_graph_text(text: str):
         raise GraphFormatError("empty graph text")
     head = lines[0][1].split()
     keyword = head[0]
-    if keyword in ("graph", "digraph"):
-        return _parse_edge_lines(lines, directed=keyword == "digraph")
-    if keyword in ("matrix", "dmatrix"):
-        return _parse_matrix_lines(lines, directed=keyword == "dmatrix")
-    if keyword in ("adjlist", "dadjlist"):
-        return _parse_adjacency_lines(lines, directed=keyword == "dadjlist")
+    if keyword in _HEADER_PARSERS:
+        parser, directed = _HEADER_PARSERS[keyword]
+        return parser(lines, directed)
     if len(lines) == 1 and len(head) == 1:
         return decode_graph6(head[0])
     raise GraphFormatError(f"line {lines[0][0]}: unknown header {keyword!r}")
@@ -673,6 +623,17 @@ def _parse_adjacency_lines(lines, directed: bool):
         ))
     except GraphError as exc:
         raise GraphFormatError(str(exc)) from exc
+
+
+# Header keyword -> (line parser, directed).
+_HEADER_PARSERS = {
+    "graph": (_parse_edge_lines, False),
+    "digraph": (_parse_edge_lines, True),
+    "matrix": (_parse_matrix_lines, False),
+    "dmatrix": (_parse_matrix_lines, True),
+    "adjlist": (_parse_adjacency_lines, False),
+    "dadjlist": (_parse_adjacency_lines, True),
+}
 
 
 def parse_automaton_file(text: str) -> Automaton:

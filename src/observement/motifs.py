@@ -265,16 +265,15 @@ def _mask_identifier(mask: int, k: int, directed: bool) -> str:
     return _pack_graph6(k, bits)
 
 
-def count_network_motifs(g, k: int, caps: dict | None = None) -> MotifCensus:
+def count_network_motifs(g, k: int) -> MotifCensus:
     """Bucket all k-vertex induced subgraphs by canonical form.
 
     Counts sum to C(n, k) and are invariant under vertex relabeling.
     """
-    caps = caps or CENSUS_CAPS
-    if k not in caps:
-        raise MotifError(f"motif size must be one of {sorted(caps)}, got {k}")
-    if g.n > caps[k]:
-        raise CapExceeded(f"census for k={k} capped at {caps[k]} vertices, got {g.n}")
+    if k not in CENSUS_CAPS:
+        raise MotifError(f"motif size must be one of {sorted(CENSUS_CAPS)}, got {k}")
+    if g.n > CENSUS_CAPS[k]:
+        raise CapExceeded(f"census for k={k} capped at {CENSUS_CAPS[k]} vertices, got {g.n}")
     directed = isinstance(g, Digraph)
     tables = _bit_permutations(k, directed)
     canonical_cache: dict[int, int] = {}

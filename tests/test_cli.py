@@ -282,6 +282,14 @@ class TestTree:
         result = runner.invoke(cli, ["tree", "descendants", path, "alice"])
         assert result.output.splitlines() == ["carol", "dave", "frank", "grace"]
 
+    def test_descendants_of_a_3000_generation_chain(self, runner, tmp_path):
+        people = [f"p{i}" for i in range(3001)]
+        arcs = "".join(f"{a} -> {b}\n" for a, b in zip(people, people[1:]))
+        path = write(tmp_path / "chain.kin", arcs)
+        result = runner.invoke(cli, ["tree", "descendants", path, "p0"])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines() == sorted(people[1:])
+
     def test_unknown_relation_is_domain_error(self, runner, tmp_path):
         path = write(tmp_path / "fam.kin", KINSHIP)
         result = runner.invoke(cli, ["tree", "query", path, "sibling", "alice", "bob"])

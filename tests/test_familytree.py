@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -246,6 +250,29 @@ class TestFilesAndRendering:
     def test_cycle_in_file_rejected(self):
         with pytest.raises(KinshipError, match="cycle"):
             ft.parse_kinship_file("a -> b\nb -> a\n")
+
+    def test_reported_cycle_does_not_depend_on_hash_seed(self):
+        # Two cycles through b; set iteration order used to pick between them.
+        text = "a -> b\nb -> c\nc -> a\nb -> d\nd -> e\ne -> b\nb -> x\nx -> y\n"
+        script = (
+            "import sys\n"
+            "from observement.familytree import KinshipError, parse_kinship_file\n"
+            "try:\n"
+            "    parse_kinship_file(sys.stdin.read())\n"
+            "except KinshipError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(ft.__file__).resolve().parent.parent)
+        messages = set()
+        for seed in range(1, 9):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed),
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run([sys.executable, "-c", script], input=text, env=env,
+                                  capture_output=True, text=True, timeout=60)
+            messages.add(done.stdout)
+        assert messages == {
+            "kinship file invalid: parent arcs form a cycle: a -> b -> c -> a\n"
+        }
 
     def test_indented_dump(self):
         g = three_generations()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -291,6 +292,51 @@ class TestSubgraph:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             is_subgraph(Graph(9), Graph(9))
+
+
+def _pairs(g) -> frozenset:
+    # Undirected edges in both orientations, so a mapped edge can be looked up directly.
+    if isinstance(g, Digraph):
+        return g.arcs
+    return g.edges | {(v, u) for u, v in g.edges}
+
+
+def _first_map_by_brute_force(small, big, exact):
+    """First map in permutations order sending edges onto edges (and, if exact, non-edges
+    onto non-edges), as a dict; the oracle for the backtracking search's witness."""
+    pairs_s, pairs_b = _pairs(small), _pairs(big)
+    # An injective map keeps edges distinct, so a pattern with more edges never fits.
+    if exact and small.n != big.n or len(pairs_s) > len(pairs_b):
+        return None
+    for image in itertools.permutations(range(big.n), small.n):
+        mapped = {(image[u], image[v]) for u, v in pairs_s}
+        if mapped == pairs_b if exact else mapped <= pairs_b:
+            return dict(enumerate(image))
+    return None
+
+
+def _all_digraphs_with_loops(n):
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    return [
+        Digraph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1),
+                allow_self_loops=True)
+        for mask in range(1 << len(pairs))
+    ]
+
+
+class TestWitnessOracle:
+    """Isomorphism and embedding witnesses equal the brute force's first map, exactly."""
+
+    @pytest.mark.parametrize("corpus", ["graphs<=4", "digraphs-with-loops<=3"])
+    def test_every_ordered_pair(self, corpus):
+        if corpus == "graphs<=4":
+            values = [g for n in range(5) for g in all_graphs(n)]
+        else:
+            values = [g for n in range(4) for g in _all_digraphs_with_loops(n)]
+        for g in values:
+            for h in values:
+                assert are_isomorphic(g, h) == _first_map_by_brute_force(g, h, True), (g, h)
+                assert is_subgraph(g, h) == _first_map_by_brute_force(g, h, False), (g, h)
 
 
 class TestAutomata:
