@@ -43,27 +43,28 @@ class KinshipGraph:
             self, "partner_edges", frozenset(frozenset(e) for e in self.partner_edges)
         )
         object.__setattr__(self, "labels", dict(self.labels))
-        for parent, child in self.parent_arcs:
+        # Arcs and edges are checked in sorted order, so which fault is
+        # reported does not depend on set order.
+        arcs = sorted(self.parent_arcs)
+        for parent, child in arcs:
             if parent not in self.persons or child not in self.persons:
                 raise KinshipError(f"arc ({parent},{child}) references an unknown person")
             if parent == child:
                 raise KinshipError(f"{parent!r} cannot be their own parent")
-        for edge in self.partner_edges:
-            if len(edge) != 2:
-                raise KinshipError(f"partner edge {set(edge)} must join two distinct persons")
-            if not edge <= self.persons:
-                raise KinshipError(f"partner edge {set(edge)} references an unknown person")
-            pair = tuple(edge)
-            if (pair[0], pair[1]) in self.parent_arcs or (pair[1], pair[0]) in self.parent_arcs:
-                raise KinshipError(
-                    f"{set(edge)} cannot be both partners and parent/child"
-                )
+        for pair in sorted(tuple(sorted(edge)) for edge in self.partner_edges):
+            spelled = "{" + ", ".join(map(repr, pair)) + "}"
+            if len(pair) != 2:
+                raise KinshipError(f"partner edge {spelled} must join two distinct persons")
+            if not self.persons.issuperset(pair):
+                raise KinshipError(f"partner edge {spelled} references an unknown person")
+            if pair in self.parent_arcs or pair[::-1] in self.parent_arcs:
+                raise KinshipError(f"{spelled} cannot be both partners and parent/child")
         for person in self.labels:
             if person not in self.persons:
                 raise KinshipError(f"label for unknown person {person!r}")
         if self.enforce_parent_limit:
             parent_count: dict = {}
-            for _, child in self.parent_arcs:
+            for _, child in arcs:
                 parent_count[child] = parent_count.get(child, 0) + 1
                 if parent_count[child] > 2:
                     raise KinshipError(f"{child!r} has more than two parents")
@@ -286,15 +287,15 @@ def to_indented_text(g: KinshipGraph, root: str) -> str:
     _check_person(g, root)
     children = _children_map(g)
     lines: list[str] = []
-
-    def walk(person, depth):
+    # Children are pushed in reverse sorted order, so they pop in sorted order.
+    stack = [(root, 0)]
+    while stack:
+        person, depth = stack.pop()
         label = g.labels.get(person)
         text = f"{person} ({label})" if label else person
         lines.append("  " * depth + text)
-        for child in sorted(children.get(person, ())):
-            walk(child, depth + 1)
-
-    walk(root, 0)
+        for child in sorted(children.get(person, ()), reverse=True):
+            stack.append((child, depth + 1))
     return "\n".join(lines) + "\n"
 
 

@@ -3,8 +3,9 @@
 A string motif is a token sequence: literal symbols, fixed-width wildcards
 written ``x(N)``, and classes written ``{A,B,C}`` that match any one of the
 listed symbols.  A network motif census buckets every k-vertex induced
-subgraph of a graph by its isomorphism class (canonical form found by brute
-force over the k! local permutations) and can compare the counts against a
+subgraph of a graph by its isomorphism class: it tallies the k-subsets per
+local adjacency mask, then canonicalises each distinct mask once (the least
+mask over the k! local relabellings).  It can compare the counts against a
 degree-preserving rewiring null model.
 """
 
@@ -208,49 +209,27 @@ class MotifCensus:
             object.__setattr__(self, "background", dict(self.background))
 
 
-def _local_mask(g, vertices) -> int:
-    # Bit layout: undirected uses triangle order over the k local vertices;
-    # directed uses row-major k*k including the diagonal (self-loops).
-    k = len(vertices)
-    mask = 0
-    if isinstance(g, Graph):
-        for bit, (i, j) in enumerate(_triangle_pairs(k)):
-            if (min(vertices[i], vertices[j]), max(vertices[i], vertices[j])) in g.edges:
-                mask |= 1 << bit
-    else:
-        for i in range(k):
-            for j in range(k):
-                if (vertices[i], vertices[j]) in g.arcs:
-                    mask |= 1 << (i * k + j)
-    return mask
-
-
-def _bit_permutations(k: int, directed: bool):
-    tables = []
+def _cells(k: int, directed: bool) -> list:
+    # Bit b of a local mask is cell b: the triangle pairs (i, j), i < j, when
+    # undirected; the row-major k*k pairs, diagonal included, when directed.
     if directed:
-        positions = {(i, j): i * k + j for i in range(k) for j in range(k)}
-        pairs = list(positions)
-    else:
-        positions = {pair: bit for bit, pair in enumerate(_triangle_pairs(k))}
-        pairs = list(positions)
-    for perm in permutations(range(k)):
-        table = []
-        for i, j in pairs:
-            a, b = perm[i], perm[j]
-            if not directed:
-                a, b = min(a, b), max(a, b)
-            table.append((positions[(i, j)], positions[(a, b)]))
-        tables.append(table)
-    return tables
+        return [(i, j) for i in range(k) for j in range(k)]
+    return list(_triangle_pairs(k))
 
 
-def _canonical_mask(mask: int, tables) -> int:
+def _canonical_mask(mask: int, k: int, directed: bool) -> int:
+    """The least mask, as an integer, over all k! relabellings of the local vertices."""
+    cells = _cells(k, directed)
+    position = {cell: bit for bit, cell in enumerate(cells)}
+    present = [cell for bit, cell in enumerate(cells) if mask >> bit & 1]
     best = None
-    for table in tables:
+    for perm in permutations(range(k)):
         out = 0
-        for src, dst in table:
-            if mask >> src & 1:
-                out |= 1 << dst
+        for i, j in present:
+            a, b = perm[i], perm[j]
+            if not directed and a > b:
+                a, b = b, a
+            out |= 1 << position[a, b]
         if best is None or out < best:
             best = out
     return best
@@ -258,34 +237,38 @@ def _canonical_mask(mask: int, tables) -> int:
 
 def _mask_identifier(mask: int, k: int, directed: bool) -> str:
     if directed:
-        bits = k * k
-        return f"d{k}:" + format(mask, f"0{bits}b")
-    bit_count = k * (k - 1) // 2
-    bits = [(mask >> b) & 1 for b in range(bit_count)]
-    return _pack_graph6(k, bits)
+        return f"d{k}:" + format(mask, f"0{k * k}b")
+    return _pack_graph6(k, [mask >> b & 1 for b in range(k * (k - 1) // 2)])
 
 
 def count_network_motifs(g, k: int) -> MotifCensus:
     """Bucket all k-vertex induced subgraphs by canonical form.
 
-    Counts sum to C(n, k) and are invariant under vertex relabeling.
+    Two passes: tally the k-subsets per local mask, read from the adjacency
+    bitsets, then canonicalise and name each distinct mask once.  Classes
+    appear in the order of their first subset.  Counts sum to C(n, k) and are
+    invariant under vertex relabeling.
     """
     if k not in CENSUS_CAPS:
         raise MotifError(f"motif size must be one of {sorted(CENSUS_CAPS)}, got {k}")
     if g.n > CENSUS_CAPS[k]:
         raise CapExceeded(f"census for k={k} capped at {CENSUS_CAPS[k]} vertices, got {g.n}")
     directed = isinstance(g, Digraph)
-    tables = _bit_permutations(k, directed)
-    canonical_cache: dict[int, int] = {}
-    counts: dict[str, int] = {}
+    # Undirected rows are symmetric and directed out-rows carry self-loops on
+    # the diagonal, so one bit test reads every cell.
+    rows = g._masks[0]
+    cells = [(i, j, 1 << bit) for bit, (i, j) in enumerate(_cells(k, directed))]
+    tally: dict[int, int] = {}
     for vertices in combinations(range(g.n), k):
-        mask = _local_mask(g, vertices)
-        canonical = canonical_cache.get(mask)
-        if canonical is None:
-            canonical = _canonical_mask(mask, tables)
-            canonical_cache[mask] = canonical
-        identifier = _mask_identifier(canonical, k, directed)
-        counts[identifier] = counts.get(identifier, 0) + 1
+        mask = 0
+        for i, j, bit in cells:
+            if rows[vertices[i]] >> vertices[j] & 1:
+                mask |= bit
+        tally[mask] = tally.get(mask, 0) + 1
+    counts: dict[str, int] = {}
+    for mask, count in tally.items():
+        identifier = _mask_identifier(_canonical_mask(mask, k, directed), k, directed)
+        counts[identifier] = counts.get(identifier, 0) + count
     return MotifCensus(k, counts)
 
 

@@ -295,22 +295,23 @@ def _item_ends(grammar, s, item, pos, memo):
 # --- generation -------------------------------------------------------------
 
 
+def _item_min(item, lengths: dict):
+    """Shortest expansion of one item, given the per-nonterminal table ``lengths``."""
+    if isinstance(item, Terminal):
+        return 1
+    if isinstance(item, NonTerminal):
+        return lengths[item.name]
+    return _item_min(item.item, lengths)
+
+
 def _min_lengths(grammar: Grammar) -> dict:
     lengths = {name: math.inf for name in grammar.nonterminals}
-
-    def item_min(item):
-        if isinstance(item, Terminal):
-            return 1
-        if isinstance(item, NonTerminal):
-            return lengths[item.name]
-        return item_min(item.item)
-
     changed = True
     while changed:
         changed = False
         for name, alts in grammar.rules.items():
             for alt in alts:
-                total = sum(item_min(item) for item in alt)
+                total = sum(_item_min(item, lengths) for item in alt)
                 if total < lengths[name]:
                     lengths[name] = total
                     changed = True
@@ -328,15 +329,8 @@ def generate(grammar: Grammar, max_len: int, cap: int = DEFAULT_GENERATE_CAP) ->
         raise GrammarError(f"max_len must be >= 0, got {max_len}")
     min_lengths = _min_lengths(grammar)
 
-    def item_min(item):
-        if isinstance(item, Terminal):
-            return 1
-        if isinstance(item, NonTerminal):
-            return min_lengths[item.name]
-        return item_min(item.item)
-
     def lower_bound(form):
-        return sum(item_min(item) for item in form)
+        return sum(_item_min(item, min_lengths) for item in form)
 
     results: set = set()
     start_form = (NonTerminal(grammar.start),)

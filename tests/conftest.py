@@ -13,6 +13,16 @@ def all_graphs(n):
     ]
 
 
+def all_digraphs(n, self_loops):
+    """Every labeled digraph on n vertices, with or without self-loops."""
+    pairs = [(u, v) for u in range(n) for v in range(n) if self_loops or u != v]
+    return [
+        Digraph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1),
+                allow_self_loops=self_loops)
+        for mask in range(1 << len(pairs))
+    ]
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = {(i, j) for j in range(n) for i in range(j) if rng.random() < p}
     return Graph(n, frozenset(edges))

@@ -274,10 +274,53 @@ class TestFilesAndRendering:
             "kinship file invalid: parent arcs form a cycle: a -> b -> c -> a\n"
         }
 
+    def test_reported_fault_does_not_depend_on_hash_seed(self, tmp_path):
+        # Several faults of one kind; set iteration order used to pick which
+        # one ``observe tree descendants`` reported.
+        files = {
+            "loops.kin": "a -> a\nb -> b\nc -> c\nd -> d\n",
+            "overlap.kin": "y -> x\nx <-> y\n",
+            "parents.kin": "".join(f"{p} -> {c}\n" for c in "uvw" for p in "pqrs"),
+        }
+        expected = {
+            "loops.kin": "'a' cannot be their own parent",
+            "overlap.kin": "{'x', 'y'} cannot be both partners and parent/child",
+            "parents.kin": "'u' has more than two parents",
+        }
+        src = str(Path(ft.__file__).resolve().parent.parent)
+        for name, text in files.items():
+            path = tmp_path / name
+            path.write_text(text)
+            outcomes = set()
+            for seed in range(1, 9):
+                env = {**os.environ, "PYTHONHASHSEED": str(seed),
+                       "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+                done = subprocess.run(
+                    [sys.executable, "-c", "from observement.cli import main; main()",
+                     "tree", "descendants", str(path), "a"],
+                    env=env, capture_output=True, text=True, timeout=60,
+                )
+                outcomes.add((done.returncode, done.stdout, done.stderr))
+            assert len(outcomes) == 1, outcomes
+            returncode, stdout, stderr = outcomes.pop()
+            assert returncode == 1 and stdout == ""
+            assert expected[name] in stderr
+
     def test_indented_dump(self):
         g = three_generations()
         text = ft.to_indented_text(g, "alice")
-        lines = text.splitlines()
-        assert lines[0] == "alice"
-        assert "  carol" in lines
-        assert "    frank" in lines
+        assert text == "alice\n  carol\n    frank\n  dave\n    grace\n"
+
+    def test_indented_dump_repeats_shared_descendants_in_sorted_order(self):
+        g = ft.parse_kinship_file(
+            'person a "Ann"\nr -> b\nr -> a\na -> c\nb -> c\nc -> d\nb -> e\n'
+        )
+        assert ft.to_indented_text(g, "r") == (
+            "r\n  a (Ann)\n    c\n      d\n  b\n    c\n      d\n    e\n"
+        )
+
+    def test_indented_dump_of_a_1500_generation_chain(self):
+        people = [f"p{i:04d}" for i in range(1501)]
+        g = ft.parse_kinship_file("".join(f"{a} -> {b}\n" for a, b in zip(people, people[1:])))
+        lines = ft.to_indented_text(g, "p0000").splitlines()
+        assert lines == ["  " * depth + person for depth, person in enumerate(people)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs, random_digraph, random_graph
+from conftest import all_digraphs, all_graphs, random_digraph, random_graph
 from observement.errors import CapExceeded
 from observement.graphs import (
     Automaton,
@@ -315,15 +315,6 @@ def _first_map_by_brute_force(small, big, exact):
     return None
 
 
-def _all_digraphs_with_loops(n):
-    pairs = [(u, v) for u in range(n) for v in range(n)]
-    return [
-        Digraph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1),
-                allow_self_loops=True)
-        for mask in range(1 << len(pairs))
-    ]
-
-
 class TestWitnessOracle:
     """Isomorphism and embedding witnesses equal the brute force's first map, exactly."""
 
@@ -332,7 +323,7 @@ class TestWitnessOracle:
         if corpus == "graphs<=4":
             values = [g for n in range(5) for g in all_graphs(n)]
         else:
-            values = [g for n in range(4) for g in _all_digraphs_with_loops(n)]
+            values = [g for n in range(4) for g in all_digraphs(n, self_loops=True)]
         for g in values:
             for h in values:
                 assert are_isomorphic(g, h) == _first_map_by_brute_force(g, h, True), (g, h)

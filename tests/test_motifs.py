@@ -1,13 +1,15 @@
 import math
 import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import all_digraphs, all_graphs
 from observement import genetics, motifs
 from observement.errors import CapExceeded
-from observement.graphs import Digraph, Graph, relabel
+from observement.graphs import Digraph, Graph, _pack_graph6, _triangle_pairs, relabel
 from observement.motifs import (
     AnyOf,
     Literal,
@@ -219,6 +221,85 @@ class TestNetworkMotifCensus:
     def test_unsupported_k(self):
         with pytest.raises(MotifError, match="motif size"):
             count_network_motifs(Graph(5), 5)
+
+
+# Reference census for ``count_network_motifs``, one subset at a time: each
+# k-subset builds its local mask from edge lookups, is canonicalised through
+# k! precomputed bit tables and packs its own identifier.
+
+
+def _oracle_local_mask(g, vertices):
+    k = len(vertices)
+    mask = 0
+    if isinstance(g, Graph):
+        for bit, (i, j) in enumerate(_triangle_pairs(k)):
+            if (min(vertices[i], vertices[j]), max(vertices[i], vertices[j])) in g.edges:
+                mask |= 1 << bit
+    else:
+        for i in range(k):
+            for j in range(k):
+                if (vertices[i], vertices[j]) in g.arcs:
+                    mask |= 1 << (i * k + j)
+    return mask
+
+
+def _oracle_bit_permutations(k, directed):
+    if directed:
+        positions = {(i, j): i * k + j for i in range(k) for j in range(k)}
+    else:
+        positions = {pair: bit for bit, pair in enumerate(_triangle_pairs(k))}
+    tables = []
+    for perm in permutations(range(k)):
+        table = []
+        for i, j in positions:
+            a, b = perm[i], perm[j]
+            if not directed:
+                a, b = min(a, b), max(a, b)
+            table.append((positions[(i, j)], positions[(a, b)]))
+        tables.append(table)
+    return tables
+
+
+def _oracle_identifier(mask, k, directed):
+    if directed:
+        return f"d{k}:" + format(mask, f"0{k * k}b")
+    return _pack_graph6(k, [(mask >> b) & 1 for b in range(k * (k - 1) // 2)])
+
+
+def oracle_census(g, k):
+    directed = isinstance(g, Digraph)
+    tables = _oracle_bit_permutations(k, directed)
+    counts = {}
+    for vertices in combinations(range(g.n), k):
+        mask = _oracle_local_mask(g, vertices)
+        canonical = min(
+            sum(1 << dst for src, dst in table if mask >> src & 1) for table in tables
+        )
+        identifier = _oracle_identifier(canonical, k, directed)
+        counts[identifier] = counts.get(identifier, 0) + 1
+    return counts
+
+
+class TestCensusOracle:
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_every_graph_on_at_most_five_vertices(self, k):
+        for n in range(6):
+            for g in all_graphs(n):
+                assert list(count_network_motifs(g, k).counts.items()) == \
+                    list(oracle_census(g, k).items())
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_every_digraph_with_self_loops_on_at_most_three_vertices(self, k):
+        for n in range(4):
+            for g in all_digraphs(n, self_loops=True):
+                assert list(count_network_motifs(g, k).counts.items()) == \
+                    list(oracle_census(g, k).items())
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_every_loopless_digraph_on_four_vertices(self, k):
+        for g in all_digraphs(4, self_loops=False):
+            assert list(count_network_motifs(g, k).counts.items()) == \
+                list(oracle_census(g, k).items())
 
 
 class TestMotifSignificance:
