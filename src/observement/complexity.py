@@ -12,10 +12,9 @@ minimal description; every number is relative to this frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import CapExceeded, ObservementError
-from .graphs import Graph, _pack_graph6, _triangle_pairs, encode_graph6
+from .graphs import Graph, _pack_graph6, encode_graph6
 
 CANONICAL_CAP = 8
 
@@ -113,29 +112,60 @@ def canonical_string(g: Graph, *, canonical: bool = True) -> str:
     """The graph's text description: graph6 in given vertex order, or the
     lexicographically smallest graph6 code over all vertex permutations.
 
-    The canonical form is isomorphism-invariant and found by brute force, so
-    it is capped at 8 vertices.
+    The canonical form is isomorphism-invariant.  It is found by an exact
+    branch and bound that fills graph6 positions one at a time, and it is
+    capped at 8 vertices.
     """
     if not canonical:
         return encode_graph6(g)
     if g.n > CANONICAL_CAP:
         raise CapExceeded(f"canonical form capped at {CANONICAL_CAP} vertices, got {g.n}")
     bit_count = g.n * (g.n - 1) // 2
-    # Earlier triangle positions get higher bit weights so that integer order
-    # on masks is exactly lexicographic order on the packed graph6 strings.
-    weight = {
-        pair: bit_count - 1 - index for index, pair in enumerate(_triangle_pairs(g.n))
-    }
-    best = None
-    for perm in permutations(range(g.n)):
-        mask = 0
-        for u, v in g.edges:
-            a, b = perm[u], perm[v]
-            mask |= 1 << weight[(a, b) if a < b else (b, a)]
-        if best is None or mask < best:
-            best = mask
-    bits = [(best >> (bit_count - 1 - p)) & 1 for p in range(bit_count)] if bit_count else []
+    best = _minimal_graph6_mask(g.n, g._masks[0])
+    bits = [(best >> (bit_count - 1 - p)) & 1 for p in range(bit_count)]
     return _pack_graph6(g.n, bits)
+
+
+def _minimal_graph6_mask(n: int, adj: tuple) -> int:
+    """Least upper-triangle mask, read as an integer, over all vertex orders.
+
+    Placing vertex v at position j fixes column j of the graph6 triangle: its
+    bits are v's adjacency to the vertices at positions 0..j-1, most
+    significant first, so the code so far is a prefix of every completion.
+    A prefix greater than the best complete code's prefix is cut; a tie is
+    not, so the minimum is the one a scan of all n! orders finds.  At each
+    position an unplaced vertex is skipped when a vertex already tried there
+    is its twin (same neighbours apart from each other): swapping the two is
+    an automorphism that fixes every placed vertex, so both branches yield
+    the same codes.
+    """
+    bit_count = n * (n - 1) // 2
+    best = None
+    order = []
+
+    def extend(prefix: int) -> None:
+        nonlocal best
+        j = len(order)
+        if j == n:
+            best = prefix
+            return
+        shift = bit_count - j * (j + 1) // 2
+        tried = []
+        for v in range(n):
+            if v in order or any(adj[t] & ~(1 << v) == adj[v] & ~(1 << t) for t in tried):
+                continue
+            tried.append(v)
+            code = prefix
+            for u in order:
+                code = code << 1 | adj[v] >> u & 1
+            if best is not None and code > best >> shift:
+                continue
+            order.append(v)
+            extend(code)
+            order.pop()
+
+    extend(0)
+    return best
 
 
 def relative_complexity(value, *, canonical: bool = False) -> ComplexityReport:

@@ -309,6 +309,23 @@ class TestComplexityAndLzw:
         canonical = runner.invoke(cli, ["complexity", path, "--canonical"]).output
         assert plain.split()[0] == canonical.split()[0] == "2"
 
+    @pytest.mark.parametrize("edges, expected", [
+        ([], "6\t7\t4\n"),
+        ([(i, j) for j in range(8) for i in range(j)], "6\t9\t5\n"),
+        ([(0, 1), (1, 3), (1, 6), (1, 7), (2, 3), (2, 7), (3, 6), (4, 5)], "6\t10\t6\n"),
+    ], ids=["edgeless", "complete", "random"])
+    def test_complexity_canonical_of_8_vertex_graphs(self, runner, tmp_path, edges, expected):
+        text = "graph 8\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        result = runner.invoke(cli, ["complexity", write(tmp_path / "g.g", text), "--canonical"])
+        assert result.exit_code == 0
+        assert result.stdout == expected
+
+    def test_complexity_canonical_cap_is_one_line_error(self, runner, tmp_path):
+        path = write(tmp_path / "g.g", "graph 9\n0 1\n")
+        result = runner.invoke(cli, ["complexity", path, "--canonical"])
+        assert_domain_error_without_output(result)
+        assert result.stderr == "Error: canonical form capped at 8 vertices, got 9\n"
+
     def test_complexity_of_sequence_file(self, runner, tmp_path):
         path = write(tmp_path / "seq.fa", ">s\naaaaaaaa\n")
         result = runner.invoke(cli, ["complexity", path])

@@ -1,12 +1,13 @@
 import math
 import random
 import string
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph
+from conftest import all_graphs, random_graph
 from observement.complexity import (
     ComplexityReport,
     LzwError,
@@ -16,7 +17,14 @@ from observement.complexity import (
     relative_complexity,
 )
 from observement.errors import CapExceeded
-from observement.graphs import Graph, are_isomorphic, encode_graph6, relabel
+from observement.graphs import (
+    Graph,
+    _pack_graph6,
+    _triangle_pairs,
+    are_isomorphic,
+    encode_graph6,
+    relabel,
+)
 
 
 @st.composite
@@ -105,6 +113,44 @@ class TestLzw:
         assert lzw_compress(text, alphabet) == lzw_compress(text, alphabet)
 
 
+def scan_canonical_string(g: Graph) -> str:
+    """Oracle: the least graph6 code found by scanning all n! vertex orders."""
+    bit_count = g.n * (g.n - 1) // 2
+    # Earlier triangle positions get higher bit weights so that integer order
+    # on masks is exactly lexicographic order on the packed graph6 strings.
+    weight = {
+        pair: bit_count - 1 - index for index, pair in enumerate(_triangle_pairs(g.n))
+    }
+    best = None
+    for perm in permutations(range(g.n)):
+        mask = 0
+        for u, v in g.edges:
+            a, b = perm[u], perm[v]
+            mask |= 1 << weight[(a, b) if a < b else (b, a)]
+        if best is None or mask < best:
+            best = mask
+    bits = [(best >> (bit_count - 1 - p)) & 1 for p in range(bit_count)]
+    return _pack_graph6(g.n, bits)
+
+
+def _complete(vertices):
+    return set(combinations(vertices, 2))
+
+
+# Graphs with many automorphisms, twins and tied prefixes: they exercise the
+# twin skip and the rule that a prefix equal to the best one is not cut.
+TIE_HEAVY = {
+    **{f"edgeless{n}": Graph(n) for n in range(9)},
+    **{f"complete{n}": Graph(n, _complete(range(n))) for n in range(9)},
+    "star_1_7": Graph(8, {(0, leaf) for leaf in range(1, 8)}),
+    "k4_4": Graph(8, {(u, v) for u in range(4) for v in range(4, 8)}),
+    "cycle8": Graph(8, {(i, (i + 1) % 8) for i in range(8)}),
+    "cube3": Graph(8, {(a, b) for a, b in combinations(range(8), 2) if bin(a ^ b).count("1") == 1}),
+    "two_k4": Graph(8, _complete(range(4)) | _complete(range(4, 8))),
+    "k4_and_4_isolated": Graph(8, _complete(range(4))),
+}
+
+
 class TestCanonicalString:
     def test_edgeless_graph_is_permutation_proof(self):
         g = Graph(4)
@@ -132,7 +178,6 @@ class TestCanonicalString:
 
     def test_canonical_code_is_minimum_over_relabelings(self):
         rng = random.Random(11)
-        from itertools import permutations
         for _ in range(10):
             g = random_graph(rng, 4)
             expected = min(
@@ -143,6 +188,29 @@ class TestCanonicalString:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             canonical_string(Graph(9))
+
+    def test_matches_scan_on_every_graph_up_to_5_vertices(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                assert canonical_string(g) == scan_canonical_string(g), sorted(g.edges)
+
+    def test_matches_scan_on_random_graphs_on_6_to_8_vertices(self):
+        rng = random.Random(13)
+        for n in (6, 7, 8):
+            for density in (0.3, 0.4, 0.5, 0.6):
+                for _ in range(2):
+                    g = random_graph(rng, n, density)
+                    assert canonical_string(g) == scan_canonical_string(g), (n, sorted(g.edges))
+
+    @pytest.mark.parametrize("name", sorted(TIE_HEAVY))
+    def test_tie_heavy_graph_matches_scan_under_relabellings(self, name):
+        g = TIE_HEAVY[name]
+        expected = scan_canonical_string(g)
+        rng = random.Random(name)
+        for _ in range(4):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_string(relabel(g, perm)) == expected, perm
 
 
 class TestRelativeComplexity:
