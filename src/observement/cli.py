@@ -33,6 +33,10 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise click.ClickException(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once, so start is a file offset.
+        raise click.ClickException(
+            f"{path}: not valid UTF-8 at byte offset {exc.start}") from exc
 
 
 _seed_option = click.option(

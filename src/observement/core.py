@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -220,26 +221,42 @@ def verify_representation(system: ObjectSystem, observations: ObservationSystem,
                           algorithm: ObservationAlgorithm) -> HomomorphismReport:
     """Check the representation condition for one algorithm, exhaustively.
 
-    Every tuple over the object set is checked in both directions: a related
-    tuple must map to a related image, and an unrelated tuple must not map
-    into the paired observation relation.
+    Only two kinds of tuple can fail, so only those are walked.  A tuple of
+    ``r`` fails forward when its image is not in the paired relation ``p``.
+    A tuple outside ``r`` fails backward when its image is in ``p``, so it
+    lies in the product of fibres h^-1(q_1) x ... x h^-1(q_k) of some ``q``
+    in ``p``.  Those products are disjoint, so their sizes add up to the
+    number of preimages of ``p``.  The tuples of ``r`` that pass forward are
+    all preimages, so the products are walked only when the two counts
+    differ, and a valid algorithm costs O(|r| + |p| * k), not |objects|^k.
+    Counterexamples come out sorted by tuple, which is the order of a walk
+    over the product of the sorted object set.
     """
     _check_algorithm(system, observations, algorithm)
-    h = algorithm.mapping
+    h = algorithm.mapping.__getitem__
+    fibres: dict = {v: [] for v in observations.observations}
+    for x in sorted(system.objects):
+        fibres[h(x)].append(x)
     counterexamples = []
     for r_name in sorted(algorithm.relation_pairing):
-        p_name = algorithm.relation_pairing[r_name]
         r = system.relations[r_name]
-        p = observations.relations[p_name]
-        k = system.arities[r_name]
-        for members in itertools.product(sorted(system.objects), repeat=k):
-            in_r = members in r
-            in_p = tuple(h[x] for x in members) in p
-            if in_r and not in_p:
-                counterexamples.append(Counterexample(r_name, members, "forward"))
-            elif in_p and not in_r:
-                counterexamples.append(Counterexample(r_name, members, "backward"))
+        p = observations.relations[algorithm.relation_pairing[r_name]]
+        failures = [(t, "forward") for t in r if tuple(map(h, t)) not in p]
+        preimages = sum(math.prod(len(fibres[v]) for v in q) for q in p)
+        if preimages != len(r) - len(failures):
+            failures += [(t, "backward") for q in p
+                         for t in itertools.product(*map(fibres.__getitem__, q)) if t not in r]
+        counterexamples += [Counterexample(r_name, t, d) for t, d in sorted(failures)]
     return HomomorphismReport(not counterexamples, tuple(counterexamples))
+
+
+def _represents(system: ObjectSystem, observations: ObservationSystem,
+                algorithm: ObservationAlgorithm) -> bool:
+    """Whether ``algorithm`` passes representation; a malformed one does not."""
+    try:
+        return verify_representation(system, observations, algorithm).holds
+    except SystemDefinitionError:
+        return False
 
 
 def verify_existence(algorithms: Iterable[ObservationAlgorithm], system: ObjectSystem,
@@ -249,13 +266,7 @@ def verify_existence(algorithms: Iterable[ObservationAlgorithm], system: ObjectS
     Malformed algorithms count as failing rather than raising, so an empty or
     entirely broken list simply yields False.
     """
-    for algorithm in algorithms:
-        try:
-            if verify_representation(system, observations, algorithm).holds:
-                return True
-        except SystemDefinitionError:
-            continue
-    return False
+    return any(_represents(system, observations, alg) for alg in algorithms)
 
 
 def _forced_translation(alg_a: ObservationAlgorithm, alg_b: ObservationAlgorithm) -> dict | None:
@@ -304,13 +315,8 @@ def classify(system: ObjectSystem, observation_systems: Sequence[ObservationSyst
         raise SystemDefinitionError(
             f"{len(algorithms)} algorithms but {len(observation_systems)} observation systems"
         )
-    valid = []
-    for alg, obs in zip(algorithms, observation_systems):
-        try:
-            if verify_representation(system, obs, alg).holds:
-                valid.append(alg)
-        except SystemDefinitionError:
-            continue
+    valid = [alg for alg, obs in zip(algorithms, observation_systems)
+             if _represents(system, obs, alg)]
     if not valid:
         return Classification.NOT_OBSERVEMENT
     for alg_a, alg_b in itertools.permutations(valid, 2):

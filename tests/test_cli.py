@@ -33,6 +33,47 @@ dave -> grace
 """
 
 
+# One merging and one injective map over a binary and a ternary relation;
+# "merge" fails in both directions on both relations.
+MIXED_FIXTURE = """\
+OBJECTS
+a b c d
+RELATION next/2
+a b
+b c
+c d
+RELATION between/3
+a b c
+b c d
+a c d
+OBSERVATIONS
+w x y z
+RELATION lt/2
+x y
+y z
+w x
+RELATION btw/3
+x y z
+w y z
+MAP merge
+a x
+b y
+c y
+d z
+PAIR
+next lt
+between btw
+MAP spread
+a w
+b x
+c y
+d z
+PAIR
+next lt
+between btw
+"""
+
+
 def weighed_shelf_text():
     """Twelve objects tied in pairs, read by two relabelled fine scales.
 
@@ -119,6 +160,37 @@ class TestSystem:
         result = runner.invoke(cli, ["system", "classify", path])
         assert result.exit_code == 0
         assert result.stdout == "Strong\n"
+
+    def test_verify_lists_counterexamples_in_tuple_order(self, runner, tmp_path):
+        path = write(tmp_path / "mixed.obs", MIXED_FIXTURE)
+        result = runner.invoke(cli, ["system", "verify", path])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "merge: fails (6 counterexamples)\n"
+            "  between(a, b, c) fails =>\n"
+            "  between(a, b, d) fails <=\n"
+            "  between(b, c, d) fails =>\n"
+            "  next(a, c) fails <=\n"
+            "  next(b, c) fails =>\n"
+            "  next(b, d) fails <=\n"
+            "spread: fails (1 counterexamples)\n"
+            "  between(a, b, c) fails =>\n"
+        )
+        assert runner.invoke(cli, ["system", "classify", path]).stdout == "NotObservement\n"
+
+
+class TestUndecodableInput:
+    """A file that is not UTF-8 is a one-line domain error naming the bad byte."""
+
+    @pytest.mark.parametrize("args", [["system", "classify"],
+                                      ["graph", "convert", "--to", "edges"]])
+    def test_bad_byte_is_named_by_file_offset(self, runner, tmp_path, args):
+        # The bad byte sits past the first 8 KiB and after CRLF line ends.
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"#" + b"x" * 9000 + b"\r\n\r\nOBJECTS\r\na \xff b\n")
+        result = runner.invoke(cli, args[:2] + [str(path)] + args[2:])
+        assert_domain_error_without_output(result)
+        assert result.stderr == f"Error: {path}: not valid UTF-8 at byte offset 9016\n"
 
 
 class TestGrammar:

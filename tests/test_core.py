@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -183,6 +184,116 @@ def food_web_fixture():
     )
     alg = ObservationAlgorithm("adjacency", vertex, {"eats": "edge"})
     return system, obs, alg
+
+
+def brute_verify_representation(system, observations, algorithm):
+    """Reference check: every tuple over the sorted objects, in product order."""
+    core._check_algorithm(system, observations, algorithm)
+    h = algorithm.mapping
+    counterexamples = []
+    for r_name in sorted(algorithm.relation_pairing):
+        r = system.relations[r_name]
+        p = observations.relations[algorithm.relation_pairing[r_name]]
+        for members in itertools.product(sorted(system.objects), repeat=system.arities[r_name]):
+            in_r = members in r
+            in_p = tuple(h[x] for x in members) in p
+            if in_r and not in_p:
+                counterexamples.append(core.Counterexample(r_name, members, "forward"))
+            elif in_p and not in_r:
+                counterexamples.append(core.Counterexample(r_name, members, "backward"))
+    return core.HomomorphismReport(not counterexamples, tuple(counterexamples))
+
+
+RANDOM_SHAPES = ("image", "drop", "add", "mixed", "empty_r", "empty_p")
+
+
+def random_representation_case(rng, shape):
+    """One random map on a system with a unary, a binary and a ternary relation.
+
+    Each observation relation starts as the image h(r).  "drop" removes some
+    images (forward failures), "add" adds random tuples over all values, some
+    outside the image of h (backward failures where they meet it), "mixed"
+    does both, and "empty_r" / "empty_p" empty one side.
+    """
+    n, m = rng.randint(1, 5), rng.randint(1, 6)
+    objects = [f"o{i}" for i in range(n)]
+    values = [f"v{j}" for j in range(m)]
+    mapping = {x: rng.choice(values) for x in objects}
+    arities = {"u": 1, "b": 2, "t": 3}
+    obj_rels, obs_rels = {}, {}
+    for name, k in arities.items():
+        r = set()
+        if shape != "empty_r":
+            r = {t for t in itertools.product(objects, repeat=k) if rng.random() < 0.3}
+        p = {tuple(mapping[x] for x in t) for t in r}
+        if shape in ("drop", "mixed"):
+            p = {q for q in p if rng.random() < 0.7}
+        if shape in ("add", "mixed", "empty_r"):
+            p |= {q for q in itertools.product(values, repeat=k) if rng.random() < 0.1}
+        if shape == "empty_p":
+            p = set()
+        obj_rels[name], obs_rels[name.upper()] = r, p
+    system = ObjectSystem(frozenset(objects), obj_rels, arities)
+    obs = ObservationSystem(frozenset(values), obs_rels,
+                            {name.upper(): k for name, k in arities.items()})
+    alg = ObservationAlgorithm("h", mapping, {name: name.upper() for name in arities})
+    return system, obs, alg
+
+
+class TestPreimageWalkAgreesWithProductWalk:
+    def test_every_map_of_the_exhaustive_corpus(self):
+        compared = 0
+        for system, algorithms in oracle_corpus():
+            for alg, obs in algorithms:
+                report = core.verify_representation(system, obs, alg)
+                assert report == brute_verify_representation(system, obs, alg)
+                compared += 1
+        assert compared == 308
+
+    def test_seeded_random_systems_of_arity_one_to_three(self):
+        rng = random.Random(20)
+        directions = Counter()
+        outside_image = 0
+        for shape in RANDOM_SHAPES:
+            for _ in range(150):
+                system, obs, alg = random_representation_case(rng, shape)
+                report = core.verify_representation(system, obs, alg)
+                assert report == brute_verify_representation(system, obs, alg)
+                found = {c.direction for c in report.counterexamples}
+                if shape == "empty_r":
+                    assert found <= {"backward"}
+                if shape == "empty_p":
+                    assert found <= {"forward"}
+                directions[frozenset(found)] += 1
+                outside_image += any(v not in alg.image() for p in obs.relations.values()
+                                     for q in p for v in q)
+        assert set(directions) == {frozenset(), frozenset({"forward"}),
+                                   frozenset({"backward"}), frozenset({"forward", "backward"})}
+        assert min(directions.values()) >= 20
+        assert outside_image >= 100
+
+    def test_merged_fibre_on_a_10000_object_chain(self):
+        # 10^8 pairs in the product; only the 9999 chain links and the
+        # preimages of their images are walked.
+        objects = [f"o{i:05d}" for i in range(10_000)]
+        chain = set(zip(objects, objects[1:]))
+        mapping = {x: f"v{i:05d}" for i, x in enumerate(objects)}
+        system = ObjectSystem(frozenset(objects), {"next": chain})
+        exact = ObservationSystem(frozenset(mapping.values()),
+                                  {"succ": {(mapping[x], mapping[y]) for x, y in chain}})
+        alg = ObservationAlgorithm("label", mapping, {"next": "succ"})
+        assert core.verify_representation(system, exact, alg).holds
+        merged = dict(mapping, o00001="v00000")
+        obs = ObservationSystem(frozenset(mapping.values()),
+                                {"succ": {(merged[x], merged[y]) for x, y in chain}})
+        report = core.verify_representation(
+            system, obs, ObservationAlgorithm("merge", merged, {"next": "succ"}))
+        assert [(c.members, c.direction) for c in report.counterexamples] == [
+            (("o00000", "o00000"), "backward"),
+            (("o00000", "o00002"), "backward"),
+            (("o00001", "o00000"), "backward"),
+            (("o00001", "o00001"), "backward"),
+        ]
 
 
 class TestVerifyRepresentation:
