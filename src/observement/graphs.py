@@ -5,8 +5,9 @@ matrices, and graph6 text all encode the same structure and convert
 losslessly in every direction, which is exactly what makes the collection of
 representations interchangeable.  Also here: isomorphism and subgraph search
 sharing one exact backtracking routine (small sizes only, with explicit
-caps), the state-space digraph of a finite automaton, and random-graph
-percolation sweeps.
+caps) whose candidate sets are bitset intersections of host adjacency rows,
+the state-space digraph of a finite automaton, and random-graph percolation
+sweeps.
 """
 
 from __future__ import annotations
@@ -276,15 +277,8 @@ def _check_same_kind(g1, g2):
         raise GraphError("cannot compare a Graph with a Digraph")
 
 
-def _image_requirement(mask_row: int, below: int, mapping, offset: int = 0) -> int:
-    # Images of the already-assigned vertices that mask_row marks as adjacent.
-    req = mask_row & below
-    need = 0
-    while req:
-        low = req & -req
-        need |= 1 << (mapping[low.bit_length() - 1] + offset)
-        req &= req - 1
-    return need
+def _size(g) -> int:
+    return len(g.edges if isinstance(g, Graph) else g.arcs)
 
 
 def _profiles(g) -> list:
@@ -298,41 +292,55 @@ def _search(small, big, exact: bool):
 
     The map sends edges onto edges; when ``exact`` it also sends non-edges
     onto non-edges among the images.  Pattern vertices are placed in index
-    order, each trying host vertices in index order.  Digraph host rows are
-    flattened to out | in << nb, so one mask test checks both directions.
+    order, each trying host vertices in index order.  A vertex's candidates
+    are one bitset: the hosts its profile allows, minus the used ones, ANDed
+    with the host row of each placed neighbour's image (out-row for an arc
+    into it, in-row for an arc out of it) and, when ``exact``, with the
+    complement row of each placed non-neighbour's image.
     """
-    ns, nb = small.n, big.n
-    out_s, in_s = small._masks[0], small._masks[-1]
-    out_b, in_b = big._masks[0], big._masks[-1]
-    directed = isinstance(small, Digraph)
-    shift = nb if directed else 0
-    rows_b = [out_b[w] | in_b[w] << nb for w in range(nb)] if directed else out_b
     prof_s, prof_b = _profiles(small), _profiles(big)
     if exact:
         if sorted(prof_s) != sorted(prof_b):
             return None
-        candidates = [[w for w, q in enumerate(prof_b) if q == p] for p in prof_s]
+        allowed = [sum(1 << w for w, q in enumerate(prof_b) if q == p) for p in prof_s]
     else:
-        candidates = [
-            [w for w, (o, i, s) in enumerate(prof_b) if o >= out and i >= into and s >= loop]
+        allowed = [
+            sum(1 << w for w, (o, i, s) in enumerate(prof_b)
+                if o >= out and i >= into and s >= loop)
             for out, into, loop in prof_s
         ]
+    # One (pattern rows, host rows, host complement rows) side per direction:
+    # arc u->v puts v's image in out_b[image u], arc v->u in in_b[image u].
+    full = (1 << big.n) - 1
+    sides = [
+        (rows_s, rows_b, tuple(full ^ row for row in rows_b) if exact else None)
+        for rows_s, rows_b in zip(small._masks, big._masks)
+    ]
+    ns = small.n
+    constraints = []
+    for v in range(ns):
+        pairs = []
+        for u in range(v):
+            for rows_s, rows_b, gaps in sides:
+                if rows_s[u] >> v & 1:
+                    pairs.append((u, rows_b))
+                elif exact:
+                    pairs.append((u, gaps))
+        constraints.append(pairs)
     mapping = [-1] * ns
 
     def extend(v, used):
         if v == ns:
             return True
-        below = (1 << v) - 1
-        need = _image_requirement(out_s[v], below, mapping)
-        if directed:
-            need |= _image_requirement(in_s[v], below, mapping, nb)
-        # Exact: w's adjacency to every placed image must match; else contain.
-        seen = used | used << shift if exact else need
-        for w in candidates[v]:
-            if not used >> w & 1 and rows_b[w] & seen == need:
-                mapping[v] = w
-                if extend(v + 1, used | 1 << w):
-                    return True
+        domain = allowed[v] & ~used
+        for u, table in constraints[v]:
+            domain &= table[mapping[u]]
+        while domain:
+            low = domain & -domain
+            mapping[v] = low.bit_length() - 1
+            if extend(v + 1, used | low):
+                return True
+            domain ^= low
         return False
 
     return {v: mapping[v] for v in range(ns)} if extend(0, 0) else None
@@ -347,9 +355,7 @@ def are_isomorphic(g1, g2):
     _check_same_kind(g1, g2)
     if max(g1.n, g2.n) > ISO_CAP:
         raise CapExceeded(f"isomorphism search capped at {ISO_CAP} vertices")
-    size1 = len(g1.edges if isinstance(g1, Graph) else g1.arcs)
-    size2 = len(g2.edges if isinstance(g2, Graph) else g2.arcs)
-    if g1.n != g2.n or size1 != size2:
+    if g1.n != g2.n or _size(g1) != _size(g2):
         return None
     return _search(g1, g2, exact=True)
 
@@ -363,7 +369,8 @@ def is_subgraph(small, big):
     _check_same_kind(small, big)
     if small.n > SUBGRAPH_CAP:
         raise CapExceeded(f"subgraph search capped at {SUBGRAPH_CAP} pattern vertices")
-    if small.n > big.n:
+    # An injective map keeps edges distinct, so a pattern with more never fits.
+    if small.n > big.n or _size(small) > _size(big):
         return None
     return _search(small, big, exact=False)
 

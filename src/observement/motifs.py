@@ -4,9 +4,10 @@ A string motif is a token sequence: literal symbols, fixed-width wildcards
 written ``x(N)``, and classes written ``{A,B,C}`` that match any one of the
 listed symbols.  A network motif census buckets every k-vertex induced
 subgraph of a graph by its isomorphism class: it tallies the k-subsets per
-local adjacency mask, then canonicalises each distinct mask once (the least
-mask over the k! local relabellings).  It can compare the counts against a
-degree-preserving rewiring null model.
+local adjacency mask, splitting the last vertex's candidates after each
+(k-1)-prefix by adjacency bitsets, then canonicalises each distinct mask
+once (the least mask over the k! local relabellings).  It can compare the
+counts against a degree-preserving rewiring null model.
 """
 
 from __future__ import annotations
@@ -244,27 +245,66 @@ def _mask_identifier(mask: int, k: int, directed: bool) -> str:
 def count_network_motifs(g, k: int) -> MotifCensus:
     """Bucket all k-vertex induced subgraphs by canonical form.
 
-    Two passes: tally the k-subsets per local mask, read from the adjacency
-    bitsets, then canonicalise and name each distinct mask once.  Classes
-    appear in the order of their first subset.  Counts sum to C(n, k) and are
-    invariant under vertex relabeling.
+    Two passes: tally the k-subsets per local mask, then canonicalise and
+    name each distinct mask once.  The tally walks the (k-1)-prefixes in
+    combinations order; the candidates above a prefix's last vertex split by
+    each cell with the new vertex into parts of equal mask, each counted by
+    its size.  Classes appear in the order of their first subset.  Counts sum
+    to C(n, k) and are invariant under vertex relabeling.
     """
     if k not in CENSUS_CAPS:
         raise MotifError(f"motif size must be one of {sorted(CENSUS_CAPS)}, got {k}")
     if g.n > CENSUS_CAPS[k]:
         raise CapExceeded(f"census for k={k} capped at {CENSUS_CAPS[k]} vertices, got {g.n}")
     directed = isinstance(g, Digraph)
-    # Undirected rows are symmetric and directed out-rows carry self-loops on
-    # the diagonal, so one bit test reads every cell.
-    rows = g._masks[0]
-    cells = [(i, j, 1 << bit) for bit, (i, j) in enumerate(_cells(k, directed))]
+    out_rows, in_rows = g._masks[0], g._masks[-1]
+    loop_rows = (sum(1 << v for v in range(g.n) if out_rows[v] >> v & 1),) * g.n
+    last = k - 1
+    # A cell between prefix vertices is one bit test: undirected rows are
+    # symmetric and directed out-rows carry self-loops on the diagonal.  A cell
+    # with the last vertex splits its candidates instead: (i, last) by prefix
+    # vertex i's out-row, (last, i) by its in-row, (last, last) by the loop set.
+    prefix_cells, splits = [], []
+    for bit, (i, j) in enumerate(_cells(k, directed)):
+        if i < last and j < last:
+            prefix_cells.append((i, j, 1 << bit))
+        elif i < last:
+            splits.append((out_rows, i, 1 << bit))
+        elif j < last:
+            splits.append((in_rows, j, 1 << bit))
+        else:
+            splits.append((loop_rows, 0, 1 << bit))
+    full = (1 << g.n) - 1
     tally: dict[int, int] = {}
-    for vertices in combinations(range(g.n), k):
+    for prefix in combinations(range(g.n - 1), last):
         mask = 0
-        for i, j, bit in cells:
-            if rows[vertices[i]] >> vertices[j] & 1:
+        for i, j, bit in prefix_cells:
+            if out_rows[prefix[i]] >> prefix[j] & 1:
                 mask |= bit
-        tally[mask] = tally.get(mask, 0) + 1
+        above = full >> (prefix[-1] + 1) << (prefix[-1] + 1)
+        parts = [(above, mask)]
+        for rows, i, bit in splits:
+            row = rows[prefix[i]] & above
+            if not row:
+                continue
+            split = []
+            for members, part_mask in parts:
+                inside = members & row
+                if inside:
+                    split.append((inside, part_mask | bit))
+                if inside != members:
+                    split.append((members ^ inside, part_mask))
+            parts = split
+        fresh = []
+        for members, part_mask in parts:
+            if part_mask in tally:
+                tally[part_mask] += members.bit_count()
+            else:
+                fresh.append((members & -members, part_mask, members.bit_count()))
+        # Parts are disjoint, so adding new masks by least member keeps the
+        # tally in the order of each mask's first subset in combinations order.
+        for _, part_mask, count in sorted(fresh):
+            tally[part_mask] = count
     counts: dict[str, int] = {}
     for mask, count in tally.items():
         identifier = _mask_identifier(_canonical_mask(mask, k, directed), k, directed)

@@ -218,23 +218,30 @@ def _reject_left_recursion(grammar: Grammar) -> None:
         }
         for name, alts in grammar.rules.items()
     }
-    state: dict[str, int] = {}
-
-    def visit(name, trail):
-        state[name] = 1
-        for nxt in sorted(graph[name]):
-            if state.get(nxt) == 1:
-                cycle = trail[trail.index(nxt):] + [nxt] if nxt in trail else [name, nxt]
+    # Depth-first over sorted names with an explicit stack, so chains of any
+    # length are checked; ``trail`` is the current path, ``depth`` each name's
+    # index on it while open, and -1 once finished.
+    depth: dict[str, int] = {}
+    for root in sorted(graph):
+        if root in depth:
+            continue
+        trail = [root]
+        depth[root] = 0
+        stack = [iter(sorted(graph[root]))]
+        while stack:
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                depth[trail.pop()] = -1
+                stack.pop()
+            elif depth.get(nxt, -1) >= 0:
+                cycle = trail[depth[nxt]:] + [nxt]
                 raise GrammarError(
                     "left recursion through " + " -> ".join(f"<{n}>" for n in cycle)
                 )
-            if nxt not in state:
-                visit(nxt, trail + [nxt])
-        state[name] = 2
-
-    for name in sorted(graph):
-        if name not in state:
-            visit(name, [name])
+            elif nxt not in depth:
+                depth[nxt] = len(trail)
+                trail.append(nxt)
+                stack.append(iter(sorted(graph[nxt])))
 
 
 # --- membership -------------------------------------------------------------

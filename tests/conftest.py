@@ -23,11 +23,12 @@ def all_digraphs(n, self_loops):
     ]
 
 
-def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
-    edges = {(i, j) for j in range(n) for i in range(j) if rng.random() < p}
-    return Graph(n, frozenset(edges))
-
-
-def random_digraph(rng: random.Random, n: int, p: float = 0.3) -> Digraph:
-    arcs = {(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < p}
-    return Digraph(n, frozenset(arcs))
+def random_graph(rng: random.Random, n: int, p: float = 0.5, directed: bool = False,
+                 self_loops: bool = False):
+    """Each possible edge, or arc when directed, independently with probability p."""
+    if not directed:
+        edges = {(i, j) for j in range(n) for i in range(j) if rng.random() < p}
+        return Graph(n, frozenset(edges))
+    arcs = {(i, j) for i in range(n) for j in range(n)
+            if (self_loops or i != j) and rng.random() < p}
+    return Digraph(n, frozenset(arcs), allow_self_loops=self_loops)

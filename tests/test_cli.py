@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from click.testing import CliRunner
 
@@ -204,6 +206,13 @@ class TestGrammar:
         result = runner.invoke(cli, ["grammar", "gen", path, "--max-len", "2"])
         assert result.output.splitlines() == ["T", "FT", "LT", "RT"]
 
+    def test_check_answers_on_a_1200_nonterminal_leftmost_chain(self, runner, tmp_path):
+        chain = "".join(f"<n{i}> -> <n{i + 1}> a\n" for i in range(1200)) + "<n1200> -> a\n"
+        path = write(tmp_path / "chain.g", chain)
+        result = runner.invoke(cli, ["grammar", "check", path, "b"])
+        assert result.exit_code == 0, result.exception
+        assert result.output == "false\n"
+
     def test_gen_negative_max_len_is_domain_error(self, runner, tmp_path):
         path = write(tmp_path / "turtle.g", TURTLE)
         result = runner.invoke(cli, ["grammar", "gen", path, "--max-len", "-1"])
@@ -303,6 +312,63 @@ class TestGraph:
         second = runner.invoke(cli, args)
         assert first.output == second.output
         assert "NA" not in first.output
+
+
+def seeded_pairs(rng, n, p, directed=False):
+    if directed:
+        return sorted((u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p)
+    return sorted((u, v) for v in range(n) for u in range(v) if rng.random() < p)
+
+
+def graph_text(n, pairs, directed=False):
+    head = "digraph" if directed else "graph"
+    return "".join([f"{head} {n}\n"] + [f"{u} {v}\n" for u, v in pairs])
+
+
+class TestGraphSearchPins:
+    """Exact stdout of seeded search and census jobs, as recorded before the bitset engines."""
+
+    def test_odd_cycle_into_bipartite_host_is_none(self, runner, tmp_path):
+        rng = random.Random(7)
+        host = [(u, 10 + v) for u in range(10) for v in range(10) if rng.random() < 0.4]
+        cycle = sorted((min(j, (j + 1) % 7), max(j, (j + 1) % 7)) for j in range(7))
+        small = write(tmp_path / "c7.g", graph_text(7, cycle))
+        big = write(tmp_path / "bipartite.g", graph_text(20, host))
+        result = runner.invoke(cli, ["graph", "sub", small, big])
+        assert (result.exit_code, result.output) == (0, "none\n")
+
+    def test_planted_digraph_witness(self, runner, tmp_path):
+        rng = random.Random(11)
+        pattern = seeded_pairs(rng, 6, 0.4, directed=True)
+        host = set(seeded_pairs(rng, 24, 0.3, directed=True))
+        spot = rng.sample(range(24), 6)
+        host |= {(spot[u], spot[v]) for u, v in pattern}
+        small = write(tmp_path / "pattern.g", graph_text(6, pattern, directed=True))
+        big = write(tmp_path / "host.g", graph_text(24, sorted(host), directed=True))
+        result = runner.invoke(cli, ["graph", "sub", small, big])
+        assert (result.exit_code, result.output) == (0, "0 0\n1 2\n2 4\n3 16\n4 22\n5 19\n")
+
+    def test_k4_census(self, runner, tmp_path):
+        path = write(tmp_path / "g.g", graph_text(30, seeded_pairs(random.Random(5), 30, 0.15)))
+        result = runner.invoke(cli, ["graph", "motifs", path, "-k", "4"])
+        assert result.exit_code == 0
+        assert result.output == (
+            "C?\t9782\tNA\nCK\t1031\tNA\nC]\t32\tNA\nC_\t11107\tNA\nCk\t764\tNA\n"
+            "Co\t4081\tNA\nCs\t241\tNA\nCw\t248\tNA\nC{\t110\tNA\nC}\t8\tNA\nC~\t1\tNA\n"
+        )
+
+    def test_directed_k3_census(self, runner, tmp_path):
+        pairs = seeded_pairs(random.Random(9), 30, 0.1, directed=True)
+        path = write(tmp_path / "d.g", graph_text(30, pairs, directed=True))
+        result = runner.invoke(cli, ["graph", "motifs", path, "-k", "3"])
+        assert result.exit_code == 0
+        assert result.output == (
+            "d3:000000000\t1800\tNA\nd3:000000010\t1617\tNA\nd3:000000110\t122\tNA\n"
+            "d3:000001010\t68\tNA\nd3:000001100\t228\tNA\nd3:000001110\t21\tNA\n"
+            "d3:000100100\t138\tNA\nd3:000100110\t27\tNA\nd3:000101110\t2\tNA\n"
+            "d3:001001010\t16\tNA\nd3:001001110\t1\tNA\nd3:001100010\t18\tNA\n"
+            "d3:001101100\t1\tNA\nd3:001101110\t1\tNA\n"
+        )
 
 
 class TestAutomaton:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_digraphs, all_graphs, random_digraph, random_graph
+from conftest import all_digraphs, all_graphs, random_graph
+from observement import graphs
 from observement.errors import CapExceeded
 from observement.graphs import (
     Automaton,
@@ -104,7 +105,7 @@ class TestConversions:
     def test_digraph_round_trips(self):
         rng = random.Random(6)
         for _ in range(25):
-            g = random_digraph(rng, rng.randint(0, 10))
+            g = random_graph(rng, rng.randint(0, 10), 0.3, directed=True)
             assert from_adjacency_matrix(to_adjacency_matrix(g), directed=True) == g
             assert from_adjacency_list(to_adjacency_list(g), directed=True) == g
             assert from_edge_list(g.n, to_edge_list(g), directed=True) == g
@@ -330,6 +331,124 @@ class TestWitnessOracle:
                 assert is_subgraph(g, h) == _first_map_by_brute_force(g, h, False), (g, h)
 
 
+def _image_requirement(mask_row, below, mapping, offset=0):
+    # Images of the already-assigned vertices that mask_row marks as adjacent.
+    req = mask_row & below
+    need = 0
+    while req:
+        low = req & -req
+        need |= 1 << (mapping[low.bit_length() - 1] + offset)
+        req &= req - 1
+    return need
+
+
+def scan_search(small, big, exact):
+    """The search that tests host vertices one at a time, kept as the witness oracle.
+
+    Digraph host rows are flattened to out | in << nb, so one mask test
+    checks both directions against the images of the placed vertices.
+    """
+    ns, nb = small.n, big.n
+    out_s, in_s = small._masks[0], small._masks[-1]
+    out_b, in_b = big._masks[0], big._masks[-1]
+    directed = isinstance(small, Digraph)
+    shift = nb if directed else 0
+    rows_b = [out_b[w] | in_b[w] << nb for w in range(nb)] if directed else out_b
+    prof_s, prof_b = graphs._profiles(small), graphs._profiles(big)
+    if exact:
+        if sorted(prof_s) != sorted(prof_b):
+            return None
+        candidates = [[w for w, q in enumerate(prof_b) if q == p] for p in prof_s]
+    else:
+        candidates = [
+            [w for w, (o, i, s) in enumerate(prof_b) if o >= out and i >= into and s >= loop]
+            for out, into, loop in prof_s
+        ]
+    mapping = [-1] * ns
+
+    def extend(v, used):
+        if v == ns:
+            return True
+        below = (1 << v) - 1
+        need = _image_requirement(out_s[v], below, mapping)
+        if directed:
+            need |= _image_requirement(in_s[v], below, mapping, nb)
+        # Exact: w's adjacency to every placed image must match; else contain.
+        seen = used | used << shift if exact else need
+        for w in candidates[v]:
+            if not used >> w & 1 and rows_b[w] & seen == need:
+                mapping[v] = w
+                if extend(v + 1, used | 1 << w):
+                    return True
+        return False
+
+    return {v: mapping[v] for v in range(ns)} if extend(0, 0) else None
+
+
+def _items(mapping):
+    # Dict order is part of the witness, so compare item lists.
+    return None if mapping is None else list(mapping.items())
+
+
+def _relabelled_or_random(rng, g, directed, self_loops):
+    if rng.random() < 0.5:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        return relabel(g, perm)
+    return random_graph(rng, g.n, rng.uniform(0.1, 0.7), directed, self_loops)
+
+
+class TestScanOracle:
+    """Bitset-domain witnesses equal the one-vertex-at-a-time scan's, dict order included."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_patterns_on_up_to_7_vertices_into_hosts_of_up_to_30(self, directed):
+        rng = random.Random(41 + directed)
+        found = 0
+        for _ in range(500):
+            small = random_graph(rng, rng.randint(0, 7), rng.uniform(0.1, 0.5), directed)
+            big = random_graph(rng, rng.randint(0, 30), rng.uniform(0.05, 0.5), directed)
+            witness = is_subgraph(small, big)
+            assert _items(witness) == _items(scan_search(small, big, False)), (small, big)
+            found += witness is not None
+        assert 0 < found < 500
+
+    def test_digraphs_with_self_loops(self):
+        rng = random.Random(43)
+        for _ in range(1000):
+            small = random_graph(rng, rng.randint(0, 6), rng.uniform(0.1, 0.5), True, True)
+            big = random_graph(rng, rng.randint(0, 14), rng.uniform(0.1, 0.6), True,
+                               rng.random() < 0.8)
+            assert _items(is_subgraph(small, big)) == _items(scan_search(small, big, False))
+            other = _relabelled_or_random(rng, small, True, True)
+            assert _items(are_isomorphic(small, other)) == \
+                _items(scan_search(small, other, True))
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_exact_pairs_on_up_to_10_vertices(self, directed):
+        rng = random.Random(47 + directed)
+        found = 0
+        for _ in range(600):
+            g = random_graph(rng, rng.randint(0, 10), rng.uniform(0.1, 0.7), directed)
+            h = _relabelled_or_random(rng, g, directed, False)
+            witness = are_isomorphic(g, h)
+            assert _items(witness) == _items(scan_search(g, h, True)), (g, h)
+            found += witness is not None
+        assert 0 < found < 600
+
+    @pytest.mark.parametrize("cycle", [3, 5, 7])
+    def test_odd_cycles_into_bipartite_hosts(self, cycle):
+        rng = random.Random(53 + cycle)
+        pattern = Graph(cycle, frozenset((j, (j + 1) % cycle) for j in range(cycle)))
+        for _ in range(8):
+            half = rng.randint(cycle, 10)
+            host = Graph(2 * half, frozenset(
+                (u, half + v) for u in range(half) for v in range(half) if rng.random() < 0.4
+            ))
+            assert is_subgraph(pattern, host) is None
+            assert scan_search(pattern, host, False) is None
+
+
 class TestAutomata:
     def test_identity_successor_gives_self_loops(self):
         machine = Automaton({"a", "b", "c"}, {"a": "a", "b": "b", "c": "c"})
@@ -432,7 +551,7 @@ class TestTextFormats:
         for _ in range(10):
             g = random_graph(rng, rng.randint(0, 9))
             assert parse_graph_text(format_matrix_text(g)) == g
-            d = random_digraph(rng, rng.randint(0, 9))
+            d = random_graph(rng, rng.randint(0, 9), 0.3, directed=True)
             assert parse_graph_text(format_matrix_text(d)) == d
 
     def test_adjacency_text_round_trip(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_digraphs, all_graphs
+from conftest import all_digraphs, all_graphs, random_graph
 from observement import genetics, motifs
 from observement.errors import CapExceeded
 from observement.graphs import Digraph, Graph, _pack_graph6, _triangle_pairs, relabel
@@ -298,6 +298,17 @@ class TestCensusOracle:
     @pytest.mark.parametrize("k", [3, 4])
     def test_every_loopless_digraph_on_four_vertices(self, k):
         for g in all_digraphs(4, self_loops=False):
+            assert list(count_network_motifs(g, k).counts.items()) == \
+                list(oracle_census(g, k).items())
+
+    @pytest.mark.parametrize("directed, self_loops",
+                             [(False, False), (True, False), (True, True)])
+    @pytest.mark.parametrize("k, largest", [(3, 30), (4, 16)])
+    def test_seeded_random_graphs(self, k, largest, directed, self_loops):
+        rng = random.Random(k * 100 + largest + 2 * directed + self_loops)
+        for _ in range(10):
+            n = rng.randint(6, largest)
+            g = random_graph(rng, n, rng.uniform(0.05, 0.6), directed, self_loops)
             assert list(count_network_motifs(g, k).counts.items()) == \
                 list(oracle_census(g, k).items())
 

@@ -90,6 +90,83 @@ class TestParseGrammar:
             strings.parse_grammar("<a> -> x\n<b -> y\n")
 
 
+def recursive_left_recursion_check(grammar):
+    """The recursive depth-first check, kept as an oracle: the error message or None."""
+    graph = {
+        name: {
+            strings._leftmost(alt[0]).name
+            for alt in alts
+            if isinstance(strings._leftmost(alt[0]), NonTerminal)
+        }
+        for name, alts in grammar.rules.items()
+    }
+    state = {}
+
+    def visit(name, trail):
+        state[name] = 1
+        for nxt in sorted(graph[name]):
+            if state.get(nxt) == 1:
+                cycle = trail[trail.index(nxt):] + [nxt] if nxt in trail else [name, nxt]
+                return "left recursion through " + " -> ".join(f"<{n}>" for n in cycle)
+            if nxt not in state:
+                found = visit(nxt, trail + [nxt])
+                if found:
+                    return found
+        state[name] = 2
+        return None
+
+    for name in sorted(graph):
+        if name not in state:
+            found = visit(name, [name])
+            if found:
+                return found
+    return None
+
+
+def random_grammar(rng, size):
+    """Rules over nonterminals in shuffled order; leftmost items pick other rules at random."""
+    names = [f"{letter}{i}" for i, letter in enumerate(rng.sample("pqrstuvw", size))]
+    rng.shuffle(names)
+    rules = {}
+    for name in names:
+        alts = []
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if roll < 0.3:
+                head = Terminal("a")
+            else:
+                head = NonTerminal(rng.choice(names))
+                if roll > 0.8:
+                    head = OneOrMore(head)
+            alts.append((head, Terminal("b")))
+        rules[name] = tuple(alts)
+    return strings.Grammar(frozenset("ab"), frozenset(names), rules, names[0])
+
+
+class TestLeftRecursionOracle:
+    def test_random_grammars_match_the_recursive_check(self):
+        rng = random.Random(23)
+        outcomes = set()
+        for _ in range(2000):
+            grammar = random_grammar(rng, rng.randint(1, 8))
+            expected = recursive_left_recursion_check(grammar)
+            try:
+                strings._reject_left_recursion(grammar)
+                found = None
+            except GrammarError as exc:
+                found = str(exc)
+            assert found == expected, grammar.rules
+            outcomes.add(found is None)
+        assert outcomes == {True, False}
+
+    def test_chain_of_1200_nonterminals(self):
+        chain = "".join(f"<n{i}> -> <n{i + 1}> a\n" for i in range(1200)) + "<n1200> -> a\n"
+        assert len(strings.parse_grammar(chain).rules) == 1201
+        looped = chain.replace("<n1200> -> a", "<n1200> -> <n0> a")
+        with pytest.raises(GrammarError, match=r"^left recursion through <n0> -> <n1> -> "):
+            strings.parse_grammar(looped)
+
+
 class TestMembership:
     def test_example_path_accepted(self, turtle):
         assert strings.membership(turtle, "FFLFFFRFT")
