@@ -1,0 +1,43 @@
+"""Line and graph walks shared by the parsers; imports nothing from the package."""
+
+from __future__ import annotations
+
+
+def significant_lines(text: str):
+    """Yield ``(lineno, line)`` for each stripped line that is not blank or a ``#`` comment.
+
+    Lines are numbered from 1, counting the skipped ones.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def first_cycle(successors: dict):
+    """The first cycle met by a depth-first walk, as ``[v, ..., v]``, or None.
+
+    Roots and each vertex's successors are taken in sorted order, so the cycle
+    reported does not depend on set order.  The stack is explicit, so chains
+    of any length are walked.  ``trail`` is the current path and ``depth``
+    each vertex's index on it while open, -1 once finished.
+    """
+    depth: dict = {}
+    for root in sorted(successors):
+        if root in depth:
+            continue
+        trail = [root]
+        depth[root] = 0
+        stack = [iter(sorted(successors[root]))]
+        while stack:
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                depth[trail.pop()] = -1
+                stack.pop()
+            elif depth.get(nxt, -1) >= 0:
+                return trail[depth[nxt]:] + [nxt]
+            elif nxt not in depth:
+                depth[nxt] = len(trail)
+                trail.append(nxt)
+                stack.append(iter(sorted(successors.get(nxt, ()))))
+    return None

@@ -9,22 +9,11 @@ every run is reproducible.
 
 from __future__ import annotations
 
-import functools
-
 import click
 
 from . import __version__, complexity, core, familytree, genetics, graphs, motifs, strings
+from ._shared import significant_lines
 from .errors import ObservementError
-
-
-def _run(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ObservementError as exc:
-            raise click.ClickException(str(exc)) from exc
-    return wrapper
 
 
 def _read(path: str) -> str:
@@ -45,7 +34,17 @@ _seed_option = click.option(
 )
 
 
-@click.group()
+class _Observe(click.Group):
+    """The root group: a domain error from any subcommand exits 1 with one line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ObservementError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Observe)
 @click.version_option(version=__version__, prog_name="observe")
 def cli():
     """Work with observement systems: grammars, genes, motifs, graphs, kinship."""
@@ -65,7 +64,6 @@ def system():
 
 @system.command("classify")
 @click.argument("fixture_file")
-@_run
 def system_classify(fixture_file):
     """Print Strong, Weak, or NotObservement for a fixture file."""
     fixture = core.parse_system_file(_read(fixture_file))
@@ -77,7 +75,6 @@ def system_classify(fixture_file):
 @system.command("verify")
 @click.argument("fixture_file")
 @click.option("--alg", "algorithm_name", default=None, help="Check one algorithm only.")
-@_run
 def system_verify(fixture_file, algorithm_name):
     """Run the representation check for each algorithm in a fixture file."""
     fixture = core.parse_system_file(_read(fixture_file))
@@ -87,8 +84,11 @@ def system_verify(fixture_file, algorithm_name):
     ]
     if not selected:
         raise click.ClickException(f"no algorithm named {algorithm_name!r} in fixture")
-    for algorithm in selected:
-        report = core.verify_representation(fixture.system, fixture.observations, algorithm)
+    # Every algorithm is checked before any line is printed, so a malformed
+    # one leaves stdout empty.
+    reports = [core.verify_representation(fixture.system, fixture.observations, a)
+               for a in selected]
+    for algorithm, report in zip(selected, reports):
         if report.holds:
             click.echo(f"{algorithm.name}: holds")
         else:
@@ -108,7 +108,6 @@ def grammar():
 @grammar.command("check")
 @click.argument("grammar_file")
 @click.argument("string")
-@_run
 def grammar_check(grammar_file, string):
     """Print true/false: is STRING derivable in the grammar?"""
     g = strings.parse_grammar(_read(grammar_file))
@@ -118,7 +117,6 @@ def grammar_check(grammar_file, string):
 @grammar.command("gen")
 @click.argument("grammar_file")
 @click.option("--max-len", type=int, required=True, help="Largest string length to derive.")
-@_run
 def grammar_gen(grammar_file, max_len):
     """Print every derivable string up to MAX_LEN, shortest first."""
     g = strings.parse_grammar(_read(grammar_file))
@@ -133,7 +131,6 @@ def grammar_gen(grammar_file, max_len):
 @click.argument("seq_file")
 @click.option("--table", "table_file", default=None, help="Codon table file (default: standard code).")
 @click.option("--frame", is_flag=True, help="Raw frame translation, no gene checks.")
-@_run
 def translate(seq_file, table_file, frame):
     """Translate each DNA record of SEQ_FILE to its protein string."""
     table = genetics.CodonTable.from_text(_read(table_file)) if table_file else None
@@ -170,7 +167,6 @@ def motif():
 @click.argument("pattern")
 @click.argument("seq_file")
 @click.option("--anchored", is_flag=True, help="Match at offset 0 only.")
-@_run
 def motif_match(pattern, seq_file, anchored):
     """Print match offsets of PATTERN in each sequence of SEQ_FILE."""
     parsed = motifs.parse_motif(pattern)
@@ -183,7 +179,6 @@ def motif_match(pattern, seq_file, anchored):
 @click.argument("seqs_file")
 @click.option("--class-cap", type=int, required=True,
               help="Largest symbol class before a column becomes a wildcard.")
-@_run
 def motif_derive(seqs_file, class_cap):
     """Print the motif shared by the equal-length sequences in SEQS_FILE."""
     sequences = [sequence for _, sequence in _read_sequences(seqs_file)]
@@ -202,7 +197,6 @@ def graph():
 @click.argument("graph_file")
 @click.option("--to", "target", required=True,
               type=click.Choice(["edges", "adjlist", "matrix", "g6"]))
-@_run
 def graph_convert(graph_file, target):
     """Re-express a graph file as edges, adjlist, matrix, or g6 text."""
     g = graphs.parse_graph_text(_read(graph_file))
@@ -228,7 +222,6 @@ def _echo_mapping(mapping):
 @graph.command("iso")
 @click.argument("file_a")
 @click.argument("file_b")
-@_run
 def graph_iso(file_a, file_b):
     """Print a vertex bijection between two graphs, or 'none'."""
     g1 = graphs.parse_graph_text(_read(file_a))
@@ -239,7 +232,6 @@ def graph_iso(file_a, file_b):
 @graph.command("sub")
 @click.argument("small_file")
 @click.argument("big_file")
-@_run
 def graph_sub(small_file, big_file):
     """Print an embedding of the first graph into the second, or 'none'."""
     small = graphs.parse_graph_text(_read(small_file))
@@ -253,7 +245,6 @@ def graph_sub(small_file, big_file):
 @click.option("--significance", type=int, default=0, show_default=True,
               help="Number of rewired null-model samples (0 = none).")
 @_seed_option
-@_run
 def graph_motifs(graph_file, k, significance, seed):
     """Print the k-vertex motif census as TSV: id, count, background."""
     g = graphs.parse_graph_text(_read(graph_file))
@@ -275,7 +266,6 @@ def automaton():
 
 @automaton.command("graph")
 @click.argument("automaton_file")
-@_run
 def automaton_graph(automaton_file):
     """Print the state-space digraph of an automaton file."""
     machine = graphs.parse_automaton_file(_read(automaton_file))
@@ -291,7 +281,6 @@ def automaton_graph(automaton_file):
 @click.option("--steps", type=int, required=True, help="Number of probe points.")
 @click.option("--trials", type=int, required=True, help="Random graphs per probe point.")
 @_seed_option
-@_run
 def percolate(n, p_from, p_to, steps, trials, seed):
     """Print CSV of mean largest-component fraction across edge probabilities."""
     if steps < 1:
@@ -319,7 +308,6 @@ def tree():
 @click.argument("relation")
 @click.argument("u")
 @click.argument("v")
-@_run
 def tree_query(kinship_file, relation, u, v):
     """Print true/false for one of the six kinship relations."""
     g = familytree.parse_kinship_file(_read(kinship_file))
@@ -329,7 +317,6 @@ def tree_query(kinship_file, relation, u, v):
 @tree.command("descendants")
 @click.argument("kinship_file")
 @click.argument("person")
-@_run
 def tree_descendants(kinship_file, person):
     """Print every descendant of PERSON, one per line."""
     g = familytree.parse_kinship_file(_read(kinship_file))
@@ -341,7 +328,7 @@ def tree_descendants(kinship_file, person):
 
 
 def _looks_like_graph(text: str) -> bool:
-    for _, line in graphs._significant_lines(text):
+    for _, line in significant_lines(text):
         return line.split()[0] in graphs._HEADER_PARSERS
     return False
 
@@ -350,7 +337,6 @@ def _looks_like_graph(text: str) -> bool:
 @click.argument("input_file")
 @click.option("--canonical", is_flag=True,
               help="Minimize the graph code over vertex permutations first.")
-@_run
 def complexity_command(input_file, canonical):
     """Print TSV 'total primary secondary' for a graph file or a sequence file."""
     text = _read(input_file)
@@ -375,7 +361,6 @@ def lzw():
 @lzw.command("compress")
 @click.argument("input_file")
 @click.option("--alphabet", required=True, help="Dictionary seed symbols, in order.")
-@_run
 def lzw_compress_command(input_file, alphabet):
     """Print the LZW code stream of the file's text (one line, space-separated)."""
     text = _read(input_file).rstrip("\n")
@@ -386,7 +371,6 @@ def lzw_compress_command(input_file, alphabet):
 @lzw.command("decompress")
 @click.argument("input_file")
 @click.option("--alphabet", required=True, help="Dictionary seed symbols, in order.")
-@_run
 def lzw_decompress_command(input_file, alphabet):
     """Print the string for a whitespace-separated code stream file."""
     tokens = _read(input_file).split()

@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from ._shared import significant_lines
 from .errors import ObservementError
 
 _SECTION_KEYWORDS = frozenset({"OBJECTS", "OBSERVATIONS", "RELATION", "MAP", "PAIR"})
@@ -361,10 +362,7 @@ def parse_system_file(text: str) -> SystemFixture:
 
     section = None        # ("OBJECTS",) / ("OBSERVATIONS",) / ("RELATION", side, name) /
     universe = None       # "OBJECTS" or "OBSERVATIONS"; where RELATION attaches
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in significant_lines(text):
         tokens = line.split()
         head = tokens[0]
         if head == "OBJECTS":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import shlex
 from dataclasses import dataclass, field
 
+from ._shared import first_cycle, significant_lines
 from .errors import ObservementError
 
 RELATIONS = (
@@ -72,32 +73,12 @@ class KinshipGraph:
 
 
 def _assert_acyclic(arcs) -> None:
-    # Depth-first over sorted roots and sorted children, so the cycle reported
-    # does not depend on set order.  ``path`` is the current chain of
-    # ancestors (state 1); finished persons have state 2.
     children: dict = {}
-    for parent, child in sorted(arcs):
+    for parent, child in arcs:
         children.setdefault(parent, []).append(child)
-    state: dict = {}
-    for root in children:
-        if root in state:
-            continue
-        state[root] = 1
-        path = [root]
-        pending = [iter(children[root])]
-        while pending:
-            for w in pending[-1]:
-                if state.get(w) == 1:
-                    cycle = path[path.index(w):] + [w]
-                    raise KinshipError("parent arcs form a cycle: " + " -> ".join(cycle))
-                if w not in state:
-                    state[w] = 1
-                    path.append(w)
-                    pending.append(iter(children.get(w, ())))
-                    break
-            else:
-                state[path.pop()] = 2
-                pending.pop()
+    cycle = first_cycle(children)
+    if cycle:
+        raise KinshipError("parent arcs form a cycle: " + " -> ".join(cycle))
 
 
 # --- constructors -----------------------------------------------------------
@@ -318,10 +299,7 @@ def parse_kinship_file(text: str) -> KinshipGraph:
             declared.add(name)
             operations.append(("person", name))
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in significant_lines(text):
         try:
             tokens = shlex.split(line)
         except ValueError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from ._shared import significant_lines
 from .errors import ObservementError
 
 DNA_BASES = "acgt"
@@ -122,10 +123,7 @@ class CodonTable:
     @classmethod
     def from_text(cls, text: str, start_codon: str = "atg") -> "CodonTable":
         codons = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in significant_lines(text):
             parts = line.split()
             if len(parts) != 2:
                 raise GeneticsError(f"line {lineno}: expected 'codon letter', got {line!r}")

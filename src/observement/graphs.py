@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from ._shared import significant_lines
 from .errors import CapExceeded, ObservementError
 
 ISO_CAP = 10
@@ -530,23 +531,19 @@ def format_adjacency_text(g) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _significant_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
-
-
 def parse_graph_text(text: str):
     """Parse any of the text representations (including bare graph6) to a graph."""
-    lines = list(_significant_lines(text))
+    lines = list(significant_lines(text))
     if not lines:
         raise GraphFormatError("empty graph text")
     head = lines[0][1].split()
     keyword = head[0]
     if keyword in _HEADER_PARSERS:
         parser, directed = _HEADER_PARSERS[keyword]
-        return parser(lines, directed)
+        try:
+            return parser(lines, directed)
+        except GraphError as exc:
+            raise GraphFormatError(str(exc)) from exc
     if len(lines) == 1 and len(head) == 1:
         return decode_graph6(head[0])
     raise GraphFormatError(f"line {lines[0][0]}: unknown header {keyword!r}")
@@ -561,6 +558,8 @@ def _parse_header_n(lines):
         n = int(parts[1])
     except ValueError:
         raise GraphFormatError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
+    if n < 0:
+        raise GraphFormatError(f"line {lineno}: vertex count must be >= 0")
     return n
 
 
@@ -582,12 +581,9 @@ def _parse_edge_lines(lines, directed: bool):
         u, v = (_parse_int(t, lineno) for t in parts)
         has_loop = has_loop or u == v
         pairs.add((u, v))
-    try:
-        if directed:
-            return Digraph(n, frozenset(pairs), allow_self_loops=has_loop)
-        return Graph(n, frozenset(pairs))
-    except GraphError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    if directed:
+        return Digraph(n, frozenset(pairs), allow_self_loops=has_loop)
+    return Graph(n, frozenset(pairs))
 
 
 def _parse_matrix_lines(lines, directed: bool):
@@ -600,12 +596,9 @@ def _parse_matrix_lines(lines, directed: bool):
     if len(rows) != n:
         raise GraphFormatError(f"expected {n} matrix rows, got {len(rows)}")
     has_loop = any(rows[i][i] for i in range(n))
-    try:
-        return from_adjacency_matrix(rows, directed, **(
-            {"allow_self_loops": True} if directed and has_loop else {}
-        ))
-    except GraphError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    return from_adjacency_matrix(rows, directed, **(
+        {"allow_self_loops": True} if directed and has_loop else {}
+    ))
 
 
 def _parse_adjacency_lines(lines, directed: bool):
@@ -624,12 +617,9 @@ def _parse_adjacency_lines(lines, directed: bool):
         filled[v] = True
         rows[v] = [_parse_int(t, lineno) for t in rest.split()]
     has_loop = any(v in row for v, row in enumerate(rows))
-    try:
-        return from_adjacency_list(rows, directed, **(
-            {"allow_self_loops": True} if directed and has_loop else {}
-        ))
-    except GraphError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    return from_adjacency_list(rows, directed, **(
+        {"allow_self_loops": True} if directed and has_loop else {}
+    ))
 
 
 # Header keyword -> (line parser, directed).
@@ -647,7 +637,7 @@ def parse_automaton_file(text: str) -> Automaton:
     """Lines of 'state -> state'; every state must have exactly one successor."""
     successor = {}
     states = set()
-    for lineno, line in _significant_lines(text):
+    for lineno, line in significant_lines(text):
         parts = line.split()
         if len(parts) != 3 or parts[1] != "->":
             raise GraphFormatError(f"line {lineno}: expected 'state -> state'")

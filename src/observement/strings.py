@@ -13,6 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+from ._shared import first_cycle, significant_lines
 from .errors import CapExceeded, ObservementError
 
 DEFAULT_GENERATE_CAP = 100_000
@@ -68,8 +69,8 @@ class EventSemantics:
 #   <name> -> items | items ...   rule; repeated left-hand sides merge alternatives
 #
 # Items: <name> references a nonterminal; a bare or quoted character is a
-# terminal; a postfix + makes the preceding item one-or-more.  Lines whose
-# first character is '#' are comments.
+# terminal; a postfix + makes the preceding item one-or-more.  Blank lines
+# and lines whose first non-blank character is '#' are skipped.
 
 
 def _tokenize_line(line: str, lineno: int) -> list[tuple[str, str, int]]:
@@ -146,11 +147,10 @@ def parse_grammar(text: str) -> Grammar:
     rules: dict[str, list] = {}
     order: list[str] = []
     start = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = _tokenize_line(raw, lineno)
+    raw_lines = text.splitlines()
+    for lineno, _ in significant_lines(text):
+        # Columns count from the unstripped line.
+        tokens = _tokenize_line(raw_lines[lineno - 1], lineno)
         if len(tokens) == 1 and tokens[0][0] == "NAME":
             if start is not None:
                 raise GrammarError(f"line {lineno}: start symbol designated twice")
@@ -218,30 +218,9 @@ def _reject_left_recursion(grammar: Grammar) -> None:
         }
         for name, alts in grammar.rules.items()
     }
-    # Depth-first over sorted names with an explicit stack, so chains of any
-    # length are checked; ``trail`` is the current path, ``depth`` each name's
-    # index on it while open, and -1 once finished.
-    depth: dict[str, int] = {}
-    for root in sorted(graph):
-        if root in depth:
-            continue
-        trail = [root]
-        depth[root] = 0
-        stack = [iter(sorted(graph[root]))]
-        while stack:
-            nxt = next(stack[-1], None)
-            if nxt is None:
-                depth[trail.pop()] = -1
-                stack.pop()
-            elif depth.get(nxt, -1) >= 0:
-                cycle = trail[depth[nxt]:] + [nxt]
-                raise GrammarError(
-                    "left recursion through " + " -> ".join(f"<{n}>" for n in cycle)
-                )
-            elif nxt not in depth:
-                depth[nxt] = len(trail)
-                trail.append(nxt)
-                stack.append(iter(sorted(graph[nxt])))
+    cycle = first_cycle(graph)
+    if cycle:
+        raise GrammarError("left recursion through " + " -> ".join(f"<{n}>" for n in cycle))
 
 
 # --- membership -------------------------------------------------------------

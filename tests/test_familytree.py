@@ -126,6 +126,53 @@ class TestConstruction:
             ])
 
 
+def recursive_cycle_check(arcs):
+    """The recursive depth-first cycle check, kept as an oracle: the error message or None."""
+    children = {}
+    for parent, child in arcs:
+        children.setdefault(parent, set()).add(child)
+    state = {}
+
+    def visit(person, trail):
+        state[person] = 1
+        for child in sorted(children.get(person, ())):
+            if state.get(child) == 1:
+                cycle = trail[trail.index(child):] + [child]
+                return "parent arcs form a cycle: " + " -> ".join(cycle)
+            if child not in state:
+                found = visit(child, trail + [child])
+                if found:
+                    return found
+        state[person] = 2
+        return None
+
+    for person in sorted(children):
+        if person not in state:
+            found = visit(person, [person])
+            if found:
+                return found
+    return None
+
+
+class TestCycleOracle:
+    def test_random_parent_arcs_match_the_recursive_check(self):
+        rng = random.Random(29)
+        outcomes = set()
+        for _ in range(2000):
+            people = rng.sample("pqrstuvwxy", rng.randint(1, 8))
+            p = rng.random() * 0.4
+            arcs = {(a, b) for a in people for b in people if a != b and rng.random() < p}
+            expected = recursive_cycle_check(arcs)
+            try:
+                KinshipGraph(frozenset(people), frozenset(arcs), enforce_parent_limit=False)
+                found = None
+            except KinshipError as exc:
+                found = str(exc)
+            assert found == expected, sorted(arcs)
+            outcomes.add(found is None)
+        assert outcomes == {True, False}
+
+
 class TestQueries:
     def test_singleton_relations(self):
         g = ft.singleton("solo")

@@ -574,6 +574,13 @@ class TestTextFormats:
         with pytest.raises(GraphFormatError, match="line 2"):
             parse_graph_text("graph 3\n0 1 2\n")
 
+    @pytest.mark.parametrize("keyword", ["graph", "digraph", "matrix", "dmatrix",
+                                         "adjlist", "dadjlist"])
+    def test_negative_vertex_count_rejected(self, keyword):
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph_text(f"# comment\n\n{keyword} -1\n")
+        assert str(info.value) == "line 3: vertex count must be >= 0"
+
     def test_self_loop_in_graph_file_rejected(self):
         with pytest.raises(GraphFormatError, match="self-loop"):
             parse_graph_text("graph 2\n1 1\n")

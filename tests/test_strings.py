@@ -89,6 +89,11 @@ class TestParseGrammar:
         with pytest.raises(GrammarError, match="line 2"):
             strings.parse_grammar("<a> -> x\n<b -> y\n")
 
+    def test_error_column_counts_from_the_unstripped_line(self):
+        with pytest.raises(GrammarError) as info:
+            strings.parse_grammar("   <a> -> 'x\n")
+        assert str(info.value) == "line 1, col 11: unterminated quote"
+
 
 def recursive_left_recursion_check(grammar):
     """The recursive depth-first check, kept as an oracle: the error message or None."""
