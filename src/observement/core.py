@@ -73,12 +73,13 @@ def _normalise(kind: str, members, relations, arities) -> tuple:
             )
         if arity < 1:
             raise SystemDefinitionError(f"relation {name!r} must have arity >= 1")
-        for t in tuples:
-            for x in t:
-                if x not in members:
-                    raise SystemDefinitionError(
-                        f"relation {name!r} references {x!r}, not a declared {kind}"
-                    )
+        undeclared = frozenset().union(*tuples) - members
+        if undeclared:
+            # The least by repr, so the member named does not depend on set order.
+            raise SystemDefinitionError(
+                f"relation {name!r} references {min(undeclared, key=repr)!r}, "
+                f"not a declared {kind}"
+            )
         out_relations[name] = tuples
         out_arities[name] = arity
     for name in arities:

@@ -9,7 +9,7 @@ the symmetry of the relationship.
 
 from __future__ import annotations
 
-import shlex
+import re
 from dataclasses import dataclass, field
 
 from ._shared import first_cycle, significant_lines
@@ -287,7 +287,53 @@ def to_indented_text(g: KinshipGraph, root: str) -> str:
 #   A <-> B
 #
 # '#' lines are comments.  Persons first mentioned on an edge line are
-# declared implicitly.
+# declared implicitly.  Words follow POSIX shell rules: only space, tab, CR
+# and LF separate them, quotes group, and a backslash escapes the next
+# character; inside double quotes it escapes only '"' and '\\' and is kept
+# before anything else, inside single quotes it is an ordinary character.
+
+_WORDS = re.compile(r"[^ \t\r\n]+")
+_PIECES = re.compile(r"""
+    [ \t\r\n]+                     # a separator
+  | ([^ \t\r\n'"\\]+)              # 1: unquoted characters
+  | \\(.)                          # 2: an escaped character
+  | '([^']*)'                      # 3: single quotes, no escapes
+  | "((?:[^"\\]|\\.)*)"            # 4: double quotes
+  | (\\|"(?:[^"\\]|\\.)*\\)\Z      # 5: a line ending in an open escape
+  | (.)                            # 6: an unclosed quote
+""", re.S | re.X)
+_QUOTED_ESCAPE = re.compile(r'\\([\\"])')
+
+
+def _split_line(line: str) -> list:
+    """The words of ``line`` by POSIX shell rules, as the standard library's
+    shell splitter returns them.
+
+    Raises ValueError("No closing quotation") for an unclosed quote and
+    ValueError("No escaped character") for a line ending in an escape.
+    """
+    if '"' not in line and "'" not in line and "\\" not in line:
+        return _WORDS.findall(line)
+    words: list = []
+    word = None
+    for m in _PIECES.finditer(line):
+        kind = m.lastindex
+        if kind is None:
+            if word is not None:
+                words.append(word)
+                word = None
+        elif kind == 5:
+            raise ValueError("No escaped character")
+        elif kind == 6:
+            raise ValueError("No closing quotation")
+        else:
+            piece = m[kind]
+            if kind == 4:
+                piece = _QUOTED_ESCAPE.sub(r"\1", piece)
+            word = piece if word is None else word + piece
+    if word is not None:
+        words.append(word)
+    return words
 
 
 def parse_kinship_file(text: str) -> KinshipGraph:
@@ -301,7 +347,7 @@ def parse_kinship_file(text: str) -> KinshipGraph:
 
     for lineno, line in significant_lines(text):
         try:
-            tokens = shlex.split(line)
+            tokens = _split_line(line)
         except ValueError as exc:
             raise KinshipError(f"line {lineno}: {exc}") from None
         if tokens[0] == "person":
@@ -333,11 +379,24 @@ def format_kinship_file(g: KinshipGraph) -> str:
     for person in sorted(g.persons):
         label = g.labels.get(person)
         if label is not None:
-            lines.append(f'person {person} "{label}"')
+            lines.append(f"person {_word(person)} {_quote(label)}")
         else:
-            lines.append(f"person {person}")
+            lines.append(f"person {_word(person)}")
     for parent, child in sorted(g.parent_arcs):
-        lines.append(f"{parent} -> {child}")
+        lines.append(f"{_word(parent)} -> {_word(child)}")
     for edge in sorted(map(sorted, g.partner_edges)):
-        lines.append(f"{edge[0]} <-> {edge[1]}")
+        lines.append(f"{_word(edge[0])} <-> {_word(edge[1])}")
     return "\n".join(lines) + "\n"
+
+
+# A name that reads back as itself without quotes: no blank, quote or
+# backslash, and no leading '#', which would make an edge line a comment.
+_PLAIN = re.compile(r"[^\s'\"\\#][^\s'\"\\]*")
+
+
+def _word(name: str) -> str:
+    return name if _PLAIN.fullmatch(name) else _quote(name)
+
+
+def _quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'

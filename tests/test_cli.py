@@ -34,6 +34,21 @@ carol -> frank
 dave -> grace
 """
 
+# Names with blanks, quotes, escapes and a no-break space, which is part of a
+# word: only space, tab, CR and LF separate words.
+QUOTED_KINSHIP = (
+    "# names with blanks, quotes and escapes\n"
+    "\"p 1\" -> 'p 2'\n"
+    "'p 2' -> a\\ b\n"
+    "a\\ b -> c\n"
+    "person \"d\\\"q\" \"Dee \\\"Q\\\"\"\n"
+    "\"p 1\" <-> \"d\\\"q\"\n"
+    "c -> n\xa0b\n"
+    "person 'e\\x' 'E'\n"
+    "c -> 'e\\x'\n"
+    "\"x\\\\y\" -> \"p 1\"\n"
+)
+
 
 # One merging and one injective map over a binary and a ternary relation;
 # "merge" fails in both directions on both relations.
@@ -449,6 +464,30 @@ class TestTree:
         result = runner.invoke(cli, ["tree", "descendants", path, "p0"])
         assert result.exit_code == 0, result.output
         assert result.output.splitlines() == sorted(people[1:])
+
+    @pytest.mark.parametrize("args, stdout", [
+        (["descendants", "p 1"], b"a b\nc\ne\\x\nn\xc2\xa0b\np 2\n"),
+        (["descendants", "x\\y"], b"a b\nc\ne\\x\nn\xc2\xa0b\np 1\np 2\n"),
+        (["query", "is_descendant_of", "n\xa0b", "p 1"], b"true\n"),
+        (["query", "partnered", 'd"q', "p 1"], b"true\n"),
+        (["query", "is_predecessor_of", "x\\y", "e\\x"], b"true\n"),
+        (["query", "is_child_of", "a b", "p 2"], b"true\n"),
+    ])
+    def test_quoted_and_escaped_names(self, runner, tmp_path, args, stdout):
+        path = write(tmp_path / "quoted.kin", QUOTED_KINSHIP)
+        result = runner.invoke(cli, ["tree", args[0], path, *args[1:]])
+        assert (result.exit_code, result.stdout_bytes, result.stderr_bytes) == (0, stdout, b"")
+
+    @pytest.mark.parametrize("text, stderr", [
+        ('a -> b\nperson c "C\n', b"Error: line 2: No closing quotation\n"),
+        ("a -> b\n\nc -> d\\\n", b"Error: line 3: No escaped character\n"),
+        ('a -> "b\\\n', b"Error: line 1: No escaped character\n"),
+    ])
+    def test_unbalanced_quoting_is_domain_error(self, runner, tmp_path, text, stderr):
+        path = write(tmp_path / "bad.kin", text)
+        result = runner.invoke(cli, ["tree", "descendants", path, "a"])
+        assert_domain_error_without_output(result)
+        assert result.stderr_bytes == stderr
 
     def test_unknown_relation_is_domain_error(self, runner, tmp_path):
         path = write(tmp_path / "fam.kin", KINSHIP)

@@ -39,13 +39,14 @@ LINES = {
               "010", "101", "000", "0110", "Bw", "D??", "graph 3", "adjlist -1"],
     "automaton": ["a -> b", "b -> a", "c -> c", "a -> c", "b -> c", "a b", "d -> e"],
     "kinship": ['person a "Ann"', "person b", "a -> b", "b -> c", "c -> a", "a -> d",
-                "d <-> e", "a <-> b", "a -> a", 'person "x', "e -> c", "f -> c"],
+                "d <-> e", "a <-> b", "a -> a", 'person "x', "e -> c", "f -> c", '"p 1" -> b',
+                "a -> 'c d'", "a\\ b -> c", 'person e "x\\'],
     "text": ["abab", "abcab", "aXb", "", "ba"],
     "codes": ["0 1 2 3 4", "5 x", "-1", "0 0 0 9", "1 0 2"],
 }
 GRAPH_FORMATS = [graphs.format_graph_file, graphs.format_matrix_text,
                  graphs.format_adjacency_text, lambda g: graphs.encode_graph6(g) + "\n"]
-JUNK = "abx01 :->#<>'\"|+{}()[],."
+JUNK = "abx01 :->#<>'\"|+{}()[],.\\\t"
 
 
 def random_graph_lines(rng):

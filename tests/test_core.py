@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -501,6 +505,27 @@ class TestSystemInvariants:
     def test_relation_tuple_outside_members_rejected(self):
         with pytest.raises(SystemDefinitionError, match="references"):
             ObjectSystem(frozenset({"a"}), {"r": {("a", "b")}})
+
+    def test_reported_member_does_not_depend_on_hash_seed(self, tmp_path):
+        # Four undeclared members; set iteration order used to pick which one
+        # ``observe system classify`` named.
+        path = tmp_path / "undeclared.txt"
+        path.write_text("OBJECTS\na b\nRELATION r/2\na q\na r\na s\na t\n"
+                        "OBSERVATIONS\nx\nRELATION p/2\nx x\nMAP m\na x\nb x\nPAIR\nr p\n")
+        src = str(Path(core.__file__).resolve().parent.parent)
+        outcomes = set()
+        for seed in range(1, 9):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed),
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run(
+                [sys.executable, "-c", "from observement.cli import main; main()",
+                 "system", "classify", str(path)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            outcomes.add((done.returncode, done.stdout, done.stderr))
+        assert outcomes == {
+            (1, "", "Error: relation 'r' references 'q', not a declared object\n")
+        }
 
     def test_mixed_arity_rejected(self):
         with pytest.raises(SystemDefinitionError, match="mixes arities"):

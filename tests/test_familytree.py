@@ -1,5 +1,6 @@
 import os
 import random
+import shlex
 import subprocess
 import sys
 from itertools import permutations
@@ -173,6 +174,39 @@ class TestCycleOracle:
         assert outcomes == {True, False}
 
 
+def split_outcome(split, line):
+    """What ``split(line)`` returns, or the text of the ValueError it raises."""
+    try:
+        return split(line)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestSplitLine:
+    """``_split_line`` is checked against ``shlex.split``, kept as the oracle."""
+
+    @pytest.mark.parametrize("line", [
+        "", "a", "  a \tb\r\nc  ", "a\xa0b c\x1fd e\u3000f g\x00h", '""', "''", '"" x',
+        'a"b c"d', "a'b c'd", 'x"\\"y', '"a\\"b"', '"\\x"', "'\\x'", "a\\ b", "\\\\",
+        '"\\$"', '"open', "'open", '"a\\', "\\", '"a\\\\', '"\\"', "a\\\n", "#c -> d",
+    ])
+    def test_edge_cases_match_shlex(self, line):
+        assert split_outcome(ft._split_line, line) == split_outcome(shlex.split, line)
+
+    def test_random_lines_match_shlex(self):
+        rng = random.Random(9)
+        alphabet = [" ", "\t", "\r", "\n", '"', "'", "\\", "#", "->", "a", "b", "\xa0",
+                    "\x1f", "\u3000", "\x00"]
+        outcomes = set()
+        for _ in range(100_000):
+            line = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+            expected = split_outcome(shlex.split, line)
+            assert split_outcome(ft._split_line, line) == expected, repr(line)
+            outcomes.add(expected if isinstance(expected, str) else "words")
+        assert outcomes == {"words", "ValueError: No closing quotation",
+                            "ValueError: No escaped character"}
+
+
 class TestQueries:
     def test_singleton_relations(self):
         g = ft.singleton("solo")
@@ -284,6 +318,20 @@ class TestFilesAndRendering:
         g = ft.build([("person", "ada", "Ada Lovelace"), ("person", "b")])
         text = ft.format_kinship_file(g)
         assert 'person ada "Ada Lovelace"' in text
+        assert ft.parse_kinship_file(text) == g
+
+    def test_quoted_names_and_labels_round_trip(self):
+        names = ["a b", 'q"r', "it's", "back\\slash", "#hash", "x#y", "", "tab\there",
+                 "nb\xa0", "->"]
+        labels = ['Ada "Bo"', "C:\\dir\\", "it's", "", 'x\\"y']
+        operations = [("person", name, labels[i // 2] if i % 2 else None)
+                      for i, name in enumerate(names)]
+        operations += [("arc", a, b) for a, b in zip(names, names[1:])]
+        operations += [("partner", names[0], names[-1])]
+        g = ft.build(operations)
+        text = ft.format_kinship_file(g)
+        assert 'person "q\\"r" "Ada \\"Bo\\""' in text.splitlines()
+        assert '"#hash" -> x#y' in text.splitlines()
         assert ft.parse_kinship_file(text) == g
 
     def test_edges_auto_declare_persons(self):
