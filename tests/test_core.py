@@ -581,3 +581,57 @@ class TestFixtureFile:
         text = core.format_system_file(fixture)
         noisy = "# header comment\n\n" + text.replace("OBSERVATIONS", "\n# note\nOBSERVATIONS")
         assert core.parse_system_file(noisy) == fixture
+
+
+FIXTURE_ERRORS = [
+    ("OBJECTS a", "line 1: OBJECTS takes no arguments"),
+    ("OBSERVATIONS x", "line 1: OBSERVATIONS takes no arguments"),
+    ("PAIR r", "line 1: PAIR takes no arguments"),
+    ("OBJECTS\nRELATION r", "line 2: expected RELATION <name>/<arity>"),
+    ("OBJECTS\nRELATION r/1 a", "line 2: expected RELATION <name>/<arity>"),
+    ("OBJECTS\nRELATION /2", "line 2: relation name is empty"),
+    ("OBJECTS\nRELATION r/x", "line 2: bad arity 'x'"),
+    ("RELATION /x", "line 1: relation name is empty"),
+    ("RELATION r/x", "line 1: bad arity 'x'"),
+    ("RELATION r/2", "line 1: RELATION before any OBJECTS or OBSERVATIONS section"),
+    ("OBSERVATIONS\nRELATION p/1\nRELATION p/2", "line 3: duplicate relation 'p'"),
+    ("MAP", "line 1: expected MAP <algorithm-name>"),
+    ("MAP m n", "line 1: expected MAP <algorithm-name>"),
+    ("OBJECTS\nPAIR", "line 2: PAIR before any MAP section"),
+    ("# note\n\na b", "line 3: data before any section header"),
+    ("OBJECTS\na b\nRELATION r/2\na", "line 4: relation 'r' has arity 2, got 1 tokens"),
+    ("OBSERVATIONS\nx\nRELATION p/1\nx x", "line 4: relation 'p' has arity 1, got 2 tokens"),
+    ("MAP m\na", "line 2: expected 'object observation'"),
+    ("MAP m\nPAIR\nr p q", "line 3: expected 'object-relation observation-relation'"),
+    ("MAP m\na x\na y", "line 3: object 'a' mapped twice"),
+    ("MAP m\nPAIR\nr p\nr q", "line 4: relation 'r' paired twice"),
+    ("OBJECTS\na\nRELATION r/1\nb", "relation 'r' references 'b', not a declared object"),
+    ("OBSERVATIONS\nx\nRELATION p/1\ny",
+     "relation 'p' references 'y', not a declared observation"),
+    ("OBJECTS\na\nRELATION r/0", "relation 'r' must have arity >= 1"),
+    ("OBJECTS\na\nOBSERVATIONS\nx\nMAP m\nb x", "MAP m: unknown object 'b'"),
+    ("OBJECTS\na\nOBSERVATIONS\nx\nMAP m\na y", "MAP m: unknown observation 'y'"),
+    ("OBJECTS\na\nOBSERVATIONS\nx\nMAP m\na x\nPAIR\nr p",
+     "PAIR in m: unknown object relation 'r'"),
+    ("OBJECTS\na\nRELATION r/1\na\nOBSERVATIONS\nx\nMAP m\na x\nPAIR\nr p",
+     "PAIR in m: unknown observation relation 'p'"),
+]
+
+
+@pytest.mark.parametrize("text, message", FIXTURE_ERRORS,
+                         ids=[message for _, message in FIXTURE_ERRORS])
+def test_fixture_parser_error_messages(text, message):
+    with pytest.raises(FixtureFormatError) as info:
+        core.parse_system_file(text + "\n")
+    assert str(info.value) == message
+
+
+def test_fixture_relations_are_kept_per_universe():
+    text = ("OBJECTS\na b\nRELATION r/2\na b\nOBSERVATIONS\nx\nRELATION r/1\nx\n"
+            "OBJECTS\nc\nRELATION s/1\nc\nMAP m\na x\nb x\nc x\nPAIR\nr r\ns r\n")
+    fixture = core.parse_system_file(text)
+    assert fixture.system == ObjectSystem(
+        frozenset("abc"), {"r": {("a", "b")}, "s": {("c",)}}, {"r": 2, "s": 1})
+    assert fixture.observations == ObservationSystem(frozenset("x"), {"r": {("x",)}}, {"r": 1})
+    assert fixture.algorithms == (
+        ObservationAlgorithm("m", dict.fromkeys("abc", "x"), {"r": "r", "s": "r"}),)
