@@ -351,32 +351,36 @@ class SystemFixture:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
 
 
+# The words that the MAP and PAIR data-line messages differ by: the expected
+# line shape, what the first token names, and what it cannot be twice.
+_PAIR_LINE_WORDS = {
+    "MAP": ("object observation", "object", "mapped"),
+    "PAIR": ("object-relation observation-relation", "relation", "paired"),
+}
+
+
 def parse_system_file(text: str) -> SystemFixture:
     """Parse the fixture file format into a system, observations, and algorithms."""
-    objects: list[str] = []
-    observations: list[str] = []
-    obj_relations: dict[str, set] = {}
-    obs_relations: dict[str, set] = {}
-    obj_arities: dict[str, int] = {}
-    obs_arities: dict[str, int] = {}
-    algorithms: list[dict] = []
-
-    section = None        # ("OBJECTS",) / ("OBSERVATIONS",) / ("RELATION", side, name) /
-    universe = None       # "OBJECTS" or "OBSERVATIONS"; where RELATION attaches
+    # One (members, relations, arities) record per universe, and one
+    # (name, mapping, pairing) per algorithm.  ``section`` is (header, what its
+    # data lines fill): the member list, the relation's (name, arity, tuples),
+    # or the algorithm's mapping or pairing dict.
+    universes = {"OBJECTS": ([], {}, {}), "OBSERVATIONS": ([], {}, {})}
+    algorithms: list[tuple] = []
+    section = universe = None  # universe: the record that RELATION attaches to
     for lineno, line in significant_lines(text):
         tokens = line.split()
         head = tokens[0]
-        if head == "OBJECTS":
+        if head in ("OBJECTS", "OBSERVATIONS", "PAIR"):
             if len(tokens) > 1:
-                raise FixtureFormatError(f"line {lineno}: OBJECTS takes no arguments")
-            section = ("OBJECTS",)
-            universe = "OBJECTS"
-            continue
-        if head == "OBSERVATIONS":
-            if len(tokens) > 1:
-                raise FixtureFormatError(f"line {lineno}: OBSERVATIONS takes no arguments")
-            section = ("OBSERVATIONS",)
-            universe = "OBSERVATIONS"
+                raise FixtureFormatError(f"line {lineno}: {head} takes no arguments")
+            if head != "PAIR":
+                universe = universes[head]
+                section = (head, universe[0])
+            elif not algorithms:
+                raise FixtureFormatError(f"line {lineno}: PAIR before any MAP section")
+            else:
+                section = (head, algorithms[-1][2])
             continue
         if head == "RELATION":
             if len(tokens) != 2 or "/" not in tokens[1]:
@@ -392,69 +396,45 @@ def parse_system_file(text: str) -> SystemFixture:
                 raise FixtureFormatError(
                     f"line {lineno}: RELATION before any OBJECTS or OBSERVATIONS section"
                 )
-            target = obj_relations if universe == "OBJECTS" else obs_relations
-            arities = obj_arities if universe == "OBJECTS" else obs_arities
-            if name in target:
+            _, relations, arities = universe
+            if name in relations:
                 raise FixtureFormatError(f"line {lineno}: duplicate relation {name!r}")
-            target[name] = set()
+            relations[name] = set()
             arities[name] = arity
-            section = ("RELATION", universe, name)
+            section = (head, (name, arity, relations[name]))
             continue
         if head == "MAP":
             if len(tokens) != 2:
                 raise FixtureFormatError(f"line {lineno}: expected MAP <algorithm-name>")
-            algorithms.append({"name": tokens[1], "mapping": {}, "pairing": {}})
-            section = ("MAP",)
-            continue
-        if head == "PAIR":
-            if len(tokens) > 1:
-                raise FixtureFormatError(f"line {lineno}: PAIR takes no arguments")
-            if not algorithms:
-                raise FixtureFormatError(f"line {lineno}: PAIR before any MAP section")
-            section = ("PAIR",)
+            algorithms.append((tokens[1], {}, {}))
+            section = (head, algorithms[-1][1])
             continue
 
         # Data line inside the current section.
         if section is None:
             raise FixtureFormatError(f"line {lineno}: data before any section header")
-        kind = section[0]
-        if kind == "OBJECTS":
-            objects.extend(tokens)
-        elif kind == "OBSERVATIONS":
-            observations.extend(tokens)
-        elif kind == "RELATION":
-            _, side, name = section
-            arities = obj_arities if side == "OBJECTS" else obs_arities
-            if len(tokens) != arities[name]:
+        kind, target = section
+        if kind == "RELATION":
+            name, arity, tuples = target
+            if len(tokens) != arity:
                 raise FixtureFormatError(
-                    f"line {lineno}: relation {name!r} has arity {arities[name]}, "
-                    f"got {len(tokens)} tokens"
+                    f"line {lineno}: relation {name!r} has arity {arity}, got {len(tokens)} tokens"
                 )
-            target = obj_relations if side == "OBJECTS" else obs_relations
-            target[name].add(tuple(tokens))
-        elif kind == "MAP":
+            tuples.add(tuple(tokens))
+        elif kind in _PAIR_LINE_WORDS:
+            shape, noun, verb = _PAIR_LINE_WORDS[kind]
             if len(tokens) != 2:
-                raise FixtureFormatError(f"line {lineno}: expected 'object observation'")
-            alg = algorithms[-1]
-            if tokens[0] in alg["mapping"]:
-                raise FixtureFormatError(f"line {lineno}: object {tokens[0]!r} mapped twice")
-            alg["mapping"][tokens[0]] = tokens[1]
-        elif kind == "PAIR":
-            if len(tokens) != 2:
-                raise FixtureFormatError(
-                    f"line {lineno}: expected 'object-relation observation-relation'"
-                )
-            alg = algorithms[-1]
-            if tokens[0] in alg["pairing"]:
-                raise FixtureFormatError(f"line {lineno}: relation {tokens[0]!r} paired twice")
-            alg["pairing"][tokens[0]] = tokens[1]
+                raise FixtureFormatError(f"line {lineno}: expected '{shape}'")
+            if tokens[0] in target:
+                raise FixtureFormatError(f"line {lineno}: {noun} {tokens[0]!r} {verb} twice")
+            target[tokens[0]] = tokens[1]
+        else:
+            target.extend(tokens)
 
     try:
-        system = ObjectSystem(frozenset(objects), obj_relations, obj_arities)
-        obs_system = ObservationSystem(frozenset(observations), obs_relations, obs_arities)
-        algs = tuple(
-            ObservationAlgorithm(a["name"], a["mapping"], a["pairing"]) for a in algorithms
-        )
+        system = ObjectSystem(*universes["OBJECTS"])
+        obs_system = ObservationSystem(*universes["OBSERVATIONS"])
+        algs = tuple(ObservationAlgorithm(*a) for a in algorithms)
     except SystemDefinitionError as exc:
         raise FixtureFormatError(str(exc)) from exc
     for alg in algs:

@@ -9,6 +9,7 @@ the symmetry of the relationship.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -69,16 +70,26 @@ class KinshipGraph:
                 parent_count[child] = parent_count.get(child, 0) + 1
                 if parent_count[child] > 2:
                     raise KinshipError(f"{child!r} has more than two parents")
-        _assert_acyclic(self.parent_arcs)
+        cycle = first_cycle(self._children)
+        if cycle:
+            raise KinshipError("parent arcs form a cycle: " + " -> ".join(cycle))
 
+    # Adjacency along parent arcs, built once per graph.  The sets are shared
+    # by every query, so nothing may mutate them.
 
-def _assert_acyclic(arcs) -> None:
-    children: dict = {}
-    for parent, child in arcs:
-        children.setdefault(parent, []).append(child)
-    cycle = first_cycle(children)
-    if cycle:
-        raise KinshipError("parent arcs form a cycle: " + " -> ".join(cycle))
+    @functools.cached_property
+    def _children(self) -> dict:
+        out: dict = {}
+        for parent, child in self.parent_arcs:
+            out.setdefault(parent, set()).add(child)
+        return out
+
+    @functools.cached_property
+    def _parents(self) -> dict:
+        out: dict = {}
+        for parent, child in self.parent_arcs:
+            out.setdefault(child, set()).add(parent)
+        return out
 
 
 # --- constructors -----------------------------------------------------------
@@ -104,9 +115,6 @@ def disjoint_union(g1: KinshipGraph, g2: KinshipGraph) -> KinshipGraph:
 
 
 def add_parent_arc(g: KinshipGraph, parent: str, child: str) -> KinshipGraph:
-    for person in (parent, child):
-        if person not in g.persons:
-            raise KinshipError(f"unknown person {person!r}")
     if (parent, child) in g.parent_arcs:
         raise KinshipError(f"duplicate arc ({parent},{child})")
     return KinshipGraph(
@@ -116,9 +124,6 @@ def add_parent_arc(g: KinshipGraph, parent: str, child: str) -> KinshipGraph:
 
 
 def add_partnership(g: KinshipGraph, a: str, b: str) -> KinshipGraph:
-    for person in (a, b):
-        if person not in g.persons:
-            raise KinshipError(f"unknown person {person!r}")
     if frozenset({a, b}) in g.partner_edges:
         raise KinshipError(f"duplicate partner edge {{{a},{b}}}")
     return KinshipGraph(
@@ -169,9 +174,6 @@ def build(operations, enforce_parent_limit: bool = True) -> KinshipGraph:
                 labels[name] = op[2]
         elif kind in ("arc", "partner"):
             _, a, b = op
-            for person in (a, b):
-                if person not in persons:
-                    raise KinshipError(f"unknown person {person!r} in {kind} operation")
             if kind == "arc":
                 if (a, b) in arcs:
                     raise KinshipError(f"duplicate arc ({a},{b})")
@@ -182,7 +184,7 @@ def build(operations, enforce_parent_limit: bool = True) -> KinshipGraph:
                 partners.add(frozenset({a, b}))
         else:
             raise KinshipError(f"unknown operation {kind!r}")
-    return KinshipGraph(frozenset(persons), frozenset(arcs), frozenset(partners), labels,
+    return KinshipGraph(persons, arcs, partners, labels,
                         enforce_parent_limit=enforce_parent_limit)
 
 
@@ -192,13 +194,6 @@ def build(operations, enforce_parent_limit: bool = True) -> KinshipGraph:
 def _check_person(g: KinshipGraph, person: str) -> None:
     if person not in g.persons:
         raise KinshipError(f"unknown person {person!r}")
-
-
-def _children_map(g: KinshipGraph) -> dict:
-    out: dict = {}
-    for parent, child in g.parent_arcs:
-        out.setdefault(parent, set()).add(child)
-    return out
 
 
 def _reachable(start: str, neighbours: dict) -> set:
@@ -216,16 +211,13 @@ def _reachable(start: str, neighbours: dict) -> set:
 def descendants(g: KinshipGraph, person: str) -> set:
     """Everyone reachable from ``person`` along parent-to-child arcs, exclusive."""
     _check_person(g, person)
-    return _reachable(person, _children_map(g)) - {person}
+    return _reachable(person, g._children) - {person}
 
 
 def ancestors(g: KinshipGraph, person: str) -> set:
     """Everyone from whom ``person`` is reachable along parent-to-child arcs, exclusive."""
     _check_person(g, person)
-    parents: dict = {}
-    for parent, child in g.parent_arcs:
-        parents.setdefault(child, set()).add(parent)
-    return _reachable(person, parents) - {person}
+    return _reachable(person, g._parents) - {person}
 
 
 def query(g: KinshipGraph, relation: str, u: str, v: str) -> bool:
@@ -247,17 +239,15 @@ def query(g: KinshipGraph, relation: str, u: str, v: str) -> bool:
     if relation == "is_related_to":
         if u == v:
             return True
-        neighbours: dict = {}
-        for parent, child in g.parent_arcs:
-            neighbours.setdefault(parent, set()).add(child)
-            neighbours.setdefault(child, set()).add(parent)
-        for edge in g.partner_edges:
-            a, b = tuple(edge)
-            neighbours.setdefault(a, set()).add(b)
-            neighbours.setdefault(b, set()).add(a)
+        # New sets: the cached maps are shared and must not grow partners.
+        neighbours = {p: g._children.get(p, set()) | g._parents.get(p, set())
+                      for p in g.persons}
+        for a, b in map(tuple, g.partner_edges):
+            neighbours[a].add(b)
+            neighbours[b].add(a)
         return v in _reachable(u, neighbours)
     if relation == "is_descendant_of":
-        return u != v and u in _reachable(v, _children_map(g))
+        return u != v and u in _reachable(v, g._children)
     if relation == "is_predecessor_of":
         return query(g, "is_descendant_of", v, u)
     raise KinshipError(f"unknown relation {relation!r}; choose from {', '.join(RELATIONS)}")
@@ -266,7 +256,6 @@ def query(g: KinshipGraph, relation: str, u: str, v: str) -> bool:
 def to_indented_text(g: KinshipGraph, root: str) -> str:
     """Plain-text dump of the subtree below ``root``, two spaces per generation."""
     _check_person(g, root)
-    children = _children_map(g)
     lines: list[str] = []
     # Children are pushed in reverse sorted order, so they pop in sorted order.
     stack = [(root, 0)]
@@ -275,7 +264,7 @@ def to_indented_text(g: KinshipGraph, root: str) -> str:
         label = g.labels.get(person)
         text = f"{person} ({label})" if label else person
         lines.append("  " * depth + text)
-        for child in sorted(children.get(person, ()), reverse=True):
+        for child in sorted(g._children.get(person, ()), reverse=True):
             stack.append((child, depth + 1))
     return "\n".join(lines) + "\n"
 
@@ -350,7 +339,8 @@ def parse_kinship_file(text: str) -> KinshipGraph:
             tokens = _split_line(line)
         except ValueError as exc:
             raise KinshipError(f"line {lineno}: {exc}") from None
-        if tokens[0] == "person":
+        # Only the unquoted keyword declares, so '"person" -> b' is an arc.
+        if _WORDS.match(line)[0] == "person":
             if len(tokens) not in (2, 3):
                 raise KinshipError(f"line {lineno}: expected 'person NAME [\"label\"]'")
             name = tokens[1]
@@ -390,12 +380,13 @@ def format_kinship_file(g: KinshipGraph) -> str:
 
 
 # A name that reads back as itself without quotes: no blank, quote or
-# backslash, and no leading '#', which would make an edge line a comment.
+# backslash, no leading '#', which would make an edge line a comment, and
+# not the keyword 'person', which would make an arc line a declaration.
 _PLAIN = re.compile(r"[^\s'\"\\#][^\s'\"\\]*")
 
 
 def _word(name: str) -> str:
-    return name if _PLAIN.fullmatch(name) else _quote(name)
+    return name if _PLAIN.fullmatch(name) and name != "person" else _quote(name)
 
 
 def _quote(text: str) -> str:

@@ -229,52 +229,59 @@ def _reject_left_recursion(grammar: Grammar) -> None:
 def membership(grammar: Grammar, s: str) -> bool:
     """True iff ``s`` is derivable from the start symbol.
 
-    Strings using symbols outside the alphabet are simply not members.
+    Strings using symbols outside the alphabet are simply not members.  The
+    stack of open nonterminals is explicit, so strings of any length are
+    decided.  No key is needed while it is open: without left recursion, a
+    nonterminal at ``pos`` depends only on later positions, or on leftmost
+    nonterminals at ``pos``, which cannot lead back to it.
     """
     if any(ch not in grammar.terminals for ch in s):
         return False
     memo: dict = {}
-    return len(s) in _nonterminal_ends(grammar, s, grammar.start, 0, memo)
+    root = (grammar.start, 0)
+    stack = [(root, _nonterminal_ends(grammar, s, *root))]
+    ends = None
+    while stack:
+        key, walk = stack[-1]
+        try:
+            need = walk.send(ends)
+        except StopIteration as done:
+            ends = memo[key] = done.value
+            stack.pop()
+            continue
+        ends = memo.get(need)
+        if ends is None:
+            stack.append((need, _nonterminal_ends(grammar, s, *need)))
+    return len(s) in memo[root]
 
 
-def _nonterminal_ends(grammar, s, name, pos, memo):
-    key = (name, pos)
-    if key not in memo:
-        ends = set()
-        for alt in grammar.rules[name]:
-            ends |= _sequence_ends(grammar, s, alt, pos, memo)
-        memo[key] = frozenset(ends)
-    return memo[key]
+def _nonterminal_ends(grammar, s, name, pos):
+    """The positions where a derivation of ``name`` from ``pos`` can end.
 
-
-def _sequence_ends(grammar, s, items, pos, memo):
-    positions = {pos}
-    for item in items:
-        nxt = set()
-        for q in positions:
-            nxt |= _item_ends(grammar, s, item, q, memo)
-        if not nxt:
-            return frozenset()
-        positions = nxt
-    return frozenset(positions)
-
-
-def _item_ends(grammar, s, item, pos, memo):
-    if isinstance(item, Terminal):
-        if pos < len(s) and s[pos] == item.symbol:
-            return frozenset((pos + 1,))
-        return frozenset()
-    if isinstance(item, NonTerminal):
-        return _nonterminal_ends(grammar, s, item.name, pos, memo)
-    # One or more repetitions; every application consumes at least one symbol.
+    A generator: it yields each ``(nonterminal, position)`` whose ends it
+    needs, is sent those ends back, and returns its own as a frozenset.
+    """
     ends: set = set()
-    frontier = {pos}
-    while frontier:
-        reached = set()
-        for q in frontier:
-            reached |= _item_ends(grammar, s, item.item, q, memo)
-        frontier = reached - ends
-        ends |= frontier
+    for alt in grammar.rules[name]:
+        positions = {pos}
+        for item in alt:
+            # One or more repetitions apply the inner item until no new end
+            # appears; every application consumes at least one symbol.
+            repeat = isinstance(item, OneOrMore)
+            inner = item.item if repeat else item
+            reached: set = set()
+            frontier = positions
+            while frontier:
+                step: set = set()
+                for q in frontier:
+                    if isinstance(inner, NonTerminal):
+                        step |= yield inner.name, q
+                    elif q < len(s) and s[q] == inner.symbol:
+                        step.add(q + 1)
+                frontier = step - reached if repeat else ()
+                reached |= step
+            positions = reached
+        ends |= positions
     return frozenset(ends)
 
 

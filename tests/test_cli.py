@@ -235,8 +235,6 @@ class TestGrammar:
         assert result.exit_code == 0, result.exception
         assert result.output == "false\n"
 
-    @pytest.mark.xfail(raises=RecursionError, strict=True,
-                       reason="membership recurses about 3 frames per symbol")
     def test_check_answers_on_a_400_symbol_path(self, runner, tmp_path):
         path = write(tmp_path / "turtle.g", TURTLE)
         rng = random.Random(400)

@@ -40,7 +40,7 @@ LINES = {
     "automaton": ["a -> b", "b -> a", "c -> c", "a -> c", "b -> c", "a b", "d -> e"],
     "kinship": ['person a "Ann"', "person b", "a -> b", "b -> c", "c -> a", "a -> d",
                 "d <-> e", "a <-> b", "a -> a", 'person "x', "e -> c", "f -> c", '"p 1" -> b',
-                "a -> 'c d'", "a\\ b -> c", 'person e "x\\'],
+                "a -> 'c d'", "a\\ b -> c", 'person e "x\\', '"person" -> b', "person -> b"],
     "text": ["abab", "abcab", "aXb", "", "ba"],
     "codes": ["0 1 2 3 4", "5 x", "-1", "0 0 0 9", "1 0 2"],
 }
@@ -110,6 +110,12 @@ def random_command(rng, write):
     def word(alphabet, most):
         return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, most)))
 
+    def member_word():
+        # Now and then a long near-member of the valid grammar, a^n b c^m.
+        if rng.random() < 0.05:
+            return "a" * rng.randint(300, 600) + "b" + "c" * rng.randint(1, 300)
+        return word("abcx", 8)
+
     def probability():
         return f"{rng.uniform(-0.3, 1.3):.2f}"
 
@@ -117,7 +123,7 @@ def random_command(rng, write):
     commands = [
         lambda: ["system", "classify", file("fixture")],
         lambda: ["system", "verify", file("fixture")] + maybe("--alg", rng.choice("mnz")),
-        lambda: ["grammar", "check", file("grammar"), word("abcx", 8)],
+        lambda: ["grammar", "check", file("grammar"), member_word()],
         lambda: ["grammar", "gen", file("grammar"), "--max-len", small(-2, 5)],
         lambda: ["translate", file("seqs")] + maybe("--table", file("codons"))
         + maybe("--frame"),

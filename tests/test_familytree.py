@@ -106,9 +106,19 @@ class TestConstruction:
         with pytest.raises(KinshipError, match="duplicate"):
             ft.add_parent_arc(g, "a", "b")
 
-    def test_unknown_vertex_rejected(self):
+    @pytest.mark.parametrize("construct", [
+        lambda g: ft.build([("person", "a"), ("arc", "a", "ghost")]),
+        lambda g: ft.build([("person", "a"), ("partner", "ghost", "a")]),
+        lambda g: ft.add_parent_arc(g, "ghost", "a"),
+        lambda g: ft.add_parent_arc(g, "a", "ghost"),
+        lambda g: ft.add_partnership(g, "a", "ghost"),
+        lambda g: ft.add_partnership(g, "ghost", "b"),
+    ], ids=["build-arc", "build-partner", "arc-parent", "arc-child", "partner-second",
+            "partner-first"])
+    def test_unknown_vertex_rejected(self, construct):
+        g = ft.build([("person", "a"), ("person", "b"), ("arc", "a", "b")])
         with pytest.raises(KinshipError, match="unknown person"):
-            ft.build([("person", "a"), ("arc", "a", "ghost")])
+            construct(g)
 
     def test_third_parent_rejected_by_default(self):
         ops = [("person", p) for p in "abcx"] + [
@@ -333,6 +343,25 @@ class TestFilesAndRendering:
         assert 'person "q\\"r" "Ada \\"Bo\\""' in text.splitlines()
         assert '"#hash" -> x#y' in text.splitlines()
         assert ft.parse_kinship_file(text) == g
+
+    def test_keyword_and_arrow_names_round_trip(self):
+        g = ft.build([
+            ("person", "person", "P"), ("person", "->", "A"), ("person", "<->"),
+            ("person", "b"),
+            ("arc", "person", "->"), ("arc", "person", "b"), ("arc", "->", "<->"),
+            ("arc", "<->", "b"), ("partner", "->", "b"), ("partner", "<->", "person"),
+        ])
+        text = ft.format_kinship_file(g)
+        assert 'person "person" "P"' in text.splitlines()
+        assert '"person" -> b' in text.splitlines()
+        assert ft.parse_kinship_file(text) == g
+
+    def test_only_the_unquoted_keyword_declares(self):
+        g = ft.parse_kinship_file('person -> "L"\n"person" -> b\n')
+        assert g.labels == {"->": "L"}
+        assert g.parent_arcs == frozenset({("person", "b")})
+        with pytest.raises(KinshipError, match="line 1: expected a person"):
+            ft.parse_kinship_file('"person" x\n')
 
     def test_edges_auto_declare_persons(self):
         g = ft.parse_kinship_file("a -> b\nb -> c\nx <-> a\n")

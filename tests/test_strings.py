@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -172,7 +173,65 @@ class TestLeftRecursionOracle:
             strings.parse_grammar(looped)
 
 
+def recursive_membership(grammar, s):
+    """The memoized top-down recursion, kept as an oracle for ``membership``."""
+    memo = {}
+
+    def nonterminal_ends(name, pos):
+        if (name, pos) not in memo:
+            ends = set()
+            for alt in grammar.rules[name]:
+                ends |= sequence_ends(alt, pos)
+            memo[name, pos] = frozenset(ends)
+        return memo[name, pos]
+
+    def sequence_ends(items, pos):
+        positions = {pos}
+        for item in items:
+            positions = set().union(*(item_ends(item, q) for q in positions))
+            if not positions:
+                break
+        return positions
+
+    def item_ends(item, pos):
+        if isinstance(item, Terminal):
+            return {pos + 1} if pos < len(s) and s[pos] == item.symbol else set()
+        if isinstance(item, NonTerminal):
+            return nonterminal_ends(item.name, pos)
+        ends, frontier = set(), {pos}
+        while frontier:
+            frontier = set().union(*(item_ends(item.item, q) for q in frontier)) - ends
+            ends |= frontier
+        return ends
+
+    if any(ch not in grammar.terminals for ch in s):
+        return False
+    return len(s) in nonterminal_ends(grammar.start, 0)
+
+
 class TestMembership:
+    def test_random_grammars_match_the_recursive_oracle(self):
+        rng = random.Random(31)
+        words = [""] + ["".join(w) for n in range(1, 7)
+                        for w in itertools.product("ab", repeat=n)]
+        checked = members = 0
+        while checked < 300:
+            grammar = random_grammar(rng, rng.randint(1, 8))
+            if recursive_left_recursion_check(grammar) is not None:
+                continue
+            checked += 1
+            for word in words:
+                expected = recursive_membership(grammar, word)
+                assert strings.membership(grammar, word) == expected, (grammar.rules, word)
+                members += expected
+        assert members > 400
+
+    def test_chain_of_1200_nonterminals_is_decided(self):
+        chain = "".join(f"<n{i}> -> <n{i + 1}> a\n" for i in range(1200)) + "<n1200> -> a\n"
+        grammar = strings.parse_grammar(chain)
+        assert strings.membership(grammar, "a" * 1201)
+        assert not strings.membership(grammar, "a" * 1200)
+
     def test_example_path_accepted(self, turtle):
         assert strings.membership(turtle, "FFLFFFRFT")
 
