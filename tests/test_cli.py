@@ -91,6 +91,57 @@ between btw
 """
 
 
+# A unary, a binary and a ternary relation.  Object names sort o1 < o10 < o2,
+# not in file order; w is an observation outside every image; under "merge"
+# the prefix (o1,) fails both ways: lt(o1, o2) forward and lt(o1, o10) backward.
+ROW_FIXTURE = """\
+OBJECTS
+o2 o10 o1
+RELATION big/1
+o10
+RELATION lt/2
+o2 o10
+o1 o2
+RELATION mid/3
+o1 o2 o10
+OBSERVATIONS
+x y z w
+RELATION BIG/1
+z
+w
+RELATION LT/2
+x y
+y z
+x w
+RELATION MID/3
+x y z
+MAP exact
+o2 y
+o10 z
+o1 x
+PAIR
+big BIG
+lt LT
+mid MID
+MAP swap
+o2 z
+o10 y
+o1 x
+PAIR
+big BIG
+lt LT
+mid MID
+MAP merge
+o2 x
+o10 y
+o1 x
+PAIR
+big BIG
+lt LT
+mid MID
+"""
+
+
 def weighed_shelf_text():
     """Twelve objects tied in pairs, read by two relabelled fine scales.
 
@@ -201,6 +252,32 @@ class TestSystem:
             "  between(a, b, c) fails =>\n"
         )
         assert runner.invoke(cli, ["system", "classify", path]).stdout == "NotObservement\n"
+
+    def test_verify_bytes_over_three_arities(self, runner, tmp_path):
+        path = write(tmp_path / "rows.obs", ROW_FIXTURE)
+        swap = (
+            "swap: fails (8 counterexamples)\n"
+            "  big(o10) fails =>\n"
+            "  big(o2) fails <=\n"
+            "  lt(o1, o10) fails <=\n"
+            "  lt(o1, o2) fails =>\n"
+            "  lt(o10, o2) fails <=\n"
+            "  lt(o2, o10) fails =>\n"
+            "  mid(o1, o10, o2) fails <=\n"
+            "  mid(o1, o2, o10) fails =>\n"
+        )
+        merge = (
+            "merge: fails (4 counterexamples)\n"
+            "  big(o10) fails =>\n"
+            "  lt(o1, o10) fails <=\n"
+            "  lt(o1, o2) fails =>\n"
+            "  mid(o1, o2, o10) fails =>\n"
+        )
+        for args, stdout in ([[], "exact: holds\n" + swap + merge],
+                             [["--alg", "swap"], swap], [["--alg", "merge"], merge]):
+            result = runner.invoke(cli, ["system", "verify", path, *args])
+            assert (result.exit_code, result.stdout, result.stderr) == (0, stdout, "")
+        assert runner.invoke(cli, ["system", "classify", path]).stdout == "Strong\n"
 
 
 class TestUndecodableInput:
