@@ -78,23 +78,25 @@ def system_classify(fixture_file):
 def system_verify(fixture_file, algorithm_name):
     """Run the representation check for each algorithm in a fixture file."""
     fixture = core.parse_system_file(_read(fixture_file))
+    if not fixture.algorithms:
+        raise click.ClickException("no algorithms in fixture")
     selected = [
         a for a in fixture.algorithms
         if algorithm_name is None or a.name == algorithm_name
     ]
     if not selected:
         raise click.ClickException(f"no algorithm named {algorithm_name!r} in fixture")
-    # Every algorithm is checked before any line is printed, so a malformed
-    # one leaves stdout empty.
-    reports = [core.verify_representation(fixture.system, fixture.observations, a)
-               for a in selected]
-    for algorithm, report in zip(selected, reports):
+    # Every algorithm is checked before the one write, so a malformed one
+    # leaves stdout empty.
+    lines = []
+    for algorithm in selected:
+        report = core.verify_representation(fixture.system, fixture.observations, algorithm)
         if report.holds:
-            click.echo(f"{algorithm.name}: holds")
+            lines.append(f"{algorithm.name}: holds")
         else:
-            click.echo(f"{algorithm.name}: fails ({len(report.counterexamples)} counterexamples)")
-            for ce in report.counterexamples:
-                click.echo(f"  {ce}")
+            lines.append(f"{algorithm.name}: fails ({len(report.counterexamples)} counterexamples)")
+            lines += [f"  {ce}" for ce in report.counterexamples]
+    click.echo("\n".join(lines))
 
 
 # --- grammars -------------------------------------------------------------------

@@ -7,7 +7,10 @@ three defining conditions are decidable mechanically:
 
 * representation: the algorithm's mapping is a homomorphism, meaning each
   object relation holds on a tuple exactly when the paired observation
-  relation holds on the mapped tuple (both directions of the biconditional);
+  relation holds on the mapped tuple (both directions of the biconditional).
+  It is decided row by row: for each prefix of a tuple, the objects that
+  complete it in the object relation must be exactly those whose values
+  complete its image in the observation relation;
 * existence: at least one of the supplied algorithms satisfies representation;
 * uniqueness: for every ordered pair of valid algorithms there is a
   translation function between their observation values that commutes with
@@ -21,14 +24,17 @@ measurement is the special case where observation values happen to be
 numbers.
 
 All types here are immutable values and all operations are pure functions,
-so concurrent use needs no coordination.
+so concurrent use needs no coordination.  An object system caches its
+relations grouped into rows on first use; the cache is built from the
+immutable relations and never changed after.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
+import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -101,6 +107,19 @@ class ObjectSystem:
         object.__setattr__(self, "objects", members)
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "arities", arities)
+
+    @functools.cached_property
+    def _rows(self) -> dict:
+        # Per relation, each (k-1)-prefix of a tuple mapped to the frozenset of
+        # last members that complete it.  Built once per system and shared by
+        # every check, so nothing may mutate it.
+        out: dict = {}
+        for name, tuples in self.relations.items():
+            rows = collections.defaultdict(list)
+            for t in tuples:
+                rows[t[:-1]].append(t[-1])
+            out[name] = {prefix: frozenset(row) for prefix, row in rows.items()}
+        return out
 
 
 @dataclass(frozen=True)
@@ -223,31 +242,43 @@ def verify_representation(system: ObjectSystem, observations: ObservationSystem,
                           algorithm: ObservationAlgorithm) -> HomomorphismReport:
     """Check the representation condition for one algorithm, exhaustively.
 
-    Only two kinds of tuple can fail, so only those are walked.  A tuple of
-    ``r`` fails forward when its image is not in the paired relation ``p``.
-    A tuple outside ``r`` fails backward when its image is in ``p``, so it
-    lies in the product of fibres h^-1(q_1) x ... x h^-1(q_k) of some ``q``
-    in ``p``.  Those products are disjoint, so their sizes add up to the
-    number of preimages of ``p``.  The tuples of ``r`` that pass forward are
-    all preimages, so the products are walked only when the two counts
-    differ, and a valid algorithm costs O(|r| + |p| * k), not |objects|^k.
-    Counterexamples come out sorted by tuple, which is the order of a walk
-    over the product of the sorted object set.
+    The check compares rows.  The row of an object prefix P, a (k-1)-tuple, is
+    the set of objects x with P + (x,) in ``r``; the row allowed for P is the
+    set of x with h(P + (x,)) in the paired relation ``p``, which is the union
+    of the fibres h^-1(q_k) over the ``q`` in ``p`` that start with h(P).
+    Representation holds iff the two rows agree for every P; where they
+    differ, row - allowed fails forward and allowed - row fails backward.  Only
+    a prefix with a non-empty row or a non-empty allowed row can differ: the
+    first kind are the keys of the system's cached rows, the second lie in the
+    product of fibres of a prefix of some ``q``.  Each prefix checked has a
+    tuple in ``r`` or a preimage in ``p``, so the cost is O(|r| + |p|) set
+    work plus those prefixes, never |objects|^k.  The rows are grouped once
+    per system and shared by every algorithm.  Counterexamples come out
+    sorted by tuple, which is the order of a walk over the product of the
+    sorted object set.
     """
     _check_algorithm(system, observations, algorithm)
     h = algorithm.mapping.__getitem__
     fibres: dict = {v: [] for v in observations.observations}
-    for x in sorted(system.objects):
+    for x in system.objects:
         fibres[h(x)].append(x)
     counterexamples = []
     for r_name in sorted(algorithm.relation_pairing):
-        r = system.relations[r_name]
-        p = observations.relations[algorithm.relation_pairing[r_name]]
-        failures = [(t, "forward") for t in r if tuple(map(h, t)) not in p]
-        preimages = sum(math.prod(len(fibres[v]) for v in q) for q in p)
-        if preimages != len(r) - len(failures):
-            failures += [(t, "backward") for q in p
-                         for t in itertools.product(*map(fibres.__getitem__, q)) if t not in r]
+        rows = system._rows[r_name]
+        allowed = collections.defaultdict(set)
+        for q in observations.relations[algorithm.relation_pairing[r_name]]:
+            if fibres[q[-1]]:
+                allowed[q[:-1]].update(fibres[q[-1]])
+        failures = []
+        for prefix, row in rows.items():
+            ok = allowed.get(tuple(map(h, prefix)), frozenset())
+            if row != ok:
+                failures += [(prefix + (x,), "forward") for x in row - ok]
+                failures += [(prefix + (x,), "backward") for x in ok - row]
+        for key, ok in allowed.items():
+            products = itertools.product(*map(fibres.__getitem__, key))
+            for prefix in itertools.filterfalse(rows.__contains__, products):
+                failures += [(prefix + (x,), "backward") for x in ok]
         counterexamples += [Counterexample(r_name, t, d) for t, d in sorted(failures)]
     return HomomorphismReport(not counterexamples, tuple(counterexamples))
 
@@ -406,6 +437,8 @@ def parse_system_file(text: str) -> SystemFixture:
         if head == "MAP":
             if len(tokens) != 2:
                 raise FixtureFormatError(f"line {lineno}: expected MAP <algorithm-name>")
+            if any(name == tokens[1] for name, _, _ in algorithms):
+                raise FixtureFormatError(f"line {lineno}: duplicate algorithm {tokens[1]!r}")
             algorithms.append((tokens[1], {}, {}))
             section = (head, algorithms[-1][1])
             continue

@@ -18,3 +18,5 @@ def test_quick_benchmark_agrees_with_every_oracle():
     assert done.returncode == 0, done.stdout + done.stderr
     summary = json.loads(done.stdout.splitlines()[-1])
     assert summary["correct"] is True
+    # A failed probe does not change the exit code, only its own stdout line.
+    assert [line for line in done.stdout.splitlines() if line.startswith("probe ")] == []

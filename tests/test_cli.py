@@ -228,6 +228,13 @@ class TestSystem:
         assert_domain_error_without_output(result)
         assert "must pair every object relation" in result.stderr
 
+    @pytest.mark.parametrize("args", [[], ["--alg", "m"]])
+    def test_verify_without_algorithms_is_domain_error(self, runner, tmp_path, args):
+        path = write(tmp_path / "bare.obs", "OBJECTS\na\nOBSERVATIONS\nx\n")
+        result = runner.invoke(cli, ["system", "verify", path, *args])
+        assert_domain_error_without_output(result)
+        assert result.stderr == "Error: no algorithms in fixture\n"
+
     def test_classify_relabelled_twelve_value_scales(self, runner, tmp_path):
         path = write(tmp_path / "shelf.obs", weighed_shelf_text())
         assert runner.invoke(cli, ["system", "verify", path]).output.splitlines() == [

@@ -1,8 +1,10 @@
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -208,6 +210,32 @@ def brute_verify_representation(system, observations, algorithm):
     return core.HomomorphismReport(not counterexamples, tuple(counterexamples))
 
 
+def preimage_verify_representation(system, observations, algorithm):
+    """Reference check: walk ``r``, and the fibre products of ``p`` only when needed.
+
+    A tuple of ``r`` fails forward when its image is not in ``p``.  The fibre
+    products of the tuples of ``p`` are disjoint and hold every preimage, so
+    they are walked for backward failures only when their total size differs
+    from the number of tuples of ``r`` that pass forward.
+    """
+    core._check_algorithm(system, observations, algorithm)
+    h = algorithm.mapping.__getitem__
+    fibres = {v: [] for v in observations.observations}
+    for x in sorted(system.objects):
+        fibres[h(x)].append(x)
+    counterexamples = []
+    for r_name in sorted(algorithm.relation_pairing):
+        r = system.relations[r_name]
+        p = observations.relations[algorithm.relation_pairing[r_name]]
+        failures = [(t, "forward") for t in r if tuple(map(h, t)) not in p]
+        preimages = sum(math.prod(len(fibres[v]) for v in q) for q in p)
+        if preimages != len(r) - len(failures):
+            failures += [(t, "backward") for q in p
+                         for t in itertools.product(*map(fibres.__getitem__, q)) if t not in r]
+        counterexamples += [core.Counterexample(r_name, t, d) for t, d in sorted(failures)]
+    return core.HomomorphismReport(not counterexamples, tuple(counterexamples))
+
+
 RANDOM_SHAPES = ("image", "drop", "add", "mixed", "empty_r", "empty_p")
 
 
@@ -298,6 +326,86 @@ class TestPreimageWalkAgreesWithProductWalk:
             (("o00001", "o00000"), "backward"),
             (("o00001", "o00001"), "backward"),
         ]
+
+
+def block_case(rng, n, k, perturb):
+    """One k-ary relation on n objects, a union of class blocks, and a map.
+
+    The map cuts each class into buckets, so it is valid until ``perturb``
+    objects are moved to another class's value and, when perturbed, a few
+    tuples of ``p`` are dropped and a few added over every value, including
+    two values outside the image.
+    """
+    classes = rng.randint(2, 5)
+    objects = [f"o{i}" for i in range(n)]
+    cls = {x: rng.randrange(classes) for x in objects}
+    blocks = {b for b in itertools.product(range(classes), repeat=k) if rng.random() < 0.3}
+    r = {t for t in itertools.product(objects, repeat=k) if tuple(cls[x] for x in t) in blocks}
+    mapping = {x: f"v{cls[x]}_{rng.randrange(3)}" for x in objects}
+    values = sorted(set(mapping.values()) | {"w0", "w1"})
+    for x in rng.sample(objects, perturb):
+        mapping[x] = rng.choice([v for v in values if not v.startswith(f"v{cls[x]}_")])
+    home = {v: int(v[1:].split("_")[0]) for v in values if v.startswith("v")}
+    p = {q for q in itertools.product(values, repeat=k)
+         if all(v in home for v in q) and tuple(home[v] for v in q) in blocks}
+    if perturb:
+        p = {q for q in p if rng.random() < 0.95}
+        p |= {tuple(rng.choice(values) for _ in range(k)) for _ in range(5)}
+    system = ObjectSystem(frozenset(objects), {"r": r}, {"r": k})
+    obs = ObservationSystem(frozenset(values), {"p": p}, {"p": k})
+    return system, obs, ObservationAlgorithm("h", mapping, {"r": "p"})
+
+
+def merged_chain(n):
+    """A chain through n objects, and a map that merges its first two."""
+    objects = [f"o{i:05d}" for i in range(n)]
+    chain = set(zip(objects, objects[1:]))
+    merged = {x: f"v{i:05d}" for i, x in enumerate(objects)}
+    merged[objects[1]] = merged[objects[0]]
+    obs = ObservationSystem(frozenset(merged.values()),
+                            {"succ": {(merged[x], merged[y]) for x, y in chain}})
+    return (ObjectSystem(frozenset(objects), {"next": chain}), obs,
+            ObservationAlgorithm("merge", merged, {"next": "succ"}))
+
+
+class TestRowCheckAgreesWithPreimageWalk:
+    """Sizes the product walk cannot reach, against the preimage-count walk."""
+
+    @pytest.mark.parametrize("k, lo, hi, cases", [(2, 60, 200, 24), (3, 20, 40, 12)])
+    def test_seeded_block_systems(self, k, lo, hi, cases):
+        rng = random.Random(11 * k)
+        outcomes = Counter()
+        for i in range(cases):
+            system, obs, alg = block_case(rng, rng.randint(lo, hi), k, perturb=i % 3)
+            report = core.verify_representation(system, obs, alg)
+            assert report == preimage_verify_representation(system, obs, alg)
+            outcomes[frozenset(c.direction for c in report.counterexamples)] += 1
+        assert outcomes[frozenset()] >= cases // 3
+        assert outcomes[frozenset({"forward", "backward"})] >= 2
+
+    def test_cached_rows_are_not_mutated(self):
+        system, obs, alg_a = block_case(random.Random(5), 80, 2, perturb=2)
+        copy = ObjectSystem(frozenset(system.objects),
+                            {"r": set(system.relations["r"])}, {"r": 2})
+        alg_b = ObservationAlgorithm("b", dict.fromkeys(system.objects, "w0"), {"r": "p"})
+        first = core.verify_representation(system, obs, alg_a)
+        assert not first.holds
+        assert not core.verify_representation(system, obs, alg_b).holds
+        assert core.verify_representation(system, obs, alg_a) == first
+        assert system == copy
+        assert system._rows == copy._rows
+
+    def test_memory_grows_linearly_with_the_chain(self):
+        peaks = []
+        for n in (10_000, 40_000):
+            system, obs, alg = merged_chain(n)
+            tracemalloc.start()
+            try:
+                assert len(core.verify_representation(system, obs, alg).counterexamples) == 4
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 6 * peaks[0]
 
 
 class TestVerifyRepresentation:
@@ -597,6 +705,7 @@ FIXTURE_ERRORS = [
     ("OBSERVATIONS\nRELATION p/1\nRELATION p/2", "line 3: duplicate relation 'p'"),
     ("MAP", "line 1: expected MAP <algorithm-name>"),
     ("MAP m n", "line 1: expected MAP <algorithm-name>"),
+    ("MAP m\nMAP n\nMAP m", "line 3: duplicate algorithm 'm'"),
     ("OBJECTS\nPAIR", "line 2: PAIR before any MAP section"),
     ("# note\n\na b", "line 3: data before any section header"),
     ("OBJECTS\na b\nRELATION r/2\na", "line 4: relation 'r' has arity 2, got 1 tokens"),
