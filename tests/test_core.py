@@ -273,6 +273,8 @@ def random_representation_case(rng, shape):
 
 
 class TestPreimageWalkAgreesWithProductWalk:
+    """``verify_representation`` against the walk over every tuple."""
+
     def test_every_map_of_the_exhaustive_corpus(self):
         compared = 0
         for system, algorithms in oracle_corpus():
@@ -342,12 +344,11 @@ def block_case(rng, n, k, perturb):
     blocks = {b for b in itertools.product(range(classes), repeat=k) if rng.random() < 0.3}
     r = {t for t in itertools.product(objects, repeat=k) if tuple(cls[x] for x in t) in blocks}
     mapping = {x: f"v{cls[x]}_{rng.randrange(3)}" for x in objects}
-    values = sorted(set(mapping.values()) | {"w0", "w1"})
+    home = {v: cls[x] for x, v in mapping.items()}
+    values = sorted(home) + ["w0", "w1"]
     for x in rng.sample(objects, perturb):
-        mapping[x] = rng.choice([v for v in values if not v.startswith(f"v{cls[x]}_")])
-    home = {v: int(v[1:].split("_")[0]) for v in values if v.startswith("v")}
-    p = {q for q in itertools.product(values, repeat=k)
-         if all(v in home for v in q) and tuple(home[v] for v in q) in blocks}
+        mapping[x] = rng.choice([v for v in values if home.get(v) != cls[x]])
+    p = {q for q in itertools.product(home, repeat=k) if tuple(map(home.get, q)) in blocks}
     if perturb:
         p = {q for q in p if rng.random() < 0.95}
         p |= {tuple(rng.choice(values) for _ in range(k)) for _ in range(5)}
