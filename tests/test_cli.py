@@ -490,6 +490,49 @@ class TestGraphSearchPins:
         )
 
 
+MOTIF_GRAPHS = {
+    # A 6-cycle with the chord 0-3: bipartite, so no class with a triangle.
+    "triangle_free": graph_text(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)]),
+    "k5": graph_text(5, [(u, v) for v in range(5) for u in range(v)]),
+    "k3": graph_text(3, [(0, 1), (1, 2), (0, 2)]),
+    "p2": graph_text(2, [(0, 1)]),
+    "g12": graph_text(12, seeded_pairs(random.Random(12), 12, 0.35)),
+}
+
+
+class TestMotifCensusPins:
+    """Exact stdout of `graph motifs` on undirected graphs, as recorded before the construction."""
+
+    @pytest.mark.parametrize("name, args, expected", [
+        ("triangle_free", ["-k", "3"], "B?\t2\tNA\nB_\t8\tNA\nBo\t10\tNA\n"),
+        ("triangle_free", ["-k", "4"],
+         "CK\t1\tNA\nC]\t2\tNA\nCk\t6\tNA\nCo\t4\tNA\nCs\t2\tNA\n"),
+        ("k5", ["-k", "3"], "Bw\t10\tNA\n"),
+        ("k5", ["-k", "4"], "C~\t5\tNA\n"),
+        ("k3", ["-k", "3"], "Bw\t1\tNA\n"),
+        ("k3", ["-k", "4"], ""),
+        ("p2", ["-k", "3"], ""),
+        ("p2", ["-k", "4"], ""),
+        ("g12", ["-k", "3"], "B?\t57\tNA\nB_\t111\tNA\nBo\t47\tNA\nBw\t5\tNA\n"),
+        ("g12", ["-k", "4"],
+         "C?\t24\tNA\nCK\t52\tNA\nC]\t5\tNA\nC_\t128\tNA\nCk\t83\tNA\nCo\t144\tNA\n"
+         "Cs\t17\tNA\nCw\t21\tNA\nC{\t18\tNA\nC}\t3\tNA\n"),
+        ("triangle_free", ["-k", "4", "--significance", "2", "--seed", "3"],
+         "CK\t1\t3.500000\nC]\t2\t0.000000\nCk\t6\t5.500000\nCo\t4\t1.500000\n"
+         "Cs\t2\t0.000000\n"),
+        ("g12", ["-k", "3", "--significance", "4", "--seed", "9"],
+         "B?\t57\t57.250000\nB_\t111\t110.250000\nBo\t47\t47.750000\nBw\t5\t4.750000\n"),
+        ("g12", ["-k", "4", "--significance", "2", "--seed", "3"],
+         "C?\t24\t19.000000\nCK\t52\t62.500000\nC]\t5\t2.500000\nC_\t128\t135.500000\n"
+         "Ck\t83\t69.000000\nCo\t144\t139.500000\nCs\t17\t8.500000\nCw\t21\t30.500000\n"
+         "C{\t18\t23.500000\nC}\t3\t4.500000\n"),
+    ])
+    def test_census_stdout(self, runner, tmp_path, name, args, expected):
+        path = write(tmp_path / f"{name}.g", MOTIF_GRAPHS[name])
+        result = runner.invoke(cli, ["graph", "motifs", path] + args)
+        assert (result.exit_code, result.output) == (0, expected)
+
+
 class TestAutomaton:
     def test_state_space(self, runner, tmp_path):
         path = write(tmp_path / "m.aut", "s0 -> s1\ns1 -> s2\ns2 -> s0\n")

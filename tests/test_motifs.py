@@ -313,7 +313,59 @@ class TestCensusOracle:
                 list(oracle_census(g, k).items())
 
 
+# Reference rewiring for ``_rewired_copy``: one double-edge-swap attempt per
+# call, drawing from the generator in the same order.
+
+
+def _oracle_rewire_once(pairs, present, rng, directed):
+    i, j = rng.randrange(len(pairs)), rng.randrange(len(pairs))
+    if i == j:
+        return
+    a, b = pairs[i]
+    c, d = pairs[j]
+    if not directed and rng.random() < 0.5:
+        c, d = d, c
+    e1, e2 = (a, d), (c, b)
+    if not directed:
+        e1 = (min(e1), max(e1))
+        e2 = (min(e2), max(e2))
+    if a == d or c == b or e1 == e2 or e1 in present or e2 in present:
+        return
+    present.discard(pairs[i])
+    present.discard(pairs[j])
+    present.update((e1, e2))
+    pairs[i], pairs[j] = e1, e2
+
+
+def oracle_rewired_copy(g, rng):
+    directed = isinstance(g, Digraph)
+    pairs = sorted(g.arcs if directed else g.edges)
+    present = set(pairs)
+    for _ in range(motifs.REWIRE_ATTEMPTS_PER_EDGE * len(pairs)):
+        _oracle_rewire_once(pairs, present, rng, directed)
+    if directed:
+        return Digraph(g.n, frozenset(present), allow_self_loops=g.allow_self_loops)
+    return Graph(g.n, frozenset(present))
+
+
 class TestMotifSignificance:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_rewiring_matches_the_per_attempt_oracle(self, directed):
+        rng = random.Random(40 + directed)
+        for _ in range(12):
+            g = random_graph(rng, rng.randint(2, 14), rng.uniform(0.1, 0.7), directed,
+                             self_loops=directed and rng.random() < 0.5)
+            for seed in (0, 1, 7):
+                expected_rng, actual_rng = random.Random(seed), random.Random(seed)
+                expected = oracle_rewired_copy(g, expected_rng)
+                actual = motifs._rewired_copy(g, actual_rng)
+                assert actual == expected
+                if directed:
+                    assert list(actual.arcs) == list(expected.arcs)
+                else:
+                    assert list(actual.edges) == list(expected.edges)
+                assert actual_rng.getstate() == expected_rng.getstate()
+
     def test_zero_rewires_leaves_background_unavailable(self):
         g = Graph(4, {(0, 1), (1, 2), (2, 3)})
         census = motif_significance(g, 3, rewires=0, seed=1)
