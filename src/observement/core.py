@@ -60,9 +60,9 @@ def _normalise(kind: str, members, relations, arities) -> tuple:
     out_relations: dict[str, frozenset] = {}
     out_arities: dict[str, int] = {}
     for name, tuples in relations.items():
-        tuples = frozenset(tuple(t) for t in tuples)
+        tuples = frozenset(map(tuple, tuples))
         declared = arities.get(name)
-        seen = {len(t) for t in tuples}
+        seen = set(map(len, tuples))
         if len(seen) > 1:
             raise SystemDefinitionError(f"relation {name!r} mixes arities {sorted(seen)}")
         if seen:
@@ -238,6 +238,39 @@ def _check_algorithm(system: ObjectSystem, observations: ObservationSystem,
             )
 
 
+def _failures(system: ObjectSystem, observations: ObservationSystem,
+              algorithm: ObservationAlgorithm):
+    """Yield (relation, tuple, direction) for each tuple that breaks representation.
+
+    Relations come in sorted order, tuples within one relation unsorted.  The
+    rows are compared lazily, so a caller that needs only the verdict stops
+    at the first failure.
+    """
+    _check_algorithm(system, observations, algorithm)
+    h = algorithm.mapping.__getitem__
+    fibres: dict = {v: [] for v in observations.observations}
+    for x in system.objects:
+        fibres[h(x)].append(x)
+    for r_name in sorted(algorithm.relation_pairing):
+        rows = system._rows[r_name]
+        allowed = collections.defaultdict(set)
+        for q in observations.relations[algorithm.relation_pairing[r_name]]:
+            if fibres[q[-1]]:
+                allowed[q[:-1]].update(fibres[q[-1]])
+        for prefix, row in rows.items():
+            ok = allowed.get(tuple(map(h, prefix)), frozenset())
+            if row != ok:
+                for x in row - ok:
+                    yield r_name, prefix + (x,), "forward"
+                for x in ok - row:
+                    yield r_name, prefix + (x,), "backward"
+        for key, ok in allowed.items():
+            products = itertools.product(*map(fibres.__getitem__, key))
+            for prefix in itertools.filterfalse(rows.__contains__, products):
+                for x in ok:
+                    yield r_name, prefix + (x,), "backward"
+
+
 def verify_representation(system: ObjectSystem, observations: ObservationSystem,
                           algorithm: ObservationAlgorithm) -> HomomorphismReport:
     """Check the representation condition for one algorithm, exhaustively.
@@ -254,40 +287,21 @@ def verify_representation(system: ObjectSystem, observations: ObservationSystem,
     tuple in ``r`` or a preimage in ``p``, so the cost is O(|r| + |p|) set
     work plus those prefixes, never |objects|^k.  The rows are grouped once
     per system and shared by every algorithm.  Counterexamples come out
-    sorted by tuple, which is the order of a walk over the product of the
-    sorted object set.
+    sorted by relation, then tuple, which is the order of a walk over the
+    product of the sorted object set.
     """
-    _check_algorithm(system, observations, algorithm)
-    h = algorithm.mapping.__getitem__
-    fibres: dict = {v: [] for v in observations.observations}
-    for x in system.objects:
-        fibres[h(x)].append(x)
-    counterexamples = []
-    for r_name in sorted(algorithm.relation_pairing):
-        rows = system._rows[r_name]
-        allowed = collections.defaultdict(set)
-        for q in observations.relations[algorithm.relation_pairing[r_name]]:
-            if fibres[q[-1]]:
-                allowed[q[:-1]].update(fibres[q[-1]])
-        failures = []
-        for prefix, row in rows.items():
-            ok = allowed.get(tuple(map(h, prefix)), frozenset())
-            if row != ok:
-                failures += [(prefix + (x,), "forward") for x in row - ok]
-                failures += [(prefix + (x,), "backward") for x in ok - row]
-        for key, ok in allowed.items():
-            products = itertools.product(*map(fibres.__getitem__, key))
-            for prefix in itertools.filterfalse(rows.__contains__, products):
-                failures += [(prefix + (x,), "backward") for x in ok]
-        counterexamples += [Counterexample(r_name, t, d) for t, d in sorted(failures)]
-    return HomomorphismReport(not counterexamples, tuple(counterexamples))
+    counterexamples = tuple(
+        Counterexample(r_name, t, d)
+        for r_name, t, d in sorted(_failures(system, observations, algorithm))
+    )
+    return HomomorphismReport(not counterexamples, counterexamples)
 
 
 def _represents(system: ObjectSystem, observations: ObservationSystem,
                 algorithm: ObservationAlgorithm) -> bool:
     """Whether ``algorithm`` passes representation; a malformed one does not."""
     try:
-        return verify_representation(system, observations, algorithm).holds
+        return next(_failures(system, observations, algorithm), None) is None
     except SystemDefinitionError:
         return False
 

@@ -3,15 +3,19 @@
 A string motif is a token sequence: literal symbols, fixed-width wildcards
 written ``x(N)``, and classes written ``{A,B,C}`` that match any one of the
 listed symbols.  A network motif census buckets every k-vertex induced
-subgraph of a graph by its isomorphism class: it tallies the k-subsets per
-local adjacency mask, splitting the last vertex's candidates after each
-(k-1)-prefix by adjacency bitsets, then canonicalises each distinct mask
-once (the least mask over the k! local relabellings).  It can compare the
-counts against a degree-preserving rewiring null model.
+subgraph of a graph by its isomorphism class, named by its least local
+adjacency mask over the k! relabellings.  For an undirected graph the census
+is built: closed-form counts of each class as a subgraph, from degrees,
+codegrees and triangles, turned into induced counts by one inversion over a
+fixed table.  For a digraph it tallies the k-subsets per local mask,
+splitting the last vertex's candidates after each (k-1)-prefix by adjacency
+bitsets.  Classes come out in sorted identifier order.  The census can be
+compared against a degree-preserving rewiring null model.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -242,20 +246,112 @@ def _mask_identifier(mask: int, k: int, directed: bool) -> str:
     return _pack_graph6(k, [mask >> b & 1 for b in range(k * (k - 1) // 2)])
 
 
-def count_network_motifs(g, k: int) -> MotifCensus:
-    """Bucket all k-vertex induced subgraphs by canonical form.
+# The undirected classes on k vertices by canonical mask (bit b is cell b of
+# ``_cells``), most edges first.  Class G maps each class H with more edges to
+# s(G, H), the number of edge subsets of one labelled copy of H that are
+# copies of G, where that is not zero.  A literal, so importing costs nothing;
+# the tests rebuild it from ``_canonical_mask``.
+_SUBGRAPH_COPIES = {
+    3: {
+        0b111: {},  # triangle
+        0b011: {0b111: 3},  # path on 3 vertices
+        0b001: {0b111: 3, 0b011: 2},  # edge + vertex
+        0b000: {0b111: 1, 0b011: 1, 0b001: 1},  # empty
+    },
+    4: {
+        0b111111: {},  # K4
+        0b011111: {0b111111: 6},  # diamond
+        0b001111: {0b111111: 12, 0b011111: 4},  # paw
+        0b011110: {0b111111: 3, 0b011111: 1},  # 4-cycle
+        0b000111: {0b111111: 4, 0b011111: 2, 0b001111: 1},  # triangle + vertex
+        0b001011: {0b111111: 4, 0b011111: 2, 0b001111: 1},  # claw
+        0b001101: {0b111111: 12, 0b011111: 6, 0b001111: 2, 0b011110: 4},  # path on 4
+        0b000011: {0b111111: 12, 0b011111: 8, 0b001111: 5, 0b011110: 4,
+                   0b000111: 3, 0b001011: 3, 0b001101: 2},  # path on 3 + vertex
+        0b001100: {0b111111: 3, 0b011111: 2, 0b001111: 1, 0b011110: 2,
+                   0b001101: 1},  # two disjoint edges
+        0b000001: {0b111111: 6, 0b011111: 5, 0b001111: 4, 0b011110: 4, 0b000111: 3,
+                   0b001011: 3, 0b001101: 3, 0b000011: 2, 0b001100: 2},  # edge + 2 vertices
+        0b000000: {0b111111: 1, 0b011111: 1, 0b001111: 1, 0b011110: 1, 0b000111: 1,
+                   0b001011: 1, 0b001101: 1, 0b000011: 1, 0b001100: 1, 0b000001: 1},  # empty
+    },
+}
+
+
+def _subgraph_copies(g, k: int) -> dict:
+    """Copies of each undirected k-vertex class as a subgraph, induced or not.
+
+    Each count is a closed form in the degrees d, the edge count m, the
+    codegrees c(u, v) = |N(u) & N(v)| and the triangles through each vertex;
+    only K4 walks the common neighbours of each edge.  Needs n >= k.
+    """
+    rows, n, edges = g._masks[0], g.n, g.edges
+    degrees = [row.bit_count() for row in rows]
+    m = len(edges)
+    paths3 = sum(d * (d - 1) // 2 for d in degrees)
+    if k == 3:
+        triangles = sum((rows[u] & rows[v]).bit_count() for u, v in edges) // 3
+        return {0b111: triangles, 0b011: paths3, 0b001: m * (n - 2),
+                0b000: math.comb(n, 3)}
+    twice_at = [0] * n  # twice the triangles through each vertex
+    paths4 = diamonds = cliques = 0
+    for u, v in edges:
+        common = rows[u] & rows[v]
+        c = common.bit_count()
+        twice_at[u] += c
+        twice_at[v] += c
+        paths4 += (degrees[u] - 1) * (degrees[v] - 1)
+        diamonds += c * (c - 1) // 2
+        # Each K4 once, from its two least vertices: the edges among the
+        # common neighbours above v.
+        above = common >> v + 1 << v + 1
+        while above:
+            low = above & -above
+            above ^= low
+            cliques += (rows[low.bit_length() - 1] & above).bit_count()
+    triangles = sum(twice_at) // 6
+    squares = 0
+    for u in range(n):
+        row = rows[u]
+        for other in rows[u + 1:]:
+            c = (row & other).bit_count()
+            squares += c * (c - 1) // 2
+    return {
+        0b111111: cliques,
+        0b011111: diamonds,
+        0b001111: sum(t * (d - 2) for t, d in zip(twice_at, degrees)) // 2,
+        0b011110: squares // 2,
+        0b000111: triangles * (n - 3),
+        0b001011: sum(d * (d - 1) * (d - 2) // 6 for d in degrees),
+        0b001101: paths4 - 3 * triangles,
+        0b000011: paths3 * (n - 3),
+        0b001100: m * (m - 1) // 2 - paths3,
+        0b000001: m * math.comb(n - 2, 2),
+        0b000000: math.comb(n, 4),
+    }
+
+
+def _constructed_census(g, k: int) -> dict:
+    # Every induced copy of H holds s(G, H) copies of G, so from the most
+    # edges down: induced[G] = copies[G] - sum of s(G, H) * induced[H].
+    if g.n < k:
+        return {}
+    copies = _subgraph_copies(g, k)
+    induced: dict[int, int] = {}
+    for mask, containers in _SUBGRAPH_COPIES[k].items():
+        induced[mask] = copies[mask] - sum(s * induced[h] for h, s in containers.items())
+    return {_mask_identifier(mask, k, False): count for mask, count in induced.items() if count}
+
+
+def _tally_by_prefix(g, k: int) -> dict:
+    """Count the k-vertex induced subgraphs of any graph or digraph by identifier.
 
     Two passes: tally the k-subsets per local mask, then canonicalise and
     name each distinct mask once.  The tally walks the (k-1)-prefixes in
     combinations order; the candidates above a prefix's last vertex split by
     each cell with the new vertex into parts of equal mask, each counted by
-    its size.  Classes appear in the order of their first subset.  Counts sum
-    to C(n, k) and are invariant under vertex relabeling.
+    its size.
     """
-    if k not in CENSUS_CAPS:
-        raise MotifError(f"motif size must be one of {sorted(CENSUS_CAPS)}, got {k}")
-    if g.n > CENSUS_CAPS[k]:
-        raise CapExceeded(f"census for k={k} capped at {CENSUS_CAPS[k]} vertices, got {g.n}")
     directed = isinstance(g, Digraph)
     out_rows, in_rows = g._masks[0], g._masks[-1]
     loop_rows = (sum(1 << v for v in range(g.n) if out_rows[v] >> v & 1),) * g.n
@@ -295,49 +391,72 @@ def count_network_motifs(g, k: int) -> MotifCensus:
                 if inside != members:
                     split.append((members ^ inside, part_mask))
             parts = split
-        fresh = []
         for members, part_mask in parts:
-            if part_mask in tally:
-                tally[part_mask] += members.bit_count()
-            else:
-                fresh.append((members & -members, part_mask, members.bit_count()))
-        # Parts are disjoint, so adding new masks by least member keeps the
-        # tally in the order of each mask's first subset in combinations order.
-        for _, part_mask, count in sorted(fresh):
-            tally[part_mask] = count
+            tally[part_mask] = tally.get(part_mask, 0) + members.bit_count()
     counts: dict[str, int] = {}
     for mask, count in tally.items():
         identifier = _mask_identifier(_canonical_mask(mask, k, directed), k, directed)
         counts[identifier] = counts.get(identifier, 0) + count
-    return MotifCensus(k, counts)
+    return counts
 
 
-def _rewire_once(pairs: list, present: set, rng: random.Random, directed: bool) -> None:
-    i, j = rng.randrange(len(pairs)), rng.randrange(len(pairs))
-    if i == j:
-        return
-    a, b = pairs[i]
-    c, d = pairs[j]
-    if not directed and rng.random() < 0.5:
-        c, d = d, c
-    e1, e2 = (a, d), (c, b)
-    if not directed:
-        e1 = (min(e1), max(e1))
-        e2 = (min(e2), max(e2))
-    if a == d or c == b or e1 == e2 or e1 in present or e2 in present:
-        return
-    present.discard(pairs[i])
-    present.discard(pairs[j])
-    present.update((e1, e2))
-    pairs[i], pairs[j] = e1, e2
+def count_network_motifs(g, k: int) -> MotifCensus:
+    """Bucket all k-vertex induced subgraphs by canonical form.
+
+    An undirected census is built, not searched: closed-form counts of every
+    class as a subgraph, induced or not, converted to induced counts from the
+    most edges down.  A directed census tallies the subsets per local mask,
+    split per (k-1)-prefix.  Classes appear in sorted identifier order, and
+    only those that occur.  Counts sum to C(n, k) and are invariant under
+    vertex relabeling.
+    """
+    if k not in CENSUS_CAPS:
+        raise MotifError(f"motif size must be one of {sorted(CENSUS_CAPS)}, got {k}")
+    if g.n > CENSUS_CAPS[k]:
+        raise CapExceeded(f"census for k={k} capped at {CENSUS_CAPS[k]} vertices, got {g.n}")
+    if isinstance(g, Digraph):
+        counts = _tally_by_prefix(g, k)
+    else:
+        counts = _constructed_census(g, k)
+    return MotifCensus(k, dict(sorted(counts.items())))
 
 
 def _rewired_copy(g, rng: random.Random):
+    """A degree-preserving rewiring: repeated double edge swap attempts, 10 per edge.
+
+    Attempt: draw two pair indices, and for a graph a coin that flips the
+    second pair; swap their ends unless that makes a loop, a repeated pair or
+    a pair already present.
+    """
     directed = isinstance(g, Digraph)
     pairs = sorted(g.arcs if directed else g.edges)
     present = set(pairs)
-    for _ in range(REWIRE_ATTEMPTS_PER_EDGE * len(pairs)):
-        _rewire_once(pairs, present, rng, directed)
+    size = len(pairs)
+    randrange, coin = rng.randrange, rng.random
+    for _ in range(REWIRE_ATTEMPTS_PER_EDGE * size):
+        i = randrange(size)
+        j = randrange(size)
+        if i == j:
+            continue
+        a, b = pairs[i]
+        c, d = pairs[j]
+        if not directed and coin() < 0.5:
+            c, d = d, c
+        if a == d or c == b:
+            continue
+        e1, e2 = (a, d), (c, b)
+        if not directed:
+            if a > d:
+                e1 = (d, a)
+            if c > b:
+                e2 = (b, c)
+        if e1 == e2 or e1 in present or e2 in present:
+            continue
+        present.discard(pairs[i])
+        present.discard(pairs[j])
+        present.add(e1)
+        present.add(e2)
+        pairs[i], pairs[j] = e1, e2
     if directed:
         return Digraph(g.n, frozenset(present), allow_self_loops=g.allow_self_loops)
     return Graph(g.n, frozenset(present))

@@ -384,6 +384,22 @@ class TestRowCheckAgreesWithPreimageWalk:
         assert outcomes[frozenset()] >= cases // 3
         assert outcomes[frozenset({"forward", "backward"})] >= 2
 
+    def test_verdict_that_stops_early_agrees_with_the_full_report(self):
+        cases = [(system, obs, alg) for system, algorithms in oracle_corpus()
+                 for alg, obs in algorithms]
+        rng = random.Random(17)
+        cases += [block_case(rng, rng.randint(10, 30), k, perturb=i % 3)
+                  for k in (1, 2, 3) for i in range(6)]
+        verdicts = Counter()
+        for system, obs, alg in cases:
+            holds = core.verify_representation(system, obs, alg).holds
+            assert core._represents(system, obs, alg) == holds
+            verdicts[holds] += 1
+        assert min(verdicts[True], verdicts[False]) >= 20
+        system, obs, alg = cases[0]
+        partial = ObservationAlgorithm("partial", {}, alg.relation_pairing)
+        assert not core._represents(system, obs, partial)
+
     def test_cached_rows_are_not_mutated(self):
         system, obs, alg_a = block_case(random.Random(5), 80, 2, perturb=2)
         copy = ObjectSystem(frozenset(system.objects),

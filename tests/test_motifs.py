@@ -286,20 +286,20 @@ class TestCensusOracle:
         for n in range(6):
             for g in all_graphs(n):
                 assert list(count_network_motifs(g, k).counts.items()) == \
-                    list(oracle_census(g, k).items())
+                    sorted(oracle_census(g, k).items())
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_every_digraph_with_self_loops_on_at_most_three_vertices(self, k):
         for n in range(4):
             for g in all_digraphs(n, self_loops=True):
                 assert list(count_network_motifs(g, k).counts.items()) == \
-                    list(oracle_census(g, k).items())
+                    sorted(oracle_census(g, k).items())
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_every_loopless_digraph_on_four_vertices(self, k):
         for g in all_digraphs(4, self_loops=False):
             assert list(count_network_motifs(g, k).counts.items()) == \
-                list(oracle_census(g, k).items())
+                sorted(oracle_census(g, k).items())
 
     @pytest.mark.parametrize("directed, self_loops",
                              [(False, False), (True, False), (True, True)])
@@ -310,7 +310,31 @@ class TestCensusOracle:
             n = rng.randint(6, largest)
             g = random_graph(rng, n, rng.uniform(0.05, 0.6), directed, self_loops)
             assert list(count_network_motifs(g, k).counts.items()) == \
-                list(oracle_census(g, k).items())
+                sorted(oracle_census(g, k).items())
+
+    @pytest.mark.parametrize("density", [0, 0.05, 0.3, 0.9, 1])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_construction_matches_the_prefix_split_up_to_the_cap(self, k, density):
+        rng = random.Random(k * 10 + int(density * 100))
+        cap = motifs.CENSUS_CAPS[k]
+        for n in (0, k - 1, k, k + 2, rng.randint(k + 3, cap - 1), cap):
+            g = random_graph(rng, n, density)
+            assert list(count_network_motifs(g, k).counts.items()) == \
+                sorted(motifs._tally_by_prefix(g, k).items())
+
+    def test_subgraph_copy_table_rebuilds_from_canonical_masks(self):
+        for k in (3, 4):
+            cells = k * (k - 1) // 2
+            classes = sorted({motifs._canonical_mask(mask, k, False) for mask in range(1 << cells)},
+                             key=lambda mask: (-mask.bit_count(), mask))
+            table = {mask: {} for mask in classes}
+            for container in classes:
+                for mask in range(1 << cells):
+                    inner = motifs._canonical_mask(mask, k, False)
+                    if mask & ~container == 0 and inner != container:
+                        table[inner][container] = table[inner].get(container, 0) + 1
+            assert list(motifs._SUBGRAPH_COPIES[k]) == classes
+            assert motifs._SUBGRAPH_COPIES[k] == table
 
 
 # Reference rewiring for ``_rewired_copy``: one double-edge-swap attempt per
