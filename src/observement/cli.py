@@ -202,13 +202,11 @@ def graph():
 def graph_convert(graph_file, target):
     """Re-express a graph file as edges, adjlist, matrix, or g6 text."""
     g = graphs.parse_graph_text(_read(graph_file))
-    if target == "g6":
-        click.echo(graphs.convert(g, "g6"))
-        return
     formatters = {
         "edges": graphs.format_graph_file,
         "adjlist": graphs.format_adjacency_text,
         "matrix": graphs.format_matrix_text,
+        "g6": lambda g: graphs.encode_graph6(g) + "\n",
     }
     click.echo(formatters[target](g), nl=False)
 

@@ -1,10 +1,10 @@
 """Genealogical digraphs: parent-to-child arcs plus symmetric partner edges.
 
-Graphs are assembled with the constructors below (single persons, joins,
-edge additions, disjoint unions) and are immutable afterwards, so completed
-graphs can be queried concurrently.  Parent arcs must stay acyclic: nobody is
-their own ancestor.  Partner edges are stored as unordered pairs to reflect
-the symmetry of the relationship.
+Graphs are read from a kinship file or built from a list of operations, and
+are immutable afterwards, so completed graphs can be queried concurrently.
+Parent arcs must stay acyclic, so nobody is their own ancestor, and nobody
+has more than two parents.  Partner edges are stored as unordered pairs to
+reflect the symmetry of the relationship.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class KinshipGraph:
     parent_arcs: frozenset = frozenset()
     partner_edges: frozenset = frozenset()
     labels: dict = field(default_factory=dict)
-    enforce_parent_limit: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "persons", frozenset(self.persons))
@@ -64,12 +63,11 @@ class KinshipGraph:
         for person in self.labels:
             if person not in self.persons:
                 raise KinshipError(f"label for unknown person {person!r}")
-        if self.enforce_parent_limit:
-            parent_count: dict = {}
-            for _, child in arcs:
-                parent_count[child] = parent_count.get(child, 0) + 1
-                if parent_count[child] > 2:
-                    raise KinshipError(f"{child!r} has more than two parents")
+        parent_count: dict = {}
+        for _, child in arcs:
+            parent_count[child] = parent_count.get(child, 0) + 1
+            if parent_count[child] > 2:
+                raise KinshipError(f"{child!r} has more than two parents")
         cycle = first_cycle(self._children)
         if cycle:
             raise KinshipError("parent arcs form a cycle: " + " -> ".join(cycle))
@@ -95,63 +93,7 @@ class KinshipGraph:
 # --- constructors -----------------------------------------------------------
 
 
-def singleton(name: str, label: str | None = None) -> KinshipGraph:
-    """A single person and no edges."""
-    labels = {name: label} if label is not None else {}
-    return KinshipGraph(frozenset({name}), labels=labels)
-
-
-def disjoint_union(g1: KinshipGraph, g2: KinshipGraph) -> KinshipGraph:
-    shared = g1.persons & g2.persons
-    if shared:
-        raise KinshipError(f"disjoint union requires distinct persons; shared: {sorted(shared)}")
-    return KinshipGraph(
-        g1.persons | g2.persons,
-        g1.parent_arcs | g2.parent_arcs,
-        g1.partner_edges | g2.partner_edges,
-        {**g1.labels, **g2.labels},
-        enforce_parent_limit=g1.enforce_parent_limit and g2.enforce_parent_limit,
-    )
-
-
-def add_parent_arc(g: KinshipGraph, parent: str, child: str) -> KinshipGraph:
-    if (parent, child) in g.parent_arcs:
-        raise KinshipError(f"duplicate arc ({parent},{child})")
-    return KinshipGraph(
-        g.persons, g.parent_arcs | {(parent, child)}, g.partner_edges, g.labels,
-        enforce_parent_limit=g.enforce_parent_limit,
-    )
-
-
-def add_partnership(g: KinshipGraph, a: str, b: str) -> KinshipGraph:
-    if frozenset({a, b}) in g.partner_edges:
-        raise KinshipError(f"duplicate partner edge {{{a},{b}}}")
-    return KinshipGraph(
-        g.persons, g.parent_arcs, g.partner_edges | {frozenset({a, b})}, g.labels,
-        enforce_parent_limit=g.enforce_parent_limit,
-    )
-
-
-def join_with_parent_arc(g1: KinshipGraph, parent: str, g2: KinshipGraph,
-                         child: str) -> KinshipGraph:
-    """Connect two separate graphs by a parent-to-child arc."""
-    if parent not in g1.persons:
-        raise KinshipError(f"unknown person {parent!r} in first graph")
-    if child not in g2.persons:
-        raise KinshipError(f"unknown person {child!r} in second graph")
-    return add_parent_arc(disjoint_union(g1, g2), parent, child)
-
-
-def join_with_partnership(g1: KinshipGraph, a: str, g2: KinshipGraph, b: str) -> KinshipGraph:
-    """Connect two separate graphs by a partner edge."""
-    if a not in g1.persons:
-        raise KinshipError(f"unknown person {a!r} in first graph")
-    if b not in g2.persons:
-        raise KinshipError(f"unknown person {b!r} in second graph")
-    return add_partnership(disjoint_union(g1, g2), a, b)
-
-
-def build(operations, enforce_parent_limit: bool = True) -> KinshipGraph:
+def build(operations) -> KinshipGraph:
     """Assemble a graph from a sequence of operations.
 
     Operations: ``("person", name)`` or ``("person", name, label)`` declares
@@ -184,8 +126,7 @@ def build(operations, enforce_parent_limit: bool = True) -> KinshipGraph:
                 partners.add(frozenset({a, b}))
         else:
             raise KinshipError(f"unknown operation {kind!r}")
-    return KinshipGraph(persons, arcs, partners, labels,
-                        enforce_parent_limit=enforce_parent_limit)
+    return KinshipGraph(persons, arcs, partners, labels)
 
 
 # --- queries ----------------------------------------------------------------
@@ -212,12 +153,6 @@ def descendants(g: KinshipGraph, person: str) -> set:
     """Everyone reachable from ``person`` along parent-to-child arcs, exclusive."""
     _check_person(g, person)
     return _reachable(person, g._children) - {person}
-
-
-def ancestors(g: KinshipGraph, person: str) -> set:
-    """Everyone from whom ``person`` is reachable along parent-to-child arcs, exclusive."""
-    _check_person(g, person)
-    return _reachable(person, g._parents) - {person}
 
 
 def query(g: KinshipGraph, relation: str, u: str, v: str) -> bool:
@@ -251,22 +186,6 @@ def query(g: KinshipGraph, relation: str, u: str, v: str) -> bool:
     if relation == "is_predecessor_of":
         return query(g, "is_descendant_of", v, u)
     raise KinshipError(f"unknown relation {relation!r}; choose from {', '.join(RELATIONS)}")
-
-
-def to_indented_text(g: KinshipGraph, root: str) -> str:
-    """Plain-text dump of the subtree below ``root``, two spaces per generation."""
-    _check_person(g, root)
-    lines: list[str] = []
-    # Children are pushed in reverse sorted order, so they pop in sorted order.
-    stack = [(root, 0)]
-    while stack:
-        person, depth = stack.pop()
-        label = g.labels.get(person)
-        text = f"{person} ({label})" if label else person
-        lines.append("  " * depth + text)
-        for child in sorted(g._children.get(person, ()), reverse=True):
-            stack.append((child, depth + 1))
-    return "\n".join(lines) + "\n"
 
 
 # --- file format --------------------------------------------------------------

@@ -44,8 +44,6 @@ class Graph:
 
     n: int
     edges: frozenset = frozenset()
-    labels: dict | None = None
-    edge_labels: dict | None = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -59,22 +57,6 @@ class Graph:
                 raise GraphError(f"edge ({u},{v}) out of range for n={self.n}")
             edges.add(_normalise_edge(u, v))
         object.__setattr__(self, "edges", frozenset(edges))
-        if self.labels is not None:
-            bad = [v for v in self.labels if not (0 <= v < self.n)]
-            if bad:
-                raise GraphError(f"labels reference unknown vertices {bad}")
-            object.__setattr__(self, "labels", dict(self.labels))
-        if self.edge_labels is not None:
-            norm = {}
-            for e, text in self.edge_labels.items():
-                e = _normalise_edge(*e)
-                if e not in self.edges:
-                    raise GraphError(f"edge label on missing edge {e}")
-                norm[e] = text
-            object.__setattr__(self, "edge_labels", norm)
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
     @functools.cached_property
     def _masks(self) -> tuple:
@@ -93,7 +75,6 @@ class Digraph:
     n: int
     arcs: frozenset = frozenset()
     allow_self_loops: bool = field(default=False, compare=False)
-    labels: dict | None = None
 
     def __post_init__(self):
         arcs = set()
@@ -106,17 +87,6 @@ class Digraph:
                 raise GraphError(f"arc ({u},{v}) out of range for n={self.n}")
             arcs.add((u, v))
         object.__setattr__(self, "arcs", frozenset(arcs))
-        if self.labels is not None:
-            bad = [v for v in self.labels if not (0 <= v < self.n)]
-            if bad:
-                raise GraphError(f"labels reference unknown vertices {bad}")
-            object.__setattr__(self, "labels", dict(self.labels))
-
-    def out_degree(self, v: int) -> int:
-        return sum(1 for a in self.arcs if a[0] == v)
-
-    def in_degree(self, v: int) -> int:
-        return sum(1 for a in self.arcs if a[1] == v)
 
     @functools.cached_property
     def _masks(self) -> tuple:
@@ -191,21 +161,6 @@ def from_adjacency_matrix(matrix: Sequence, directed: bool = False, **kwargs):
     return from_edge_list(n, pairs, directed, **kwargs)
 
 
-def convert(g, target: str):
-    """Dispatch to a representation: 'edges', 'adjlist', 'matrix', or 'g6'."""
-    if target == "edges":
-        return to_edge_list(g)
-    if target == "adjlist":
-        return to_adjacency_list(g)
-    if target == "matrix":
-        return to_adjacency_matrix(g)
-    if target == "g6":
-        if not isinstance(g, Graph):
-            raise GraphError("graph6 encodes undirected graphs only")
-        return encode_graph6(g)
-    raise GraphError(f"unknown representation {target!r}")
-
-
 # --- graph6 -------------------------------------------------------------------
 #
 # Short form only: one size byte (n + 63, n <= 62), then the upper triangle of
@@ -232,6 +187,8 @@ def _pack_graph6(n: int, bits: Sequence) -> str:
 
 def encode_graph6(g: Graph) -> str:
     """Encode an undirected graph in graph6 text (short form, n <= 62)."""
+    if not isinstance(g, Graph):
+        raise GraphError("graph6 encodes undirected graphs only")
     if g.n > GRAPH6_MAX_N:
         raise GraphError(f"graph6 short form supports at most {GRAPH6_MAX_N} vertices, got {g.n}")
     bits = [1 if (i, j) in g.edges else 0 for i, j in _triangle_pairs(g.n)]

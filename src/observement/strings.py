@@ -1,10 +1,10 @@
 """Restricted BNF grammars over single-character alphabets.
 
 Supports concatenation, alternation with ``|``, and one-or-more repetition
-with a postfix ``+``.  That is enough for path languages, event-recording
-languages, and body-plan templates, while keeping membership decidable by a
-memoized top-down parse: alternatives may not be empty, so every item
-consumes at least one symbol, and left recursion is rejected up front.
+with a postfix ``+``.  That is enough for path languages and body-plan
+templates, while keeping membership decidable by a memoized top-down parse:
+alternatives may not be empty, so every item consumes at least one symbol,
+and left recursion is rejected up front.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ DEFAULT_GENERATE_CAP = 100_000
 
 class GrammarError(ObservementError):
     """Grammar source is malformed or violates the restrictions."""
-
-
-class SemanticsError(ObservementError):
-    """Event semantics are not a bijection or an event key is unknown."""
 
 
 @dataclass(frozen=True)
@@ -48,19 +44,6 @@ class Grammar:
     nonterminals: frozenset
     rules: dict  # name -> tuple of alternatives, each a tuple of items
     start: str
-
-
-@dataclass(frozen=True)
-class EventSemantics:
-    """Invertible assignment of alphabet symbols to event keys."""
-
-    key_to_symbol: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "key_to_symbol", dict(self.key_to_symbol))
-        symbols = list(self.key_to_symbol.values())
-        if len(set(symbols)) != len(symbols):
-            raise SemanticsError("event semantics must be a bijection; duplicate symbols found")
 
 
 # --- grammar source ---------------------------------------------------------
@@ -355,46 +338,3 @@ def generate(grammar: Grammar, max_len: int, cap: int = DEFAULT_GENERATE_CAP) ->
                     raise CapExceeded(f"generation explored more than {form_cap} forms")
                 queue.append(nxt)
     return sorted(results, key=lambda t: (len(t), t))
-
-
-# --- event recording --------------------------------------------------------
-
-
-def record_behavior(events, semantics: EventSemantics) -> str:
-    """Turn an ordered sequence of event keys into its symbol string.
-
-    Position i of the output is the symbol for events[i], so recording
-    commutes with concatenation of event sequences.
-    """
-    out = []
-    for index, key in enumerate(events):
-        try:
-            out.append(semantics.key_to_symbol[key])
-        except KeyError:
-            raise SemanticsError(f"unknown event key {key!r} at index {index}") from None
-    return "".join(out)
-
-
-def relabel_terminals(grammar: Grammar, mapping: dict) -> Grammar:
-    """Rewrite every terminal through a bijection; the language relabels with it."""
-    if set(mapping) != set(grammar.terminals):
-        raise GrammarError("relabeling must cover exactly the grammar's terminals")
-    if len(set(mapping.values())) != len(mapping):
-        raise GrammarError("relabeling must be a bijection")
-
-    def rewrite(item):
-        if isinstance(item, Terminal):
-            return Terminal(mapping[item.symbol])
-        if isinstance(item, OneOrMore):
-            return OneOrMore(rewrite(item.item))
-        return item
-
-    return Grammar(
-        terminals=frozenset(mapping.values()),
-        nonterminals=grammar.nonterminals,
-        rules={
-            name: tuple(tuple(rewrite(i) for i in alt) for alt in alts)
-            for name, alts in grammar.rules.items()
-        },
-        start=grammar.start,
-    )

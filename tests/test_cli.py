@@ -165,6 +165,13 @@ def weighed_shelf_text():
     return "\n".join(lines) + "\n"
 
 
+# A graph with an isolated vertex and a digraph with a self-loop, for `graph convert`.
+CONVERT_INPUTS = {
+    "graph": "graph 5\n0 1\n1 2\n2 3\n0 3\n0 2\n",
+    "digraph": "digraph 3\n0 1\n1 1\n2 0\n1 2\n",
+}
+
+
 def assert_domain_error_without_output(result):
     assert result.exit_code == 1
     assert result.stdout == ""
@@ -403,27 +410,23 @@ class TestGraph:
         result = runner.invoke(cli, ["graph", "convert", path, "--to", "matrix"])
         assert result.output == "matrix 2\n01\n10\n"
 
-    # One graph with an isolated vertex and one digraph with a self-loop,
-    # each to every target.
-    @pytest.mark.parametrize("text, target, stdout", [
-        ("graph 5\n0 1\n1 2\n2 3\n0 3\n0 2\n", "edges",
-         "graph 5\n0 1\n0 2\n0 3\n1 2\n2 3\n"),
-        ("graph 5\n0 1\n1 2\n2 3\n0 3\n0 2\n", "adjlist",
-         "adjlist 5\n0: 1 2 3\n1: 0 2\n2: 0 1 3\n3: 0 2\n4:\n"),
-        ("graph 5\n0 1\n1 2\n2 3\n0 3\n0 2\n", "matrix",
-         "matrix 5\n01110\n10100\n11010\n10100\n00000\n"),
-        ("graph 5\n0 1\n1 2\n2 3\n0 3\n0 2\n", "g6", "D|?\n"),
-        ("digraph 3\n0 1\n1 1\n2 0\n1 2\n", "edges", "digraph 3\n0 1\n1 1\n1 2\n2 0\n"),
-        ("digraph 3\n0 1\n1 1\n2 0\n1 2\n", "adjlist", "dadjlist 3\n0: 1\n1: 1 2\n2: 0\n"),
-        ("digraph 3\n0 1\n1 1\n2 0\n1 2\n", "matrix", "dmatrix 3\n010\n011\n100\n"),
-    ])
-    def test_convert_stdout(self, runner, tmp_path, text, target, stdout):
-        path = write(tmp_path / "in.g", text)
+    @pytest.mark.parametrize("kind, target, stdout", [
+        ("graph", "edges", "graph 5\n0 1\n0 2\n0 3\n1 2\n2 3\n"),
+        ("graph", "adjlist", "adjlist 5\n0: 1 2 3\n1: 0 2\n2: 0 1 3\n3: 0 2\n4:\n"),
+        ("graph", "matrix", "matrix 5\n01110\n10100\n11010\n10100\n00000\n"),
+        ("graph", "g6", "D|?\n"),
+        ("digraph", "edges", "digraph 3\n0 1\n1 1\n1 2\n2 0\n"),
+        ("digraph", "adjlist", "dadjlist 3\n0: 1\n1: 1 2\n2: 0\n"),
+        ("digraph", "matrix", "dmatrix 3\n010\n011\n100\n"),
+    ], ids=["graph-edges", "graph-adjlist", "graph-matrix", "graph-g6", "digraph-edges",
+            "digraph-adjlist", "digraph-matrix"])
+    def test_convert_stdout(self, runner, tmp_path, kind, target, stdout):
+        path = write(tmp_path / "in.g", CONVERT_INPUTS[kind])
         result = runner.invoke(cli, ["graph", "convert", path, "--to", target])
         assert (result.exit_code, result.stdout, result.stderr) == (0, stdout, "")
 
     def test_convert_digraph_to_g6_is_domain_error(self, runner, tmp_path):
-        path = write(tmp_path / "in.g", "digraph 3\n0 1\n1 1\n2 0\n1 2\n")
+        path = write(tmp_path / "in.g", CONVERT_INPUTS["digraph"])
         result = runner.invoke(cli, ["graph", "convert", path, "--to", "g6"])
         assert_domain_error_without_output(result)
         assert result.stderr == "Error: graph6 encodes undirected graphs only\n"
@@ -643,7 +646,7 @@ class TestTree:
         ("a -> x\nb -> x\nc -> x\n",
          "Error: kinship file invalid: 'x' has more than two parents\n"),
         ("a <-> b\nb <-> a\n", "Error: kinship file invalid: duplicate partner edge {b,a}\n"),
-    ])
+    ], ids=["third-parent", "duplicate-partner"])
     def test_invalid_kinship_file_is_domain_error(self, runner, tmp_path, text, stderr):
         path = write(tmp_path / "bad.kin", text)
         result = runner.invoke(cli, ["tree", "descendants", path, "a"])

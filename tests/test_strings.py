@@ -2,17 +2,13 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from observement import strings
 from observement.errors import CapExceeded
 from observement.strings import (
-    EventSemantics,
     GrammarError,
     NonTerminal,
     OneOrMore,
-    SemanticsError,
     Terminal,
 )
 
@@ -287,51 +283,3 @@ class TestGenerate:
     def test_nonterminating_rule_defines_empty_language(self):
         grammar = strings.parse_grammar("<a> -> x <a>\n")
         assert strings.generate(grammar, 6) == []
-
-
-class TestRecordBehavior:
-    semantics = EventSemantics({"feed": "F", "groom": "G", "rest": "R"})
-
-    def test_empty_events(self):
-        assert strings.record_behavior([], self.semantics) == ""
-
-    def test_three_events_in_order(self):
-        assert strings.record_behavior(["feed", "rest", "groom"], self.semantics) == "FRG"
-
-    def test_unknown_key_reports_index(self):
-        with pytest.raises(SemanticsError, match="index 2"):
-            strings.record_behavior(["feed", "rest", "swim"], self.semantics)
-
-    def test_non_bijective_semantics_rejected(self):
-        with pytest.raises(SemanticsError, match="bijection"):
-            EventSemantics({"feed": "F", "eat": "F"})
-
-    @given(
-        st.lists(st.sampled_from(["feed", "groom", "rest"])),
-        st.lists(st.sampled_from(["feed", "groom", "rest"])),
-    )
-    def test_recording_commutes_with_concatenation(self, left, right):
-        sem = self.semantics
-        assert strings.record_behavior(left + right, sem) == (
-            strings.record_behavior(left, sem) + strings.record_behavior(right, sem)
-        )
-
-
-class TestRelabeling:
-    @settings(max_examples=25, deadline=None)
-    @given(st.permutations(["F", "L", "R", "T"]))
-    def test_relabeling_commutes_with_generate_and_membership(self, image):
-        turtle = strings.parse_grammar(TURTLE)
-        mapping = dict(zip(sorted(turtle.terminals), image))
-        relabeled = strings.relabel_terminals(turtle, mapping)
-        originals = strings.generate(turtle, 4)
-        translated = sorted(
-            ("".join(mapping[c] for c in s) for s in originals), key=lambda t: (len(t), t)
-        )
-        assert strings.generate(relabeled, 4) == translated
-        for s in originals:
-            assert strings.membership(relabeled, "".join(mapping[c] for c in s))
-
-    def test_non_bijection_rejected(self, turtle):
-        with pytest.raises(GrammarError, match="bijection"):
-            strings.relabel_terminals(turtle, {"F": "x", "L": "x", "R": "y", "T": "z"})

@@ -1,0 +1,128 @@
+"""The public surface: every public top-level name serves the CLI or a criterion.
+
+A reference closure over the package source starts from ``cli.py``, from
+``tests/test_acceptance.py`` and from the code each module runs on import.
+A reached definition reaches every module-level name its source mentions:
+in its own module, through an import, or as ``module.attribute``.  A class
+is reached whole, methods included.  The only public names it may leave
+unreached are the parser inverses kept as round-trip oracles.
+"""
+
+import ast
+from pathlib import Path
+
+import observement
+
+PACKAGE = Path(observement.__file__).resolve().parent
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+
+# Inverses of the fixture and kinship parsers: only tests call them.
+ROUND_TRIP_ORACLES = {"core.format_system_file", "familytree.format_kinship_file"}
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
+
+
+def _defined_names(statement):
+    if isinstance(statement, ast.Assign):
+        return [t.id for t in statement.targets if isinstance(t, ast.Name)]
+    if isinstance(statement, ast.AnnAssign):
+        return [statement.target.id] if isinstance(statement.target, ast.Name) else []
+    return [statement.name]
+
+
+def _package_module(node):
+    """The package module an import names ('' for the package itself), or None."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and node.module.split(".")[0] == "observement":
+        return node.module.partition(".")[2]
+    return None
+
+
+def _import_table(tree, modules):
+    """Local name -> a module name (str) or an imported (module, name) pair."""
+    table = {}
+    for node in ast.walk(tree):
+        source = _package_module(node) if isinstance(node, ast.ImportFrom) else None
+        if source is None:
+            continue
+        for alias in node.names:
+            local = alias.asname or alias.name
+            is_module = source == "" and alias.name in modules
+            table[local] = alias.name if is_module else (source or "__init__", alias.name)
+    return table
+
+
+class Package:
+    def __init__(self):
+        self.trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+        modules = set(self.trees)
+        self.imports = {m: _import_table(t, modules) for m, t in self.trees.items()}
+        self.definitions = {
+            m: {name: statement for statement in t.body if isinstance(statement, DEFINITIONS)
+                for name in _defined_names(statement)}
+            for m, t in self.trees.items()
+        }
+
+    def resolve(self, module, name):
+        """The (module, name) that defines ``name`` as seen from ``module``, or None."""
+        while True:
+            if name in self.definitions[module]:
+                return module, name
+            target = self.imports[module].get(name)
+            if not isinstance(target, tuple) or target[0] not in self.trees:
+                return None
+            module, name = target
+
+    def references(self, node, module, imports):
+        """Every package definition that ``node``'s source mentions."""
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found = None
+                if sub.id in self.definitions[module]:
+                    found = module, sub.id
+                elif isinstance(imports.get(sub.id), tuple):
+                    found = self.resolve(*imports[sub.id])
+                if found:
+                    yield found
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                target = imports.get(sub.value.id)
+                if isinstance(target, str) and target in self.trees:
+                    found = self.resolve(target, sub.attr)
+                    if found:
+                        yield found
+
+    def reached(self):
+        # Every definition of the CLI, and the code each module runs on import.
+        frontier = [("cli", name) for name in self.definitions["cli"]]
+        for module, tree in self.trees.items():
+            for statement in tree.body:
+                if not isinstance(statement, DEFINITIONS):
+                    frontier += self.references(statement, module, self.imports[module])
+        acceptance = ast.parse(ACCEPTANCE.read_text())
+        frontier += self.references(
+            acceptance, "__init__", _import_table(acceptance, set(self.trees)))
+        seen = set()
+        while frontier:
+            key = frontier.pop()
+            if key in seen:
+                continue
+            seen.add(key)
+            module, name = key
+            statement = self.definitions[module][name]
+            frontier += self.references(statement, module, self.imports[module])
+        return seen
+
+    def public(self):
+        return {
+            (module, name)
+            for module, names in self.definitions.items() if module != "__init__"
+            for name in names if not name.startswith("_")
+        }
+
+
+def test_only_the_round_trip_oracles_are_unreached():
+    package = Package()
+    unreached = package.public() - package.reached()
+    assert {f"{module}.{name}" for module, name in unreached} == ROUND_TRIP_ORACLES
+
