@@ -78,6 +78,27 @@ A_TO_B = [("person", "a"), ("person", "b"), ("arc", "a", "b")]
 
 
 class TestConstruction:
+    def test_singleton(self):
+        g = ft.build([("person", "ada", "Ada")])
+        assert g.persons == frozenset({"ada"})
+        assert g.parent_arcs == frozenset()
+        assert g.partner_edges == frozenset()
+        assert g.labels == {"ada": "Ada"}
+
+    def test_join_with_parent_arc(self):
+        g = ft.build([("person", "p"), ("person", "c"), ("arc", "p", "c")])
+        assert g.parent_arcs == frozenset({("p", "c")})
+        assert g.partner_edges == frozenset()
+
+    def test_join_with_partnership(self):
+        g = ft.build([("person", "a"), ("person", "b"), ("partner", "a", "b")])
+        assert g.partner_edges == frozenset({frozenset({"a", "b"})})
+        assert g.parent_arcs == frozenset()
+
+    def test_person_declared_twice_rejected(self):
+        with pytest.raises(KinshipError, match="^person 'x' declared twice$"):
+            ft.build([("person", "x"), ("person", "x")])
+
     def test_cycle_rejected(self):
         with pytest.raises(KinshipError, match="cycle"):
             ft.build(A_TO_B + [("arc", "b", "a")])
