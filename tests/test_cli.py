@@ -165,10 +165,13 @@ def weighed_shelf_text():
     return "\n".join(lines) + "\n"
 
 
-# A graph with an isolated vertex and a digraph with a self-loop, for `graph convert`.
+# A graph with an isolated vertex, and one digraph with a self-loop written in
+# each of the three digraph formats, for `graph convert`.
 CONVERT_INPUTS = {
     "graph": "graph 5\n0 1\n1 2\n2 3\n0 3\n0 2\n",
     "digraph": "digraph 3\n0 1\n1 1\n2 0\n1 2\n",
+    "dmatrix": "dmatrix 3\n010\n011\n100\n",
+    "dadjlist": "dadjlist 3\n0: 1\n1: 1 2\n2: 0\n",
 }
 
 
@@ -358,6 +361,22 @@ class TestTranslate:
         result = runner.invoke(cli, ["translate", gene_path, "--table", table_path])
         assert result.output.strip() == "MI"
 
+    def test_table_whose_start_codon_is_not_methionine(self, runner, tmp_path):
+        from observement.genetics import standard_table
+        table_text = standard_table().to_text().replace("atg\tM", "atg\tW")
+        table_path = write(tmp_path / "table.tsv", table_text)
+        gene_path = write(tmp_path / "gene.fa", "atgatctag\n")
+        result = runner.invoke(cli, ["translate", gene_path, "--table", table_path])
+        assert_domain_error_without_output(result)
+        assert result.stderr == "Error: start codon 'atg' must code for Methionine (M)\n"
+
+    def test_gene_without_start_codon(self, runner, tmp_path):
+        path = write(tmp_path / "gene.fa", ">alt\nttgaaatag\n")
+        result = runner.invoke(cli, ["translate", path])
+        assert_domain_error_without_output(result)
+        assert result.stderr == (
+            "Error: missing start codon: gene begins with 'ttg', expected 'atg'\n")
+
     def test_malformed_gene_is_domain_error(self, runner, tmp_path):
         path = write(tmp_path / "gene.fa", "atgta\n")
         result = runner.invoke(cli, ["translate", path])
@@ -418,8 +437,10 @@ class TestGraph:
         ("digraph", "edges", "digraph 3\n0 1\n1 1\n1 2\n2 0\n"),
         ("digraph", "adjlist", "dadjlist 3\n0: 1\n1: 1 2\n2: 0\n"),
         ("digraph", "matrix", "dmatrix 3\n010\n011\n100\n"),
+        ("dmatrix", "edges", "digraph 3\n0 1\n1 1\n1 2\n2 0\n"),
+        ("dadjlist", "edges", "digraph 3\n0 1\n1 1\n1 2\n2 0\n"),
     ], ids=["graph-edges", "graph-adjlist", "graph-matrix", "graph-g6", "digraph-edges",
-            "digraph-adjlist", "digraph-matrix"])
+            "digraph-adjlist", "digraph-matrix", "dmatrix-edges", "dadjlist-edges"])
     def test_convert_stdout(self, runner, tmp_path, kind, target, stdout):
         path = write(tmp_path / "in.g", CONVERT_INPUTS[kind])
         result = runner.invoke(cli, ["graph", "convert", path, "--to", target])
@@ -446,6 +467,39 @@ class TestGraph:
         result = runner.invoke(cli, ["graph", "sub", small, big])
         assert result.exit_code == 0
         assert len(result.output.splitlines()) == 3
+
+    @pytest.mark.parametrize("command, small, big, stdout", [
+        ("iso", "digraph 4\n0 0\n0 1\n1 2\n2 3\n3 3\n",
+         "digraph 4\n2 2\n2 0\n0 3\n3 1\n1 1\n", "0 2\n1 0\n2 3\n3 1\n"),
+        ("iso", "digraph 4\n0 0\n0 1\n1 2\n2 3\n3 3\n",
+         "digraph 4\n0 0\n0 1\n1 2\n2 3\n1 1\n", "none\n"),
+        ("sub", "digraph 2\n0 0\n0 1\n1 1\n",
+         "digraph 4\n0 0\n0 1\n1 2\n2 3\n1 1\n", "0 0\n1 1\n"),
+        ("sub", "digraph 2\n0 0\n0 1\n1 1\n",
+         "digraph 4\n2 2\n2 0\n0 3\n3 1\n1 1\n", "none\n"),
+    ], ids=["iso-witness", "iso-none", "sub-witness", "sub-none"])
+    def test_search_on_digraphs_with_self_loops(self, runner, tmp_path, command, small, big,
+                                                stdout):
+        small_path = write(tmp_path / "small.g", small)
+        big_path = write(tmp_path / "big.g", big)
+        result = runner.invoke(cli, ["graph", command, small_path, big_path])
+        assert (result.exit_code, result.stdout, result.stderr) == (0, stdout, "")
+
+    @pytest.mark.parametrize("args, backgrounds", [
+        ([], ["NA"] * 9),
+        (["--significance", "2", "--seed", "5"], ["0.000000", "0.500000"] + ["0.000000"] * 7),
+    ], ids=["census", "significance"])
+    def test_motif_census_of_a_digraph_with_self_loops(self, runner, tmp_path, args,
+                                                       backgrounds):
+        path = write(tmp_path / "loops.g",
+                     "digraph 5\n0 0\n0 1\n1 2\n2 0\n2 3\n3 3\n3 4\n4 1\n")
+        counts = [("d3:000001001", 1), ("d3:000001100", 1), ("d3:000001101", 1),
+                  ("d3:000010101", 2), ("d3:000011100", 1), ("d3:000100101", 1),
+                  ("d3:001010010", 1), ("d3:001100011", 1), ("d3:011010001", 1)]
+        expected = "".join(f"{identifier}\t{count}\t{background}\n"
+                           for (identifier, count), background in zip(counts, backgrounds))
+        result = runner.invoke(cli, ["graph", "motifs", path, "-k", "3"] + args)
+        assert (result.exit_code, result.stdout, result.stderr) == (0, expected, "")
 
     def test_motif_census_tsv(self, runner, tmp_path):
         path = write(tmp_path / "k3.g", "graph 3\n0 1\n1 2\n0 2\n")
