@@ -108,16 +108,14 @@ def lzw_decompress(compressed, alphabet) -> str:
     return "".join(out)
 
 
-def canonical_string(g: Graph, *, canonical: bool = True) -> str:
-    """The graph's text description: graph6 in given vertex order, or the
-    lexicographically smallest graph6 code over all vertex permutations.
+def canonical_string(g: Graph) -> str:
+    """The lexicographically smallest graph6 code over all vertex permutations.
 
     The canonical form is isomorphism-invariant.  It is found by an exact
     branch and bound that fills graph6 positions one at a time, and it is
-    capped at 8 vertices.
+    capped at 8 vertices.  ``encode_graph6`` gives the code in the given
+    vertex order.
     """
-    if not canonical:
-        return encode_graph6(g)
     if g.n > CANONICAL_CAP:
         raise CapExceeded(f"canonical form capped at {CANONICAL_CAP} vertices, got {g.n}")
     bit_count = g.n * (g.n - 1) // 2
@@ -171,13 +169,14 @@ def _minimal_graph6_mask(n: int, adj: tuple) -> int:
 def relative_complexity(value, *, canonical: bool = False) -> ComplexityReport:
     """Complexity of a graph or symbol string within the graph6/LZW frame.
 
-    Graphs are first serialized with canonical_string (mode per the flag);
-    the string is then compressed over its own sorted symbol set.  Reported:
+    Graphs are first serialized to graph6: by canonical_string when
+    ``canonical``, else by encode_graph6 in the given vertex order.  The
+    string is then compressed over its own sorted symbol set.  Reported:
     total string length, summed length of new dictionary entries, and the
     number of emitted codes.
     """
     if isinstance(value, Graph):
-        text = canonical_string(value, canonical=canonical)
+        text = canonical_string(value) if canonical else encode_graph6(value)
     elif isinstance(value, str):
         text = value
     else:

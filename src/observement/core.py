@@ -175,12 +175,11 @@ class Counterexample:
 class HomomorphismReport:
     """Outcome of the representation check; holds iff no counterexamples."""
 
-    holds: bool
     counterexamples: tuple = ()
 
-    def __post_init__(self):
-        if self.holds != (not self.counterexamples):
-            raise SystemDefinitionError("holds flag contradicts counterexample list")
+    @property
+    def holds(self) -> bool:
+        return not self.counterexamples
 
 
 @dataclass(frozen=True)
@@ -294,7 +293,7 @@ def verify_representation(system: ObjectSystem, observations: ObservationSystem,
         Counterexample(r_name, t, d)
         for r_name, t, d in sorted(_failures(system, observations, algorithm))
     )
-    return HomomorphismReport(not counterexamples, counterexamples)
+    return HomomorphismReport(counterexamples)
 
 
 def _represents(system: ObjectSystem, observations: ObservationSystem,
@@ -341,8 +340,7 @@ def find_translation(alg_a: ObservationAlgorithm, alg_b: ObservationAlgorithm,
     alg_b(t) is in p_b.  So a missing witness is a proof of absence.
     """
     for alg, obs in ((alg_a, obs_a), (alg_b, obs_b)):
-        report = verify_representation(system, obs, alg)
-        if not report.holds:
+        if next(_failures(system, obs, alg), None) is not None:
             raise SystemDefinitionError(
                 f"algorithm {alg.name!r} fails the representation condition; "
                 "translations are only defined between valid algorithms"

@@ -92,6 +92,7 @@ class GeneticsError(ObservementError):
 
 
 ALL_CODONS = tuple(a + b + c for a in DNA_BASES for b in DNA_BASES for c in DNA_BASES)
+START_CODON = "atg"
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,6 @@ class CodonTable:
     """Total map from the 64 codons to an amino-acid letter or STOP."""
 
     codons: dict
-    start_codon: str = "atg"
 
     def __post_init__(self):
         object.__setattr__(self, "codons", dict(self.codons))
@@ -115,13 +115,13 @@ class CodonTable:
         stops = sum(1 for v in self.codons.values() if v == STOP)
         if stops != 3:
             raise GeneticsError(f"codon table must have exactly 3 stop codons, found {stops}")
-        if self.codons.get(self.start_codon) != "M":
+        if self.codons.get(START_CODON) != "M":
             raise GeneticsError(
-                f"start codon {self.start_codon!r} must code for Methionine (M)"
+                f"start codon {START_CODON!r} must code for Methionine (M)"
             )
 
     @classmethod
-    def from_text(cls, text: str, start_codon: str = "atg") -> "CodonTable":
+    def from_text(cls, text: str) -> "CodonTable":
         codons = {}
         for lineno, line in significant_lines(text):
             parts = line.split()
@@ -131,7 +131,7 @@ class CodonTable:
             if codon in codons:
                 raise GeneticsError(f"line {lineno}: duplicate codon {codon!r}")
             codons[codon] = STOP if letter.upper() == "STOP" else letter.upper()
-        return cls(codons, start_codon)
+        return cls(codons)
 
     def to_text(self) -> str:
         lines = []
@@ -185,9 +185,9 @@ def translate_gene(dna: str, table: CodonTable | None = None) -> str:
         raise GeneticsError(f"length {len(dna)} is not divisible by 3")
     if len(dna) < 6:
         raise GeneticsError("a gene needs at least a start codon and a stop codon")
-    if dna[:3] != table.start_codon:
+    if dna[:3] != START_CODON:
         raise GeneticsError(
-            f"missing start codon: gene begins with {dna[:3]!r}, expected {table.start_codon!r}"
+            f"missing start codon: gene begins with {dna[:3]!r}, expected {START_CODON!r}"
         )
     letters = translate_frame(dna, table)
     for index, letter in enumerate(letters[:-1]):

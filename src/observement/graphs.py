@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ._shared import significant_lines
@@ -70,19 +70,16 @@ class Graph:
 
 @dataclass(frozen=True)
 class Digraph:
-    """Directed graph; self-loops only when explicitly allowed (automaton graphs need them)."""
+    """Directed graph on vertices 0..n-1; self-loops are arcs like any other."""
 
     n: int
     arcs: frozenset = frozenset()
-    allow_self_loops: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         arcs = set()
         if self.n < 0:
             raise GraphError("vertex count must be >= 0")
         for u, v in self.arcs:
-            if u == v and not self.allow_self_loops:
-                raise GraphError(f"self-loop ({u},{v}) not allowed without allow_self_loops")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphError(f"arc ({u},{v}) out of range for n={self.n}")
             arcs.add((u, v))
@@ -129,23 +126,23 @@ def to_adjacency_matrix(g) -> list:
     return m
 
 
-def from_edge_list(n: int, pairs: Iterable, directed: bool = False, **kwargs):
+def from_edge_list(n: int, pairs: Iterable, directed: bool = False):
     if directed:
-        return Digraph(n, frozenset(tuple(p) for p in pairs), **kwargs)
-    return Graph(n, frozenset(tuple(p) for p in pairs), **kwargs)
+        return Digraph(n, frozenset(tuple(p) for p in pairs))
+    return Graph(n, frozenset(tuple(p) for p in pairs))
 
 
-def from_adjacency_list(rows: Sequence, directed: bool = False, **kwargs):
+def from_adjacency_list(rows: Sequence, directed: bool = False):
     n = len(rows)
     pairs = {(u, v) for u, neighbours in enumerate(rows) for v in neighbours}
     if not directed:
         asymmetric = [(u, v) for u, v in pairs if (v, u) not in pairs]
         if asymmetric:
             raise GraphFormatError(f"adjacency list is not symmetric at {asymmetric[0]}")
-    return from_edge_list(n, pairs, directed, **kwargs)
+    return from_edge_list(n, pairs, directed)
 
 
-def from_adjacency_matrix(matrix: Sequence, directed: bool = False, **kwargs):
+def from_adjacency_matrix(matrix: Sequence, directed: bool = False):
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
@@ -158,7 +155,7 @@ def from_adjacency_matrix(matrix: Sequence, directed: bool = False, **kwargs):
                 if bool(matrix[i][j]) != bool(matrix[j][i]):
                     raise GraphFormatError(f"matrix is not symmetric at ({i},{j})")
     pairs = {(i, j) for i in range(n) for j in range(n) if matrix[i][j]}
-    return from_edge_list(n, pairs, directed, **kwargs)
+    return from_edge_list(n, pairs, directed)
 
 
 # --- graph6 -------------------------------------------------------------------
@@ -339,11 +336,7 @@ def relabel(g, permutation: Sequence):
         raise GraphError("relabeling must be a permutation of the vertex set")
     if isinstance(g, Graph):
         return Graph(g.n, frozenset((permutation[u], permutation[v]) for u, v in g.edges))
-    return Digraph(
-        g.n,
-        frozenset((permutation[u], permutation[v]) for u, v in g.arcs),
-        allow_self_loops=g.allow_self_loops,
-    )
+    return Digraph(g.n, frozenset((permutation[u], permutation[v]) for u, v in g.arcs))
 
 
 # --- automata -----------------------------------------------------------------
@@ -380,7 +373,7 @@ def state_space_graph(automaton: Automaton) -> Digraph:
     order = state_order(automaton)
     index = {s: i for i, s in enumerate(order)}
     arcs = frozenset((index[s], index[automaton.successor[s]]) for s in order)
-    return Digraph(len(order), arcs, allow_self_loops=True)
+    return Digraph(len(order), arcs)
 
 
 # --- random graphs and percolation ---------------------------------------------
@@ -530,16 +523,14 @@ def _parse_int(token: str, lineno: int) -> int:
 def _parse_edge_lines(lines, directed: bool):
     n = _parse_header_n(lines)
     pairs = set()
-    has_loop = False
     for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v'")
         u, v = (_parse_int(t, lineno) for t in parts)
-        has_loop = has_loop or u == v
         pairs.add((u, v))
     if directed:
-        return Digraph(n, frozenset(pairs), allow_self_loops=has_loop)
+        return Digraph(n, frozenset(pairs))
     return Graph(n, frozenset(pairs))
 
 
@@ -552,10 +543,7 @@ def _parse_matrix_lines(lines, directed: bool):
         rows.append([int(c) for c in line])
     if len(rows) != n:
         raise GraphFormatError(f"expected {n} matrix rows, got {len(rows)}")
-    has_loop = any(rows[i][i] for i in range(n))
-    return from_adjacency_matrix(rows, directed, **(
-        {"allow_self_loops": True} if directed and has_loop else {}
-    ))
+    return from_adjacency_matrix(rows, directed)
 
 
 def _parse_adjacency_lines(lines, directed: bool):
@@ -573,10 +561,7 @@ def _parse_adjacency_lines(lines, directed: bool):
             raise GraphFormatError(f"line {lineno}: duplicate row for vertex {v}")
         filled[v] = True
         rows[v] = [_parse_int(t, lineno) for t in rest.split()]
-    has_loop = any(v in row for v, row in enumerate(rows))
-    return from_adjacency_list(rows, directed, **(
-        {"allow_self_loops": True} if directed and has_loop else {}
-    ))
+    return from_adjacency_list(rows, directed)
 
 
 # Header keyword -> (line parser, directed).

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import CapExceeded, ObservementError
-from .graphs import Digraph, Graph, _pack_graph6, _triangle_pairs
+from .graphs import Digraph, Graph, _pack_graph6, _size, _triangle_pairs, to_edge_list
 
 CENSUS_CAPS = {3: 200, 4: 60}
 REWIRE_ATTEMPTS_PER_EDGE = 10
@@ -55,32 +55,20 @@ class Wildcard:
             raise MotifError(f"wildcard length must be >= 1, got {self.length}")
 
 
-def _merge_wildcards(tokens):
-    merged = []
-    for token in tokens:
-        if isinstance(token, Wildcard) and merged and isinstance(merged[-1], Wildcard):
-            merged[-1] = Wildcard(merged[-1].length + token.length)
-        else:
-            merged.append(token)
-    return tuple(merged)
-
-
 @dataclass(frozen=True)
 class MotifPattern:
-    """Canonical token sequence; adjacent wildcards are always merged."""
+    """Canonical token sequence; adjacent wildcards are merged into one on construction."""
 
     tokens: tuple = ()
 
     def __post_init__(self):
-        tokens = tuple(self.tokens)
-        for a, b in zip(tokens, tokens[1:]):
-            if isinstance(a, Wildcard) and isinstance(b, Wildcard):
-                raise MotifError("consecutive wildcards must be merged into one")
-        object.__setattr__(self, "tokens", tokens)
-
-    @classmethod
-    def from_tokens(cls, tokens) -> "MotifPattern":
-        return cls(_merge_wildcards(tokens))
+        merged = []
+        for token in self.tokens:
+            if isinstance(token, Wildcard) and merged and isinstance(merged[-1], Wildcard):
+                merged[-1] = Wildcard(merged[-1].length + token.length)
+            else:
+                merged.append(token)
+        object.__setattr__(self, "tokens", tuple(merged))
 
     @property
     def width(self) -> int:
@@ -122,7 +110,7 @@ def parse_motif(text: str) -> MotifPattern:
             i += 1
         else:
             raise MotifError(f"position {i}: unknown character {ch!r}")
-    return MotifPattern.from_tokens(tokens)
+    return MotifPattern(tokens)
 
 
 def format_motif(pattern: MotifPattern) -> str:
@@ -194,7 +182,7 @@ def derive_motif(sequences, class_cap: int) -> MotifPattern:
             tokens.append(AnyOf(frozenset(symbols)))
         else:
             tokens.append(Wildcard(1))
-    return MotifPattern.from_tokens(tokens)
+    return MotifPattern(tokens)
 
 
 # --- network motifs -------------------------------------------------------------
@@ -429,7 +417,7 @@ def _rewired_copy(g, rng: random.Random):
     a pair already present.
     """
     directed = isinstance(g, Digraph)
-    pairs = sorted(g.arcs if directed else g.edges)
+    pairs = to_edge_list(g)
     present = set(pairs)
     size = len(pairs)
     randrange, coin = rng.randrange, rng.random
@@ -458,7 +446,7 @@ def _rewired_copy(g, rng: random.Random):
         present.add(e2)
         pairs[i], pairs[j] = e1, e2
     if directed:
-        return Digraph(g.n, frozenset(present), allow_self_loops=g.allow_self_loops)
+        return Digraph(g.n, frozenset(present))
     return Graph(g.n, frozenset(present))
 
 
@@ -470,7 +458,7 @@ def motif_significance(g, k: int, rewires: int, seed) -> MotifCensus:
     graph too small to rewire, leaves the background unavailable (None).
     """
     observed = count_network_motifs(g, k)
-    edge_count = len(g.arcs if isinstance(g, Digraph) else g.edges)
+    edge_count = _size(g)
     if edge_count < 1:
         raise MotifError("motif significance needs at least one edge")
     if rewires < 1 or edge_count < 2:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from ._shared import first_cycle, significant_lines
 from .errors import CapExceeded, ObservementError
 
-DEFAULT_GENERATE_CAP = 100_000
+GENERATE_CAP = 100_000
+FORM_CAP = 1_000_000
 
 
 class GrammarError(ObservementError):
@@ -294,13 +295,15 @@ def _min_lengths(grammar: Grammar) -> dict:
     return lengths
 
 
-def generate(grammar: Grammar, max_len: int, cap: int = DEFAULT_GENERATE_CAP) -> list:
+def generate(grammar: Grammar, max_len: int) -> list:
     """All derivable strings of length at most ``max_len``, sorted by (length, text).
 
     Breadth-first expansion of sentential forms with duplicate pruning; forms
     whose minimum completion length exceeds ``max_len`` are dropped.  Raises
-    CapExceeded when more than ``cap`` distinct strings would be produced.
+    CapExceeded when more than ``GENERATE_CAP`` distinct strings would be
+    produced, or more than ``FORM_CAP`` distinct forms explored.
     """
+    cap, form_cap = GENERATE_CAP, FORM_CAP
     if max_len < 0:
         raise GrammarError(f"max_len must be >= 0, got {max_len}")
     min_lengths = _min_lengths(grammar)
@@ -314,7 +317,6 @@ def generate(grammar: Grammar, max_len: int, cap: int = DEFAULT_GENERATE_CAP) ->
         return []
     seen = {start_form}
     queue = deque([start_form])
-    form_cap = max(cap * 10, 1_000_000)
     while queue:
         form = queue.popleft()
         index = next((i for i, item in enumerate(form) if not isinstance(item, Terminal)), None)

@@ -17,8 +17,7 @@ def all_digraphs(n, self_loops):
     """Every labeled digraph on n vertices, with or without self-loops."""
     pairs = [(u, v) for u in range(n) for v in range(n) if self_loops or u != v]
     return [
-        Digraph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1),
-                allow_self_loops=self_loops)
+        Digraph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
         for mask in range(1 << len(pairs))
     ]
 
@@ -31,4 +30,4 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5, directed: bool = Fa
         return Graph(n, frozenset(edges))
     arcs = {(i, j) for i in range(n) for j in range(n)
             if (self_loops or i != j) and rng.random() < p}
-    return Digraph(n, frozenset(arcs), allow_self_loops=self_loops)
+    return Digraph(n, frozenset(arcs))

@@ -207,7 +207,7 @@ def brute_verify_representation(system, observations, algorithm):
                 counterexamples.append(core.Counterexample(r_name, members, "forward"))
             elif in_p and not in_r:
                 counterexamples.append(core.Counterexample(r_name, members, "backward"))
-    return core.HomomorphismReport(not counterexamples, tuple(counterexamples))
+    return core.HomomorphismReport(tuple(counterexamples))
 
 
 def preimage_verify_representation(system, observations, algorithm):
@@ -233,7 +233,7 @@ def preimage_verify_representation(system, observations, algorithm):
             failures += [(t, "backward") for q in p
                          for t in itertools.product(*map(fibres.__getitem__, q)) if t not in r]
         counterexamples += [core.Counterexample(r_name, t, d) for t, d in sorted(failures)]
-    return core.HomomorphismReport(not counterexamples, tuple(counterexamples))
+    return core.HomomorphismReport(tuple(counterexamples))
 
 
 RANDOM_SHAPES = ("image", "drop", "add", "mixed", "empty_r", "empty_p")
@@ -552,6 +552,26 @@ class TestFindTranslation:
                     assert list(witness.mapping) == list(expected)
                 compared += 1
         assert compared > 1000
+
+    def test_raises_exactly_where_the_representation_fails(self):
+        raised = 0
+        for system, algorithms in oracle_corpus():
+            for (alg_a, obs_a), (alg_b, obs_b) in itertools.product(algorithms, repeat=2):
+                valid = all(core.verify_representation(system, obs, alg).holds
+                            for alg, obs in ((alg_a, obs_a), (alg_b, obs_b)))
+                if valid:
+                    core.find_translation(alg_a, alg_b, system, obs_a, obs_b)
+                    continue
+                with pytest.raises(SystemDefinitionError, match="fails the representation"):
+                    core.find_translation(alg_a, alg_b, system, obs_a, obs_b)
+                raised += 1
+        assert raised > 1000
+
+    def test_malformed_algorithm_raises_its_definition_error(self):
+        system, obs, alg = identity_fixture()
+        partial = ObservationAlgorithm("partial", {"a": "a", "b": "b"}, {"r": "p"})
+        with pytest.raises(SystemDefinitionError, match="not total"):
+            core.find_translation(alg, partial, system, obs, obs)
 
     def test_invalid_algorithm_rejected(self):
         system, obs, alg = identity_fixture()

@@ -67,7 +67,7 @@ class TestCodonTable:
 
     def test_start_codon_must_code_methionine(self):
         with pytest.raises(GeneticsError, match="Methionine"):
-            CodonTable.from_text(standard_table().to_text(), start_codon="aaa")
+            CodonTable.from_text(standard_table().to_text().replace("atg\tM", "atg\tW"))
 
 
 class TestCodonLookup:

@@ -64,13 +64,8 @@ class TestTypes:
     def test_edges_normalised_to_sorted_pairs(self):
         assert Graph(3, {(2, 0)}) == Graph(3, {(0, 2)})
 
-    def test_digraph_self_loop_needs_flag(self):
-        with pytest.raises(GraphError, match="self-loop"):
-            Digraph(2, {(1, 1)})
-        assert Digraph(2, {(1, 1)}, allow_self_loops=True).arcs == frozenset({(1, 1)})
-
-    def test_digraph_flag_does_not_affect_equality(self):
-        assert Digraph(2, {(0, 1)}, allow_self_loops=True) == Digraph(2, {(0, 1)})
+    def test_digraph_admits_self_loops(self):
+        assert Digraph(2, {(1, 1)}).arcs == frozenset({(1, 1)})
 
 
 class TestConversions:
@@ -154,7 +149,7 @@ class TestGraph6:
 
     @pytest.mark.parametrize("g", [
         Digraph(2, {(0, 1)}),
-        Digraph(3, {(0, 1), (1, 1)}, allow_self_loops=True),
+        Digraph(3, {(0, 1), (1, 1)}),
     ], ids=["arc", "self-loop"])
     def test_digraph_is_a_domain_error(self, g):
         with pytest.raises(GraphError, match="^graph6 encodes undirected graphs only$"):
@@ -232,9 +227,9 @@ class TestIsomorphism:
         assert are_isomorphic(cycle, relabel(cycle, [2, 0, 1])) is not None
 
     def test_self_loop_placement_matters(self):
-        a = Digraph(2, {(0, 0), (0, 1)}, allow_self_loops=True)
-        b = Digraph(2, {(1, 1), (1, 0)}, allow_self_loops=True)
-        c = Digraph(2, {(1, 1), (0, 1)}, allow_self_loops=True)
+        a = Digraph(2, {(0, 0), (0, 1)})
+        b = Digraph(2, {(1, 1), (1, 0)})
+        c = Digraph(2, {(1, 1), (0, 1)})
         assert are_isomorphic(a, b) == {0: 1, 1: 0}
         assert are_isomorphic(a, c) is None
 
@@ -533,7 +528,7 @@ class TestTextFormats:
         assert parse_graph_text(text) == K3
 
     def test_digraph_file_round_trip(self):
-        g = Digraph(4, {(0, 1), (3, 3), (2, 0)}, allow_self_loops=True)
+        g = Digraph(4, {(0, 1), (3, 3), (2, 0)})
         assert parse_graph_text(format_graph_file(g)) == g
 
     def test_matrix_text_round_trip(self):

@@ -83,9 +83,10 @@ class TestParseMotif:
         pattern = parse_motif("A x(2) {D,E} x(1) K")
         assert parse_motif(format_motif(pattern)) == pattern
 
-    def test_direct_construction_rejects_unmerged_wildcards(self):
-        with pytest.raises(MotifError, match="merged"):
-            MotifPattern((Wildcard(1), Wildcard(2)))
+    def test_direct_construction_merges_wildcards(self):
+        assert MotifPattern((Wildcard(1), Wildcard(2))) == MotifPattern((Wildcard(3),))
+        pattern = MotifPattern((Wildcard(1), Literal("A"), Wildcard(2), Wildcard(2)))
+        assert pattern.tokens == (Wildcard(1), Literal("A"), Wildcard(4))
 
 
 class TestMatchMotif:
@@ -385,7 +386,7 @@ def oracle_rewired_copy(g, rng):
     for _ in range(motifs.REWIRE_ATTEMPTS_PER_EDGE * len(pairs)):
         _oracle_rewire_once(pairs, present, rng, directed)
     if directed:
-        return Digraph(g.n, frozenset(present), allow_self_loops=g.allow_self_loops)
+        return Digraph(g.n, frozenset(present))
     return Graph(g.n, frozenset(present))
 
 

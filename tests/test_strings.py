@@ -276,9 +276,10 @@ class TestGenerate:
             of_length = [s for s in strings.generate(turtle, k) if len(s) == k]
             assert len(of_length) == 3 ** (k - 1)
 
-    def test_cap_enforced(self, turtle):
-        with pytest.raises(CapExceeded):
-            strings.generate(turtle, 9, cap=10)
+    def test_cap_enforced(self, turtle, monkeypatch):
+        monkeypatch.setattr(strings, "GENERATE_CAP", 10)
+        with pytest.raises(CapExceeded, match="more than 10 strings"):
+            strings.generate(turtle, 9)
 
     def test_nonterminating_rule_defines_empty_language(self):
         grammar = strings.parse_grammar("<a> -> x <a>\n")

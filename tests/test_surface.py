@@ -6,6 +6,10 @@ A reached definition reaches every module-level name its source mentions:
 in its own module, through an import, or as ``module.attribute``.  A class
 is reached whole, methods included.  The only public names it may leave
 unreached are the parser inverses kept as round-trip oracles.
+
+The settings inventory lists every value a caller may leave out or pass
+through: each parameter with a default, each ``*``/``**`` parameter and
+each dataclass field with a default.  A new knob shows up as a diff here.
 """
 
 import ast
@@ -18,6 +22,31 @@ ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 # Inverses of the fixture and kinship parsers: only tests call them.
 ROUND_TRIP_ORACLES = {"core.format_system_file", "familytree.format_kinship_file"}
+
+# Each is set to more than one value by the CLI or a criterion, or is a
+# dataclass field whose default is its empty value.
+SETTINGS = {
+    "complexity.relative_complexity(canonical=)",
+    "core.ObjectSystem.relations",
+    "core.ObjectSystem.arities",
+    "core.ObservationSystem.relations",
+    "core.ObservationSystem.arities",
+    "core.ObservationAlgorithm.relation_pairing",
+    "core.HomomorphismReport.counterexamples",
+    "familytree.KinshipGraph.parent_arcs",
+    "familytree.KinshipGraph.partner_edges",
+    "familytree.KinshipGraph.labels",
+    "genetics.translate_frame(table=)",
+    "genetics.translate_gene(table=)",
+    "graphs.Graph.edges",
+    "graphs.Digraph.arcs",
+    "graphs.from_edge_list(directed=)",
+    "graphs.from_adjacency_list(directed=)",
+    "graphs.from_adjacency_matrix(directed=)",
+    "motifs.MotifPattern.tokens",
+    "motifs.match_motif(anchored=)",
+    "motifs.MotifCensus.background",
+}
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
 
@@ -126,3 +155,32 @@ def test_only_the_round_trip_oracles_are_unreached():
     unreached = package.public() - package.reached()
     assert {f"{module}.{name}" for module, name in unreached} == ROUND_TRIP_ORACLES
 
+
+
+def _settings(node, prefix):
+    """The settable values defined under ``node``, named under ``prefix``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            name = prefix + child.name
+            if any("dataclass" in ast.unparse(d) for d in child.decorator_list):
+                yield from (f"{name}.{field.target.id}" for field in child.body
+                            if isinstance(field, ast.AnnAssign) and field.value is not None)
+            yield from _settings(child, name + ".")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name, args = prefix + child.name, child.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            yield from (f"{name}({a.arg}=)" for a in defaulted)
+            for star, arg in (("*", args.vararg), ("**", args.kwarg)):
+                if arg:
+                    yield f"{name}({star}{arg.arg})"
+            yield from _settings(child, name + ".")
+        else:
+            yield from _settings(child, prefix)
+
+
+def test_settings_inventory_is_the_allowlist():
+    found = [setting for path in sorted(PACKAGE.glob("*.py"))
+             for setting in _settings(ast.parse(path.read_text()), path.stem + ".")]
+    assert sorted(found) == sorted(SETTINGS)
