@@ -400,6 +400,19 @@ class TestMotif:
         result = runner.invoke(cli, ["motif", "match", "A x(2) D", path, "--anchored"])
         assert result.output.splitlines() == ["s1\t0", "s2\t"]
 
+    def test_match_on_sequences_with_regex_metacharacters(self, runner, tmp_path):
+        path = write(tmp_path / "meta.fa", ">m\na.^b\n>n\n\\\\-]a[b\n")
+        for pattern, stdout in [("a x(1) {b,c}", "m\t\nn\t4\n"),
+                                ("x(2)", "m\t0 1 2\nn\t0 1 2 3 4 5\n")]:
+            result = runner.invoke(cli, ["motif", "match", pattern, path])
+            assert (result.exit_code, result.stdout, result.stderr) == (0, stdout, "")
+
+    @pytest.mark.parametrize("args", [["A x(4294967295)"], ["x(4294967295)", "--anchored"]])
+    def test_wildcard_longer_than_any_sequence_matches_nowhere(self, runner, tmp_path, args):
+        path = write(tmp_path / "seqs.txt", "AB\nBABAB\n")
+        result = runner.invoke(cli, ["motif", "match", args[0], path] + args[1:])
+        assert (result.exit_code, result.stdout, result.stderr) == (0, "0\t\n1\t\n", "")
+
     def test_derive(self, runner, tmp_path):
         path = write(tmp_path / "family.txt", "AB\nAC\n")
         result = runner.invoke(cli, ["motif", "derive", path, "--class-cap", "2"])
@@ -499,6 +512,16 @@ class TestGraph:
         expected = "".join(f"{identifier}\t{count}\t{background}\n"
                            for (identifier, count), background in zip(counts, backgrounds))
         result = runner.invoke(cli, ["graph", "motifs", path, "-k", "3"] + args)
+        assert (result.exit_code, result.stdout, result.stderr) == (0, expected, "")
+
+    def test_motif_significance_of_a_loopless_digraph(self, runner, tmp_path):
+        path = write(tmp_path / "loopless.g",
+                     "digraph 6\n0 1\n1 2\n2 0\n2 3\n3 4\n4 5\n5 3\n1 4\n0 5\n4 0\n")
+        args = ["graph", "motifs", path, "-k", "3", "--significance", "2", "--seed", "5"]
+        result = runner.invoke(cli, args)
+        expected = ("d3:000000010\t4\t5.000000\nd3:000000110\t3\t1.500000\n"
+                    "d3:000001100\t6\t4.500000\nd3:000100100\t3\t1.500000\n"
+                    "d3:000100110\t1\t0.000000\nd3:001100010\t3\t1.000000\n")
         assert (result.exit_code, result.stdout, result.stderr) == (0, expected, "")
 
     def test_motif_census_tsv(self, runner, tmp_path):
@@ -711,6 +734,47 @@ class TestTree:
         path = write(tmp_path / "fam.kin", KINSHIP)
         result = runner.invoke(cli, ["tree", "query", path, "sibling", "alice", "bob"])
         assert result.exit_code == 1
+
+
+def _table_text(edit):
+    from observement.genetics import standard_table
+    return edit(standard_table().to_text())
+
+
+class TestErrorBranchPins:
+    """Exact stderr of parser error branches that no other test reaches."""
+
+    @pytest.mark.parametrize("command, files, stderr", [
+        (["graph", "convert", "{0}", "--to", "edges"], ["graph\n"],
+         "line 1: expected '<kind> <n>'"),
+        (["graph", "convert", "{0}", "--to", "edges"], ["graph 3 4\n"],
+         "line 1: expected '<kind> <n>'"),
+        (["graph", "convert", "{0}", "--to", "edges"], ["adjlist 3\n5: 0\n"],
+         "line 2: vertex 5 out of range"),
+        (["tree", "descendants", "{0}", "a"], ["person\n"],
+         "line 1: expected 'person NAME [\"label\"]'"),
+        (["tree", "descendants", "{0}", "a"], ['person a "x" y\n'],
+         "line 1: expected 'person NAME [\"label\"]'"),
+        (["translate", "{0}"], [""], "no sequence records in file"),
+        (["translate", "{0}", "--table", "{1}"],
+         ["atgtag\n", _table_text(lambda t: t + "nnn\tK\n")],
+         "codon table has invalid codons: ['nnn']"),
+        (["translate", "{0}", "--table", "{1}"],
+         ["atgtag\n", _table_text(lambda t: t.replace("aaa\tK", "aaa\tB"))],
+         "codon table maps to unknown letters: ['B']"),
+        (["grammar", "check", "{0}", "a"], ["<> -> a\n"],
+         "line 1, col 1: empty nonterminal name"),
+        (["grammar", "check", "{0}", "a"], ["<s> -> a++\n"],
+         "line 1, col 10: repeated '+' on one item"),
+    ], ids=["graph-header-one-word", "graph-header-three-words", "adjlist-row-out-of-range",
+            "person-without-name", "person-with-extra-word", "translate-empty-file",
+            "table-invalid-codon", "table-unknown-letter", "grammar-empty-name",
+            "grammar-repeated-plus"])
+    def test_stderr(self, runner, tmp_path, command, files, stderr):
+        paths = [write(tmp_path / f"in{i}.txt", text) for i, text in enumerate(files)]
+        result = runner.invoke(cli, [arg.format(*paths) for arg in command])
+        assert_domain_error_without_output(result)
+        assert result.stderr == f"Error: {stderr}\n"
 
 
 class TestComplexityAndLzw:

@@ -281,6 +281,28 @@ class TestGenerate:
         with pytest.raises(CapExceeded, match="more than 10 strings"):
             strings.generate(turtle, 9)
 
+    def test_form_cap_enforced(self, turtle, monkeypatch):
+        monkeypatch.setattr(strings, "FORM_CAP", 5)
+        with pytest.raises(CapExceeded, match="more than 5 forms"):
+            strings.generate(turtle, 9)
+
+    @pytest.mark.parametrize("text", [
+        "<s> -> <w>+ E\n<w> -> A | B C\n",
+        "<x> -> A+ | B A\n",
+        "<ev> -> A | B C | D E+\n",
+    ])
+    def test_one_or_more_matches_the_membership_brute_force(self, text):
+        grammar = strings.parse_grammar(text)
+        alphabet = sorted(grammar.terminals)
+        for max_len in range(7):
+            expected = [
+                "".join(word)
+                for length in range(max_len + 1)
+                for word in itertools.product(alphabet, repeat=length)
+                if strings.membership(grammar, "".join(word))
+            ]
+            assert strings.generate(grammar, max_len) == expected
+
     def test_nonterminating_rule_defines_empty_language(self):
         grammar = strings.parse_grammar("<a> -> x <a>\n")
         assert strings.generate(grammar, 6) == []
