@@ -1,4 +1,4 @@
-"""Line and graph walks shared by the parsers; imports nothing from the package."""
+"""One line reader and two graph walks shared across modules; imports nothing from the package."""
 
 from __future__ import annotations
 
@@ -12,6 +12,18 @@ def significant_lines(text: str):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
+
+
+def reachable(start, successors: dict) -> set:
+    """Every vertex reachable from ``start``, itself included, by an explicit stack."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in successors.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def first_cycle(successors: dict):

@@ -248,10 +248,7 @@ def graph_sub(small_file, big_file):
 def graph_motifs(graph_file, k, significance, seed):
     """Print the k-vertex motif census as TSV: id, count, background."""
     g = graphs.parse_graph_text(_read(graph_file))
-    if significance > 0:
-        census = motifs.motif_significance(g, int(k), significance, seed)
-    else:
-        census = motifs.count_network_motifs(g, int(k))
+    census = motifs.motif_significance(g, int(k), significance, seed)
     for identifier in sorted(census.counts):
         background = "NA"
         if census.background is not None:

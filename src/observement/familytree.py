@@ -13,7 +13,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 
-from ._shared import first_cycle, significant_lines
+from ._shared import first_cycle, reachable, significant_lines
 from .errors import ObservementError
 
 RELATIONS = (
@@ -137,22 +137,10 @@ def _check_person(g: KinshipGraph, person: str) -> None:
         raise KinshipError(f"unknown person {person!r}")
 
 
-def _reachable(start: str, neighbours: dict) -> set:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for w in neighbours.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
-
-
 def descendants(g: KinshipGraph, person: str) -> set:
     """Everyone reachable from ``person`` along parent-to-child arcs, exclusive."""
     _check_person(g, person)
-    return _reachable(person, g._children) - {person}
+    return reachable(person, g._children) - {person}
 
 
 def query(g: KinshipGraph, relation: str, u: str, v: str) -> bool:
@@ -180,9 +168,9 @@ def query(g: KinshipGraph, relation: str, u: str, v: str) -> bool:
         for a, b in map(tuple, g.partner_edges):
             neighbours[a].add(b)
             neighbours[b].add(a)
-        return v in _reachable(u, neighbours)
+        return v in reachable(u, neighbours)
     if relation == "is_descendant_of":
-        return u != v and u in _reachable(v, g._children)
+        return u != v and u in reachable(v, g._children)
     if relation == "is_predecessor_of":
         return query(g, "is_descendant_of", v, u)
     raise KinshipError(f"unknown relation {relation!r}; choose from {', '.join(RELATIONS)}")

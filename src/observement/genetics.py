@@ -179,17 +179,14 @@ def translate_gene(dna: str, table: CodonTable | None = None) -> str:
     carry exactly one stop codon, at the end (dropped).  The protein is
     therefore one residue shorter than the codon count.
     """
-    table = table or standard_table()
-    dna = clean_dna(dna)
-    if len(dna) % 3:
-        raise GeneticsError(f"length {len(dna)} is not divisible by 3")
-    if len(dna) < 6:
-        raise GeneticsError("a gene needs at least a start codon and a stop codon")
-    if dna[:3] != START_CODON:
-        raise GeneticsError(
-            f"missing start codon: gene begins with {dna[:3]!r}, expected {START_CODON!r}"
-        )
     letters = translate_frame(dna, table)
+    if len(letters) < 2:
+        raise GeneticsError("a gene needs at least a start codon and a stop codon")
+    start = dna[:3].lower()
+    if start != START_CODON:
+        raise GeneticsError(
+            f"missing start codon: gene begins with {start!r}, expected {START_CODON!r}"
+        )
     for index, letter in enumerate(letters[:-1]):
         if letter == STOP:
             raise GeneticsError(f"internal stop codon at codon {index}")

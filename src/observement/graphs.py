@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._shared import significant_lines
+from ._shared import reachable, significant_lines
 from .errors import CapExceeded, ObservementError
 
 ISO_CAP = 10
@@ -127,9 +127,7 @@ def to_adjacency_matrix(g) -> list:
 
 
 def from_edge_list(n: int, pairs: Iterable, directed: bool = False):
-    if directed:
-        return Digraph(n, frozenset(tuple(p) for p in pairs))
-    return Graph(n, frozenset(tuple(p) for p in pairs))
+    return (Digraph if directed else Graph)(n, pairs)
 
 
 def from_adjacency_list(rows: Sequence, directed: bool = False):
@@ -334,9 +332,7 @@ def relabel(g, permutation: Sequence):
     """Apply a vertex permutation: vertex v becomes permutation[v]."""
     if sorted(permutation) != list(range(g.n)):
         raise GraphError("relabeling must be a permutation of the vertex set")
-    if isinstance(g, Graph):
-        return Graph(g.n, frozenset((permutation[u], permutation[v]) for u, v in g.edges))
-    return Digraph(g.n, frozenset((permutation[u], permutation[v]) for u, v in g.arcs))
+    return type(g)(g.n, [(permutation[u], permutation[v]) for u, v in to_edge_list(g)])
 
 
 # --- automata -----------------------------------------------------------------
@@ -407,24 +403,15 @@ def er_random_graph(n: int, p: float, seed) -> Graph:
 
 
 def connected_components(g: Graph) -> list:
-    """Vertex sets of the connected components, by breadth-first traversal."""
-    adjacency = to_adjacency_list(g)
-    seen = [False] * g.n
+    """Sorted vertex lists of the connected components, by least vertex."""
+    adjacency = dict(enumerate(to_adjacency_list(g)))
+    seen: set = set()
     components = []
     for root in range(g.n):
-        if seen[root]:
-            continue
-        queue = [root]
-        seen[root] = True
-        component = []
-        while queue:
-            v = queue.pop()
-            component.append(v)
-            for w in adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        components.append(sorted(component))
+        if root not in seen:
+            component = reachable(root, adjacency)
+            seen |= component
+            components.append(sorted(component))
     return components
 
 
@@ -529,9 +516,7 @@ def _parse_edge_lines(lines, directed: bool):
             raise GraphFormatError(f"line {lineno}: expected 'u v'")
         u, v = (_parse_int(t, lineno) for t in parts)
         pairs.add((u, v))
-    if directed:
-        return Digraph(n, frozenset(pairs))
-    return Graph(n, frozenset(pairs))
+    return from_edge_list(n, pairs, directed)
 
 
 def _parse_matrix_lines(lines, directed: bool):

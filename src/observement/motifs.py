@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import CapExceeded, ObservementError
-from .graphs import Digraph, Graph, _pack_graph6, _size, _triangle_pairs, to_edge_list
+from .graphs import Digraph, _pack_graph6, _size, _triangle_pairs, to_edge_list
 
 CENSUS_CAPS = {3: 200, 4: 60}
 REWIRE_ATTEMPTS_PER_EDGE = 10
@@ -69,11 +70,6 @@ class MotifPattern:
             else:
                 merged.append(token)
         object.__setattr__(self, "tokens", tuple(merged))
-
-    @property
-    def width(self) -> int:
-        """Symbols consumed by a match: 1 per literal or class, N per wildcard."""
-        return sum(t.length if isinstance(t, Wildcard) else 1 for t in self.tokens)
 
 
 def parse_motif(text: str) -> MotifPattern:
@@ -125,38 +121,34 @@ def format_motif(pattern: MotifPattern) -> str:
     return " ".join(parts)
 
 
-def _match_at(tokens, s: str, start: int):
-    i = start
-    for token in tokens:
-        if isinstance(token, Wildcard):
-            i += token.length
-            if i > len(s):
-                return None
-        elif i >= len(s):
-            return None
-        elif isinstance(token, Literal):
-            if s[i] != token.symbol:
-                return None
-            i += 1
+def _regex(pattern: MotifPattern) -> str:
+    # A literal or class matches one symbol and x(N) any N, newlines included
+    # under re.S.
+    parts = []
+    for token in pattern.tokens:
+        if isinstance(token, Literal):
+            parts.append(re.escape(token.symbol))
+        elif isinstance(token, Wildcard):
+            parts.append(f".{{{token.length}}}")
         else:
-            if s[i] not in token.symbols:
-                return None
-            i += 1
-    return i
+            parts.append("[" + "".join(map(re.escape, sorted(token.symbols))) + "]")
+    return "".join(parts)
 
 
 def match_motif(pattern: MotifPattern, s: str, *, anchored: bool = False) -> list:
-    """Offsets where the pattern matches, consuming exactly ``pattern.width`` symbols.
+    """Offsets where the pattern matches, as one regular expression.
 
-    Anchored mode reports [0] or nothing; search mode reports every offset i
-    at which an anchored match of the remaining suffix succeeds.
+    Anchored mode reports [0] or nothing; search mode reports every offset,
+    overlapping ones included, so the empty pattern matches at 0..len(s).
     """
-    if anchored:
-        return [0] if _match_at(pattern.tokens, s, 0) is not None else []
-    return [
-        i for i in range(len(s) - pattern.width + 1)
-        if _match_at(pattern.tokens, s, i) is not None
-    ]
+    regex = _regex(pattern)
+    try:
+        if anchored:
+            return [0] if re.match(regex, s, re.S) else []
+        return [m.start() for m in re.finditer(f"(?={regex})", s, re.S)]
+    except OverflowError:
+        # A wildcard beyond the engine's repeat limit is longer than any sequence.
+        return []
 
 
 def derive_motif(sequences, class_cap: int) -> MotifPattern:
@@ -413,8 +405,9 @@ def _rewired_copy(g, rng: random.Random):
     """A degree-preserving rewiring: repeated double edge swap attempts, 10 per edge.
 
     Attempt: draw two pair indices, and for a graph a coin that flips the
-    second pair; swap their ends unless that makes a loop, a repeated pair or
-    a pair already present.
+    second pair; swap their ends unless either pair is a self-loop or the swap
+    makes one, a repeated pair or a pair already present.  So every degree and
+    every self-loop is kept.
     """
     directed = isinstance(g, Digraph)
     pairs = to_edge_list(g)
@@ -430,7 +423,7 @@ def _rewired_copy(g, rng: random.Random):
         c, d = pairs[j]
         if not directed and coin() < 0.5:
             c, d = d, c
-        if a == d or c == b:
+        if a == b or c == d or a == d or c == b:
             continue
         e1, e2 = (a, d), (c, b)
         if not directed:
@@ -445,24 +438,26 @@ def _rewired_copy(g, rng: random.Random):
         present.add(e1)
         present.add(e2)
         pairs[i], pairs[j] = e1, e2
-    if directed:
-        return Digraph(g.n, frozenset(present))
-    return Graph(g.n, frozenset(present))
+    return type(g)(g.n, frozenset(present))
 
 
 def motif_significance(g, k: int, rewires: int, seed) -> MotifCensus:
     """Census with a null-model background: mean counts over rewired samples.
 
-    Each sample is a fresh degree-preserving rewiring of the input (repeated
-    double edge swaps, 10 attempts per edge).  Zero requested samples, or a
-    graph too small to rewire, leaves the background unavailable (None).
+    Each sample is a fresh rewiring of the input that keeps every degree and
+    every self-loop (repeated double edge swaps, 10 attempts per edge).  Zero
+    requested samples, or a graph too small to rewire, leaves the background
+    unavailable (None); an edgeless graph is refused only when samples are
+    requested.
     """
     observed = count_network_motifs(g, k)
+    if rewires < 1:
+        return observed
     edge_count = _size(g)
     if edge_count < 1:
         raise MotifError("motif significance needs at least one edge")
-    if rewires < 1 or edge_count < 2:
-        return MotifCensus(k, observed.counts, None)
+    if edge_count < 2:
+        return observed
     rng = random.Random(seed)
     totals: dict[str, float] = {}
     for _ in range(rewires):

@@ -500,7 +500,9 @@ class TestGraph:
 
     @pytest.mark.parametrize("args, backgrounds", [
         ([], ["NA"] * 9),
-        (["--significance", "2", "--seed", "5"], ["0.000000", "0.500000"] + ["0.000000"] * 7),
+        (["--significance", "2", "--seed", "5"],
+         ["0.500000", "1.000000", "1.000000", "1.000000", "1.000000", "0.500000", "1.000000",
+          "1.000000", "0.500000"]),
     ], ids=["census", "significance"])
     def test_motif_census_of_a_digraph_with_self_loops(self, runner, tmp_path, args,
                                                        backgrounds):

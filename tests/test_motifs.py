@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -42,6 +43,41 @@ def degree_sequences(g):
         for w in row:
             into[w] += 1
     return sorted(map(len, rows)), sorted(into)
+
+
+def width(pattern):
+    """Symbols consumed by a match: 1 per literal or class, N per wildcard."""
+    return sum(t.length if isinstance(t, Wildcard) else 1 for t in pattern.tokens)
+
+
+# Reference matcher for ``match_motif``: a token-by-token scan from each offset.
+
+
+def _oracle_match_at(tokens, s, start):
+    i = start
+    for token in tokens:
+        if isinstance(token, Wildcard):
+            i += token.length
+            if i > len(s):
+                return None
+        elif i >= len(s):
+            return None
+        elif isinstance(token, Literal):
+            if s[i] != token.symbol:
+                return None
+            i += 1
+        else:
+            if s[i] not in token.symbols:
+                return None
+            i += 1
+    return i
+
+
+def oracle_match_motif(pattern, s, anchored=False):
+    if anchored:
+        return [0] if _oracle_match_at(pattern.tokens, s, 0) is not None else []
+    return [i for i in range(len(s) - width(pattern) + 1)
+            if _oracle_match_at(pattern.tokens, s, i) is not None]
 
 
 class TestParseMotif:
@@ -124,6 +160,32 @@ class TestMatchMotif:
         ]
         assert match_motif(pattern, s) == expected
 
+    def test_matches_the_scan_oracle_on_regex_metacharacters(self):
+        # Symbols and sequences mix letters with characters that mean
+        # something to a regular expression, inside a class or outside one.
+        rng = random.Random(15)
+        alphabet = "ab-^]\\[.*$\n"
+        for _ in range(3000):
+            tokens = []
+            for _ in range(rng.randint(0, 4)):
+                kind = rng.random()
+                if kind < 0.4:
+                    tokens.append(Literal(rng.choice(alphabet)))
+                elif kind < 0.8:
+                    tokens.append(AnyOf(frozenset(rng.sample(alphabet, rng.randint(1, 4)))))
+                else:
+                    tokens.append(Wildcard(rng.randint(1, 3)))
+            pattern = MotifPattern(tuple(tokens))
+            s = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+            for anchored in (False, True):
+                assert match_motif(pattern, s, anchored=anchored) == \
+                    oracle_match_motif(pattern, s, anchored), (pattern, s, anchored)
+
+    def test_wildcard_beyond_the_repeat_limit_matches_nowhere(self):
+        pattern = MotifPattern((Literal("A"), Wildcard(2 ** 40)))
+        assert match_motif(pattern, "AB") == oracle_match_motif(pattern, "AB") == []
+        assert match_motif(pattern, "AB", anchored=True) == []
+
 
 class TestDeriveMotif:
     def test_identical_sequences_give_literals(self):
@@ -161,7 +223,7 @@ class TestDeriveMotif:
                 ]
                 family.append("".join(seq))
             pattern = derive_motif(family, class_cap=rng.randint(1, 4))
-            assert pattern.width == length
+            assert width(pattern) == length
             for seq in family:
                 assert match_motif(pattern, seq, anchored=True) == [0]
 
@@ -172,8 +234,8 @@ class TestDeriveMotif:
         proteins = [genetics.translate_gene(g) for g in genes]
         assert len(set(map(len, proteins))) == 1
         pattern = derive_motif(proteins, class_cap=3)
-        assert pattern.width <= len(proteins[0])
-        assert len(pattern.tokens) <= pattern.width
+        assert width(pattern) <= len(proteins[0])
+        assert len(pattern.tokens) <= width(pattern)
         for protein in proteins:
             assert match_motif(pattern, protein, anchored=True) == [0]
 
@@ -371,7 +433,7 @@ def _oracle_rewire_once(pairs, present, rng, directed):
     if not directed:
         e1 = (min(e1), max(e1))
         e2 = (min(e2), max(e2))
-    if a == d or c == b or e1 == e2 or e1 in present or e2 in present:
+    if a == b or c == d or a == d or c == b or e1 == e2 or e1 in present or e2 in present:
         return
     present.discard(pairs[i])
     present.discard(pairs[j])
@@ -407,6 +469,22 @@ class TestMotifSignificance:
                 else:
                     assert list(actual.edges) == list(expected.edges)
                 assert actual_rng.getstate() == expected_rng.getstate()
+
+    def test_rewiring_keeps_every_self_loop_and_degree(self):
+        rng = random.Random(16)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.7), True,
+                             self_loops=True)
+            sample = motifs._rewired_copy(g, random.Random(rng.randrange(1000)))
+            assert [(u, v) for u, v in sorted(sample.arcs) if u == v] == \
+                [(u, v) for u, v in sorted(g.arcs) if u == v]
+            for side in (0, 1):
+                assert Counter(arc[side] for arc in sample.arcs) == \
+                    Counter(arc[side] for arc in g.arcs)
+
+    def test_edgeless_graph_with_no_samples_gives_the_census(self):
+        census = motif_significance(Graph(3), 3, rewires=0, seed=1)
+        assert census == count_network_motifs(Graph(3), 3)
 
     def test_zero_rewires_leaves_background_unavailable(self):
         g = Graph(4, {(0, 1), (1, 2), (2, 3)})

@@ -294,13 +294,14 @@ class TestGenerate:
     def test_one_or_more_matches_the_membership_brute_force(self, text):
         grammar = strings.parse_grammar(text)
         alphabet = sorted(grammar.terminals)
+        members = [
+            word
+            for length in range(7)
+            for word in map("".join, itertools.product(alphabet, repeat=length))
+            if strings.membership(grammar, word)
+        ]
         for max_len in range(7):
-            expected = [
-                "".join(word)
-                for length in range(max_len + 1)
-                for word in itertools.product(alphabet, repeat=length)
-                if strings.membership(grammar, "".join(word))
-            ]
+            expected = [word for word in members if len(word) <= max_len]
             assert strings.generate(grammar, max_len) == expected
 
     def test_nonterminating_rule_defines_empty_language(self):

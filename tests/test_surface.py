@@ -4,8 +4,14 @@ A reference closure over the package source starts from ``cli.py``, from
 ``tests/test_acceptance.py`` and from the code each module runs on import.
 A reached definition reaches every module-level name its source mentions:
 in its own module, through an import, or as ``module.attribute``.  A class
-is reached whole, methods included.  The only public names it may leave
+is reached whole for that closure.  The only public names it may leave
 unreached are the parser inverses kept as round-trip oracles.
+
+A public method or property of a public class is reached when ``cli.py``,
+the acceptance suite, a reached definition or a reached member reads it as
+an attribute, by name.  A reached class's fields and private methods count
+as read with it.  Only the inverse of the codon table parser may stay
+unreached.
 
 The settings inventory lists every value a caller may leave out or pass
 through: each parameter with a default, each ``*``/``**`` parameter and
@@ -22,6 +28,9 @@ ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 # Inverses of the fixture and kinship parsers: only tests call them.
 ROUND_TRIP_ORACLES = {"core.format_system_file", "familytree.format_kinship_file"}
+
+# The inverse of ``CodonTable.from_text``: only tests call it.
+ROUND_TRIP_MEMBERS = {"genetics.CodonTable.to_text"}
 
 # Each is set to more than one value by the CLI or a criterion, or is a
 # dataclass field whose default is its empty value.
@@ -142,6 +151,40 @@ class Package:
             frontier += self.references(statement, module, self.imports[module])
         return seen
 
+    def members(self):
+        """Public method or property of a public class -> its definition."""
+        return {
+            f"{module}.{cls.name}.{member.name}": member
+            for module, tree in self.trees.items()
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for member in cls.body
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+        }
+
+    def reached_members(self):
+        members = self.members()
+        sources = [self.trees["cli"], ast.parse(ACCEPTANCE.read_text())]
+        for tree in self.trees.values():
+            sources += [s for s in tree.body if not isinstance(s, DEFINITIONS)]
+        public = set(members.values())
+        for module, name in self.reached():
+            statement = self.definitions[module][name]
+            if isinstance(statement, ast.ClassDef):
+                # Fields and private methods come with the class; public members wait.
+                sources += [s for s in statement.body if s not in public]
+            else:
+                sources.append(statement)
+        seen, read = set(), set()
+        while sources:
+            read |= {sub.attr for sub in ast.walk(sources.pop())
+                     if isinstance(sub, ast.Attribute)}
+            for key, member in members.items():
+                if key not in seen and member.name in read:
+                    seen.add(key)
+                    sources.append(member)
+        return seen
+
     def public(self):
         return {
             (module, name)
@@ -155,6 +198,11 @@ def test_only_the_round_trip_oracles_are_unreached():
     unreached = package.public() - package.reached()
     assert {f"{module}.{name}" for module, name in unreached} == ROUND_TRIP_ORACLES
 
+
+
+def test_only_the_round_trip_member_is_unreached():
+    package = Package()
+    assert set(package.members()) - package.reached_members() == ROUND_TRIP_MEMBERS
 
 
 def _settings(node, prefix):
