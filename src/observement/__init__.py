@@ -7,20 +7,3 @@ where the observations are numbers.
 """
 
 __version__ = "0.1.0"
-
-from .core import (  # noqa: F401
-    Classification,
-    HomomorphismReport,
-    ObjectSystem,
-    ObservationAlgorithm,
-    ObservationSystem,
-    SystemFixture,
-    TranslationWitness,
-    classify,
-    find_translation,
-    format_system_file,
-    parse_system_file,
-    verify_existence,
-    verify_representation,
-)
-from .errors import CapExceeded, ObservementError  # noqa: F401

@@ -9,9 +9,11 @@ every run is reproducible.
 
 from __future__ import annotations
 
+import re
+
 import click
 
-from . import __version__, complexity, core, familytree, genetics, graphs, motifs, strings
+from . import __version__
 from ._shared import significant_lines
 from .errors import ObservementError
 
@@ -66,6 +68,7 @@ def system():
 @click.argument("fixture_file")
 def system_classify(fixture_file):
     """Print Strong, Weak, or NotObservement for a fixture file."""
+    from . import core
     fixture = core.parse_system_file(_read(fixture_file))
     shared = [fixture.observations] * len(fixture.algorithms)
     verdict = core.classify(fixture.system, shared, list(fixture.algorithms))
@@ -77,6 +80,7 @@ def system_classify(fixture_file):
 @click.option("--alg", "algorithm_name", default=None, help="Check one algorithm only.")
 def system_verify(fixture_file, algorithm_name):
     """Run the representation check for each algorithm in a fixture file."""
+    from . import core
     fixture = core.parse_system_file(_read(fixture_file))
     if not fixture.algorithms:
         raise click.ClickException("no algorithms in fixture")
@@ -112,6 +116,7 @@ def grammar():
 @click.argument("string")
 def grammar_check(grammar_file, string):
     """Print true/false: is STRING derivable in the grammar?"""
+    from . import strings
     g = strings.parse_grammar(_read(grammar_file))
     click.echo("true" if strings.membership(g, string) else "false")
 
@@ -121,6 +126,7 @@ def grammar_check(grammar_file, string):
 @click.option("--max-len", type=int, required=True, help="Largest string length to derive.")
 def grammar_gen(grammar_file, max_len):
     """Print every derivable string up to MAX_LEN, shortest first."""
+    from . import strings
     g = strings.parse_grammar(_read(grammar_file))
     for derived in strings.generate(g, max_len):
         click.echo(derived)
@@ -135,6 +141,7 @@ def grammar_gen(grammar_file, max_len):
 @click.option("--frame", is_flag=True, help="Raw frame translation, no gene checks.")
 def translate(seq_file, table_file, frame):
     """Translate each DNA record of SEQ_FILE to its protein string."""
+    from . import genetics
     table = genetics.CodonTable.from_text(_read(table_file)) if table_file else None
     records = genetics.read_sequence_records(_read(seq_file))
     if not records:
@@ -151,6 +158,7 @@ def translate(seq_file, table_file, frame):
 
 
 def _read_sequences(path: str) -> list:
+    from . import genetics
     text = _read(path)
     records = genetics.read_sequence_records(text)
     if records and any(name != "-" for name, _ in records):
@@ -171,6 +179,7 @@ def motif():
 @click.option("--anchored", is_flag=True, help="Match at offset 0 only.")
 def motif_match(pattern, seq_file, anchored):
     """Print match offsets of PATTERN in each sequence of SEQ_FILE."""
+    from . import motifs
     parsed = motifs.parse_motif(pattern)
     for name, sequence in _read_sequences(seq_file):
         offsets = motifs.match_motif(parsed, sequence, anchored=anchored)
@@ -183,6 +192,7 @@ def motif_match(pattern, seq_file, anchored):
               help="Largest symbol class before a column becomes a wildcard.")
 def motif_derive(seqs_file, class_cap):
     """Print the motif shared by the equal-length sequences in SEQS_FILE."""
+    from . import motifs
     sequences = [sequence for _, sequence in _read_sequences(seqs_file)]
     click.echo(motifs.format_motif(motifs.derive_motif(sequences, class_cap)))
 
@@ -201,6 +211,7 @@ def graph():
               type=click.Choice(["edges", "adjlist", "matrix", "g6"]))
 def graph_convert(graph_file, target):
     """Re-express a graph file as edges, adjlist, matrix, or g6 text."""
+    from . import graphs
     g = graphs.parse_graph_text(_read(graph_file))
     formatters = {
         "edges": graphs.format_graph_file,
@@ -224,6 +235,7 @@ def _echo_mapping(mapping):
 @click.argument("file_b")
 def graph_iso(file_a, file_b):
     """Print a vertex bijection between two graphs, or 'none'."""
+    from . import graphs
     g1 = graphs.parse_graph_text(_read(file_a))
     g2 = graphs.parse_graph_text(_read(file_b))
     _echo_mapping(graphs.are_isomorphic(g1, g2))
@@ -234,6 +246,7 @@ def graph_iso(file_a, file_b):
 @click.argument("big_file")
 def graph_sub(small_file, big_file):
     """Print an embedding of the first graph into the second, or 'none'."""
+    from . import graphs
     small = graphs.parse_graph_text(_read(small_file))
     big = graphs.parse_graph_text(_read(big_file))
     _echo_mapping(graphs.is_subgraph(small, big))
@@ -247,6 +260,7 @@ def graph_sub(small_file, big_file):
 @_seed_option
 def graph_motifs(graph_file, k, significance, seed):
     """Print the k-vertex motif census as TSV: id, count, background."""
+    from . import graphs, motifs
     g = graphs.parse_graph_text(_read(graph_file))
     census = motifs.motif_significance(g, int(k), significance, seed)
     for identifier in sorted(census.counts):
@@ -265,6 +279,7 @@ def automaton():
 @click.argument("automaton_file")
 def automaton_graph(automaton_file):
     """Print the state-space digraph of an automaton file."""
+    from . import graphs
     machine = graphs.parse_automaton_file(_read(automaton_file))
     for index, state in enumerate(graphs.state_order(machine)):
         click.echo(f"# {index} {state}")
@@ -280,6 +295,7 @@ def automaton_graph(automaton_file):
 @_seed_option
 def percolate(n, p_from, p_to, steps, trials, seed):
     """Print CSV of mean largest-component fraction across edge probabilities."""
+    from . import graphs
     if steps < 1:
         raise click.ClickException("--steps must be >= 1")
     if steps == 1:
@@ -307,6 +323,7 @@ def tree():
 @click.argument("v")
 def tree_query(kinship_file, relation, u, v):
     """Print true/false for one of the six kinship relations."""
+    from . import familytree
     g = familytree.parse_kinship_file(_read(kinship_file))
     click.echo("true" if familytree.query(g, relation, u, v) else "false")
 
@@ -316,6 +333,7 @@ def tree_query(kinship_file, relation, u, v):
 @click.argument("person")
 def tree_descendants(kinship_file, person):
     """Print every descendant of PERSON, one per line."""
+    from . import familytree
     g = familytree.parse_kinship_file(_read(kinship_file))
     for name in sorted(familytree.descendants(g, person)):
         click.echo(name)
@@ -325,6 +343,7 @@ def tree_descendants(kinship_file, person):
 
 
 def _looks_like_graph(text: str) -> bool:
+    from . import graphs
     for _, line in significant_lines(text):
         return line.split()[0] in graphs._HEADER_PARSERS
     return False
@@ -336,6 +355,7 @@ def _looks_like_graph(text: str) -> bool:
               help="Minimize the graph code over vertex permutations first.")
 def complexity_command(input_file, canonical):
     """Print TSV 'total primary secondary' for a graph file or a sequence file."""
+    from . import complexity, genetics, graphs
     text = _read(input_file)
     if _looks_like_graph(text):
         value = graphs.parse_graph_text(text)
@@ -360,6 +380,7 @@ def lzw():
 @click.option("--alphabet", required=True, help="Dictionary seed symbols, in order.")
 def lzw_compress_command(input_file, alphabet):
     """Print the LZW code stream of the file's text (one line, space-separated)."""
+    from . import complexity
     text = _read(input_file).rstrip("\n")
     output = complexity.lzw_compress(text, alphabet)
     click.echo(" ".join(map(str, output.codes)))
@@ -370,9 +391,18 @@ def lzw_compress_command(input_file, alphabet):
 @click.option("--alphabet", required=True, help="Dictionary seed symbols, in order.")
 def lzw_decompress_command(input_file, alphabet):
     """Print the string for a whitespace-separated code stream file."""
+    from . import complexity
     tokens = _read(input_file).split()
+    # ASCII integers only: int() alone would also take '١', '+1' and '1_0'.  One
+    # check of the joined tokens clears the usual stream without a match per
+    # token; a negative code passes the match and is out of range below.
+    digits = "".join(tokens)
+    if not (digits.isascii() and digits.isdigit()):
+        bad = next((t for t in tokens if not re.fullmatch("-?[0-9]+", t)), None)
+        if bad is not None:
+            raise click.ClickException(f"bad code in input: {bad!r}")
     try:
         codes = [int(t) for t in tokens]
-    except ValueError as exc:
+    except ValueError as exc:  # more digits than int() reads
         raise click.ClickException(f"bad code in input: {exc}") from exc
     click.echo(complexity.lzw_decompress(codes, alphabet))

@@ -85,7 +85,7 @@ def parse_motif(text: str) -> MotifPattern:
             if end < 0:
                 raise MotifError(f"position {i}: unterminated wildcard count")
             count_text = text[i + 2:end].strip()
-            if not count_text.isdigit():
+            if not (count_text.isascii() and count_text.isdigit()):
                 raise MotifError(f"position {i}: bad wildcard count {count_text!r}")
             tokens.append(Wildcard(int(count_text)))
             i = end + 1

@@ -413,6 +413,13 @@ class TestMotif:
         result = runner.invoke(cli, ["motif", "match", args[0], path] + args[1:])
         assert (result.exit_code, result.stdout, result.stderr) == (0, "0\t\n1\t\n", "")
 
+    @pytest.mark.parametrize("count", ["²", "١"])
+    def test_wildcard_count_is_ascii_digits(self, runner, tmp_path, count):
+        path = write(tmp_path / "seqs.txt", "AB\n")
+        result = runner.invoke(cli, ["motif", "match", f"x({count})", path])
+        assert (result.exit_code, result.stdout, result.stderr) == \
+            (1, "", f"Error: position 0: bad wildcard count '{count}'\n")
+
     def test_derive(self, runner, tmp_path):
         path = write(tmp_path / "family.txt", "AB\nAC\n")
         result = runner.invoke(cli, ["motif", "derive", path, "--class-cap", "2"])
@@ -821,6 +828,19 @@ class TestComplexityAndLzw:
         codes = write(tmp_path / "codes.txt", compressed.output)
         result = runner.invoke(cli, ["lzw", "decompress", codes, "--alphabet", "ab"])
         assert result.output.strip() == "ababab"
+
+    @pytest.mark.parametrize("token", ["²", "١", "1_0", "+1", "x", "1-2", "-"])
+    def test_lzw_codes_are_ascii_integers(self, runner, tmp_path, token):
+        codes = write(tmp_path / "codes.txt", f"0 {token} 1\n")
+        result = runner.invoke(cli, ["lzw", "decompress", codes, "--alphabet", "ab"])
+        assert (result.exit_code, result.stdout, result.stderr) == \
+            (1, "", f"Error: bad code in input: '{token}'\n")
+
+    def test_lzw_negative_code_is_out_of_range(self, runner, tmp_path):
+        codes = write(tmp_path / "codes.txt", "0 -1\n")
+        result = runner.invoke(cli, ["lzw", "decompress", codes, "--alphabet", "ab"])
+        assert (result.exit_code, result.stdout, result.stderr) == \
+            (1, "", "Error: code -1 out of range for dictionary of size 2\n")
 
     def test_lzw_symbol_outside_alphabet(self, runner, tmp_path):
         data = write(tmp_path / "data.txt", "abc")

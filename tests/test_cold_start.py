@@ -1,0 +1,49 @@
+"""A fresh ``observe`` process imports only the subsystem its subcommand runs.
+
+Each case starts a new interpreter and lists the ``observement`` modules in
+``sys.modules`` at exit.  A module-level import of a subsystem in ``cli.py``,
+or a re-export in the package root, would show up here as an extra module.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import observement
+
+SRC = str(Path(observement.__file__).resolve().parents[1])
+
+# Prints the loaded package modules, space-separated, as the process exits.
+PROBE = (f"import atexit, sys; sys.path.insert(0, {SRC!r}); atexit.register(lambda: print("
+         "' '.join(sorted(m for m in sys.modules if m.partition('.')[0] == 'observement'))))")
+CLI = "observement", "observement._shared", "observement.cli", "observement.errors"
+
+
+def loaded_modules(program, *args):
+    done = subprocess.run([sys.executable, "-c", f"{PROBE}; {program}", *args],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout, set(done.stdout.splitlines()[-1].split())
+
+
+def test_translate_loads_genetics_only(tmp_path):
+    gene = tmp_path / "gene.fa"
+    gene.write_text(">g\natgaaatag\n")
+    stdout, loaded = loaded_modules(
+        "sys.argv = ['observe', 'translate', sys.argv[1]]; "
+        "from observement.cli import main; main()", str(gene))
+    assert stdout.splitlines()[0] == "MK"
+    expected = {*CLI, "observement.genetics"}
+    assert loaded == expected, f"extra: {sorted(loaded - expected)}"
+
+
+def test_version_loads_no_subsystem():
+    stdout, loaded = loaded_modules(
+        "sys.argv = ['observe', '--version']; from observement.cli import main; main()")
+    assert stdout.startswith(f"observe, version {observement.__version__}\n")
+    assert loaded <= set(CLI), f"extra: {sorted(loaded - set(CLI))}"
+
+
+def test_package_import_loads_no_submodule():
+    _, loaded = loaded_modules("import observement")
+    assert loaded == {"observement"}, f"extra: {sorted(loaded - {'observement'})}"

@@ -3,9 +3,11 @@
 A reference closure over the package source starts from ``cli.py``, from
 ``tests/test_acceptance.py`` and from the code each module runs on import.
 A reached definition reaches every module-level name its source mentions:
-in its own module, through an import, or as ``module.attribute``.  A class
-is reached whole for that closure.  The only public names it may leave
-unreached are the parser inverses kept as round-trip oracles.
+in its own module, through an import, or as ``module.attribute``.  An
+import inside a function, as ``cli.py`` makes one in each command, counts
+like a module-level one.  A class is reached whole for that closure.  The
+only public names it may leave unreached are the parser inverses kept as
+round-trip oracles.
 
 A public method or property of a public class is reached when ``cli.py``,
 the acceptance suite, a reached definition or a reached member reads it as
