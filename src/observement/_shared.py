@@ -1,4 +1,7 @@
-"""One line reader and two graph walks shared across modules; imports nothing from the package."""
+"""A line reader, a number reader and two graph walks shared across modules.
+
+Imports nothing from the package.
+"""
 
 from __future__ import annotations
 
@@ -53,3 +56,17 @@ def first_cycle(successors: dict):
                 trail.append(nxt)
                 stack.append(iter(sorted(successors.get(nxt, ()))))
     return None
+
+
+def ascii_int(token: str) -> int:
+    """The integer that ``token`` writes in ASCII digits, after an optional '-'.
+
+    ``int`` alone also reads other scripts' digits, '+', '_' and blanks, so
+    '١' or '1_0' would pass as a number.  Anything else raises ValueError, as
+    does a token of more digits than ``int`` converts.  The '-' is kept so
+    that each caller's own message for a negative number still applies.
+    """
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isdigit() and digits.isascii()):
+        raise ValueError(f"not an ASCII integer: {token!r}")
+    return int(token)

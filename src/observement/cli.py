@@ -403,6 +403,7 @@ def lzw_decompress_command(input_file, alphabet):
             raise click.ClickException(f"bad code in input: {bad!r}")
     try:
         codes = [int(t) for t in tokens]
-    except ValueError as exc:  # more digits than int() reads
-        raise click.ClickException(f"bad code in input: {exc}") from exc
+    except ValueError:  # more digits than int() converts; name the size, not the digits
+        longest = max(tokens, key=len).lstrip("-")
+        raise click.ClickException(f"bad code in input: code of {len(longest)} digits") from None
     click.echo(complexity.lzw_decompress(codes, alphabet))

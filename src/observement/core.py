@@ -24,21 +24,23 @@ measurement is the special case where observation values happen to be
 numbers.
 
 All types here are immutable values and all operations are pure functions,
-so concurrent use needs no coordination.  An object system caches its
-relations grouped into rows on first use; the cache is built from the
-immutable relations and never changed after.
+so concurrent use needs no coordination.  An object system groups its
+relations into rows when it is built, in the same pass that checks their
+arities and members, and never changes them after.  The fixture reader works
+one section at a time: each relation block becomes its tuple set in one
+pass, and line numbers are counted only for the line an error names.
 """
 
 from __future__ import annotations
 
 import collections
 import enum
-import functools
 import itertools
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from ._shared import significant_lines
+from ._shared import ascii_int
 from .errors import ObservementError
 
 _SECTION_KEYWORDS = frozenset({"OBJECTS", "OBSERVATIONS", "RELATION", "MAP", "PAIR"})
@@ -52,17 +54,36 @@ class FixtureFormatError(ObservementError):
     """A system fixture file is malformed."""
 
 
+def _group_rows(tuples) -> dict:
+    """Each (k-1)-prefix of the tuples mapped to the frozenset of last members that complete it."""
+    rows = collections.defaultdict(list)
+    for t in tuples:
+        rows[t[:-1]].append(t[-1])
+    return {prefix: frozenset(row) for prefix, row in rows.items()}
+
+
 def _normalise(kind: str, members, relations, arities) -> tuple:
+    """Check one universe; return its members, relations, arities and rows.
+
+    Each relation is grouped into rows as it is checked: its arity is read
+    off the prefixes and its members off the prefixes and rows, so after the
+    copy into a frozenset each tuple is touched once.
+    """
     members = frozenset(members)
     for m in members:
         if not isinstance(m, str) or not m:
             raise SystemDefinitionError(f"{kind} identifiers must be non-empty strings, got {m!r}")
     out_relations: dict[str, frozenset] = {}
     out_arities: dict[str, int] = {}
+    out_rows: dict[str, dict] = {}
     for name, tuples in relations.items():
         tuples = frozenset(map(tuple, tuples))
         declared = arities.get(name)
-        seen = set(map(len, tuples))
+        if () in tuples:  # no arity admits it; the checks below say why
+            rows, seen = {}, set(map(len, tuples))
+        else:
+            rows = _group_rows(tuples)
+            seen = {len(prefix) + 1 for prefix in rows}
         if len(seen) > 1:
             raise SystemDefinitionError(f"relation {name!r} mixes arities {sorted(seen)}")
         if seen:
@@ -79,7 +100,7 @@ def _normalise(kind: str, members, relations, arities) -> tuple:
             )
         if arity < 1:
             raise SystemDefinitionError(f"relation {name!r} must have arity >= 1")
-        undeclared = frozenset().union(*tuples) - members
+        undeclared = frozenset().union(*rows, *rows.values()) - members
         if undeclared:
             # The least by repr, so the member named does not depend on set order.
             raise SystemDefinitionError(
@@ -88,10 +109,11 @@ def _normalise(kind: str, members, relations, arities) -> tuple:
             )
         out_relations[name] = tuples
         out_arities[name] = arity
+        out_rows[name] = rows
     for name in arities:
         if name not in relations:
             raise SystemDefinitionError(f"arity declared for unknown relation {name!r}")
-    return members, out_relations, out_arities
+    return members, out_relations, out_arities, out_rows
 
 
 @dataclass(frozen=True)
@@ -103,23 +125,15 @@ class ObjectSystem:
     arities: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        members, relations, arities = _normalise("object", self.objects, self.relations, self.arities)
+        members, relations, arities, rows = _normalise(
+            "object", self.objects, self.relations, self.arities
+        )
         object.__setattr__(self, "objects", members)
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "arities", arities)
-
-    @functools.cached_property
-    def _rows(self) -> dict:
-        # Per relation, each (k-1)-prefix of a tuple mapped to the frozenset of
-        # last members that complete it.  Built once per system and shared by
-        # every check, so nothing may mutate it.
-        out: dict = {}
-        for name, tuples in self.relations.items():
-            rows = collections.defaultdict(list)
-            for t in tuples:
-                rows[t[:-1]].append(t[-1])
-            out[name] = {prefix: frozenset(row) for prefix, row in rows.items()}
-        return out
+        # Per relation, its rows (see _group_rows).  Grouped once, when the
+        # system is built, and shared by every check, so nothing may mutate it.
+        object.__setattr__(self, "_rows", rows)
 
 
 @dataclass(frozen=True)
@@ -131,7 +145,7 @@ class ObservationSystem:
     arities: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        members, relations, arities = _normalise(
+        members, relations, arities, _ = _normalise(
             "observation", self.observations, self.relations, self.arities
         )
         object.__setattr__(self, "observations", members)
@@ -281,13 +295,13 @@ def verify_representation(system: ObjectSystem, observations: ObservationSystem,
     Representation holds iff the two rows agree for every P; where they
     differ, row - allowed fails forward and allowed - row fails backward.  Only
     a prefix with a non-empty row or a non-empty allowed row can differ: the
-    first kind are the keys of the system's cached rows, the second lie in the
+    first kind are the keys of the system's rows, the second lie in the
     product of fibres of a prefix of some ``q``.  Each prefix checked has a
     tuple in ``r`` or a preimage in ``p``, so the cost is O(|r| + |p|) set
-    work plus those prefixes, never |objects|^k.  The rows are grouped once
-    per system and shared by every algorithm.  Counterexamples come out
-    sorted by relation, then tuple, which is the order of a walk over the
-    product of the sorted object set.
+    work plus those prefixes, never |objects|^k.  The rows are grouped once,
+    when the system is built, and shared by every algorithm.  Counterexamples
+    come out sorted by relation, then tuple, which is the order of a walk over
+    the product of the sorted object set.
     """
     counterexamples = tuple(
         Counterexample(r_name, t, d)
@@ -401,9 +415,21 @@ _PAIR_LINE_WORDS = {
     "PAIR": ("object-relation observation-relation", "relation", "paired"),
 }
 
+# A section header or a comment line, at the start of a line of the fixture's
+# lines joined by "\n".  ``\s`` takes the same blanks as ``str.split``, and
+# ``str.splitlines`` leaves no line break but "\n" in the joined text.
+_MARK = re.compile(rf"^[^\S\n]*(?:({'|'.join(sorted(_SECTION_KEYWORDS))})(?!\S)|#)", re.M)
+
 
 def parse_system_file(text: str) -> SystemFixture:
-    """Parse the fixture file format into a system, observations, and algorithms."""
+    """Parse the fixture file format into a system, observations, and algorithms.
+
+    The text is read a section at a time.  It is split into lines once, and
+    one scan of those lines finds the section headers and comment lines; the
+    data lines between two of them are read as one block.  Line numbers are
+    counted only where a line is refused, so the first bad line in file
+    order is the one named.
+    """
     # One (members, relations, arities) record per universe, and one
     # (name, mapping, pairing) per algorithm.  ``section`` is (header, what its
     # data lines fill): the member list, the relation's (name, arity, tuples),
@@ -411,9 +437,18 @@ def parse_system_file(text: str) -> SystemFixture:
     universes = {"OBJECTS": ([], {}, {}), "OBSERVATIONS": ([], {}, {})}
     algorithms: list[tuple] = []
     section = universe = None  # universe: the record that RELATION attaches to
-    for lineno, line in significant_lines(text):
-        tokens = line.split()
-        head = tokens[0]
+    lines = text.splitlines()
+    joined = "\n".join(lines)
+    index = offset = start = 0  # the mark's line and its offset; the block's first line
+    for mark in _MARK.finditer(joined):
+        index += joined.count("\n", offset, mark.start())
+        offset = mark.start()
+        _read_block(section, lines, start, index)
+        start = index + 1
+        head = mark[1]
+        if head is None:  # a comment line
+            continue
+        lineno, tokens = index + 1, lines[index].split()
         if head in ("OBJECTS", "OBSERVATIONS", "PAIR"):
             if len(tokens) > 1:
                 raise FixtureFormatError(f"line {lineno}: {head} takes no arguments")
@@ -424,15 +459,14 @@ def parse_system_file(text: str) -> SystemFixture:
                 raise FixtureFormatError(f"line {lineno}: PAIR before any MAP section")
             else:
                 section = (head, algorithms[-1][2])
-            continue
-        if head == "RELATION":
+        elif head == "RELATION":
             if len(tokens) != 2 or "/" not in tokens[1]:
                 raise FixtureFormatError(f"line {lineno}: expected RELATION <name>/<arity>")
             name, _, arity_text = tokens[1].rpartition("/")
             if not name:
                 raise FixtureFormatError(f"line {lineno}: relation name is empty")
             try:
-                arity = int(arity_text)
+                arity = ascii_int(arity_text)
             except ValueError:
                 raise FixtureFormatError(f"line {lineno}: bad arity {arity_text!r}") from None
             if universe is None:
@@ -445,36 +479,14 @@ def parse_system_file(text: str) -> SystemFixture:
             relations[name] = set()
             arities[name] = arity
             section = (head, (name, arity, relations[name]))
-            continue
-        if head == "MAP":
+        else:  # MAP
             if len(tokens) != 2:
                 raise FixtureFormatError(f"line {lineno}: expected MAP <algorithm-name>")
             if any(name == tokens[1] for name, _, _ in algorithms):
                 raise FixtureFormatError(f"line {lineno}: duplicate algorithm {tokens[1]!r}")
             algorithms.append((tokens[1], {}, {}))
             section = (head, algorithms[-1][1])
-            continue
-
-        # Data line inside the current section.
-        if section is None:
-            raise FixtureFormatError(f"line {lineno}: data before any section header")
-        kind, target = section
-        if kind == "RELATION":
-            name, arity, tuples = target
-            if len(tokens) != arity:
-                raise FixtureFormatError(
-                    f"line {lineno}: relation {name!r} has arity {arity}, got {len(tokens)} tokens"
-                )
-            tuples.add(tuple(tokens))
-        elif kind in _PAIR_LINE_WORDS:
-            shape, noun, verb = _PAIR_LINE_WORDS[kind]
-            if len(tokens) != 2:
-                raise FixtureFormatError(f"line {lineno}: expected '{shape}'")
-            if tokens[0] in target:
-                raise FixtureFormatError(f"line {lineno}: {noun} {tokens[0]!r} {verb} twice")
-            target[tokens[0]] = tokens[1]
-        else:
-            target.extend(tokens)
+    _read_block(section, lines, start, len(lines))
 
     try:
         system = ObjectSystem(*universes["OBJECTS"])
@@ -496,6 +508,57 @@ def parse_system_file(text: str) -> SystemFixture:
                     f"PAIR in {alg.name}: unknown observation relation {p_name!r}"
                 )
     return SystemFixture(system, obs_system, algs)
+
+
+def _read_block(section, lines: list, start: int, stop: int) -> None:
+    """Add ``lines[start:stop]``, which hold no header or comment line, to ``section``.
+
+    A relation block becomes its tuple set in one pass and is checked for
+    arity once; a MAP or PAIR block becomes a dict, checked for shape and
+    repeats at once; member lines are split and kept in order.  Only a block
+    that fails its check, or data before any section, is read line by line,
+    to name its first bad line.
+    """
+    kind, target = section or (None, None)
+    block = lines[start:stop]
+    if kind == "RELATION":
+        name, arity, tuples = target
+        new = set(map(tuple, map(str.split, block)))
+        if not set(map(len, new)) <= {0, arity}:
+            lineno, tokens = next((lineno, tokens)
+                                  for lineno, tokens in enumerate(map(str.split, block), start + 1)
+                                  if tokens and len(tokens) != arity)
+            raise FixtureFormatError(
+                f"line {lineno}: relation {name!r} has arity {arity}, got {len(tokens)} tokens"
+            )
+        new.discard(())  # blank lines
+        tuples |= new
+        return
+    if kind in ("OBJECTS", "OBSERVATIONS"):
+        target.extend(itertools.chain.from_iterable(map(str.split, block)))
+        return
+    if kind is not None:
+        pairs = list(filter(None, map(str.split, block)))
+        try:
+            new = dict(pairs)
+        except ValueError:  # a line of other than two tokens
+            new = {}
+        if len(new) == len(pairs) and new.keys().isdisjoint(target):
+            target.update(new)
+            return
+    # Data before any section, or a MAP or PAIR block that failed its check:
+    # name the first bad line.
+    for lineno, tokens in enumerate(map(str.split, block), start + 1):
+        if not tokens:
+            continue
+        if kind is None:
+            raise FixtureFormatError(f"line {lineno}: data before any section header")
+        shape, noun, verb = _PAIR_LINE_WORDS[kind]
+        if len(tokens) != 2:
+            raise FixtureFormatError(f"line {lineno}: expected '{shape}'")
+        if tokens[0] in target:
+            raise FixtureFormatError(f"line {lineno}: {noun} {tokens[0]!r} {verb} twice")
+        target[tokens[0]] = tokens[1]
 
 
 def _check_token(token: str, what: str) -> str:

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._shared import reachable, significant_lines
+from ._shared import ascii_int, reachable, significant_lines
 from .errors import CapExceeded, ObservementError
 
 ISO_CAP = 10
@@ -492,7 +492,7 @@ def _parse_header_n(lines):
     if len(parts) != 2:
         raise GraphFormatError(f"line {lineno}: expected '<kind> <n>'")
     try:
-        n = int(parts[1])
+        n = ascii_int(parts[1])
     except ValueError:
         raise GraphFormatError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
     if n < 0:
@@ -502,9 +502,25 @@ def _parse_header_n(lines):
 
 def _parse_int(token: str, lineno: int) -> int:
     try:
-        return int(token)
+        return ascii_int(token)
     except ValueError:
         raise GraphFormatError(f"line {lineno}: bad vertex {token!r}") from None
+
+
+def _plain_ints(tokens: list):
+    """The tokens as ints when every one is plain ASCII digits, else None.
+
+    One check of the joined tokens stands in for ``ascii_int`` on each.  A
+    token of more digits than ``int`` converts also gives None, so that the
+    caller's token-by-token read names it.
+    """
+    digits = "".join(tokens)
+    if not (digits.isdigit() and digits.isascii()):
+        return None
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        return None
 
 
 def _parse_edge_lines(lines, directed: bool):
@@ -514,8 +530,7 @@ def _parse_edge_lines(lines, directed: bool):
         parts = line.split()
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v'")
-        u, v = (_parse_int(t, lineno) for t in parts)
-        pairs.add((u, v))
+        pairs.add(tuple(_plain_ints(parts) or [_parse_int(t, lineno) for t in parts]))
     return from_edge_list(n, pairs, directed)
 
 
@@ -545,7 +560,8 @@ def _parse_adjacency_lines(lines, directed: bool):
         if filled[v]:
             raise GraphFormatError(f"line {lineno}: duplicate row for vertex {v}")
         filled[v] = True
-        rows[v] = [_parse_int(t, lineno) for t in rest.split()]
+        neighbours = rest.split()
+        rows[v] = _plain_ints(neighbours) or [_parse_int(t, lineno) for t in neighbours]
     return from_adjacency_list(rows, directed)
 
 

@@ -786,6 +786,47 @@ class TestErrorBranchPins:
         assert result.stderr == f"Error: {stderr}\n"
 
 
+class TestAsciiNumbers:
+    """Counts, vertices and arities are ASCII digits; int() alone reads '١', '1_0' and '+1'."""
+
+    @pytest.mark.parametrize("command, text, stderr", [
+        (["system", "classify"], "OBJECTS\na\nRELATION r/١\n", "line 3: bad arity '١'"),
+        (["system", "verify"], "OBJECTS\na\nRELATION r/١\n", "line 3: bad arity '١'"),
+        (["system", "classify"], "OBJECTS\na\nRELATION r/1_0\n", "line 3: bad arity '1_0'"),
+        (["system", "classify"], "OBJECTS\na\nRELATION r/+1\n", "line 3: bad arity '+1'"),
+        (["system", "classify"], "OBJECTS\na\nRELATION r/-1\n",
+         "relation 'r' must have arity >= 1"),
+        (["graph", "convert", "--to", "edges"], "graph ٣\n", "line 1: bad vertex count '٣'"),
+        (["graph", "convert", "--to", "edges"], "graph 1_0\n",
+         "line 1: bad vertex count '1_0'"),
+        (["graph", "convert", "--to", "edges"], "digraph +3\n",
+         "line 1: bad vertex count '+3'"),
+        (["graph", "convert", "--to", "edges"], "graph -1\n",
+         "line 1: vertex count must be >= 0"),
+        (["graph", "convert", "--to", "edges"], "graph 3\n0 ٢\n", "line 2: bad vertex '٢'"),
+        (["graph", "convert", "--to", "edges"], "adjlist 3\n0: 1_0\n",
+         "line 2: bad vertex '1_0'"),
+        (["graph", "convert", "--to", "edges"], "dadjlist 3\n+1: 0\n", "line 2: bad vertex '+1'"),
+        (["graph", "convert", "--to", "edges"], "graph 3\n0 1\n1 " + "2" * 5000 + "\n",
+         "line 3: bad vertex '" + "2" * 5000 + "'"),
+        (["graph", "convert", "--to", "edges"], "adjlist 3\n0: 1 " + "2" * 5000 + "\n",
+         "line 2: bad vertex '" + "2" * 5000 + "'"),
+        (["lzw", "decompress", "--alphabet", "ab"], "0 " + "1" * 5000 + "\n",
+         "bad code in input: code of 5000 digits"),
+        (["lzw", "decompress", "--alphabet", "ab"], "0 -1 -" + "1" * 5000 + "\n",
+         "bad code in input: code of 5000 digits"),
+    ], ids=["arity-arabic-indic", "verify-arity-arabic-indic", "arity-underscore", "arity-plus",
+            "arity-negative", "count-arabic-indic", "count-underscore", "count-plus",
+            "count-negative", "vertex-arabic-indic", "adjlist-vertex-underscore",
+            "adjlist-row-plus", "vertex-too-long", "adjlist-vertex-too-long", "lzw-long-code",
+            "lzw-long-negative-code"])
+    def test_refusal(self, runner, tmp_path, command, text, stderr):
+        path = write(tmp_path / "in.txt", text)
+        result = runner.invoke(cli, command[:2] + [path] + command[2:])
+        assert_domain_error_without_output(result)
+        assert result.stderr == f"Error: {stderr}\n"
+
+
 class TestComplexityAndLzw:
     def test_complexity_of_graph_file(self, runner, tmp_path):
         path = write(tmp_path / "k3.g", "graph 3\n0 1\n1 2\n0 2\n")

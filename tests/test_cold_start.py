@@ -37,6 +37,18 @@ def test_translate_loads_genetics_only(tmp_path):
     assert loaded == expected, f"extra: {sorted(loaded - expected)}"
 
 
+def test_system_classify_loads_core_only(tmp_path):
+    fixture = tmp_path / "id.obs"
+    fixture.write_text("OBJECTS\na b\nRELATION r/2\na b\n# note\n\nOBSERVATIONS\nx y\n"
+                       "RELATION p/2\nx y\nMAP id\na x\nb y\nPAIR\nr p\n")
+    stdout, loaded = loaded_modules(
+        "sys.argv = ['observe', 'system', 'classify', sys.argv[1]]; "
+        "from observement.cli import main; main()", str(fixture))
+    assert stdout.splitlines()[0] == "Strong"
+    expected = {*CLI, "observement.core"}
+    assert loaded == expected, f"extra: {sorted(loaded - expected)}"
+
+
 def test_version_loads_no_subsystem():
     stdout, loaded = loaded_modules(
         "sys.argv = ['observe', '--version']; from observement.cli import main; main()")
