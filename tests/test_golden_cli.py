@@ -1,0 +1,153 @@
+"""The CLI's bytes over a fixed set of seeded commands, checked against a digest.
+
+Each line of ``golden_cli.txt`` is the first 16 hex digits of a sha256 over
+one command's exit code, stdout and stderr, with the temporary directory
+replaced by a placeholder, followed by the command's label.  The commands:
+
+* the contract loop's seeded generator (``test_cli_contract.random_command``);
+* extra ``motif derive`` and ``graph iso`` commands, which that generator
+  rarely makes succeed: equal-length sequence files, and graph pairs where
+  the second is most often a relabelled copy of the first;
+* every job of the ``bench/run.py --quick`` rounds and probes, read from
+  ``bench/workloads.py``, which bring realistic sizes.
+
+A change to any of those bytes fails the test, which names each changed
+command.  To re-record after a change that is meant, run this module as a
+script from the repository root:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import hashlib
+import itertools
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+from click.testing import CliRunner
+from test_cli_contract import random_command
+
+from observement.cli import cli
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden_cli.txt"
+BENCH = HERE.parent / "bench"
+PLACEHOLDER = "<tmp>"
+
+
+def motif_derive_command(rng, write):
+    length = rng.randint(0, 6)
+    lines = ["".join(rng.choice("ACGT") for _ in range(length))
+             for _ in range(rng.choice([0, 1, 2, 2, 3, 4, 5]))]
+    if lines and rng.random() < 0.15:
+        lines[rng.randrange(len(lines))] += "A"
+    if rng.random() < 0.3:
+        lines = [line for i, line in enumerate(lines) for line in (f">s{i}", line)]
+    return ["motif", "derive", write("\n".join(lines) + "\n"),
+            "--class-cap", str(rng.randint(-1, 4))]
+
+
+def graph_text(n, pairs, directed, adjacency):
+    if adjacency:
+        rows = [[] for _ in range(n)]
+        for u, v in pairs:
+            rows[u].append(v)
+            if not directed:
+                rows[v].append(u)
+        head = "dadjlist" if directed else "adjlist"
+        body = [f"{w}: {' '.join(map(str, sorted(row)))}" for w, row in enumerate(rows)]
+    else:
+        head = "digraph" if directed else "graph"
+        body = [f"{u} {v}" for u, v in sorted(pairs)]
+    return "\n".join([f"{head} {n}"] + body) + "\n"
+
+
+def graph_iso_command(rng, write):
+    n = rng.choice([0, 1, 2, 3, 4, 5, 6, 7, 7, 11])
+    directed = rng.random() < 0.4
+    pairs = {(u, v) for u in range(n) for v in range(n)
+             if (u != v and (directed or u < v)) and rng.random() < 0.4}
+    permutation = list(range(n))
+    rng.shuffle(permutation)
+    image = {(permutation[u], permutation[v]) for u, v in pairs}
+    if not directed:
+        image = {(min(u, v), max(u, v)) for u, v in image}
+    if n > 1 and rng.random() < 0.3:
+        u, v = rng.sample(range(n), 2)
+        image ^= {(u, v) if directed else (min(u, v), max(u, v))}
+    other = directed if rng.random() < 0.95 else not directed
+    return ["graph", "iso",
+            write(graph_text(n, pairs, directed, rng.random() < 0.3)),
+            write(graph_text(n, image, other, rng.random() < 0.3))]
+
+
+def bench_commands(write):
+    """Every job of the --quick rounds and probes, as (label, args)."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    rounds = [(name, workloads.make_round(name, 7, 0, quick=True))
+              for name in workloads.WORKLOADS]
+    rounds.append(("probes", workloads.probe_round(7)))
+    for name, rnd in rounds:
+        paths = {f"@{file}": write(text) for file, text in rnd.files.items()}
+        for i, job in enumerate(rnd.jobs):
+            yield f"bench/{name}/{i:03d}", [paths.get(a, a) for a in job.args]
+
+
+def commands(write):
+    """Every command of the digest, in order, as (label, args)."""
+    rng = random.Random(8)
+    for i in range(2000):
+        yield f"contract/{i:04d}", random_command(rng, write)
+    rng = random.Random(18)
+    for i in range(300):
+        yield f"derive/{i:03d}", motif_derive_command(rng, write)
+        yield f"iso/{i:03d}", graph_iso_command(rng, write)
+    yield from bench_commands(write)
+
+
+def digests():
+    """(label, digest, shown command) for every command, run in one temporary directory."""
+    runner = CliRunner(env={"OBSERVE_SEED": None})
+    with tempfile.TemporaryDirectory() as folder:
+        counter = itertools.count()
+
+        def write(text):
+            path = Path(folder, f"f{next(counter)}.txt")
+            path.write_text(text, encoding="utf-8")
+            return str(path)
+
+        out = []
+        for label, args in commands(write):
+            result = runner.invoke(cli, args)
+            payload = "\0".join([str(result.exit_code), result.stdout, result.stderr])
+            digest = hashlib.sha256(payload.replace(folder, PLACEHOLDER).encode()).hexdigest()
+            shown = " ".join(args).replace(folder, PLACEHOLDER)
+            out.append((label, digest[:16], shown if len(shown) < 120 else shown[:117] + "..."))
+        return out
+
+
+def golden_lines(rows):
+    """One line per command: its digest, its label and its leading command words."""
+    out = []
+    for label, digest, shown in rows:
+        words = itertools.takewhile(str.isalpha, shown.split())
+        out.append(" ".join([digest, label, *itertools.islice(words, 2)]))
+    return out
+
+
+def test_cli_bytes_match_the_golden_digest():
+    rows = digests()
+    expected = GOLDEN.read_text().splitlines()
+    assert len(expected) == len(rows), "command list changed; re-record the digest"
+    changed = [f"{label}: {shown}" for (label, _, shown), now, then
+               in zip(rows, golden_lines(rows), expected) if now != then]
+    assert not changed, "CLI bytes changed for:\n" + "\n".join(changed)
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text("\n".join(golden_lines(digests())) + "\n")
