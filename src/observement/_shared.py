@@ -1,6 +1,8 @@
-"""A line reader, a number reader and two graph walks shared across modules.
+"""A line reader, the number readers and two graph walks shared across modules.
 
-Imports nothing from the package.
+Every number the package reads, in a file or an argument, goes through
+``ascii_int`` or, for a list of tokens, ``ascii_ints``: ASCII digits after
+an optional '-'.  Imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -62,11 +64,30 @@ def ascii_int(token: str) -> int:
     """The integer that ``token`` writes in ASCII digits, after an optional '-'.
 
     ``int`` alone also reads other scripts' digits, '+', '_' and blanks, so
-    '١' or '1_0' would pass as a number.  Anything else raises ValueError, as
-    does a token of more digits than ``int`` converts.  The '-' is kept so
-    that each caller's own message for a negative number still applies.
+    '١' or '1_0' would pass as a number.  Anything else, and a token of more
+    digits than ``int`` converts, raises ValueError with the token as its
+    one argument.  The '-' is kept so that each caller's own message for a
+    negative number still applies.
     """
     digits = token[1:] if token[:1] == "-" else token
-    if not (digits.isdigit() and digits.isascii()):
-        raise ValueError(f"not an ASCII integer: {token!r}")
-    return int(token)
+    if digits.isdigit() and digits.isascii():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ValueError(token)
+
+
+def ascii_ints(tokens: list) -> list:
+    """``ascii_int`` of each token; the ValueError carries the first bad one.
+
+    One check of the joined tokens clears the usual list of plain digits
+    without a call per token; only a list that fails it is read one by one.
+    """
+    digits = "".join(tokens)
+    if digits.isdigit() and digits.isascii():
+        try:
+            return list(map(int, tokens))
+        except ValueError:  # a token of more digits than int() converts
+            pass
+    return list(map(ascii_int, tokens))

@@ -9,12 +9,10 @@ every run is reproducible.
 
 from __future__ import annotations
 
-import re
-
 import click
 
 from . import __version__
-from ._shared import significant_lines
+from ._shared import ascii_int, ascii_ints, significant_lines
 from .errors import ObservementError
 
 
@@ -30,8 +28,18 @@ def _read(path: str) -> str:
             f"{path}: not valid UTF-8 at byte offset {exc.start}") from exc
 
 
+class _Integer(click.types.IntParamType):
+    """click's integer type on ``ascii_int``, which refuses the '١', '1_0' and '+1' of ``int``."""
+
+    @staticmethod
+    def _number_class(value):
+        return ascii_int(str(value))
+
+
+_INTEGER = _Integer()
+
 _seed_option = click.option(
-    "--seed", type=int, default=0, show_default=True, envvar="OBSERVE_SEED",
+    "--seed", type=_INTEGER, default=0, show_default=True, envvar="OBSERVE_SEED",
     help="Random seed (or set OBSERVE_SEED).",
 )
 
@@ -123,7 +131,7 @@ def grammar_check(grammar_file, string):
 
 @grammar.command("gen")
 @click.argument("grammar_file")
-@click.option("--max-len", type=int, required=True, help="Largest string length to derive.")
+@click.option("--max-len", type=_INTEGER, required=True, help="Largest string length to derive.")
 def grammar_gen(grammar_file, max_len):
     """Print every derivable string up to MAX_LEN, shortest first."""
     from . import strings
@@ -188,7 +196,7 @@ def motif_match(pattern, seq_file, anchored):
 
 @motif.command("derive")
 @click.argument("seqs_file")
-@click.option("--class-cap", type=int, required=True,
+@click.option("--class-cap", type=_INTEGER, required=True,
               help="Largest symbol class before a column becomes a wildcard.")
 def motif_derive(seqs_file, class_cap):
     """Print the motif shared by the equal-length sequences in SEQS_FILE."""
@@ -255,7 +263,7 @@ def graph_sub(small_file, big_file):
 @graph.command("motifs")
 @click.argument("graph_file")
 @click.option("-k", type=click.Choice(["3", "4"]), default="3", show_default=True)
-@click.option("--significance", type=int, default=0, show_default=True,
+@click.option("--significance", type=_INTEGER, default=0, show_default=True,
               help="Number of rewired null-model samples (0 = none).")
 @_seed_option
 def graph_motifs(graph_file, k, significance, seed):
@@ -287,11 +295,11 @@ def automaton_graph(automaton_file):
 
 
 @cli.command("percolate")
-@click.option("-n", "n", type=int, required=True, help="Vertex count.")
+@click.option("-n", "n", type=_INTEGER, required=True, help="Vertex count.")
 @click.option("--p-from", type=float, required=True)
 @click.option("--p-to", type=float, required=True)
-@click.option("--steps", type=int, required=True, help="Number of probe points.")
-@click.option("--trials", type=int, required=True, help="Random graphs per probe point.")
+@click.option("--steps", type=_INTEGER, required=True, help="Number of probe points.")
+@click.option("--trials", type=_INTEGER, required=True, help="Random graphs per probe point.")
 @_seed_option
 def percolate(n, p_from, p_to, steps, trials, seed):
     """Print CSV of mean largest-component fraction across edge probabilities."""
@@ -392,18 +400,13 @@ def lzw_compress_command(input_file, alphabet):
 def lzw_decompress_command(input_file, alphabet):
     """Print the string for a whitespace-separated code stream file."""
     from . import complexity
-    tokens = _read(input_file).split()
-    # ASCII integers only: int() alone would also take '١', '+1' and '1_0'.  One
-    # check of the joined tokens clears the usual stream without a match per
-    # token; a negative code passes the match and is out of range below.
-    digits = "".join(tokens)
-    if not (digits.isascii() and digits.isdigit()):
-        bad = next((t for t in tokens if not re.fullmatch("-?[0-9]+", t)), None)
-        if bad is not None:
-            raise click.ClickException(f"bad code in input: {bad!r}")
     try:
-        codes = [int(t) for t in tokens]
-    except ValueError:  # more digits than int() converts; name the size, not the digits
-        longest = max(tokens, key=len).lstrip("-")
-        raise click.ClickException(f"bad code in input: code of {len(longest)} digits") from None
+        codes = ascii_ints(_read(input_file).split())  # a negative one is out of range below
+    except ValueError as exc:
+        (bad,) = exc.args
+        digits = bad.removeprefix("-")
+        # A well-formed code longer than int() converts is named by its size.
+        well_formed = digits.isdigit() and digits.isascii()
+        what = f"code of {len(digits)} digits" if well_formed else repr(bad)
+        raise click.ClickException(f"bad code in input: {what}") from None
     click.echo(complexity.lzw_decompress(codes, alphabet))

@@ -47,11 +47,7 @@ _SECTION_KEYWORDS = frozenset({"OBJECTS", "OBSERVATIONS", "RELATION", "MAP", "PA
 
 
 class SystemDefinitionError(ObservementError):
-    """An object system, observation system, or algorithm violates its invariants."""
-
-
-class FixtureFormatError(ObservementError):
-    """A system fixture file is malformed."""
+    """A malformed fixture file, or a system or algorithm that breaks its invariants."""
 
 
 def _group_rows(tuples) -> dict:
@@ -451,60 +447,59 @@ def parse_system_file(text: str) -> SystemFixture:
         lineno, tokens = index + 1, lines[index].split()
         if head in ("OBJECTS", "OBSERVATIONS", "PAIR"):
             if len(tokens) > 1:
-                raise FixtureFormatError(f"line {lineno}: {head} takes no arguments")
+                raise SystemDefinitionError(f"line {lineno}: {head} takes no arguments")
             if head != "PAIR":
                 universe = universes[head]
                 section = (head, universe[0])
             elif not algorithms:
-                raise FixtureFormatError(f"line {lineno}: PAIR before any MAP section")
+                raise SystemDefinitionError(f"line {lineno}: PAIR before any MAP section")
             else:
                 section = (head, algorithms[-1][2])
         elif head == "RELATION":
             if len(tokens) != 2 or "/" not in tokens[1]:
-                raise FixtureFormatError(f"line {lineno}: expected RELATION <name>/<arity>")
+                raise SystemDefinitionError(f"line {lineno}: expected RELATION <name>/<arity>")
             name, _, arity_text = tokens[1].rpartition("/")
             if not name:
-                raise FixtureFormatError(f"line {lineno}: relation name is empty")
+                raise SystemDefinitionError(f"line {lineno}: relation name is empty")
             try:
                 arity = ascii_int(arity_text)
             except ValueError:
-                raise FixtureFormatError(f"line {lineno}: bad arity {arity_text!r}") from None
+                raise SystemDefinitionError(f"line {lineno}: bad arity {arity_text!r}") from None
             if universe is None:
-                raise FixtureFormatError(
+                raise SystemDefinitionError(
                     f"line {lineno}: RELATION before any OBJECTS or OBSERVATIONS section"
                 )
             _, relations, arities = universe
             if name in relations:
-                raise FixtureFormatError(f"line {lineno}: duplicate relation {name!r}")
+                raise SystemDefinitionError(f"line {lineno}: duplicate relation {name!r}")
             relations[name] = set()
             arities[name] = arity
             section = (head, (name, arity, relations[name]))
         else:  # MAP
             if len(tokens) != 2:
-                raise FixtureFormatError(f"line {lineno}: expected MAP <algorithm-name>")
+                raise SystemDefinitionError(f"line {lineno}: expected MAP <algorithm-name>")
             if any(name == tokens[1] for name, _, _ in algorithms):
-                raise FixtureFormatError(f"line {lineno}: duplicate algorithm {tokens[1]!r}")
+                raise SystemDefinitionError(f"line {lineno}: duplicate algorithm {tokens[1]!r}")
             algorithms.append((tokens[1], {}, {}))
             section = (head, algorithms[-1][1])
     _read_block(section, lines, start, len(lines))
 
-    try:
-        system = ObjectSystem(*universes["OBJECTS"])
-        obs_system = ObservationSystem(*universes["OBSERVATIONS"])
-        algs = tuple(ObservationAlgorithm(*a) for a in algorithms)
-    except SystemDefinitionError as exc:
-        raise FixtureFormatError(str(exc)) from exc
+    system = ObjectSystem(*universes["OBJECTS"])
+    obs_system = ObservationSystem(*universes["OBSERVATIONS"])
+    algs = tuple(ObservationAlgorithm(*a) for a in algorithms)
     for alg in algs:
         for obj, value in alg.mapping.items():
             if obj not in system.objects:
-                raise FixtureFormatError(f"MAP {alg.name}: unknown object {obj!r}")
+                raise SystemDefinitionError(f"MAP {alg.name}: unknown object {obj!r}")
             if value not in obs_system.observations:
-                raise FixtureFormatError(f"MAP {alg.name}: unknown observation {value!r}")
+                raise SystemDefinitionError(f"MAP {alg.name}: unknown observation {value!r}")
         for r_name, p_name in alg.relation_pairing.items():
             if r_name not in system.relations:
-                raise FixtureFormatError(f"PAIR in {alg.name}: unknown object relation {r_name!r}")
+                raise SystemDefinitionError(
+                    f"PAIR in {alg.name}: unknown object relation {r_name!r}"
+                )
             if p_name not in obs_system.relations:
-                raise FixtureFormatError(
+                raise SystemDefinitionError(
                     f"PAIR in {alg.name}: unknown observation relation {p_name!r}"
                 )
     return SystemFixture(system, obs_system, algs)
@@ -528,7 +523,7 @@ def _read_block(section, lines: list, start: int, stop: int) -> None:
             lineno, tokens = next((lineno, tokens)
                                   for lineno, tokens in enumerate(map(str.split, block), start + 1)
                                   if tokens and len(tokens) != arity)
-            raise FixtureFormatError(
+            raise SystemDefinitionError(
                 f"line {lineno}: relation {name!r} has arity {arity}, got {len(tokens)} tokens"
             )
         new.discard(())  # blank lines
@@ -552,20 +547,20 @@ def _read_block(section, lines: list, start: int, stop: int) -> None:
         if not tokens:
             continue
         if kind is None:
-            raise FixtureFormatError(f"line {lineno}: data before any section header")
+            raise SystemDefinitionError(f"line {lineno}: data before any section header")
         shape, noun, verb = _PAIR_LINE_WORDS[kind]
         if len(tokens) != 2:
-            raise FixtureFormatError(f"line {lineno}: expected '{shape}'")
+            raise SystemDefinitionError(f"line {lineno}: expected '{shape}'")
         if tokens[0] in target:
-            raise FixtureFormatError(f"line {lineno}: {noun} {tokens[0]!r} {verb} twice")
+            raise SystemDefinitionError(f"line {lineno}: {noun} {tokens[0]!r} {verb} twice")
         target[tokens[0]] = tokens[1]
 
 
 def _check_token(token: str, what: str) -> str:
     if not token or token != token.strip() or any(c.isspace() for c in token):
-        raise FixtureFormatError(f"{what} {token!r} cannot be written as a file token")
+        raise SystemDefinitionError(f"{what} {token!r} cannot be written as a file token")
     if token in _SECTION_KEYWORDS:
-        raise FixtureFormatError(f"{what} {token!r} collides with a section keyword")
+        raise SystemDefinitionError(f"{what} {token!r} collides with a section keyword")
     return token
 
 
@@ -582,7 +577,7 @@ def format_system_file(fixture: SystemFixture) -> str:
         for name in sorted(relations):
             _check_token(name, "relation name")
             if "/" in name:
-                raise FixtureFormatError(f"relation name {name!r} may not contain '/'")
+                raise SystemDefinitionError(f"relation name {name!r} may not contain '/'")
             lines.append(f"RELATION {name}/{arities[name]}")
             for t in sorted(relations[name]):
                 lines.append(" ".join(_check_token(x, "identifier") for x in t))

@@ -10,6 +10,7 @@ reflect the symmetry of the relationship.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -80,13 +81,6 @@ class KinshipGraph:
         out: dict = {}
         for parent, child in self.parent_arcs:
             out.setdefault(parent, set()).add(child)
-        return out
-
-    @functools.cached_property
-    def _parents(self) -> dict:
-        out: dict = {}
-        for parent, child in self.parent_arcs:
-            out.setdefault(child, set()).add(parent)
         return out
 
 
@@ -162,12 +156,10 @@ def query(g: KinshipGraph, relation: str, u: str, v: str) -> bool:
     if relation == "is_related_to":
         if u == v:
             return True
-        # New sets: the cached maps are shared and must not grow partners.
-        neighbours = {p: g._children.get(p, set()) | g._parents.get(p, set())
-                      for p in g.persons}
-        for a, b in map(tuple, g.partner_edges):
-            neighbours[a].add(b)
-            neighbours[b].add(a)
+        neighbours: dict = {}
+        for a, b in itertools.chain(g.parent_arcs, map(tuple, g.partner_edges)):
+            neighbours.setdefault(a, set()).add(b)
+            neighbours.setdefault(b, set()).add(a)
         return v in reachable(u, neighbours)
     if relation == "is_descendant_of":
         return u != v and u in reachable(v, g._children)

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._shared import ascii_int, reachable, significant_lines
+from ._shared import ascii_int, ascii_ints, reachable, significant_lines
 from .errors import CapExceeded, ObservementError
 
 ISO_CAP = 10
@@ -27,11 +27,7 @@ GRAPH6_MAX_N = 62
 
 
 class GraphError(ObservementError):
-    """Structural violation: bad endpoints, self-loops, size caps."""
-
-
-class GraphFormatError(ObservementError):
-    """A graph, matrix, adjacency-list, or graph6 text is malformed."""
+    """A malformed graph or automaton text, or a value that breaks its invariants."""
 
 
 def _normalise_edge(u: int, v: int) -> tuple:
@@ -98,30 +94,29 @@ class Digraph:
 # --- representation conversions ----------------------------------------------
 
 
+def _pairs(g) -> frozenset:
+    """The edges of a Graph or the arcs of a Digraph."""
+    return g.edges if isinstance(g, Graph) else g.arcs
+
+
 def to_edge_list(g) -> list:
-    pairs = g.edges if isinstance(g, Graph) else g.arcs
-    return sorted(pairs)
+    return sorted(_pairs(g))
 
 
 def to_adjacency_list(g) -> list:
     rows: list[list[int]] = [[] for _ in range(g.n)]
-    if isinstance(g, Graph):
-        for u, v in g.edges:
-            rows[u].append(v)
+    undirected = isinstance(g, Graph)
+    for u, v in _pairs(g):
+        rows[u].append(v)
+        if undirected:
             rows[v].append(u)
-    else:
-        for u, v in g.arcs:
-            rows[u].append(v)
     return [sorted(r) for r in rows]
 
 
 def to_adjacency_matrix(g) -> list:
     m = [[0] * g.n for _ in range(g.n)]
-    if isinstance(g, Graph):
-        for u, v in g.edges:
-            m[u][v] = m[v][u] = 1
-    else:
-        for u, v in g.arcs:
+    for u, row in enumerate(to_adjacency_list(g)):
+        for v in row:
             m[u][v] = 1
     return m
 
@@ -136,7 +131,7 @@ def from_adjacency_list(rows: Sequence, directed: bool = False):
     if not directed:
         asymmetric = [(u, v) for u, v in pairs if (v, u) not in pairs]
         if asymmetric:
-            raise GraphFormatError(f"adjacency list is not symmetric at {asymmetric[0]}")
+            raise GraphError(f"adjacency list is not symmetric at {asymmetric[0]}")
     return from_edge_list(n, pairs, directed)
 
 
@@ -144,14 +139,14 @@ def from_adjacency_matrix(matrix: Sequence, directed: bool = False):
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
-            raise GraphFormatError(f"matrix is not square: row of length {len(row)}, n={n}")
+            raise GraphError(f"matrix is not square: row of length {len(row)}, n={n}")
     if not directed:
         for i in range(n):
             if matrix[i][i]:
-                raise GraphFormatError(f"nonzero diagonal at {i} in an undirected matrix")
+                raise GraphError(f"nonzero diagonal at {i} in an undirected matrix")
             for j in range(i):
                 if bool(matrix[i][j]) != bool(matrix[j][i]):
-                    raise GraphFormatError(f"matrix is not symmetric at ({i},{j})")
+                    raise GraphError(f"matrix is not symmetric at ({i},{j})")
     pairs = {(i, j) for i in range(n) for j in range(n) if matrix[i][j]}
     return from_edge_list(n, pairs, directed)
 
@@ -193,27 +188,27 @@ def encode_graph6(g: Graph) -> str:
 def decode_graph6(text: str) -> Graph:
     """Inverse of encode_graph6, with strict validation of length and padding."""
     if not text:
-        raise GraphFormatError("empty graph6 string")
+        raise GraphError("empty graph6 string")
     for i, ch in enumerate(text):
         if not (63 <= ord(ch) <= 126):
-            raise GraphFormatError(f"byte {ord(ch)} at position {i} outside graph6 range")
+            raise GraphError(f"byte {ord(ch)} at position {i} outside graph6 range")
     size = ord(text[0]) - 63
     if size > GRAPH6_MAX_N:
-        raise GraphFormatError("long-form graph6 (more than 62 vertices) is not supported")
+        raise GraphError("long-form graph6 (more than 62 vertices) is not supported")
     bit_count = size * (size - 1) // 2
     expected_chars = 1 + (bit_count + 5) // 6
     if len(text) < expected_chars:
-        raise GraphFormatError(
+        raise GraphError(
             f"graph6 string too short: {len(text)} bytes, need {expected_chars} for n={size}"
         )
     if len(text) > expected_chars:
-        raise GraphFormatError(f"trailing garbage after {expected_chars} graph6 bytes")
+        raise GraphError(f"trailing garbage after {expected_chars} graph6 bytes")
     bits = []
     for ch in text[1:]:
         value = ord(ch) - 63
         bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
     if any(bits[bit_count:]):
-        raise GraphFormatError("nonzero padding bits in graph6 string")
+        raise GraphError("nonzero padding bits in graph6 string")
     edges = {
         (i, j)
         for bit, (i, j) in zip(bits, _triangle_pairs(size))
@@ -231,7 +226,7 @@ def _check_same_kind(g1, g2):
 
 
 def _size(g) -> int:
-    return len(g.edges if isinstance(g, Graph) else g.arcs)
+    return len(_pairs(g))
 
 
 def _profiles(g) -> list:
@@ -472,55 +467,36 @@ def parse_graph_text(text: str):
     """Parse any of the text representations (including bare graph6) to a graph."""
     lines = list(significant_lines(text))
     if not lines:
-        raise GraphFormatError("empty graph text")
+        raise GraphError("empty graph text")
     head = lines[0][1].split()
     keyword = head[0]
     if keyword in _HEADER_PARSERS:
         parser, directed = _HEADER_PARSERS[keyword]
-        try:
-            return parser(lines, directed)
-        except GraphError as exc:
-            raise GraphFormatError(str(exc)) from exc
+        return parser(lines, directed)
     if len(lines) == 1 and len(head) == 1:
         return decode_graph6(head[0])
-    raise GraphFormatError(f"line {lines[0][0]}: unknown header {keyword!r}")
+    raise GraphError(f"line {lines[0][0]}: unknown header {keyword!r}")
 
 
 def _parse_header_n(lines):
     lineno, line = lines[0]
     parts = line.split()
     if len(parts) != 2:
-        raise GraphFormatError(f"line {lineno}: expected '<kind> <n>'")
+        raise GraphError(f"line {lineno}: expected '<kind> <n>'")
     try:
         n = ascii_int(parts[1])
     except ValueError:
-        raise GraphFormatError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
+        raise GraphError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
     if n < 0:
-        raise GraphFormatError(f"line {lineno}: vertex count must be >= 0")
+        raise GraphError(f"line {lineno}: vertex count must be >= 0")
     return n
 
 
-def _parse_int(token: str, lineno: int) -> int:
+def _vertices(tokens: list, lineno: int) -> list:
     try:
-        return ascii_int(token)
-    except ValueError:
-        raise GraphFormatError(f"line {lineno}: bad vertex {token!r}") from None
-
-
-def _plain_ints(tokens: list):
-    """The tokens as ints when every one is plain ASCII digits, else None.
-
-    One check of the joined tokens stands in for ``ascii_int`` on each.  A
-    token of more digits than ``int`` converts also gives None, so that the
-    caller's token-by-token read names it.
-    """
-    digits = "".join(tokens)
-    if not (digits.isdigit() and digits.isascii()):
-        return None
-    try:
-        return list(map(int, tokens))
-    except ValueError:
-        return None
+        return ascii_ints(tokens)
+    except ValueError as exc:
+        raise GraphError(f"line {lineno}: bad vertex {exc.args[0]!r}") from None
 
 
 def _parse_edge_lines(lines, directed: bool):
@@ -529,8 +505,8 @@ def _parse_edge_lines(lines, directed: bool):
     for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected 'u v'")
-        pairs.add(tuple(_plain_ints(parts) or [_parse_int(t, lineno) for t in parts]))
+            raise GraphError(f"line {lineno}: expected 'u v'")
+        pairs.add(tuple(_vertices(parts, lineno)))
     return from_edge_list(n, pairs, directed)
 
 
@@ -539,10 +515,10 @@ def _parse_matrix_lines(lines, directed: bool):
     rows = []
     for lineno, line in lines[1:]:
         if len(line) != n or any(c not in "01" for c in line):
-            raise GraphFormatError(f"line {lineno}: expected {n} characters of 0/1")
+            raise GraphError(f"line {lineno}: expected {n} characters of 0/1")
         rows.append([int(c) for c in line])
     if len(rows) != n:
-        raise GraphFormatError(f"expected {n} matrix rows, got {len(rows)}")
+        raise GraphError(f"expected {n} matrix rows, got {len(rows)}")
     return from_adjacency_matrix(rows, directed)
 
 
@@ -553,15 +529,14 @@ def _parse_adjacency_lines(lines, directed: bool):
     for lineno, line in lines[1:]:
         head, sep, rest = line.partition(":")
         if not sep:
-            raise GraphFormatError(f"line {lineno}: expected 'v: neighbours'")
-        v = _parse_int(head.strip(), lineno)
+            raise GraphError(f"line {lineno}: expected 'v: neighbours'")
+        (v,) = _vertices([head.strip()], lineno)
         if not (0 <= v < n):
-            raise GraphFormatError(f"line {lineno}: vertex {v} out of range")
+            raise GraphError(f"line {lineno}: vertex {v} out of range")
         if filled[v]:
-            raise GraphFormatError(f"line {lineno}: duplicate row for vertex {v}")
+            raise GraphError(f"line {lineno}: duplicate row for vertex {v}")
         filled[v] = True
-        neighbours = rest.split()
-        rows[v] = _plain_ints(neighbours) or [_parse_int(t, lineno) for t in neighbours]
+        rows[v] = _vertices(rest.split(), lineno)
     return from_adjacency_list(rows, directed)
 
 
@@ -583,13 +558,10 @@ def parse_automaton_file(text: str) -> Automaton:
     for lineno, line in significant_lines(text):
         parts = line.split()
         if len(parts) != 3 or parts[1] != "->":
-            raise GraphFormatError(f"line {lineno}: expected 'state -> state'")
+            raise GraphError(f"line {lineno}: expected 'state -> state'")
         src, dst = parts[0], parts[2]
         if src in successor:
-            raise GraphFormatError(f"line {lineno}: state {src!r} has two successors")
+            raise GraphError(f"line {lineno}: state {src!r} has two successors")
         successor[src] = dst
         states.update((src, dst))
-    try:
-        return Automaton(frozenset(states), successor)
-    except GraphError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    return Automaton(frozenset(states), successor)

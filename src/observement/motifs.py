@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
+from ._shared import ascii_int
 from .errors import CapExceeded, ObservementError
 from .graphs import Digraph, _pack_graph6, _size, _triangle_pairs, to_edge_list
 
@@ -85,9 +86,12 @@ def parse_motif(text: str) -> MotifPattern:
             if end < 0:
                 raise MotifError(f"position {i}: unterminated wildcard count")
             count_text = text[i + 2:end].strip()
-            if not (count_text.isascii() and count_text.isdigit()):
-                raise MotifError(f"position {i}: bad wildcard count {count_text!r}")
-            tokens.append(Wildcard(int(count_text)))
+            try:
+                if count_text[:1] == "-":  # ascii_int reads a sign; a count has none
+                    raise ValueError(count_text)
+                tokens.append(Wildcard(ascii_int(count_text)))
+            except ValueError:
+                raise MotifError(f"position {i}: bad wildcard count {count_text!r}") from None
             i = end + 1
         elif ch == "{":
             end = text.find("}", i + 1)

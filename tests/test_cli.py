@@ -815,16 +815,54 @@ class TestAsciiNumbers:
          "bad code in input: code of 5000 digits"),
         (["lzw", "decompress", "--alphabet", "ab"], "0 -1 -" + "1" * 5000 + "\n",
          "bad code in input: code of 5000 digits"),
+        (["lzw", "decompress", "--alphabet", "ab"], "0 " + "1" * 5000 + " ١\n",
+         "bad code in input: code of 5000 digits"),
+        (["lzw", "decompress", "--alphabet", "ab"], "0 --5\n", "bad code in input: '--5'"),
     ], ids=["arity-arabic-indic", "verify-arity-arabic-indic", "arity-underscore", "arity-plus",
             "arity-negative", "count-arabic-indic", "count-underscore", "count-plus",
             "count-negative", "vertex-arabic-indic", "adjlist-vertex-underscore",
             "adjlist-row-plus", "vertex-too-long", "adjlist-vertex-too-long", "lzw-long-code",
-            "lzw-long-negative-code"])
+            "lzw-long-negative-code", "lzw-first-bad-code-in-file-order", "lzw-double-minus"])
     def test_refusal(self, runner, tmp_path, command, text, stderr):
         path = write(tmp_path / "in.txt", text)
         result = runner.invoke(cli, command[:2] + [path] + command[2:])
         assert_domain_error_without_output(result)
         assert result.stderr == f"Error: {stderr}\n"
+
+    @pytest.mark.parametrize("count", ["1" * 5000, "-1", "-0"],
+                             ids=["too-long", "minus", "minus-0"])
+    def test_wildcard_count_refusal(self, runner, tmp_path, count):
+        path = write(tmp_path / "seqs.txt", "AB\n")
+        result = runner.invoke(cli, ["motif", "match", f"x({count})", path])
+        assert_domain_error_without_output(result)
+        assert result.stderr == f"Error: position 0: bad wildcard count '{count}'\n"
+
+    @pytest.mark.parametrize("args, option, word", [
+        (["grammar", "gen", "{0}", "--max-len", "١"], "--max-len", "١"),
+        (["motif", "derive", "{1}", "--class-cap", "1_0"], "--class-cap", "1_0"),
+        (["graph", "motifs", "{2}", "--significance", "+1"], "--significance", "+1"),
+        (["graph", "motifs", "{2}", "--seed", "\xa03"], "--seed", "\xa03"),
+        (["percolate", "-n", "٣", "--p-from", "0", "--p-to", "1", "--steps", "1", "--trials", "1"],
+         "-n", "٣"),
+        (["percolate", "-n", "3", "--p-from", "0", "--p-to", "1", "--steps", "٢", "--trials", "1"],
+         "--steps", "٢"),
+        (["percolate", "-n", "3", "--p-from", "0", "--p-to", "1", "--steps", "1",
+          "--trials", "1\u2028"], "--trials", "1\u2028"),
+    ], ids=["max-len", "class-cap", "significance", "seed", "n", "steps", "trials"])
+    def test_argument_refusal(self, runner, tmp_path, args, option, word):
+        paths = [write(tmp_path / "g.txt", "<s> -> a\n"), write(tmp_path / "s.txt", "AB\nAC\n"),
+                 write(tmp_path / "k3.g", "graph 3\n0 1\n1 2\n0 2\n")]
+        result = runner.invoke(cli, [arg.format(*paths) for arg in args])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.splitlines()[-1] == \
+            f"Error: Invalid value for '{option}': {word!r} is not a valid integer."
+
+    def test_seed_variable_refusal(self, runner):
+        result = runner.invoke(cli, ["percolate", "-n", "3", "--p-from", "0", "--p-to", "1",
+                                     "--steps", "1", "--trials", "1"], env={"OBSERVE_SEED": "٣"})
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.splitlines()[-1] == \
+            "Error: Invalid value for '--seed': '٣' is not a valid integer."
 
 
 class TestComplexityAndLzw:

@@ -13,7 +13,6 @@ import pytest
 from observement import core
 from observement.core import (
     Classification,
-    FixtureFormatError,
     ObjectSystem,
     ObservationAlgorithm,
     ObservationSystem,
@@ -704,20 +703,20 @@ class TestFixtureFile:
 
     def test_parse_reports_bad_arity_line(self):
         text = "OBJECTS\na b\nRELATION r/2\na\n"
-        with pytest.raises(FixtureFormatError, match="line 4"):
+        with pytest.raises(SystemDefinitionError, match="line 4"):
             core.parse_system_file(text)
 
     def test_parse_rejects_data_before_section(self):
-        with pytest.raises(FixtureFormatError, match="line 1"):
+        with pytest.raises(SystemDefinitionError, match="line 1"):
             core.parse_system_file("a b c\n")
 
     def test_parse_rejects_unknown_member_in_map(self):
         text = "OBJECTS\na\nOBSERVATIONS\nx\nMAP m\nb x\n"
-        with pytest.raises(FixtureFormatError, match="unknown"):
+        with pytest.raises(SystemDefinitionError, match="unknown"):
             core.parse_system_file(text)
 
     def test_parse_rejects_pair_without_map(self):
-        with pytest.raises(FixtureFormatError, match="PAIR before"):
+        with pytest.raises(SystemDefinitionError, match="PAIR before"):
             core.parse_system_file("OBJECTS\na\nPAIR\nr p\n")
 
     def test_comments_and_blank_lines_ignored(self):
@@ -767,7 +766,7 @@ FIXTURE_ERRORS = [
 @pytest.mark.parametrize("text, message", FIXTURE_ERRORS,
                          ids=[message for _, message in FIXTURE_ERRORS])
 def test_fixture_parser_error_messages(text, message):
-    with pytest.raises(FixtureFormatError) as info:
+    with pytest.raises(SystemDefinitionError) as info:
         core.parse_system_file(text + "\n")
     assert str(info.value) == message
 

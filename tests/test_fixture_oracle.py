@@ -16,7 +16,6 @@ from test_core import FIXTURE_ERRORS
 from observement import core
 from observement._shared import ascii_int, significant_lines
 from observement.core import (
-    FixtureFormatError,
     ObjectSystem,
     ObservationAlgorithm,
     ObservationSystem,
@@ -35,82 +34,81 @@ def reference_parse(text):
         head = tokens[0]
         if head in ("OBJECTS", "OBSERVATIONS", "PAIR"):
             if len(tokens) > 1:
-                raise FixtureFormatError(f"line {lineno}: {head} takes no arguments")
+                raise SystemDefinitionError(f"line {lineno}: {head} takes no arguments")
             if head != "PAIR":
                 universe = universes[head]
                 section = (head, universe[0])
             elif not algorithms:
-                raise FixtureFormatError(f"line {lineno}: PAIR before any MAP section")
+                raise SystemDefinitionError(f"line {lineno}: PAIR before any MAP section")
             else:
                 section = (head, algorithms[-1][2])
             continue
         if head == "RELATION":
             if len(tokens) != 2 or "/" not in tokens[1]:
-                raise FixtureFormatError(f"line {lineno}: expected RELATION <name>/<arity>")
+                raise SystemDefinitionError(f"line {lineno}: expected RELATION <name>/<arity>")
             name, _, arity_text = tokens[1].rpartition("/")
             if not name:
-                raise FixtureFormatError(f"line {lineno}: relation name is empty")
+                raise SystemDefinitionError(f"line {lineno}: relation name is empty")
             try:
                 arity = ascii_int(arity_text)
             except ValueError:
-                raise FixtureFormatError(f"line {lineno}: bad arity {arity_text!r}") from None
+                raise SystemDefinitionError(f"line {lineno}: bad arity {arity_text!r}") from None
             if universe is None:
-                raise FixtureFormatError(
+                raise SystemDefinitionError(
                     f"line {lineno}: RELATION before any OBJECTS or OBSERVATIONS section"
                 )
             _, relations, arities = universe
             if name in relations:
-                raise FixtureFormatError(f"line {lineno}: duplicate relation {name!r}")
+                raise SystemDefinitionError(f"line {lineno}: duplicate relation {name!r}")
             relations[name] = set()
             arities[name] = arity
             section = (head, (name, arity, relations[name]))
             continue
         if head == "MAP":
             if len(tokens) != 2:
-                raise FixtureFormatError(f"line {lineno}: expected MAP <algorithm-name>")
+                raise SystemDefinitionError(f"line {lineno}: expected MAP <algorithm-name>")
             if any(name == tokens[1] for name, _, _ in algorithms):
-                raise FixtureFormatError(f"line {lineno}: duplicate algorithm {tokens[1]!r}")
+                raise SystemDefinitionError(f"line {lineno}: duplicate algorithm {tokens[1]!r}")
             algorithms.append((tokens[1], {}, {}))
             section = (head, algorithms[-1][1])
             continue
 
         if section is None:
-            raise FixtureFormatError(f"line {lineno}: data before any section header")
+            raise SystemDefinitionError(f"line {lineno}: data before any section header")
         kind, target = section
         if kind == "RELATION":
             name, arity, tuples = target
             if len(tokens) != arity:
-                raise FixtureFormatError(
+                raise SystemDefinitionError(
                     f"line {lineno}: relation {name!r} has arity {arity}, got {len(tokens)} tokens"
                 )
             tuples.add(tuple(tokens))
         elif kind in core._PAIR_LINE_WORDS:
             shape, noun, verb = core._PAIR_LINE_WORDS[kind]
             if len(tokens) != 2:
-                raise FixtureFormatError(f"line {lineno}: expected '{shape}'")
+                raise SystemDefinitionError(f"line {lineno}: expected '{shape}'")
             if tokens[0] in target:
-                raise FixtureFormatError(f"line {lineno}: {noun} {tokens[0]!r} {verb} twice")
+                raise SystemDefinitionError(f"line {lineno}: {noun} {tokens[0]!r} {verb} twice")
             target[tokens[0]] = tokens[1]
         else:
             target.extend(tokens)
 
-    try:
-        system = ObjectSystem(*universes["OBJECTS"])
-        obs_system = ObservationSystem(*universes["OBSERVATIONS"])
-        algs = tuple(ObservationAlgorithm(*a) for a in algorithms)
-    except SystemDefinitionError as exc:
-        raise FixtureFormatError(str(exc)) from exc
+    system = ObjectSystem(*universes["OBJECTS"])
+    obs_system = ObservationSystem(*universes["OBSERVATIONS"])
+    algs = tuple(ObservationAlgorithm(*a) for a in algorithms)
     for alg in algs:
         for obj, value in alg.mapping.items():
             if obj not in system.objects:
-                raise FixtureFormatError(f"MAP {alg.name}: unknown object {obj!r}")
+                raise SystemDefinitionError(f"MAP {alg.name}: unknown object {obj!r}")
             if value not in obs_system.observations:
-                raise FixtureFormatError(f"MAP {alg.name}: unknown observation {value!r}")
+                raise SystemDefinitionError(f"MAP {alg.name}: unknown observation {value!r}")
         for r_name, p_name in alg.relation_pairing.items():
             if r_name not in system.relations:
-                raise FixtureFormatError(f"PAIR in {alg.name}: unknown object relation {r_name!r}")
+                raise SystemDefinitionError(
+                    f"PAIR in {alg.name}: unknown object relation {r_name!r}"
+                )
             if p_name not in obs_system.relations:
-                raise FixtureFormatError(
+                raise SystemDefinitionError(
                     f"PAIR in {alg.name}: unknown observation relation {p_name!r}"
                 )
     return SystemFixture(system, obs_system, algs)
@@ -259,7 +257,7 @@ def test_reader_agrees_with_line_by_line_reference():
             fixtures += 1
             assert got.system._rows == reference_rows(got.system.relations), text
         else:
-            assert got[0] is FixtureFormatError, text
+            assert got[0] is SystemDefinitionError, text
             messages.add(re.sub(r"^line \d+: ", "", got[1]))
     assert fixtures >= 1000
     assert {re.sub(r"^line \d+: ", "", message) for _, message in FIXTURE_ERRORS} <= messages
