@@ -581,6 +581,48 @@ class TestGraphSearchPins:
         result = runner.invoke(cli, ["graph", "sub", small, big])
         assert (result.exit_code, result.output) == (0, "0 0\n1 2\n2 4\n3 16\n4 22\n5 19\n")
 
+    # Recorded before the parity cut: none from an odd cycle into a bipartite host,
+    # and witnesses that must land in a host's odd component.
+    @pytest.mark.parametrize("cycle", [5, 7])
+    def test_odd_cycle_into_2x40_bipartite_host_is_none(self, runner, tmp_path, cycle):
+        rng = random.Random(19)
+        host = [(u, 40 + v) for u in range(40) for v in range(40) if rng.random() < 0.1]
+        ring = sorted((min(j, (j + 1) % cycle), max(j, (j + 1) % cycle)) for j in range(cycle))
+        small = write(tmp_path / "cycle.g", graph_text(cycle, ring))
+        big = write(tmp_path / "bipartite.g", graph_text(80, host))
+        result = runner.invoke(cli, ["graph", "sub", small, big])
+        assert (result.exit_code, result.output) == (0, "none\n")
+
+    def test_planted_odd_pattern_beside_a_bipartite_block(self, runner, tmp_path):
+        rng = random.Random(23)
+        # A 5-cycle with a pendant vertex, planted in the one odd component (60-71).
+        pattern = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (2, 5)]
+        host = {(u, 30 + v) for u in range(30) for v in range(30) if rng.random() < 0.15}
+        host |= {(60 + u, 60 + v) for u, v in seeded_pairs(rng, 12, 0.3)}
+        spot = rng.sample(range(60, 72), 6)
+        host |= {(min(spot[u], spot[v]), max(spot[u], spot[v])) for u, v in pattern}
+        small = write(tmp_path / "pattern.g", graph_text(6, pattern))
+        big = write(tmp_path / "host.g", graph_text(72, sorted(host)))
+        result = runner.invoke(cli, ["graph", "sub", small, big])
+        assert (result.exit_code, result.output) == (0, "0 60\n1 65\n2 62\n3 61\n4 66\n5 63\n")
+
+    # The host's loops sit on a directed 4-cycle, which is bipartite but for them;
+    # its other component is a loopless directed triangle.
+    @pytest.mark.parametrize("small, big, stdout", [
+        ("digraph 3\n0 0\n0 1\n1 2\n", "digraph 7\n0 1\n1 2\n2 3\n3 0\n2 2\n4 5\n5 6\n6 4\n",
+         "0 2\n1 3\n2 0\n"),
+        ("digraph 3\n0 0\n0 1\n1 2\n2 2\n",
+         "digraph 7\n0 1\n1 2\n2 3\n3 0\n0 0\n2 2\n4 5\n5 6\n6 4\n", "0 0\n1 1\n2 2\n"),
+        ("digraph 3\n0 0\n0 1\n1 2\n2 2\n",
+         "digraph 7\n0 1\n1 2\n2 3\n3 0\n2 2\n4 5\n5 6\n6 4\n", "none\n"),
+    ], ids=["one-loop", "two-loops", "two-loops-none"])
+    def test_looped_pattern_into_host_with_loops_on_an_even_cycle(self, runner, tmp_path,
+                                                                  small, big, stdout):
+        small_path = write(tmp_path / "small.g", small)
+        big_path = write(tmp_path / "big.g", big)
+        result = runner.invoke(cli, ["graph", "sub", small_path, big_path])
+        assert (result.exit_code, result.stdout, result.stderr) == (0, stdout, "")
+
     def test_k4_census(self, runner, tmp_path):
         path = write(tmp_path / "g.g", graph_text(30, seeded_pairs(random.Random(5), 30, 0.15)))
         result = runner.invoke(cli, ["graph", "motifs", path, "-k", "4"])
