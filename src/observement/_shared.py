@@ -2,10 +2,14 @@
 
 Every number the package reads, in a file or an argument, goes through
 ``ascii_int`` or, for a list of tokens, ``ascii_ints``: ASCII digits after
-an optional '-'.  Imports nothing from the package.
+an optional '-'.  The one fractional number, a probability, goes through
+``ascii_decimal``, which allows one '.' among the digits.  Imports nothing
+from the package.
 """
 
 from __future__ import annotations
+
+import math
 
 
 def significant_lines(text: str):
@@ -91,3 +95,19 @@ def ascii_ints(tokens: list) -> list:
         except ValueError:  # a token of more digits than int() converts
             pass
     return list(map(ascii_int, tokens))
+
+
+def ascii_decimal(token: str) -> float:
+    """The finite number that ``token`` writes in ASCII digits with at most one '.'.
+
+    An optional '-' may lead, as for ``ascii_int``.  ``float`` alone also reads
+    other scripts' digits, '_', blanks, exponents, 'inf' and 'nan'.  Anything
+    else, and a run of digits too long for a finite float, raises ValueError
+    with the token as its one argument.
+    """
+    digits = (token[1:] if token[:1] == "-" else token).replace(".", "", 1)
+    if digits.isdigit() and digits.isascii():
+        value = float(token)
+        if math.isfinite(value):
+            return value
+    raise ValueError(token)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import click
 
 from . import __version__
-from ._shared import ascii_int, ascii_ints, significant_lines
+from ._shared import ascii_decimal, ascii_int, ascii_ints, significant_lines
 from .errors import ObservementError
 
 
@@ -37,6 +37,17 @@ class _Integer(click.types.IntParamType):
 
 
 _INTEGER = _Integer()
+
+
+class _Decimal(click.types.FloatParamType):
+    """click's float type on ``ascii_decimal``, which refuses the '١', 'inf' and 'nan' of ``float``."""
+
+    @staticmethod
+    def _number_class(value):
+        return ascii_decimal(str(value))
+
+
+_DECIMAL = _Decimal()
 
 _seed_option = click.option(
     "--seed", type=_INTEGER, default=0, show_default=True, envvar="OBSERVE_SEED",
@@ -296,8 +307,8 @@ def automaton_graph(automaton_file):
 
 @cli.command("percolate")
 @click.option("-n", "n", type=_INTEGER, required=True, help="Vertex count.")
-@click.option("--p-from", type=float, required=True)
-@click.option("--p-to", type=float, required=True)
+@click.option("--p-from", type=_DECIMAL, required=True)
+@click.option("--p-to", type=_DECIMAL, required=True)
 @click.option("--steps", type=_INTEGER, required=True, help="Number of probe points.")
 @click.option("--trials", type=_INTEGER, required=True, help="Random graphs per probe point.")
 @_seed_option

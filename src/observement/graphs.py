@@ -6,7 +6,9 @@ losslessly in every direction, which is exactly what makes the collection of
 representations interchangeable.  Also here: isomorphism and subgraph search
 sharing one exact backtracking routine (small sizes only, with explicit
 caps) whose candidate sets are bitset intersections of host adjacency rows,
-the state-space digraph of a finite automaton, and random-graph percolation
+cut before the search by degree profiles and by parity (a vertex in a
+component with an odd cycle maps only into such a component), the
+state-space digraph of a finite automaton, and random-graph percolation
 sweeps.
 """
 
@@ -63,6 +65,10 @@ class Graph:
             rows[v] |= 1 << u
         return (tuple(rows),)
 
+    @functools.cached_property
+    def _odd(self) -> int:
+        return _odd_components(self._masks)
+
 
 @dataclass(frozen=True)
 class Digraph:
@@ -89,6 +95,40 @@ class Digraph:
             out[u] |= 1 << v
             into[v] |= 1 << u
         return (tuple(out), tuple(into))
+
+    @functools.cached_property
+    def _odd(self) -> int:
+        return _odd_components(self._masks)
+
+
+def _odd_components(masks) -> int:
+    """The vertices whose component holds an odd cycle, as a bitset.
+
+    Arcs count as edges and a self-loop as a cycle of length 1.  A
+    breadth-first walk by levels over ``out | in`` rows: a component is
+    two-colourable exactly when no edge joins two vertices of one level.
+    """
+    rows = [out | into for out, into in zip(masks[0], masks[-1])]
+    odd = seen = 0
+    for root in range(len(rows)):
+        if seen >> root & 1:
+            continue
+        level = component = 1 << root
+        clash = 0
+        while level:
+            reach, rest = 0, level
+            while rest:
+                low = rest & -rest
+                row = rows[low.bit_length() - 1]
+                clash |= row & level
+                reach |= row
+                rest ^= low
+            level = reach & ~component
+            component |= level
+        seen |= component
+        if clash:
+            odd |= component
+    return odd
 
 
 # --- representation conversions ----------------------------------------------
@@ -241,10 +281,13 @@ def _search(small, big, exact: bool):
     The map sends edges onto edges; when ``exact`` it also sends non-edges
     onto non-edges among the images.  Pattern vertices are placed in index
     order, each trying host vertices in index order.  A vertex's candidates
-    are one bitset: the hosts its profile allows, minus the used ones, ANDed
-    with the host row of each placed neighbour's image (out-row for an arc
-    into it, in-row for an arc out of it) and, when ``exact``, with the
-    complement row of each placed non-neighbour's image.
+    are one bitset: the hosts its profile allows (and, if its component
+    holds an odd cycle, that lie in such a host component), minus the used
+    ones, ANDed with the host row of each placed neighbour's image (out-row
+    for an arc into it, in-row for an arc out of it) and, when ``exact``,
+    with the complement row of each placed non-neighbour's image.  Both cuts
+    before the search drop only hosts that no complete map can use, so the
+    witness is the one a scan of every host vertex would find.
     """
     prof_s, prof_b = _profiles(small), _profiles(big)
     if exact:
@@ -257,6 +300,12 @@ def _search(small, big, exact: bool):
                 if o >= out and i >= into and s >= loop)
             for out, into, loop in prof_s
         ]
+    # An embedding maps an odd closed walk onto one, so a vertex whose
+    # component holds an odd cycle (or a loop) has its image in such a component.
+    odd = small._odd
+    if odd:
+        odd_b = big._odd
+        allowed = [a & odd_b if odd >> v & 1 else a for v, a in enumerate(allowed)]
     # One (pattern rows, host rows, host complement rows) side per direction:
     # arc u->v puts v's image in out_b[image u], arc v->u in in_b[image u].
     full = (1 << big.n) - 1
@@ -313,6 +362,10 @@ def is_subgraph(small, big):
 
     Non-induced: extra adjacencies among the images are fine.  The witness is
     the lexicographically first; patterns above ``SUBGRAPH_CAP`` vertices raise.
+    None is a proof: more pattern vertices or edges than the host has, no
+    host vertex whose degrees dominate a pattern vertex's, a pattern
+    component with an odd cycle and no host component with one to take it
+    (parity), or a search exhausted.
     """
     _check_same_kind(small, big)
     if small.n > SUBGRAPH_CAP:

@@ -719,6 +719,14 @@ class TestPercolate:
         other = runner.invoke(cli, args + ["--seed", "12"])
         assert other.output != via_flag.output
 
+    def test_probability_forms_read_as_plain_decimals(self, runner):
+        def run(p_from, p_to):
+            return runner.invoke(cli, ["percolate", "-n", "12", "--p-from", p_from,
+                                       "--p-to", p_to, "--steps", "3", "--trials", "2"])
+        plain = run("0.25", "1")
+        assert (plain.exit_code, plain.stderr) == (0, "")
+        assert run(".25", "1.").stdout == run("00.250", "1.0").stdout == plain.stdout
+
     def test_probability_above_one_leaves_stdout_empty(self, runner):
         result = runner.invoke(cli, ["percolate", "-n", "20", "--p-from", "0.5", "--p-to", "1.5",
                                      "--steps", "3", "--trials", "2", "--seed", "1"])

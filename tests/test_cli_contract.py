@@ -8,6 +8,7 @@ printed; and a failing command writes nothing to stdout.
 import itertools
 import random
 
+import pytest
 from click.testing import CliRunner
 
 from observement import genetics, graphs
@@ -205,9 +206,24 @@ def number_commands(write):
         yield ["motif", "derive", write("AB\nAC\n"), "--class-cap", w]
         yield ["graph", "motifs", write("graph 3\n0 1\n1 2\n"), "--significance", "1",
                "--seed", w]
-        for i in (2, 8, 10, 12):
+        for i in (2, 4, 6, 8, 10, 12):
             yield percolate[:i] + [w] + percolate[i + 1:]
 
 
 def test_number_positions_keep_the_contract(tmp_path):
     assert run_keeping_the_contract(tmp_path, number_commands) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("option", ["--p-from", "--p-to"])
+@pytest.mark.parametrize("word", ["١", "٠.٥", "1_0", "inf", "nan", "-inf", "1e-1", "+0.5",
+                                  "0.5\xa0", "0..5", ".", "-", "1" * 400])
+def test_probability_words_are_refused(option, word):
+    args = {"--p-from": "0.2", "--p-to": "0.6", option: word}
+    result = CliRunner().invoke(cli, ["percolate", "-n", "4", "--p-from", args["--p-from"],
+                                      "--p-to", args["--p-to"], "--steps", "2", "--trials", "1"],
+                                prog_name="observe")
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == (
+        "Usage: observe percolate [OPTIONS]\n"
+        "Try 'observe percolate --help' for help.\n\n"
+        f"Error: Invalid value for '{option}': {word!r} is not a valid float.\n")

@@ -433,6 +433,93 @@ class TestScanOracle:
             assert scan_search(pattern, host, False) is None
 
 
+def _odd_by_networkx(g):
+    """The vertices of components that hold a loop or are not bipartite, as a bitset."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(to_edge_list(g))
+    odd = 0
+    for component in nx.connected_components(h):
+        part = h.subgraph(component)
+        if nx.number_of_selfloops(part) or not nx.is_bipartite(part):
+            odd |= sum(1 << v for v in component)
+    return odd
+
+
+def _cycle(n, directed=False):
+    return (Digraph if directed else Graph)(n, {(j, (j + 1) % n) for j in range(n)})
+
+
+def _disjoint(*parts):
+    """The disjoint union, each part's vertices numbered after the previous part's."""
+    n, pairs = 0, []
+    for g in parts:
+        pairs += [(u + n, v + n) for u, v in to_edge_list(g)]
+        n += g.n
+    return type(parts[0])(n, pairs)
+
+
+def _mixed_host(rng, directed):
+    """A bipartite block and a random block (odd most often), in either order, maybe relabelled."""
+    half = rng.randint(2, 6)
+    pairs = {(u, half + v) for u in range(half) for v in range(half) if rng.random() < 0.5}
+    if directed:
+        pairs = {(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs}
+        pairs |= {(v, u) for u, v in pairs if rng.random() < 0.2}
+    blocks = [(Digraph if directed else Graph)(2 * half, pairs),
+              random_graph(rng, rng.randint(3, 7), 0.5, directed, directed)]
+    rng.shuffle(blocks)
+    host = _disjoint(*blocks)
+    if rng.random() < 0.3:
+        perm = list(range(host.n))
+        rng.shuffle(perm)
+        host = relabel(host, perm)
+    return host
+
+
+# Patterns that join a component with an odd cycle (or a loop) to a bipartite one.
+MIXED_PATTERNS = {
+    False: [_disjoint(K3, P3), _disjoint(P3, K3), _disjoint(_cycle(5), Graph(2, {(0, 1)})),
+            _disjoint(Graph(2, {(0, 1)}), _cycle(5))],
+    True: [_disjoint(Digraph(2, {(0, 0), (0, 1)}), Digraph(3, {(0, 1), (2, 1)})),
+           _disjoint(Digraph(3, {(0, 1), (1, 2)}), _cycle(3, True)),
+           _disjoint(Digraph(2, {(0, 1), (1, 0)}), Digraph(3, {(0, 1), (1, 2), (0, 2)})),
+           _disjoint(Digraph(1, {(0, 0)}), Digraph(3, {(0, 1), (1, 2)}))],
+}
+
+
+class TestParity:
+    """The odd-component bitset, and the cut it makes, against independent checks."""
+
+    @pytest.mark.parametrize("corpus", ["graphs<=5", "digraphs-with-loops<=3"])
+    def test_bitset_matches_networkx_per_component(self, corpus):
+        if corpus == "graphs<=5":
+            values = [g for n in range(6) for g in all_graphs(n)]
+        else:
+            values = [g for n in range(4) for g in all_digraphs(n, self_loops=True)]
+        for g in values:
+            assert g._odd == _odd_by_networkx(g), g
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_mixed_components_match_the_scan(self, directed):
+        rng = random.Random(59 + directed)
+        found = 0
+        for _ in range(400):
+            small = rng.choice(MIXED_PATTERNS[directed])
+            if rng.random() < 0.5:
+                perm = list(range(small.n))
+                rng.shuffle(perm)
+                small = relabel(small, perm)
+            big = _mixed_host(rng, directed)
+            witness = is_subgraph(small, big)
+            assert _items(witness) == _items(scan_search(small, big, False)), (small, big)
+            found += witness is not None
+            other = _relabelled_or_random(rng, small, directed, directed)
+            assert _items(are_isomorphic(small, other)) == \
+                _items(scan_search(small, other, True)), (small, other)
+        assert 0 < found < 400
+
+
 class TestAutomata:
     def test_identity_successor_gives_self_loops(self):
         machine = Automaton({"a", "b", "c"}, {"a": "a", "b": "b", "c": "c"})
