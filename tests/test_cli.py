@@ -782,7 +782,20 @@ class TestTree:
         ("a -> x\nb -> x\nc -> x\n",
          "Error: kinship file invalid: 'x' has more than two parents\n"),
         ("a <-> b\nb <-> a\n", "Error: kinship file invalid: duplicate partner edge {b,a}\n"),
-    ], ids=["third-parent", "duplicate-partner"])
+        ("a -> b\nperson a\n", "Error: line 2: person 'a' declared twice\n"),
+        ("a -> b\nb -> c\na -> b\n", "Error: kinship file invalid: duplicate arc (a,b)\n"),
+        ("person a\na -> a\n", "Error: kinship file invalid: 'a' cannot be their own parent\n"),
+        ("a <-> a\n",
+         "Error: kinship file invalid: partner edge {'a'} must join two distinct persons\n"),
+        ("b -> a\na <-> b\n",
+         "Error: kinship file invalid: {'a', 'b'} cannot be both partners and parent/child\n"),
+        ("d -> b\nb -> c\nc -> d\na -> b\n",
+         "Error: kinship file invalid: parent arcs form a cycle: b -> c -> d -> b\n"),
+        ("a -> b\na -> b\nwhat is this\n",
+         "Error: line 3: expected a person, '->', or '<->' line\n"),
+    ], ids=["third-parent", "duplicate-partner", "person-after-edge", "duplicate-arc",
+            "self-parent", "self-partner", "partners-and-parent", "cycle",
+            "malformed-line-before-duplicate-arc"])
     def test_invalid_kinship_file_is_domain_error(self, runner, tmp_path, text, stderr):
         path = write(tmp_path / "bad.kin", text)
         result = runner.invoke(cli, ["tree", "descendants", path, "a"])

@@ -8,6 +8,9 @@ replaced by a placeholder, followed by the command's label.  The commands:
 * extra ``motif derive`` and ``graph iso`` commands, which that generator
   rarely makes succeed: equal-length sequence files, and graph pairs where
   the second is most often a relabelled copy of the first;
+* extra ``tree`` commands on kinship files that mix plain, quoted and
+  escaped names, quoted and unquoted labels, and blank padding of several
+  kinds, a quarter of them with one fault;
 * every job of the ``bench/run.py --quick`` rounds and probes, read from
   ``bench/workloads.py``, which bring realistic sizes.
 
@@ -29,6 +32,7 @@ from click.testing import CliRunner
 from test_cli_contract import random_command
 
 from observement.cli import cli
+from observement.familytree import RELATIONS
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_cli.txt"
@@ -46,6 +50,57 @@ def motif_derive_command(rng, write):
         lines = [line for i, line in enumerate(lines) for line in (f">s{i}", line)]
     return ["motif", "derive", write("\n".join(lines) + "\n"),
             "--class-cap", str(rng.randint(-1, 4))]
+
+
+# Kinship names, each with the spellings that read back as it: plain words,
+# double and single quotes, backslash escapes, and a no-break space, which is
+# part of a word.
+KIN_SPELLINGS = {
+    "a": ["a", '"a"', "'a'", "\\a"],
+    "b": ["b", "b", '"b"'],
+    "c": ["c", "c", "'c'"],
+    "d": ["d", "d"],
+    "e#f": ["e#f", '"e#f"'],
+    "p 1": ['"p 1"', "'p 1'", "p\\ 1"],
+    'q"r': ['"q\\"r"', "'q\"r'", 'q\\"r'],
+    "x\\y": ['"x\\\\y"', "'x\\y'", "x\\\\y"],
+    "n\xa0b": ["n\xa0b", '"n\xa0b"'],
+}
+KIN_LABELS = ['"Ann"', '""', "Ann", "'Bo Cy'", '"Di \\"E\\""', '"F\xa0G"']
+KIN_PADDING = ["", "", "", " ", "\t", "\xa0", "　"]
+
+
+def kinship_command(rng, write):
+    names = rng.sample(sorted(KIN_SPELLINGS), rng.randint(2, len(KIN_SPELLINGS)))
+
+    def spell(name):
+        return rng.choice(KIN_SPELLINGS[name])
+
+    edges, parents = [], {}
+    for i, child in enumerate(names):
+        for parent in rng.sample(names[:i], min(i, rng.choice([0, 1, 2, 2]))):
+            parents.setdefault(child, []).append(parent)
+            edges.append(f"{spell(parent)} -> {spell(child)}")
+    for _ in range(rng.randint(0, 2)):
+        u, v = rng.sample(names, 2)
+        if u not in parents.get(v, ()) and v not in parents.get(u, ()):
+            edges.append(f"{spell(u)} <-> {spell(v)}")
+    rng.shuffle(edges)
+    lines = [f"person {spell(name)}" + (f" {rng.choice(KIN_LABELS)}" if rng.random() < 0.5
+                                        else "")
+             for name in names if rng.random() < 0.4] + edges
+    if rng.random() < 0.25:  # one fault: a cycle, a repeat, a late declaration or a bad line
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(
+            [f"{spell(names[-1])} -> {spell(names[0])}", rng.choice(lines or ["a -> b"]),
+             f"person {spell(names[0])}", f"{spell(names[0])} {spell(names[1])}"]))
+    for _ in range(rng.randint(0, 2)):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "# note", "  # c"]))
+    lines = [rng.choice(KIN_PADDING) + line + rng.choice(KIN_PADDING) for line in lines]
+    path = write("\n".join(lines) + "\n")
+    u, v = rng.choice(names), rng.choice(names)
+    if rng.random() < 0.3:
+        return ["tree", "descendants", path, u]
+    return ["tree", "query", path, rng.choice(RELATIONS), u, v]
 
 
 def graph_text(n, pairs, directed, adjacency):
@@ -107,6 +162,9 @@ def commands(write):
     for i in range(300):
         yield f"derive/{i:03d}", motif_derive_command(rng, write)
         yield f"iso/{i:03d}", graph_iso_command(rng, write)
+    rng = random.Random(20)
+    for i in range(300):
+        yield f"kinship/{i:03d}", kinship_command(rng, write)
     yield from bench_commands(write)
 
 
