@@ -317,10 +317,17 @@ def percolate(n, p_from, p_to, steps, trials, seed):
     from . import graphs
     if steps < 1:
         raise click.ClickException("--steps must be >= 1")
+    # Each given endpoint is checked before any point is interpolated between
+    # them, so the refusal names the value the user gave.
+    for p in (p_from, p_to)[:steps]:
+        if not 0 <= p <= 1:
+            raise click.ClickException(f"edge probability must be in [0,1], got {p}")
     if steps == 1:
         p_values = [p_from]
     else:
-        p_values = [p_from + i * (p_to - p_from) / (steps - 1) for i in range(steps)]
+        # The last point is --p-to itself: p_from plus the span can round past it.
+        p_values = [p_from + i * (p_to - p_from) / (steps - 1) for i in range(steps - 1)]
+        p_values.append(p_to)
     rows = graphs.percolation_sweep(n, p_values, trials, seed)
     click.echo("p,mean_fraction")
     for p, fraction in rows:

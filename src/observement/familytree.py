@@ -5,12 +5,23 @@ are immutable afterwards, so completed graphs can be queried concurrently.
 Parent arcs must stay acyclic, so nobody is their own ancestor, and nobody
 has more than two parents.  Partner edges are stored as unordered pairs to
 reflect the symmetry of the relationship.
+
+A kinship file is read in one regular-expression scan of its lines, which
+builds the persons, labels, arcs and partner edges straight from the
+matches.  A file the scan does not take whole (a quoted or escaped word, a
+faulty line, a repeated declaration, arc or partner edge) goes to the line
+reader, the only reader of quotes and escapes and the only one that names a
+faulty line.  A graph proves itself valid in unsorted passes, acyclicity by
+in-degree counts (Kahn 1962); only a graph that fails one is walked again in
+sorted order, to name the same fault whatever the set order.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -40,13 +51,42 @@ class KinshipGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "persons", frozenset(self.persons))
-        object.__setattr__(self, "parent_arcs", frozenset(tuple(a) for a in self.parent_arcs))
-        object.__setattr__(
-            self, "partner_edges", frozenset(frozenset(e) for e in self.partner_edges)
-        )
+        object.__setattr__(self, "parent_arcs", frozenset(map(tuple, self.parent_arcs)))
+        object.__setattr__(self, "partner_edges", frozenset(map(frozenset, self.partner_edges)))
         object.__setattr__(self, "labels", dict(self.labels))
-        # Arcs and edges are checked in sorted order, so which fault is
-        # reported does not depend on set order.
+        if not self._valid():
+            self._raise_first_fault()
+
+    def _valid(self) -> bool:
+        """Whether every invariant holds, checked in passes that sort nothing."""
+        persons, arcs, children = self.persons, self.parent_arcs, self._children
+        parents = dict(collections.Counter(map(operator.itemgetter(1), arcs)))
+        if not (persons.issuperset(children) and persons.issuperset(parents)
+                and persons.issuperset(self.labels) and max(parents.values(), default=0) <= 2):
+            return False
+        for edge in self.partner_edges:
+            if len(edge) != 2 or not persons.issuperset(edge):
+                return False
+            a, b = edge
+            if (a, b) in arcs or (b, a) in arcs:
+                return False
+        # Kahn's pass: take away the arcs out of each parent left without
+        # parents of their own; the arcs are acyclic exactly when every one is
+        # taken.  A self-parent arc is a cycle of one and is never taken.
+        left = len(arcs)
+        ready = [person for person in children if person not in parents]
+        while ready:
+            kids = children[ready.pop()]
+            left -= len(kids)
+            for child in kids:
+                if child in children:
+                    parents[child] = count = parents[child] - 1
+                    if not count:
+                        ready.append(child)
+        return not left
+
+    def _raise_first_fault(self) -> None:
+        """Raise the fault met first when arcs and edges are walked in sorted order."""
         arcs = sorted(self.parent_arcs)
         for parent, child in arcs:
             if parent not in self.persons or child not in self.persons:
@@ -224,7 +264,67 @@ def _split_line(line: str) -> list:
     return words
 
 
+# One line of the forms the scan takes: blank, a comment, ``person NAME`` with
+# an optional double-quoted label holding no escape, or ``A -> B`` or
+# ``A <-> B``.  Words hold no blank of any kind, quote or backslash, and only
+# space and tab pad them, so each is read as the line reader would read it.
+_WORD = r"""[^\s"'\\]+"""
+_LINE = re.compile(rf"""
+    ^[ \t]*(?:
+        \#.*                                              # a comment
+      | person[ \t]+({_WORD})(?:[ \t]+("[^"\\\n]*"))?      # 1: a person, 2: its label
+      | (?!person[ \t])({_WORD})[ \t]+(<?->)[ \t]+({_WORD})  # 3 -> 5 or 3 <-> 5, by 4
+    )?[ \t]*$""", re.M | re.X)
+
+
 def parse_kinship_file(text: str) -> KinshipGraph:
+    """Read a kinship file; see the format above.
+
+    One scan of the lines builds the graph when it takes every line and
+    finds no person declared twice and no arc or partner edge repeated.
+    Otherwise the line reader reads the whole text, so the fault it names
+    first is the one reported.
+    """
+    lines = text.splitlines()
+    rows = _LINE.findall("\n".join(lines))
+    fields = _scan(rows) if len(rows) == len(lines) else None
+    operations = None if fields else _line_operations(text)
+    try:
+        return KinshipGraph(*fields) if fields else build(operations)
+    except KinshipError as exc:
+        raise KinshipError(f"kinship file invalid: {exc}") from exc
+
+
+def _scan(rows):
+    """The persons, arcs, partner edges and labels of the scanned lines, or
+    None for a person declared twice or a repeated arc or partner edge,
+    which the line reader reports."""
+    declared: set = set()
+    labels: dict = {}
+    arcs: list = []
+    partners: list = []
+    for name, label, a, arrow, b in rows:
+        if name:
+            if name in declared:
+                return None
+            declared.add(name)
+            if label:
+                labels[name] = label[1:-1]
+        elif arrow:
+            if arrow == "->":
+                arcs.append((a, b))
+            else:
+                partners.append(frozenset((a, b)))
+            declared.add(a)
+            declared.add(b)
+    arc_set, partner_set = set(arcs), set(partners)
+    if len(arc_set) < len(arcs) or len(partner_set) < len(partners):
+        return None
+    return declared, arc_set, partner_set, labels
+
+
+def _line_operations(text: str) -> list:
+    """The build operations of the file, read line by line."""
     operations: list = []
     declared: set = set()
 
@@ -257,20 +357,18 @@ def parse_kinship_file(text: str) -> KinshipGraph:
             operations.append(("partner", tokens[0], tokens[2]))
         else:
             raise KinshipError(f"line {lineno}: expected a person, '->', or '<->' line")
-    try:
-        return build(operations)
-    except KinshipError as exc:
-        raise KinshipError(f"kinship file invalid: {exc}") from exc
+    return operations
 
 
 def format_kinship_file(g: KinshipGraph) -> str:
     lines = []
     for person in sorted(g.persons):
+        name = _word(_one_line(person, "name"))
         label = g.labels.get(person)
         if label is not None:
-            lines.append(f"person {_word(person)} {_quote(label)}")
+            lines.append(f"person {name} {_quote(_one_line(label, 'label'))}")
         else:
-            lines.append(f"person {_word(person)}")
+            lines.append(f"person {name}")
     for parent, child in sorted(g.parent_arcs):
         lines.append(f"{_word(parent)} -> {_word(child)}")
     for edge in sorted(map(sorted, g.partner_edges)):
@@ -282,6 +380,14 @@ def format_kinship_file(g: KinshipGraph) -> str:
 # backslash, no leading '#', which would make an edge line a comment, and
 # not the keyword 'person', which would make an arc line a declaration.
 _PLAIN = re.compile(r"[^\s'\"\\#][^\s'\"\\]*")
+
+
+def _one_line(text: str, what: str) -> str:
+    """``text``, refused when it holds a character where ``str.splitlines`` breaks,
+    since the reader would split the quoted word there."""
+    if "".join(text.splitlines()) != text:
+        raise KinshipError(f"{what} {text!r} cannot be written on one line")
+    return text
 
 
 def _word(name: str) -> str:

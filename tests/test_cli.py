@@ -732,6 +732,24 @@ class TestPercolate:
                                      "--steps", "3", "--trials", "2", "--seed", "1"])
         assert_domain_error_without_output(result)
 
+    @pytest.mark.parametrize("p_from, p_to, steps, stderr", [
+        ("1" + "0" * 308, "-1" + "0" * 308, "2", "got 1e+308"),
+        ("0", "2", "4", "got 2.0"),
+    ], ids=["opposite-huge-endpoints", "interpolation-passes-the-bound"])
+    def test_the_refusal_names_the_endpoint_given(self, runner, p_from, p_to, steps, stderr):
+        result = runner.invoke(cli, ["percolate", "-n", "5", "--p-from", p_from, "--p-to", p_to,
+                                     "--steps", steps, "--trials", "1"])
+        assert_domain_error_without_output(result)
+        assert result.stderr == f"Error: edge probability must be in [0,1], {stderr}\n"
+
+    def test_the_last_point_is_the_endpoint_given(self, runner):
+        # 0.059 + 3 * (1 - 0.059) / 3 rounds to 1.0000000000000002.
+        result = runner.invoke(cli, ["percolate", "-n", "5", "--p-from", "0.059", "--p-to", "1",
+                                     "--steps", "4", "--trials", "1"])
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout == ("p,mean_fraction\n0.059,0.200000\n0.372667,0.800000\n"
+                                 "0.686333,1.000000\n1,1.000000\n")
+
 
 class TestTree:
     def test_query(self, runner, tmp_path):

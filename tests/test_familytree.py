@@ -359,6 +359,20 @@ class TestFilesAndRendering:
         assert '"#hash" -> x#y' in text.splitlines()
         assert ft.parse_kinship_file(text) == g
 
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\u2028", "\u2029"])
+    def test_line_breaks_in_names_and_labels_are_refused(self, brk):
+        assert len(f"a{brk}b".splitlines()) == 2
+        for operations, what, text in [([("person", f"a{brk}b")], "name", f"a{brk}b"),
+                                       ([("person", "a", f"L{brk}")], "label", f"L{brk}")]:
+            with pytest.raises(KinshipError) as caught:
+                ft.format_kinship_file(ft.build(operations))
+            assert str(caught.value) == f"{what} {text!r} cannot be written on one line"
+
+    def test_other_control_characters_round_trip(self):
+        g = ft.build([("person", "a\x1fb", "L\x1f\x00"), ("person", "\x00")])
+        assert ft.parse_kinship_file(ft.format_kinship_file(g)) == g
+
     def test_keyword_and_arrow_names_round_trip(self):
         g = ft.build([
             ("person", "person", "P"), ("person", "->", "A"), ("person", "<->"),

@@ -67,7 +67,7 @@ KIN_SPELLINGS = {
     "n\xa0b": ["n\xa0b", '"n\xa0b"'],
 }
 KIN_LABELS = ['"Ann"', '""', "Ann", "'Bo Cy'", '"Di \\"E\\""', '"F\xa0G"']
-KIN_PADDING = ["", "", "", " ", "\t", "\xa0", "　"]
+KIN_PADDING = ["", "", "", " ", "\t", "\xa0", "\u3000"]
 
 
 def kinship_command(rng, write):
