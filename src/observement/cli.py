@@ -317,9 +317,9 @@ def percolate(n, p_from, p_to, steps, trials, seed):
     from . import graphs
     if steps < 1:
         raise click.ClickException("--steps must be >= 1")
-    # Each given endpoint is checked before any point is interpolated between
+    # Each endpoint in use is checked before any point is interpolated between
     # them, so the refusal names the value the user gave.
-    for p in (p_from, p_to)[:steps]:
+    for p in (p_from, p_to) if steps > 1 else (p_from,):
         if not 0 <= p <= 1:
             raise click.ClickException(f"edge probability must be in [0,1], got {p}")
     if steps == 1:

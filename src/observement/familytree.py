@@ -21,7 +21,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import operator
 import re
 from dataclasses import dataclass, field
 
@@ -60,7 +59,7 @@ class KinshipGraph:
     def _valid(self) -> bool:
         """Whether every invariant holds, checked in passes that sort nothing."""
         persons, arcs, children = self.persons, self.parent_arcs, self._children
-        parents = dict(collections.Counter(map(operator.itemgetter(1), arcs)))
+        parents = dict(collections.Counter(child for _, child in arcs))
         if not (persons.issuperset(children) and persons.issuperset(parents)
                 and persons.issuperset(self.labels) and max(parents.values(), default=0) <= 2):
             return False
@@ -273,7 +272,7 @@ _LINE = re.compile(rf"""
     ^[ \t]*(?:
         \#.*                                              # a comment
       | person[ \t]+({_WORD})(?:[ \t]+("[^"\\\n]*"))?      # 1: a person, 2: its label
-      | (?!person[ \t])({_WORD})[ \t]+(<?->)[ \t]+({_WORD})  # 3 -> 5 or 3 <-> 5, by 4
+      | (?!person[ \t])({_WORD})[ \t]+(<?->)[ \t]+({_WORD})  # 3, 5: the ends, 4: the arrow
     )?[ \t]*$""", re.M | re.X)
 
 

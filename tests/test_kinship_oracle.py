@@ -177,7 +177,8 @@ def family_text(rng, fault):
         lines.insert(rng.randint(1, len(lines)), rng.choice(edges))
     elif fault == "parent":
         child = rng.choice(people)
-        lines += [f"{parent} -> {child}" for parent in rng.sample(people, min(3, len(people))) if parent != child]
+        parents = rng.sample(people, min(3, len(people)))
+        lines += [f"{parent} -> {child}" for parent in parents if parent != child]
     elif fault == "cycle" and arcs:
         parent, child = rng.choice(sorted(arcs))
         lines.append(f"{child} -> {parent}")
