@@ -11,6 +11,10 @@ replaced by a placeholder, followed by the command's label.  The commands:
 * extra ``tree`` commands on kinship files that mix plain, quoted and
   escaped names, quoted and unquoted labels, and blank padding of several
   kinds, a quarter of them with one fault;
+* extra ``system`` commands on fixtures of 20-60 objects with unary, binary,
+  ternary and empty relations, whose blocks hold repeated and blank lines,
+  blanks of several kinds and several kinds of line break, and whose
+  algorithms hold or fail forward or backward;
 * every job of the ``bench/run.py --quick`` rounds and probes, read from
   ``bench/workloads.py``, which bring realistic sizes.
 
@@ -103,6 +107,92 @@ def kinship_command(rng, write):
     return ["tree", "query", path, rng.choice(RELATIONS), u, v]
 
 
+# Fixture line breaks, all of them ``str.splitlines`` breaks, and blanks that
+# ``str.split`` takes, a no-break space and an ideographic space among them.
+SYSTEM_BREAKS = ["\n", "\n", "\n", "\r\n", "\u2028"]
+SYSTEM_BLANKS = [" ", " ", "\t", "\xa0", "\u3000"]
+
+
+def system_command(rng, write):
+    """``system classify`` or ``verify`` on a fixture whose object relations are
+    unions of class blocks, so that class-constant maps hold and the others fail.
+
+    Each algorithm labels the classes, or cuts of them, with values of its own;
+    the observation relations are the union of every labelling's images.  An
+    algorithm may move an object to another class's value, or have an image
+    tuple dropped (it then fails forward) or one added (it fails backward).
+    Relation ``e`` is declared but empty.
+    """
+    n = rng.randint(20, 60)
+    objects = [f"o{i}" if rng.random() < 0.8 else f"o{i}#{rng.randint(0, 9)}" for i in range(n)]
+    classes = rng.randint(max(2, n // 4), n // 2)
+    cls = {x: i % classes if i < classes else rng.randrange(classes)
+           for i, x in enumerate(rng.sample(objects, n))}
+    members = [[x for x in objects if cls[x] == c] for c in range(classes)]
+    arity = {"u": 1, "r": 2, "t": 3, "e": 2}
+    density = {"u": rng.uniform(0.2, 0.6), "r": rng.uniform(0.05, 0.2)}
+    blocks = {name: [c for c in itertools.product(range(classes), repeat=arity[name])
+                     if rng.random() < share] for name, share in density.items()}
+    blocks["t"] = [tuple(rng.choices(range(classes), k=3)) for _ in range(rng.randint(1, 4))]
+    blocks["e"] = []
+    relations = {name: {t for c in blocks[name]
+                        for t in itertools.product(*map(members.__getitem__, c))}
+                 for name in arity}
+
+    values, observed, algorithms = [], {name: set() for name in arity}, []
+    for a in range(rng.randint(1, 3)):
+        label = {}  # an object to its value: its class, or a cut of its class
+        for c, xs in enumerate(members):
+            cuts = rng.choice([1, 1, 1, 2])
+            for i, x in enumerate(xs):
+                label[x] = f"v{a}_{c}" + (f"_{i % cuts}" if cuts > 1 else "")
+        values += sorted(set(label.values()))
+        images = {name: {tuple(map(label.__getitem__, t)) for t in ts}
+                  for name, ts in relations.items()}
+        fault = rng.choice(["", "", "move", "drop", "add"])
+        if fault == "move":
+            x, y = rng.sample(objects, 2)
+            label[x] = label[y]
+        elif fault == "drop" and images["r"]:
+            images["r"].discard(rng.choice(sorted(images["r"])))
+        elif fault == "add":
+            name = rng.choice("ure")
+            own = sorted(set(label.values()))
+            images[name].add(tuple(rng.choice(own) for _ in range(arity[name])))
+        for name, image in images.items():
+            observed[name] |= image
+        algorithms.append((f"alg{a}", label))
+
+    def padded(line):
+        margin = [""] * 3 + SYSTEM_BLANKS
+        return rng.choice(margin) + "".join(
+            rng.choice(SYSTEM_BLANKS) * bool(i) + word for i, word in enumerate(line.split())
+        ) + rng.choice(margin)
+
+    def block(header, tuples):
+        lines = [" ".join(t) for t in tuples]
+        lines += rng.sample(lines, min(len(lines), rng.randint(0, 3)))  # duplicates
+        lines += ["" for _ in range(rng.randint(0, 2))]
+        rng.shuffle(lines)
+        return [header] + [padded(line) for line in lines]
+
+    lines = ["# generated", "OBJECTS", " ".join(rng.sample(objects, n))]
+    for name in arity:
+        lines += block(f"RELATION {name}/{arity[name]}", sorted(relations[name]))
+    lines += ["OBSERVATIONS", " ".join(values)]
+    for name in arity:
+        lines += block(f"RELATION p{name}/{arity[name]}", sorted(observed[name]))
+    for name, label in algorithms:
+        lines += [f"MAP {name}"] + [f"{x} {label[x]}" for x in objects]
+        lines += ["PAIR"] + [f"{r} p{r}" for r in arity]
+    text = "".join(line + rng.choice(SYSTEM_BREAKS) for line in lines)
+    if rng.random() < 0.5:
+        return ["system", "classify", write(text)]
+    names = [name for name, _ in algorithms] + ["missing"]
+    return ["system", "verify", write(text)] + (["--alg", rng.choice(names)]
+                                                if rng.random() < 0.4 else [])
+
+
 def graph_text(n, pairs, directed, adjacency):
     if adjacency:
         rows = [[] for _ in range(n)]
@@ -165,6 +255,9 @@ def commands(write):
     rng = random.Random(20)
     for i in range(300):
         yield f"kinship/{i:03d}", kinship_command(rng, write)
+    rng = random.Random(21)
+    for i in range(300):
+        yield f"system/{i:03d}", system_command(rng, write)
     yield from bench_commands(write)
 
 
