@@ -6,6 +6,7 @@ The reference reader takes arities through ``ascii_int`` like the library,
 since only the reading strategy is under test here.
 """
 
+import ast
 import collections
 import random
 import re
@@ -166,6 +167,33 @@ def reference_normalise(kind, members, relations, arities):
     return members, out_relations, out_arities
 
 
+class _SortedSets(ast.NodeTransformer):
+    def visit_Set(self, node):
+        self.generic_visit(node)
+        node.elts.sort(key=ast.unparse)
+        return node
+
+
+def shown(text):
+    """``text``, a repr, with each set display's members sorted: set order is hash order."""
+    return ast.unparse(_SortedSets().visit(ast.parse(text, mode="eval")))
+
+
+def reference_repr(build, normalised):
+    """The repr of the system that ``reference_normalise``'s output describes."""
+    members, relations, arities = normalised
+    field = "objects" if build is ObjectSystem else "observations"
+    return f"{build.__name__}({field}={members!r}, relations={relations!r}, arities={arities!r})"
+
+
+def assert_agrees(got, build, expected):
+    """``got``, built by ``build``, has the reference's fields, contents and repr."""
+    members = got.objects if build is ObjectSystem else got.observations
+    assert (members, got.relations, got.arities) == expected
+    assert dict(got.relations) == expected[1]
+    assert shown(repr(got)) == shown(reference_repr(build, expected))
+
+
 def outcome(fn, *args):
     """The value, or the type and text of the exception raised."""
     try:
@@ -285,7 +313,7 @@ def test_direct_build_agrees_with_reference(relations, arities):
     expected = outcome(reference_normalise, "object", members, relations, arities)
     got = outcome(ObjectSystem, members, relations, arities)
     if isinstance(got, ObjectSystem):
-        assert (got.objects, got.relations, got.arities) == expected
+        assert_agrees(got, ObjectSystem, expected)
         assert got._rows == reference_rows(expected[1])
     else:
         assert got == expected
@@ -307,6 +335,6 @@ def test_random_direct_builds_agree_with_reference():
             if isinstance(expected, tuple) and expected[0] is SystemDefinitionError:
                 assert got == expected
             else:
-                assert (got.relations, got.arities) == expected[1:]
+                assert_agrees(got, build, expected)
                 if build is ObjectSystem:
                     assert got._rows == reference_rows(expected[1])
