@@ -24,21 +24,22 @@ measurement is the special case where observation values happen to be
 numbers.
 
 All types here are immutable values and all operations are pure functions,
-so concurrent use needs no coordination.  An object system groups its
-relations into rows when it is built, in the same pass that checks their
-arities and members, and never changes them after.  The fixture reader works
-one section at a time: each relation block becomes its tuple set in one
-pass, and line numbers are counted only for the line an error names.
+so concurrent use needs no coordination.  An object system keeps each
+relation only as rows, grouped in one pass when it is built and never changed
+after; its tuple set is built only if a caller reads it.  The fixture reader
+works one section at a time: each relation block becomes a list of tuples in
+one pass, and line numbers are counted only for the line an error names.
 """
 
 from __future__ import annotations
 
 import collections
+import collections.abc
 import enum
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from ._shared import ascii_int
 from .errors import ObservementError
@@ -50,66 +51,86 @@ class SystemDefinitionError(ObservementError):
     """A malformed fixture file, or a system or algorithm that breaks its invariants."""
 
 
-def _group_rows(tuples) -> dict:
-    """Each (k-1)-prefix of the tuples mapped to the frozenset of last members that complete it."""
-    rows = collections.defaultdict(list)
-    for t in tuples:
-        rows[t[:-1]].append(t[-1])
-    return {prefix: frozenset(row) for prefix, row in rows.items()}
+def _normalise(kind: str, members, relations, arities, store) -> tuple:
+    """Check one universe; return its members, relations as ``store`` keeps them, and arities.
 
-
-def _normalise(kind: str, members, relations, arities) -> tuple:
-    """Check one universe; return its members, relations, arities and rows.
-
-    Each relation is grouped into rows as it is checked: its arity is read
-    off the prefixes and its members off the prefixes and rows, so after the
-    copy into a frozenset each tuple is touched once.
+    Each relation, a collection of sequences, is checked for arity on the
+    lengths of its tuples, so ``store(tuples)`` sees one arity >= 1 only.  It
+    returns the form kept, rows or a tuple set, and the members that form
+    names, which are checked next: each tuple is walked once, by ``store``.
     """
     members = frozenset(members)
     for m in members:
         if not isinstance(m, str) or not m:
             raise SystemDefinitionError(f"{kind} identifiers must be non-empty strings, got {m!r}")
-    out_relations: dict[str, frozenset] = {}
-    out_arities: dict[str, int] = {}
-    out_rows: dict[str, dict] = {}
+    out_relations, out_arities = {}, {}
     for name, tuples in relations.items():
-        tuples = frozenset(map(tuple, tuples))
-        declared = arities.get(name)
-        if () in tuples:  # no arity admits it; the checks below say why
-            rows, seen = {}, set(map(len, tuples))
-        else:
-            rows = _group_rows(tuples)
-            seen = {len(prefix) + 1 for prefix in rows}
+        declared, seen = arities.get(name), set(map(len, tuples))
         if len(seen) > 1:
             raise SystemDefinitionError(f"relation {name!r} mixes arities {sorted(seen)}")
-        if seen:
-            arity = seen.pop()
-            if declared is not None and declared != arity:
-                raise SystemDefinitionError(
-                    f"relation {name!r} declared with arity {declared} but holds {arity}-tuples"
-                )
-        elif declared is not None:
-            arity = declared
-        else:
+        arity = seen.pop() if seen else declared
+        if arity is None:
+            raise SystemDefinitionError(f"relation {name!r} is empty; declare its arity explicitly")
+        if declared is not None and declared != arity:
             raise SystemDefinitionError(
-                f"relation {name!r} is empty; declare its arity explicitly"
-            )
+                f"relation {name!r} declared with arity {declared} but holds {arity}-tuples")
         if arity < 1:
             raise SystemDefinitionError(f"relation {name!r} must have arity >= 1")
-        undeclared = frozenset().union(*rows, *rows.values()) - members
+        kept, named = store(tuples)
+        undeclared = named - members
         if undeclared:
             # The least by repr, so the member named does not depend on set order.
             raise SystemDefinitionError(
                 f"relation {name!r} references {min(undeclared, key=repr)!r}, "
-                f"not a declared {kind}"
-            )
-        out_relations[name] = tuples
+                f"not a declared {kind}")
+        out_relations[name] = kept
         out_arities[name] = arity
-        out_rows[name] = rows
     for name in arities:
         if name not in relations:
             raise SystemDefinitionError(f"arity declared for unknown relation {name!r}")
-    return members, out_relations, out_arities, out_rows
+    return members, out_relations, out_arities
+
+
+def _rows(tuples) -> tuple:
+    """A relation's rows, each (k-1)-prefix of its tuples mapped to the frozenset
+    of last members that complete it, grouped in one pass; and the members they name."""
+    rows = collections.defaultdict(list)
+    for t in map(tuple, tuples):
+        rows[t[:-1]].append(t[-1])
+    rows = {prefix: frozenset(row) for prefix, row in rows.items()}
+    return rows, frozenset().union(*rows, *rows.values())
+
+
+def _tuple_set(tuples) -> tuple:
+    """A relation's tuples as a frozenset, and the members they name."""
+    tuples = frozenset(map(tuple, tuples))
+    return tuples, frozenset().union(*tuples)
+
+
+class _Relations(collections.abc.Mapping):
+    """An object system's relations, read-only: a relation's tuple set is built from
+    its rows when first read, then kept.  ``in``, ``len`` and iteration read names only."""
+
+    def __init__(self, rows: dict):
+        self._rows, self._sets = rows, {}
+
+    def __getitem__(self, name):
+        if name not in self._sets:
+            rows = self._rows[name]
+            self._sets[name] = frozenset(p + (x,) for p, row in rows.items() for x in row)
+        return self._sets[name]
+
+    def __contains__(self, name):
+        return name in self._rows
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
 
 
 @dataclass(frozen=True)
@@ -121,14 +142,12 @@ class ObjectSystem:
     arities: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        members, relations, arities, rows = _normalise(
-            "object", self.objects, self.relations, self.arities
-        )
+        members, rows, arities = _normalise("object", self.objects, self.relations, self.arities,
+                                            _rows)
         object.__setattr__(self, "objects", members)
-        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "relations", _Relations(rows))
         object.__setattr__(self, "arities", arities)
-        # Per relation, its rows (see _group_rows).  Grouped once, when the
-        # system is built, and shared by every check, so nothing may mutate it.
+        # The only stored form of the relations, shared by every check: never mutate it.
         object.__setattr__(self, "_rows", rows)
 
 
@@ -141,8 +160,8 @@ class ObservationSystem:
     arities: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        members, relations, arities, _ = _normalise(
-            "observation", self.observations, self.relations, self.arities
+        members, relations, arities = _normalise(
+            "observation", self.observations, self.relations, self.arities, _tuple_set
         )
         object.__setattr__(self, "observations", members)
         object.__setattr__(self, "relations", relations)
@@ -472,7 +491,7 @@ def parse_system_file(text: str) -> SystemFixture:
             _, relations, arities = universe
             if name in relations:
                 raise SystemDefinitionError(f"line {lineno}: duplicate relation {name!r}")
-            relations[name] = set()
+            relations[name] = []
             arities[name] = arity
             section = (head, (name, arity, relations[name]))
         else:  # MAP
@@ -508,26 +527,25 @@ def parse_system_file(text: str) -> SystemFixture:
 def _read_block(section, lines: list, start: int, stop: int) -> None:
     """Add ``lines[start:stop]``, which hold no header or comment line, to ``section``.
 
-    A relation block becomes its tuple set in one pass and is checked for
-    arity once; a MAP or PAIR block becomes a dict, checked for shape and
-    repeats at once; member lines are split and kept in order.  Only a block
-    that fails its check, or data before any section, is read line by line,
-    to name its first bad line.
+    A relation block becomes a list of tuples in one pass, repeats kept, and is
+    checked for arity once; a MAP or PAIR block becomes a dict, checked for
+    shape and repeats at once; member lines are split and kept in order.  Only
+    a block that fails its check, or data before any section, is read line by
+    line, to name its first bad line.
     """
     kind, target = section or (None, None)
     block = lines[start:stop]
     if kind == "RELATION":
         name, arity, tuples = target
-        new = set(map(tuple, map(str.split, block)))
-        if not set(map(len, new)) <= {0, arity}:
+        new = list(map(tuple, filter(None, map(str.split, block))))
+        if not set(map(len, new)) <= {arity}:
             lineno, tokens = next((lineno, tokens)
                                   for lineno, tokens in enumerate(map(str.split, block), start + 1)
                                   if tokens and len(tokens) != arity)
             raise SystemDefinitionError(
                 f"line {lineno}: relation {name!r} has arity {arity}, got {len(tokens)} tokens"
             )
-        new.discard(())  # blank lines
-        tuples |= new
+        tuples += new
         return
     if kind in ("OBJECTS", "OBSERVATIONS"):
         target.extend(itertools.chain.from_iterable(map(str.split, block)))
@@ -559,6 +577,8 @@ def _read_block(section, lines: list, start: int, stop: int) -> None:
 def _check_token(token: str, what: str) -> str:
     if not token or token != token.strip() or any(c.isspace() for c in token):
         raise SystemDefinitionError(f"{what} {token!r} cannot be written as a file token")
+    if token.startswith("#"):
+        raise SystemDefinitionError(f"{what} {token!r} would start a line read as a comment")
     if token in _SECTION_KEYWORDS:
         raise SystemDefinitionError(f"{what} {token!r} collides with a section keyword")
     return token

@@ -9,8 +9,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from observement import core
+from observement.cli import cli
 from observement.core import (
     Classification,
     ObjectSystem,
@@ -719,6 +721,25 @@ class TestFixtureFile:
         with pytest.raises(SystemDefinitionError, match="PAIR before"):
             core.parse_system_file("OBJECTS\na\nPAIR\nr p\n")
 
+    def test_leading_hash_is_refused_and_inner_hash_round_trips(self):
+        # A line that starts with '#' reads back as a comment, so such a token
+        # would vanish from the file without an error.
+        obs = ObservationSystem(frozenset({"v"}), {"p": {("v",)}})
+        cases = [
+            (ObjectSystem(frozenset({"a", "#x"}), {"r": {("#x",)}}), "r",
+             "identifier '#x' would start a line read as a comment"),
+            (ObjectSystem(frozenset({"a"}), {"#r": {("a",)}}), "#r",
+             "relation name '#r' would start a line read as a comment"),
+        ]
+        for system, name, message in cases:
+            alg = ObservationAlgorithm("m", dict.fromkeys(system.objects, "v"), {name: "p"})
+            with pytest.raises(SystemDefinitionError) as info:
+                core.format_system_file(SystemFixture(system, obs, (alg,)))
+            assert str(info.value) == message
+        system = ObjectSystem(frozenset({"a", "x#"}), {"r#": {("x#",), ("a",)}})
+        alg = ObservationAlgorithm("m#", {"a": "v", "x#": "v"}, {"r#": "p"})
+        self.round_trip(SystemFixture(system, obs, (alg,)))
+
     def test_comments_and_blank_lines_ignored(self):
         system, obs, alg = identity_fixture()
         fixture = SystemFixture(system, obs, (alg,))
@@ -769,6 +790,77 @@ def test_fixture_parser_error_messages(text, message):
     with pytest.raises(SystemDefinitionError) as info:
         core.parse_system_file(text + "\n")
     assert str(info.value) == message
+
+
+GUARD_FIXTURE = """\
+OBJECTS
+a b c d
+RELATION u/1
+a
+b
+RELATION r/2
+a b
+b a
+b a
+c d
+RELATION t/3
+a b c
+RELATION e/2
+OBSERVATIONS
+x y z
+RELATION pu/1
+x
+RELATION pr/2
+x x
+y y
+RELATION pt/3
+x x y
+RELATION pe/2
+MAP m
+a x
+b x
+c y
+d y
+PAIR
+u pu
+r pr
+t pt
+e pe
+MAP n
+a x
+b y
+c z
+d z
+PAIR
+u pu
+r pr
+t pt
+e pe
+"""
+
+
+def test_checks_and_commands_build_no_object_tuple_set(monkeypatch, tmp_path):
+    """Reading, checking and the commands use rows and relation names only; a
+    relation's tuple set is built when a caller reads it, and kept."""
+    built = []
+    read = core._Relations.__getitem__
+    monkeypatch.setattr(core._Relations, "__getitem__",
+                        lambda self, name: built.append(name) or read(self, name))
+    fixture = core.parse_system_file(GUARD_FIXTURE)
+    system, obs, algs = fixture.system, fixture.observations, fixture.algorithms
+    assert core.classify(system, [obs, obs], list(algs)) is Classification.NOT_OBSERVEMENT
+    assert [core.verify_representation(system, obs, alg).holds for alg in algs] == [False] * 2
+    assert "r" in system.relations and "pr" not in system.relations
+    assert len(system.relations) == 4 and list(system.relations) == ["u", "r", "t", "e"]
+    path = tmp_path / "fixture.txt"
+    path.write_text(GUARD_FIXTURE)
+    for args in (["classify"], ["verify"], ["verify", "--alg", "n"]):
+        result = CliRunner().invoke(cli, ["system", args[0], str(path), *args[1:]])
+        assert result.exit_code == 0, result.output
+    assert built == []
+    assert system.relations["r"] is system.relations["r"]
+    assert system.relations["r"] == {("a", "b"), ("b", "a"), ("c", "d")}
+    assert built == ["r"] * 3
 
 
 def test_fixture_relations_are_kept_per_universe():
