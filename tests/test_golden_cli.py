@@ -16,7 +16,11 @@ replaced by a placeholder, followed by the command's label.  The commands:
   blanks of several kinds and several kinds of line break, and whose
   algorithms hold or fail forward or backward;
 * every job of the ``bench/run.py --quick`` rounds and probes, read from
-  ``bench/workloads.py``, which bring realistic sizes.
+  ``bench/workloads.py``, which bring realistic sizes;
+* extra ``graph convert`` commands from every text format to every target,
+  and ``complexity`` and ``percolate`` commands, at 0-300 vertices, on files
+  with comments, blank and padded lines and repeated and reversed pairs,
+  about a third of them with two or more faults of one kind.
 
 A change to any of those bytes fails the test, which names each changed
 command.  To re-record after a change that is meant, run this module as a
@@ -227,6 +231,120 @@ def graph_iso_command(rng, write):
             write(graph_text(n, image, other, rng.random() < 0.3))]
 
 
+# Source formats of ``graph convert``; ``g6`` is a bare graph6 line.
+GRAPH_SOURCES = ["graph", "digraph", "matrix", "dmatrix", "adjlist", "dadjlist", "g6"]
+GRAPH_TARGETS = ["edges", "adjlist", "matrix", "g6"]
+GRAPH_PADDING = ["", "", "", " ", "\t", "  "]
+
+
+def graph6_text(n, edges):
+    """The graph6 short form of an undirected graph, column by column."""
+    bits = [int((i, j) in edges) for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    return chr(63 + n) + "".join(chr(63 + int("".join(map(str, bits[k:k + 6])), 2))
+                                 for k in range(0, len(bits), 6))
+
+
+def graph_file_lines(rng, source, n, pairs):
+    """Data lines of one source format, or the one graph6 line."""
+    directed = source.startswith("d")
+    if source == "g6":
+        return [graph6_text(n, pairs)]
+    if source in ("matrix", "dmatrix"):
+        cells = [[0] * n for _ in range(n)]
+        for u, v in pairs:
+            cells[u][v] = 1
+            if not directed:
+                cells[v][u] = 1
+        return ["".join(map(str, row)) for row in cells]
+    if source in ("adjlist", "dadjlist"):
+        rows = [[] for _ in range(n)]
+        for u, v in pairs:
+            rows[u].append(v)
+            if not directed:
+                rows[v].append(u)
+        for row in rows:
+            row += rng.sample(row, min(len(row), rng.randint(0, 1)))  # a repeat
+            rng.shuffle(row)
+        lines = [f"{v}: {' '.join(map(str, row))}".rstrip() for v, row in enumerate(rows)
+                 if row or rng.random() < 0.7]
+        rng.shuffle(lines)
+        return lines
+    lines = [f"{v} {u}" if not directed and rng.random() < 0.4 else f"{u} {v}"
+             for u, v in pairs]
+    lines += rng.sample(lines, min(len(lines), rng.randint(0, 3)))  # repeats
+    rng.shuffle(lines)
+    return lines
+
+
+def add_graph_faults(rng, source, n, lines):
+    """Two or more faults of one kind, when the source and size allow one."""
+    out = n + rng.randint(0, 3)
+    if source in ("graph", "digraph"):
+        faults = [f"{rng.randrange(max(n, 1))} {out}", f"{out + 1} {rng.randrange(max(n, 1))}"]
+        if source == "graph" and n and rng.random() < 0.5:  # a loop and a range fault
+            faults[rng.randrange(2)] = f"{rng.randrange(n)} " * 2
+        for fault in faults:
+            lines.insert(rng.randrange(len(lines) + 1), fault)
+    elif source in ("matrix", "dmatrix") and n >= 3:
+        rows = [list(line) for line in lines]
+        i, j, k = rng.sample(range(n), 3)
+        if source == "dmatrix":  # only the shape can be wrong
+            rows[i].append("0")
+            rows[k][j] = "2"
+        else:  # two asymmetric cells, or one and a diagonal bit
+            flips = [(i, j), rng.choice([(j, k), (k, i), (k, k)])]
+            for u, v in flips:
+                rows[u][v] = "10"[int(rows[u][v])]
+        lines[:] = ["".join(row) for row in rows]
+    elif source in ("adjlist", "dadjlist") and n >= 2:
+        u, v = rng.sample(range(n), 2)
+        extra = {u: [out], v: [u] if source == "adjlist" else [out + 2]}
+        head = {int(line.partition(":")[0]): k for k, line in enumerate(lines)}
+        for w, add in extra.items():
+            if w in head:
+                lines[head[w]] += " " + " ".join(map(str, add))
+            else:
+                lines.append(f"{w}: " + " ".join(map(str, add)))
+    elif source == "g6" and n * (n - 1) // 2 % 6:
+        text, padding = lines[0], -(n * (n - 1) // 2) % 6
+        lines[0] = text[:-1] + chr(63 + (ord(text[-1]) - 63 | (1 << padding) - 1))
+
+
+def graph_command(rng, write):
+    """``graph convert``, ``complexity`` or ``percolate`` on up to 300 vertices."""
+    if rng.random() < 0.1:
+        n = rng.choice([0, 1, 2, 5, 20, 60, 150, 300])
+        ends = sorted(rng.choice(["0", "0.01", "0.05", "0.3", "0.5", "1"]) for _ in range(2))
+        return ["percolate", "-n", str(n), "--p-from", ends[0], "--p-to", ends[1],
+                "--steps", str(rng.randint(1, 3)), "--trials", str(rng.randint(1, 2)),
+                "--seed", str(rng.randint(0, 99))]
+    command = "complexity" if rng.random() < 0.15 else "convert"
+    source = rng.choice(GRAPH_SOURCES if command == "convert"
+                        else ["graph", "matrix", "adjlist", "g6", "digraph"])
+    directed = source.startswith("d")
+    sizes = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 20, 40, 61, 62]
+    if source != "g6" and command == "convert":
+        sizes += [63, 100, 250, 300]
+    n = rng.choice(sizes)
+    degree = rng.choice([0, 1, 3, 8] + ([n] if n <= 40 else []))
+    p = min(1.0, degree / max(n - 1, 1))
+    pairs = {(u, v) for u in range(n) for v in range(n)
+             if (u < v or directed and (u > v or rng.random() < 0.1)) and rng.random() < p}
+    lines = graph_file_lines(rng, source, n, pairs)
+    if rng.random() < 0.35:
+        add_graph_faults(rng, source, n, lines)
+    if source != "g6":
+        lines.insert(0, f"{source} {n}")
+    for _ in range(rng.randint(0, 3)):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "# note", "  # c 0 1"]))
+    text = "\n".join(rng.choice(GRAPH_PADDING) + line + rng.choice(GRAPH_PADDING)
+                     for line in lines) + "\n"
+    if command == "complexity":
+        return ["complexity", write(text)] + (["--canonical"] if n <= 9 else [])
+    return ["graph", "convert", write(text), "--to", rng.choice(GRAPH_TARGETS)]
+
+
 def bench_commands(write):
     """Every job of the --quick rounds and probes, as (label, args)."""
     sys.path.insert(0, str(BENCH))
@@ -259,6 +377,9 @@ def commands(write):
     for i in range(300):
         yield f"system/{i:03d}", system_command(rng, write)
     yield from bench_commands(write)
+    rng = random.Random(22)
+    for i in range(300):
+        yield f"graph/{i:03d}", graph_command(rng, write)
 
 
 def digests():
