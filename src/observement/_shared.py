@@ -12,15 +12,13 @@ from __future__ import annotations
 import math
 
 
-def significant_lines(text: str):
-    """Yield ``(lineno, line)`` for each stripped line that is not blank or a ``#`` comment.
+def significant_lines(text: str) -> list:
+    """``(lineno, line)`` for each stripped line that is not blank or a ``#`` comment.
 
     Lines are numbered from 1, counting the skipped ones.
     """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
+    return [(lineno, line) for lineno, line in enumerate(map(str.strip, text.splitlines()), 1)
+            if line and line[0] != "#"]
 
 
 def reachable(start, successors: dict) -> set:

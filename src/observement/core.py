@@ -129,6 +129,12 @@ class _Relations(collections.abc.Mapping):
     def __len__(self):
         return len(self._rows)
 
+    def __eq__(self, other):
+        # Equal rows are equal relations, so no tuple set is built to compare.
+        if isinstance(other, _Relations):
+            return self._rows == other._rows
+        return super().__eq__(other)
+
     def __repr__(self):
         return repr(dict(self.items()))
 

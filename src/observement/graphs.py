@@ -3,13 +3,13 @@
 Vertices are integers 0..n-1.  Edge lists, adjacency lists, adjacency
 matrices, and graph6 text all encode the same structure and convert
 losslessly in every direction, which is exactly what makes the collection of
-representations interchangeable.  Also here: isomorphism and subgraph search
-sharing one exact backtracking routine (small sizes only, with explicit
-caps) whose candidate sets are bitset intersections of host adjacency rows,
-cut before the search by degree profiles and by parity (a vertex in a
-component with an odd cycle maps only into such a component), the
-state-space digraph of a finite automaton, and random-graph percolation
-sweeps.
+representations interchangeable.  Each is read into and written from one
+adjacency bitset row per vertex, the only stored form; ``edges`` and ``arcs``
+are read off the rows when first asked for.  Also here: isomorphism and
+subgraph search sharing one exact backtracking routine (small sizes only,
+with explicit caps) whose candidate sets are bitset intersections of host
+adjacency rows, cut before the search by degree profiles and by parity, the
+state-space digraph of a finite automaton, and percolation sweeps.
 """
 
 from __future__ import annotations
@@ -17,98 +17,124 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+import re
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Sequence
 
-from ._shared import ascii_int, ascii_ints, reachable, significant_lines
+from ._shared import ascii_int, ascii_ints, significant_lines
 from .errors import CapExceeded, ObservementError
 
 ISO_CAP = 10
 SUBGRAPH_CAP = 8
 GRAPH6_MAX_N = 62
+VERTEX_CAP = 5_000  # a 25M-cell matrix: ~0.3 s to write, ~0.7 s to read and write
+PERCOLATION_CAP = 50_000_000  # vertex pairs drawn over in a sweep: under 40 s
 
 
 class GraphError(ObservementError):
     """A malformed graph or automaton text, or a value that breaks its invariants."""
 
 
-def _normalise_edge(u: int, v: int) -> tuple:
-    return (u, v) if u <= v else (v, u)
+def _check_vertex_count(n: int, where: str) -> None:
+    if n < 0:
+        raise GraphError(f"{where}vertex count must be >= 0")
+    if n > VERTEX_CAP:
+        raise CapExceeded(f"{where}graphs are capped at {VERTEX_CAP} vertices, got {n}")
 
 
-@dataclass(frozen=True)
-class Graph:
+def _bits(row: int):
+    """The set bits of ``row``, least first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
+class _Rows:
+    """Immutable, equal and hashed by its adjacency rows: bit v of ``_rows[u]`` is pair (u, v)."""
+
+    @classmethod
+    def _from_rows(cls, n: int, rows):  # rows already checked
+        g = cls.__new__(cls)
+        vars(g).update(n=n, _rows=tuple(rows))
+        return g
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return (self.n, self._rows) == (other.n, other._rows) if same else NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self._rows))
+
+    def __repr__(self):
+        pairs = f"edges={self.edges!r}" if isinstance(self, Graph) else f"arcs={self.arcs!r}"
+        return f"{type(self).__name__}(n={self.n}, {pairs})"
+
+    @functools.cached_property
+    def _masks(self) -> tuple:  # the rows, and a digraph's in-rows after them
+        if isinstance(self, Graph):
+            return (self._rows,)
+        into = [0] * self.n
+        for u, row in enumerate(self._rows):
+            for v in _bits(row):
+                into[v] |= 1 << u
+        return (self._rows, tuple(into))
+
+    @functools.cached_property
+    def _odd(self) -> int:
+        return _components(self._masks)[1]
+
+
+class Graph(_Rows):
     """Undirected simple graph on vertices 0..n-1."""
 
-    n: int
-    edges: frozenset = frozenset()
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise GraphError("vertex count must be >= 0")
-        edges = set()
-        for e in self.edges:
-            u, v = e
+    def __init__(self, n: int, edges: Iterable = frozenset()):
+        _check_vertex_count(n, "")
+        rows = [0] * n
+        for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop ({u},{v}) not allowed in an undirected graph")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={self.n}")
-            edges.add(_normalise_edge(u, v))
-        object.__setattr__(self, "edges", frozenset(edges))
-
-    @functools.cached_property
-    def _masks(self) -> tuple:
-        # One adjacency bitmask per vertex; cached, the value is immutable.
-        rows = [0] * self.n
-        for u, v in self.edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return (tuple(rows),)
+        vars(self).update(n=n, _rows=tuple(rows))
 
     @functools.cached_property
-    def _odd(self) -> int:
-        return _odd_components(self._masks)
+    def edges(self) -> frozenset:
+        return frozenset(to_edge_list(self))
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(_Rows):
     """Directed graph on vertices 0..n-1; self-loops are arcs like any other."""
 
-    n: int
-    arcs: frozenset = frozenset()
-
-    def __post_init__(self):
-        arcs = set()
-        if self.n < 0:
-            raise GraphError("vertex count must be >= 0")
-        for u, v in self.arcs:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"arc ({u},{v}) out of range for n={self.n}")
-            arcs.add((u, v))
-        object.__setattr__(self, "arcs", frozenset(arcs))
+    def __init__(self, n: int, arcs: Iterable = frozenset()):
+        _check_vertex_count(n, "")
+        rows = [0] * n
+        for u, v in arcs:
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"arc ({u},{v}) out of range for n={n}")
+            rows[u] |= 1 << v
+        vars(self).update(n=n, _rows=tuple(rows))
 
     @functools.cached_property
-    def _masks(self) -> tuple:
-        out = [0] * self.n
-        into = [0] * self.n
-        for u, v in self.arcs:
-            out[u] |= 1 << v
-            into[v] |= 1 << u
-        return (tuple(out), tuple(into))
-
-    @functools.cached_property
-    def _odd(self) -> int:
-        return _odd_components(self._masks)
+    def arcs(self) -> frozenset:
+        return frozenset(to_edge_list(self))
 
 
-def _odd_components(masks) -> int:
-    """The vertices whose component holds an odd cycle, as a bitset.
-
-    Arcs count as edges and a self-loop as a cycle of length 1.  A
-    breadth-first walk by levels over ``out | in`` rows: a component is
-    two-colourable exactly when no edge joins two vertices of one level.
+def _components(masks) -> tuple:
+    """The components as bitsets by least vertex, and the bitset of those with an odd cycle
+    (arcs count as edges, a loop as a cycle).  A breadth-first walk by levels over
+    ``out | in`` rows: a component is two-colourable iff no edge joins two vertices of a level.
     """
-    rows = [out | into for out, into in zip(masks[0], masks[-1])]
+    rows = masks[0] if len(masks) == 1 else [out | into for out, into in zip(*masks)]
+    components = []
     odd = seen = 0
     for root in range(len(rows)):
         if seen >> root & 1:
@@ -126,39 +152,44 @@ def _odd_components(masks) -> int:
             level = reach & ~component
             component |= level
         seen |= component
+        components.append(component)
         if clash:
             odd |= component
-    return odd
+    return components, odd
+
+
+def _matrix_fault(rows):
+    """The first fault of an undirected matrix's rows, scanning row by row: a
+    diagonal bit, then an unmirrored cell below the diagonal; None if symmetric."""
+    above = [0] * len(rows)  # above[i]: the j < i whose row holds bit i
+    for j, row in enumerate(rows):
+        for i in _bits(row >> j + 1 << j + 1):
+            above[i] |= 1 << j
+    for i, row in enumerate(rows):
+        if row >> i & 1:
+            return f"nonzero diagonal at {i} in an undirected matrix"
+        unmirrored = (row & (1 << i) - 1) ^ above[i]
+        if unmirrored:
+            return f"matrix is not symmetric at ({i},{(unmirrored & -unmirrored).bit_length() - 1})"
+    return None
 
 
 # --- representation conversions ----------------------------------------------
 
 
-def _pairs(g) -> frozenset:
-    """The edges of a Graph or the arcs of a Digraph."""
-    return g.edges if isinstance(g, Graph) else g.arcs
-
-
 def to_edge_list(g) -> list:
-    return sorted(_pairs(g))
+    """The sorted pairs: edges (u, v) with u < v, or every arc."""
+    undirected = isinstance(g, Graph)
+    return [(u, v) for u, row in enumerate(g._rows)
+            for v in _bits(row >> u + 1 << u + 1 if undirected else row)]
 
 
 def to_adjacency_list(g) -> list:
-    rows: list[list[int]] = [[] for _ in range(g.n)]
-    undirected = isinstance(g, Graph)
-    for u, v in _pairs(g):
-        rows[u].append(v)
-        if undirected:
-            rows[v].append(u)
-    return [sorted(r) for r in rows]
+    return [list(_bits(row)) for row in g._rows]
 
 
 def to_adjacency_matrix(g) -> list:
-    m = [[0] * g.n for _ in range(g.n)]
-    for u, row in enumerate(to_adjacency_list(g)):
-        for v in row:
-            m[u][v] = 1
-    return m
+    return [[row >> v & 1 for v in range(g.n)] for row in g._rows]
 
 
 def from_edge_list(n: int, pairs: Iterable, directed: bool = False):
@@ -167,6 +198,12 @@ def from_edge_list(n: int, pairs: Iterable, directed: bool = False):
 
 def from_adjacency_list(rows: Sequence, directed: bool = False):
     n = len(rows)
+    _check_vertex_count(n, "")
+    if all(0 <= min(row) and max(row) < n for row in rows if row):
+        masks = [sum(set(map((1).__lshift__, row))) for row in rows]
+        if directed or not _matrix_fault(masks):
+            return (Digraph if directed else Graph)._from_rows(n, masks)
+    # Refused: the pair walk names the fault that set order meets first.
     pairs = {(u, v) for u, neighbours in enumerate(rows) for v in neighbours}
     if not directed:
         asymmetric = [(u, v) for u, v in pairs if (v, u) not in pairs]
@@ -175,20 +212,22 @@ def from_adjacency_list(rows: Sequence, directed: bool = False):
     return from_edge_list(n, pairs, directed)
 
 
+def _matrix_graph(rows: list, directed: bool):
+    """The graph of square matrix rows given as bitsets; an undirected one must be symmetric."""
+    fault = not directed and _matrix_fault(rows)
+    if fault:
+        raise GraphError(fault)
+    return (Digraph if directed else Graph)._from_rows(len(rows), rows)
+
+
 def from_adjacency_matrix(matrix: Sequence, directed: bool = False):
     n = len(matrix)
+    _check_vertex_count(n, "")
     for row in matrix:
         if len(row) != n:
             raise GraphError(f"matrix is not square: row of length {len(row)}, n={n}")
-    if not directed:
-        for i in range(n):
-            if matrix[i][i]:
-                raise GraphError(f"nonzero diagonal at {i} in an undirected matrix")
-            for j in range(i):
-                if bool(matrix[i][j]) != bool(matrix[j][i]):
-                    raise GraphError(f"matrix is not symmetric at ({i},{j})")
-    pairs = {(i, j) for i in range(n) for j in range(n) if matrix[i][j]}
-    return from_edge_list(n, pairs, directed)
+    return _matrix_graph([sum(1 << j for j, cell in enumerate(row) if cell) for row in matrix],
+                         directed)
 
 
 # --- graph6 -------------------------------------------------------------------
@@ -198,21 +237,11 @@ def from_adjacency_matrix(matrix: Sequence, directed: bool = False):
 # offset by 63 into the printable range.
 
 
-def _triangle_pairs(n: int):
-    for j in range(1, n):
-        for i in range(j):
-            yield i, j
-
-
 def _pack_graph6(n: int, bits: Sequence) -> str:
-    chars = [chr(63 + n)]
-    for group_start in range(0, len(bits), 6):
-        group = bits[group_start:group_start + 6]
-        value = 0
-        for offset, bit in enumerate(group):
-            value |= bit << (5 - offset)
-        chars.append(chr(63 + value))
-    return "".join(chars)
+    """The size byte, then ``bits`` (0/1 values or characters) in 6-bit groups, zero-padded."""
+    text = "".join(map(str, bits))
+    text += "0" * (-len(text) % 6)
+    return chr(63 + n) + "".join(chr(63 + int(text[k:k + 6], 2)) for k in range(0, len(text), 6))
 
 
 def encode_graph6(g: Graph) -> str:
@@ -221,8 +250,9 @@ def encode_graph6(g: Graph) -> str:
         raise GraphError("graph6 encodes undirected graphs only")
     if g.n > GRAPH6_MAX_N:
         raise GraphError(f"graph6 short form supports at most {GRAPH6_MAX_N} vertices, got {g.n}")
-    bits = [1 if (i, j) in g.edges else 0 for i, j in _triangle_pairs(g.n)]
-    return _pack_graph6(g.n, bits)
+    # Column j is the low j bits of row j, vertex 0 first.
+    return _pack_graph6(g.n, "".join(format(row & (1 << j) - 1, f"0{j}b")[::-1]
+                                     for j, row in enumerate(g._rows) if j))
 
 
 def decode_graph6(text: str) -> Graph:
@@ -239,22 +269,18 @@ def decode_graph6(text: str) -> Graph:
     expected_chars = 1 + (bit_count + 5) // 6
     if len(text) < expected_chars:
         raise GraphError(
-            f"graph6 string too short: {len(text)} bytes, need {expected_chars} for n={size}"
-        )
+            f"graph6 string too short: {len(text)} bytes, need {expected_chars} for n={size}")
     if len(text) > expected_chars:
         raise GraphError(f"trailing garbage after {expected_chars} graph6 bytes")
-    bits = []
-    for ch in text[1:]:
-        value = ord(ch) - 63
-        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[bit_count:]):
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in text[1:])
+    if "1" in bits[bit_count:]:
         raise GraphError("nonzero padding bits in graph6 string")
-    edges = {
-        (i, j)
-        for bit, (i, j) in zip(bits, _triangle_pairs(size))
-        if bit
-    }
-    return Graph(size, frozenset(edges))
+    # Column j, read as one int, is the part of row j below the diagonal; mirror it.
+    rows = [int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1] or "0", 2) for j in range(size)]
+    for j in range(size):
+        for i in _bits(rows[j] & (1 << j) - 1):
+            rows[i] |= 1 << j
+    return Graph._from_rows(size, rows)
 
 
 # --- isomorphism and subgraph search ------------------------------------------
@@ -266,7 +292,8 @@ def _check_same_kind(g1, g2):
 
 
 def _size(g) -> int:
-    return len(_pairs(g))
+    count = sum(row.bit_count() for row in g._rows)
+    return count // 2 if isinstance(g, Graph) else count
 
 
 def _profiles(g) -> list:
@@ -416,8 +443,7 @@ def state_space_graph(automaton: Automaton) -> Digraph:
     """One vertex per state and one arc per successor step; out-degree is always 1."""
     order = state_order(automaton)
     index = {s: i for i, s in enumerate(order)}
-    arcs = frozenset((index[s], index[automaton.successor[s]]) for s in order)
-    return Digraph(len(order), arcs)
+    return Digraph(len(order), [(index[s], index[automaton.successor[s]]) for s in order])
 
 
 # --- random graphs and percolation ---------------------------------------------
@@ -431,52 +457,44 @@ def er_random_graph(n: int, p: float, seed) -> Graph:
     """
     if not 0 <= p <= 1:
         raise GraphError(f"edge probability must be in [0,1], got {p}")
-    if n < 0:
-        raise GraphError("vertex count must be >= 0")
+    _check_vertex_count(n, "")
     rng = random.Random(seed)
-    edges = set()
     if p >= 1:
-        edges = {(i, j) for j in range(1, n) for i in range(j)}
-    elif p > 0:
-        log_q = math.log(1.0 - p)
+        full = (1 << n) - 1
+        return Graph._from_rows(n, [full ^ 1 << v for v in range(n)])
+    rows = [0] * n
+    if p > 0:
+        log, draw, log_q = math.log, rng.random, math.log(1.0 - p)
         v, w = 1, -1
         while v < n:
-            w += 1 + int(math.log(1.0 - rng.random()) / log_q)
+            w += 1 + int(log(1.0 - draw()) / log_q)
             while w >= v and v < n:
                 w -= v
                 v += 1
             if v < n:
-                edges.add((w, v))
-    return Graph(n, frozenset(edges))
-
-
-def connected_components(g: Graph) -> list:
-    """Sorted vertex lists of the connected components, by least vertex."""
-    adjacency = dict(enumerate(to_adjacency_list(g)))
-    seen: set = set()
-    components = []
-    for root in range(g.n):
-        if root not in seen:
-            component = reachable(root, adjacency)
-            seen |= component
-            components.append(sorted(component))
-    return components
+                rows[w] |= 1 << v
+                rows[v] |= 1 << w
+    return Graph._from_rows(n, rows)
 
 
 def largest_component_fraction(g: Graph) -> float:
-    if g.n == 0:
-        return 0.0
-    return max(len(c) for c in connected_components(g)) / g.n
+    return max(c.bit_count() for c in _components(g._masks)[0]) / g.n if g.n else 0.0
 
 
 def percolation_sweep(n: int, p_values: Iterable, trials: int, seed) -> list:
     """Mean largest-component fraction per edge probability.
 
     Trial t at every p uses the derived seed ``seed + t``, so runs are
-    reproducible and trials may be computed independently.
+    reproducible and trials may be computed independently.  A sweep over more
+    than ``PERCOLATION_CAP`` vertex pairs in all is refused before the first draw.
     """
     if trials < 1:
         raise GraphError("trials must be >= 1")
+    p_values = list(p_values)
+    pairs = len(p_values) * trials * math.comb(max(n, 0), 2)
+    if pairs > PERCOLATION_CAP:
+        raise CapExceeded(
+            f"percolation sweep capped at {PERCOLATION_CAP} vertex pairs, got {pairs}")
     rows = []
     for p in p_values:
         total = 0.0
@@ -498,27 +516,24 @@ def percolation_sweep(n: int, p_values: Iterable, trials: int, seed) -> list:
 
 def format_graph_file(g) -> str:
     head = "graph" if isinstance(g, Graph) else "digraph"
-    pairs = to_edge_list(g)
-    return "\n".join([f"{head} {g.n}"] + [f"{u} {v}" for u, v in pairs]) + "\n"
+    return "\n".join([f"{head} {g.n}"] + [f"{u} {v}" for u, v in to_edge_list(g)]) + "\n"
 
 
 def format_matrix_text(g) -> str:
     head = "matrix" if isinstance(g, Graph) else "dmatrix"
-    rows = to_adjacency_matrix(g)
-    return "\n".join([f"{head} {g.n}"] + ["".join(map(str, row)) for row in rows]) + "\n"
+    cells = f"0{g.n}b"
+    return "\n".join([f"{head} {g.n}"] + [format(row, cells)[::-1] for row in g._rows]) + "\n"
 
 
 def format_adjacency_text(g) -> str:
     head = "adjlist" if isinstance(g, Graph) else "dadjlist"
-    rows = to_adjacency_list(g)
-    lines = [f"{head} {g.n}"]
-    lines += [f"{v}: {' '.join(map(str, row))}".rstrip() for v, row in enumerate(rows)]
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"{head} {g.n}"] + [f"{v}: {' '.join(map(str, _bits(row)))}".rstrip()
+                                          for v, row in enumerate(g._rows)]) + "\n"
 
 
 def parse_graph_text(text: str):
     """Parse any of the text representations (including bare graph6) to a graph."""
-    lines = list(significant_lines(text))
+    lines = significant_lines(text)
     if not lines:
         raise GraphError("empty graph text")
     head = lines[0][1].split()
@@ -540,8 +555,7 @@ def _parse_header_n(lines):
         n = ascii_int(parts[1])
     except ValueError:
         raise GraphError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
-    if n < 0:
-        raise GraphError(f"line {lineno}: vertex count must be >= 0")
+    _check_vertex_count(n, f"line {lineno}: ")
     return n
 
 
@@ -552,8 +566,26 @@ def _vertices(tokens: list, lineno: int) -> list:
         raise GraphError(f"line {lineno}: bad vertex {exc.args[0]!r}") from None
 
 
+_PAIR_LINES = re.compile(r"(?:\S+[^\S\n]+\S+(?:\n|\Z))*")  # "\n"-joined lines of two words
+
+
+def _read_pairs(lines):
+    """The data lines' pairs, read in blocks so that one block's tokens are held at once."""
+    for start in range(1, len(lines), 1024):
+        block = "\n".join([line for _, line in lines[start:start + 1024]])
+        if not _PAIR_LINES.fullmatch(block):
+            raise ValueError(block)
+        ends = iter(ascii_ints(block.split()))
+        yield from zip(ends, ends)
+
+
 def _parse_edge_lines(lines, directed: bool):
     n = _parse_header_n(lines)
+    try:
+        return from_edge_list(n, _read_pairs(lines), directed)
+    except (ValueError, GraphError):
+        pass
+    # Refused: the line walk and then the pair set name the first fault.
     pairs = set()
     for lineno, line in lines[1:]:
         parts = line.split()
@@ -565,20 +597,19 @@ def _parse_edge_lines(lines, directed: bool):
 
 def _parse_matrix_lines(lines, directed: bool):
     n = _parse_header_n(lines)
-    rows = []
+    body = [line for _, line in lines[1:]]
+    if len(body) == n and set(map(len, body)) <= {n} and not "".join(body).strip("01"):
+        return _matrix_graph([int(line[::-1], 2) for line in body], directed)
+    # Refused: the line walk names the first fault.
     for lineno, line in lines[1:]:
-        if len(line) != n or any(c not in "01" for c in line):
+        if len(line) != n or line.strip("01"):
             raise GraphError(f"line {lineno}: expected {n} characters of 0/1")
-        rows.append([int(c) for c in line])
-    if len(rows) != n:
-        raise GraphError(f"expected {n} matrix rows, got {len(rows)}")
-    return from_adjacency_matrix(rows, directed)
+    raise GraphError(f"expected {n} matrix rows, got {len(body)}")
 
 
 def _parse_adjacency_lines(lines, directed: bool):
     n = _parse_header_n(lines)
-    rows: list[list[int]] = [[] for _ in range(n)]
-    filled = [False] * n
+    rows: list = [None] * n
     for lineno, line in lines[1:]:
         head, sep, rest = line.partition(":")
         if not sep:
@@ -586,11 +617,10 @@ def _parse_adjacency_lines(lines, directed: bool):
         (v,) = _vertices([head.strip()], lineno)
         if not (0 <= v < n):
             raise GraphError(f"line {lineno}: vertex {v} out of range")
-        if filled[v]:
+        if rows[v] is not None:
             raise GraphError(f"line {lineno}: duplicate row for vertex {v}")
-        filled[v] = True
         rows[v] = _vertices(rest.split(), lineno)
-    return from_adjacency_list(rows, directed)
+    return from_adjacency_list([row or [] for row in rows], directed)
 
 
 # Header keyword -> (line parser, directed).

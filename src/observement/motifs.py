@@ -23,7 +23,7 @@ from itertools import combinations, permutations
 
 from ._shared import ascii_int
 from .errors import CapExceeded, ObservementError
-from .graphs import Digraph, _pack_graph6, _size, _triangle_pairs, to_edge_list
+from .graphs import Digraph, _pack_graph6, _size, to_edge_list
 
 CENSUS_CAPS = {3: 200, 4: 60}
 REWIRE_ATTEMPTS_PER_EDGE = 10
@@ -203,7 +203,7 @@ def _cells(k: int, directed: bool) -> list:
     # undirected; the row-major k*k pairs, diagonal included, when directed.
     if directed:
         return [(i, j) for i in range(k) for j in range(k)]
-    return list(_triangle_pairs(k))
+    return [(i, j) for j in range(1, k) for i in range(j)]
 
 
 def _canonical_mask(mask: int, k: int, directed: bool) -> int:

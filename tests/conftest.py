@@ -22,6 +22,11 @@ def all_digraphs(n, self_loops):
     ]
 
 
+def triangle_pairs(n):
+    """The graph6 bit positions in order: the pairs (i, j), i < j, column by column."""
+    return [(i, j) for j in range(1, n) for i in range(j)]
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5, directed: bool = False,
                  self_loops: bool = False):
     """Each possible edge, or arc when directed, independently with probability p."""

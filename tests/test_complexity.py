@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs, random_graph
+from conftest import all_graphs, random_graph, triangle_pairs
 from observement.complexity import (
     ComplexityReport,
     LzwError,
@@ -20,7 +20,6 @@ from observement.errors import CapExceeded
 from observement.graphs import (
     Graph,
     _pack_graph6,
-    _triangle_pairs,
     are_isomorphic,
     encode_graph6,
     relabel,
@@ -119,7 +118,7 @@ def scan_canonical_string(g: Graph) -> str:
     # Earlier triangle positions get higher bit weights so that integer order
     # on masks is exactly lexicographic order on the packed graph6 strings.
     weight = {
-        pair: bit_count - 1 - index for index, pair in enumerate(_triangle_pairs(g.n))
+        pair: bit_count - 1 - index for index, pair in enumerate(triangle_pairs(g.n))
     }
     best = None
     for perm in permutations(range(g.n)):

@@ -338,3 +338,29 @@ def test_random_direct_builds_agree_with_reference():
                 assert_agrees(got, build, expected)
                 if build is ObjectSystem:
                     assert got._rows == reference_rows(expected[1])
+
+
+def test_equality_reads_rows_and_agrees_with_reference():
+    rng = random.Random(4)
+    members = ["a", "b", "c"]
+
+    def draw():
+        return {name: {tuple(rng.choice(members) for _ in range(arity))
+                       for _ in range(rng.randint(0, 3))}
+                for name, arity in (("r", 2), ("s", 1))[:rng.randint(1, 2)]}
+
+    relations = [draw() for _ in range(40)]
+    equal = 0
+    for _ in range(3000):
+        left, right = rng.choice(relations), rng.choice(relations)
+        arities = {name: {"r": 2, "s": 1}[name] for name in set(left) | set(right)}
+        a = ObjectSystem(members, left, {r: arities[r] for r in left})
+        b = ObjectSystem(members, right, {r: arities[r] for r in right})
+        expected = reference_normalise("object", members, left, {r: arities[r] for r in left}) \
+            == reference_normalise("object", members, right, {r: arities[r] for r in right})
+        assert (a == b, a != b) == (expected, not expected), (left, right)
+        assert not a.relations._sets and not b.relations._sets
+        equal += expected
+        # Against a plain mapping, equality still compares the tuple sets.
+        assert (a.relations == dict(b.relations)) == expected
+    assert 100 < equal < 2900

@@ -4,11 +4,13 @@ import random
 
 import networkx as nx
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_digraphs, all_graphs, random_graph
 from observement import graphs
+from observement.cli import cli
 from observement.errors import CapExceeded
 from observement.graphs import (
     Automaton,
@@ -16,7 +18,6 @@ from observement.graphs import (
     Graph,
     GraphError,
     are_isomorphic,
-    connected_components,
     decode_graph6,
     encode_graph6,
     er_random_graph,
@@ -590,7 +591,7 @@ class TestRandomGraphs:
 class TestComponents:
     def test_components_partition_vertices(self):
         g = Graph(6, {(0, 1), (1, 2), (4, 5)})
-        assert connected_components(g) == [[0, 1, 2], [3], [4, 5]]
+        assert graphs._components(g._masks)[0] == [0b111, 0b1000, 0b110000]
         assert largest_component_fraction(g) == 0.5
 
     def test_percolation_extremes(self):
@@ -655,3 +656,86 @@ class TestTextFormats:
     def test_self_loop_in_graph_file_rejected(self):
         with pytest.raises(GraphError, match="self-loop"):
             parse_graph_text("graph 2\n1 1\n")
+
+
+class TestCaps:
+    """Each cap refuses before anything is allocated, so an input just over it is cheap."""
+
+    @pytest.mark.parametrize("keyword", ["graph", "digraph", "matrix", "dmatrix",
+                                         "adjlist", "dadjlist"])
+    def test_header_over_the_vertex_cap(self, keyword, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text(f"# comment\n{keyword} {graphs.VERTEX_CAP + 1}\n")
+        result = CliRunner().invoke(cli, ["graph", "convert", str(path), "--to", "edges"])
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == "Error: line 2: graphs are capped at 5000 vertices, got 5001\n"
+
+    @pytest.mark.parametrize("build", [Graph, Digraph, lambda n: er_random_graph(n, 0.5, 0)])
+    def test_builds_over_the_vertex_cap(self, build):
+        with pytest.raises(CapExceeded) as info:
+            build(graphs.VERTEX_CAP + 1)
+        assert str(info.value) == "graphs are capped at 5000 vertices, got 5001"
+
+    def test_percolation_over_the_pair_cap(self):
+        # 100 graphs of C(1001, 2) = 500,500 pairs each: just over the cap.
+        result = CliRunner().invoke(cli, ["percolate", "-n", "1001", "--p-from", "0",
+                                          "--p-to", "1", "--steps", "100", "--trials", "1"])
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == (
+            "Error: percolation sweep capped at 50000000 vertex pairs, got 50050000\n")
+
+
+# One graph and one digraph in every text format.
+GRAPH_FILES = {
+    "graph": "graph 5\n0 1\n2 1\n1 3\n3 4\n4 2\n",
+    "matrix": "matrix 5\n01000\n10110\n01001\n01001\n00110\n",
+    "adjlist": "adjlist 5\n0: 1\n1: 0 2 3\n2: 1 4\n3: 1 4\n4: 2 3\n",
+    "g6": "DiK\n",
+    "digraph": "digraph 4\n0 1\n1 2\n2 0\n3 3\n",
+    "dmatrix": "dmatrix 4\n0100\n0010\n1000\n0001\n",
+    "dadjlist": "dadjlist 4\n0: 1\n1: 2\n2: 0\n3: 3\n",
+}
+
+
+class TestRowsOnly:
+    """No command that reads, writes, compares or percolates graphs builds their pairs."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = []
+
+        def recording(fn):
+            def wrapper(*args):
+                made.append(fn(*args))
+                return made[-1]
+            return wrapper
+
+        for name in ("parse_graph_text", "er_random_graph"):
+            monkeypatch.setattr(graphs, name, recording(getattr(graphs, name)))
+        return made
+
+    def run(self, made, tmp_path, args, exit_code=0):
+        files = {f"@{name}": tmp_path / name for name in GRAPH_FILES}
+        for name, path in files.items():
+            path.write_text(GRAPH_FILES[name[1:]])
+        result = CliRunner().invoke(cli, [str(files.get(a, a)) for a in args])
+        assert result.exit_code == exit_code, result.output
+        assert made
+        for g in made:
+            assert "edges" not in vars(g) and "arcs" not in vars(g), args
+
+    @pytest.mark.parametrize("source", sorted(GRAPH_FILES))
+    @pytest.mark.parametrize("target", ["edges", "adjlist", "matrix", "g6"])
+    def test_convert(self, made, tmp_path, source, target):
+        refused = target == "g6" and source.startswith("d")
+        self.run(made, tmp_path, ["graph", "convert", f"@{source}", "--to", target], int(refused))
+
+    @pytest.mark.parametrize("args", [
+        ["graph", "iso", "@graph", "@matrix"], ["graph", "iso", "@digraph", "@dadjlist"],
+        ["graph", "sub", "@adjlist", "@g6"], ["graph", "sub", "@dmatrix", "@digraph"],
+        ["complexity", "@graph"], ["complexity", "@matrix", "--canonical"],
+        ["percolate", "-n", "30", "--p-from", "0", "--p-to", "1", "--steps", "3",
+         "--trials", "2"],
+    ])
+    def test_search_complexity_and_percolation(self, made, tmp_path, args):
+        self.run(made, tmp_path, args)

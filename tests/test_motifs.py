@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_digraphs, all_graphs, random_graph
+from conftest import all_digraphs, all_graphs, random_graph, triangle_pairs
 from observement import genetics, motifs
 from observement.errors import CapExceeded
 from observement.graphs import (
     Digraph,
     Graph,
     _pack_graph6,
-    _triangle_pairs,
     relabel,
     to_adjacency_list,
 )
@@ -312,7 +311,7 @@ def _oracle_local_mask(g, vertices):
     k = len(vertices)
     mask = 0
     if isinstance(g, Graph):
-        for bit, (i, j) in enumerate(_triangle_pairs(k)):
+        for bit, (i, j) in enumerate(triangle_pairs(k)):
             if (min(vertices[i], vertices[j]), max(vertices[i], vertices[j])) in g.edges:
                 mask |= 1 << bit
     else:
@@ -327,7 +326,7 @@ def _oracle_bit_permutations(k, directed):
     if directed:
         positions = {(i, j): i * k + j for i in range(k) for j in range(k)}
     else:
-        positions = {pair: bit for bit, pair in enumerate(_triangle_pairs(k))}
+        positions = {pair: bit for bit, pair in enumerate(triangle_pairs(k))}
     tables = []
     for perm in permutations(range(k)):
         table = []

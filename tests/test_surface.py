@@ -49,8 +49,8 @@ SETTINGS = {
     "familytree.KinshipGraph.labels",
     "genetics.translate_frame(table=)",
     "genetics.translate_gene(table=)",
-    "graphs.Graph.edges",
-    "graphs.Digraph.arcs",
+    "graphs.Graph.__init__(edges=)",
+    "graphs.Digraph.__init__(arcs=)",
     "graphs.from_edge_list(directed=)",
     "graphs.from_adjacency_list(directed=)",
     "graphs.from_adjacency_matrix(directed=)",
