@@ -278,7 +278,7 @@ def decode_graph6(text: str) -> Graph:
     # Column j, read as one int, is the part of row j below the diagonal; mirror it.
     rows = [int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1] or "0", 2) for j in range(size)]
     for j in range(size):
-        for i in _bits(rows[j] & (1 << j) - 1):
+        for i in _bits(rows[j]):
             rows[i] |= 1 << j
     return Graph._from_rows(size, rows)
 

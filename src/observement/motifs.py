@@ -269,7 +269,7 @@ def _subgraph_copies(g, k: int) -> dict:
     codegrees c(u, v) = |N(u) & N(v)| and the triangles through each vertex;
     only K4 walks the common neighbours of each edge.  Needs n >= k.
     """
-    rows, n, edges = g._masks[0], g.n, g.edges
+    rows, n, edges = g._masks[0], g.n, to_edge_list(g)
     degrees = [row.bit_count() for row in rows]
     m = len(edges)
     paths3 = sum(d * (d - 1) // 2 for d in degrees)
