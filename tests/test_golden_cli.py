@@ -20,7 +20,15 @@ replaced by a placeholder, followed by the command's label.  The commands:
 * extra ``graph convert`` commands from every text format to every target,
   and ``complexity`` and ``percolate`` commands, at 0-300 vertices, on files
   with comments, blank and padded lines and repeated and reversed pairs,
-  about a third of them with two or more faults of one kind.
+  about a third of them with two or more faults of one kind;
+* extra ``complexity`` commands, three in four of them ``--canonical``, on
+  0-8-vertex graphs at densities 0.05-0.95 and on tie-heavy graphs: cycles,
+  stars, the cube, complete bipartite and multipartite graphs, disjoint
+  cliques, edgeless and complete graphs, and blow-ups with many twins, each
+  under a random relabelling;
+* extra ``graph motifs --significance`` commands on graphs, digraphs and
+  looped digraphs whose edge counts straddle powers of two, where drawing a
+  pair index takes a redraw most often.
 
 A change to any of those bytes fails the test, which names each changed
 command.  To re-record after a change that is meant, run this module as a
@@ -345,6 +353,73 @@ def graph_command(rng, write):
     return ["graph", "convert", write(text), "--to", rng.choice(GRAPH_TARGETS)]
 
 
+def tie_heavy_pairs(rng, n):
+    """The edges of a graph with many automorphisms or twins on ``n`` vertices."""
+    kind = rng.choice(["cycle", "star", "cube", "bipartite", "cliques", "edgeless",
+                       "complete", "blowup"])
+    if kind == "cycle" and n >= 3:
+        return {(i, (i + 1) % n) for i in range(n)}
+    if kind == "star":
+        return {(0, leaf) for leaf in range(1, n)}
+    if kind == "cube" and n == 8:
+        return {(a, b) for b in range(8) for a in range(b) if (a ^ b).bit_count() == 1}
+    if kind == "edgeless":
+        return set()
+    if kind in ("bipartite", "cliques"):  # K_{a,n-a} or K_a plus K_{n-a}
+        a = rng.randint(0, n)
+        cross = kind == "bipartite"
+        return {(u, v) for v in range(n) for u in range(v) if (u < a <= v) == cross}
+    if kind == "blowup":  # each vertex of a small graph becomes a class of twins
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(min(rng.randint(1, 3), n - sum(sizes)))
+        base = {(i, j) for j in range(len(sizes)) for i in range(j) if rng.random() < 0.5}
+        cliques = [rng.random() < 0.5 for _ in sizes]
+        cls = [c for c, size in enumerate(sizes) for _ in range(size)]
+        return {(u, v) for v in range(n) for u in range(v)
+                if (cls[u], cls[v]) in base or cls[u] == cls[v] and cliques[cls[u]]}
+    return {(u, v) for v in range(n) for u in range(v)}  # complete
+
+
+def canon_command(rng, write):
+    """``complexity``, mostly ``--canonical``, on a relabelled graph of 0-8 vertices."""
+    n = rng.randint(0, 8)
+    if rng.random() < 0.5:
+        density = rng.choice([0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95])
+        pairs = {(u, v) for v in range(n) for u in range(v) if rng.random() < density}
+    else:
+        pairs = tie_heavy_pairs(rng, n)
+    perm = rng.sample(range(n), n)
+    pairs = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in pairs}
+    source = rng.choice(["graph", "matrix", "adjlist", "g6"])
+    lines = graph_file_lines(rng, source, n, pairs)
+    if source != "g6":
+        lines.insert(0, f"{source} {n}")
+    path = write("\n".join(lines) + "\n")
+    return ["complexity", path] + (["--canonical"] if rng.random() < 0.75 else [])
+
+
+# Edge counts at and around powers of two: a pair index below 2**b drawn from
+# b + 1 random bits is redrawn most often just above a power of two.
+SIGNIFICANCE_SIZES = [2, 3, 4, 5, 8, 9, 16, 17, 31, 32, 33]
+
+
+def significance_command(rng, write):
+    """``graph motifs --significance`` on a graph, digraph or looped digraph."""
+    kind = rng.choice(["graph", "digraph", "looped"])
+    size = rng.choice(SIGNIFICANCE_SIZES)
+    n = 3
+    while (n * n if kind == "looped" else n * (n - 1) // (1 + (kind == "graph"))) < size:
+        n += 1
+    n += rng.randint(0, 5)
+    slots = [(u, v) for u in range(n) for v in range(n)
+             if kind == "looped" or u != v and (kind == "digraph" or u < v)]
+    pairs = set(rng.sample(slots, size))
+    text = graph_text(n, pairs, kind != "graph", rng.random() < 0.3)
+    return ["graph", "motifs", write(text), "-k", rng.choice("34"),
+            "--significance", str(rng.randint(1, 6)), "--seed", str(rng.randint(0, 999))]
+
+
 def bench_commands(write):
     """Every job of the --quick rounds and probes, as (label, args)."""
     sys.path.insert(0, str(BENCH))
@@ -380,6 +455,12 @@ def commands(write):
     rng = random.Random(22)
     for i in range(300):
         yield f"graph/{i:03d}", graph_command(rng, write)
+    rng = random.Random(23)
+    for i in range(200):
+        yield f"canon/{i:03d}", canon_command(rng, write)
+    rng = random.Random(24)
+    for i in range(150):
+        yield f"significance/{i:03d}", significance_command(rng, write)
 
 
 def digests():
