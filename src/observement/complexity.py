@@ -112,9 +112,9 @@ def canonical_string(g: Graph) -> str:
     """The lexicographically smallest graph6 code over all vertex permutations.
 
     The canonical form is isomorphism-invariant.  It is found by an exact
-    branch and bound that fills graph6 positions one at a time, and it is
-    capped at 8 vertices.  ``encode_graph6`` gives the code in the given
-    vertex order.
+    search that fills graph6 columns one at a time, branching only on the
+    vertices whose column is least, and it is capped at 8 vertices.
+    ``encode_graph6`` gives the code in the given vertex order.
     """
     if g.n > CANONICAL_CAP:
         raise CapExceeded(f"canonical form capped at {CANONICAL_CAP} vertices, got {g.n}")
@@ -130,39 +130,40 @@ def _minimal_graph6_mask(n: int, adj: tuple) -> int:
     Placing vertex v at position j fixes column j of the graph6 triangle: its
     bits are v's adjacency to the vertices at positions 0..j-1, most
     significant first, so the code so far is a prefix of every completion.
-    A prefix greater than the best complete code's prefix is cut; a tie is
-    not, so the minimum is the one a scan of all n! orders finds.  At each
-    position an unplaced vertex is skipped when a vertex already tried there
-    is its twin (same neighbours apart from each other): swapping the two is
-    an automorphism that fixes every placed vertex, so both branches yield
-    the same codes.
+    Every unplaced vertex's column is kept up to date, and a placed vertex's
+    is pushed above them all.  Only the vertices whose column is least are
+    placed next: any other gives a greater prefix than every completion of a
+    least one.  A prefix greater than the best complete code's prefix is cut;
+    a tie is not, so the minimum is the one a scan of all n! orders finds.
+    Of two twins (same neighbours apart from each other) only the first is
+    placed at a position: swapping them is an automorphism that fixes every
+    placed vertex, so both branches yield the same codes.
     """
     bit_count = n * (n - 1) // 2
+    twins = [sum(1 << t for t in range(n) if adj[t] & ~(1 << v) == adj[v] & ~(1 << t))
+             for v in range(n)]
+    bits = [[row >> v & 1 for v in range(n)] for row in adj]
+    placed = 1 << n  # above every column, which holds fewer than n bits
     best = None
-    order = []
 
-    def extend(prefix: int) -> None:
+    def extend(prefix: int, j: int, columns: list) -> None:
         nonlocal best
-        j = len(order)
         if j == n:
             best = prefix
             return
-        shift = bit_count - j * (j + 1) // 2
-        tried = []
-        for v in range(n):
-            if v in order or any(adj[t] & ~(1 << v) == adj[v] & ~(1 << t) for t in tried):
-                continue
-            tried.append(v)
-            code = prefix
-            for u in order:
-                code = code << 1 | adj[v] >> u & 1
-            if best is not None and code > best >> shift:
-                continue
-            order.append(v)
-            extend(code)
-            order.pop()
+        least = min(columns)
+        code = prefix << j | least
+        if best is not None and code > best >> bit_count - j * (j + 1) // 2:
+            return
+        tried = 0
+        for v, column in enumerate(columns):
+            if column == least and not twins[v] & tried:
+                tried |= 1 << v
+                after = [c << 1 | bit for c, bit in zip(columns, bits[v])]
+                after[v] = placed
+                extend(code, j + 1, after)
 
-    extend(0)
+    extend(0, 0, [0] * n)
     return best
 
 

@@ -23,7 +23,7 @@ from itertools import combinations, permutations
 
 from ._shared import ascii_int
 from .errors import CapExceeded, ObservementError
-from .graphs import Digraph, _pack_graph6, _size, to_edge_list
+from .graphs import Digraph, _pack_graph6, to_edge_list
 
 CENSUS_CAPS = {3: 200, 4: 60}
 REWIRE_ATTEMPTS_PER_EDGE = 10
@@ -405,22 +405,29 @@ def count_network_motifs(g, k: int) -> MotifCensus:
     return MotifCensus(k, dict(sorted(counts.items())))
 
 
-def _rewired_copy(g, rng: random.Random):
-    """A degree-preserving rewiring: repeated double edge swap attempts, 10 per edge.
+def _rewired_copy(g, edges: list, rng: random.Random):
+    """A degree-preserving rewiring of ``g``, whose ``to_edge_list`` is ``edges``:
+    repeated double edge swap attempts, 10 per edge.
 
     Attempt: draw two pair indices, and for a graph a coin that flips the
     second pair; swap their ends unless either pair is a self-loop or the swap
     makes one, a repeated pair or a pair already present.  So every degree and
-    every self-loop is kept.
+    every self-loop is kept.  An index is drawn as ``rng.randrange(size)``
+    draws it, from ``size.bit_length()`` random bits redrawn while too large,
+    so the generator's stream is the same.
     """
     directed = isinstance(g, Digraph)
-    pairs = to_edge_list(g)
+    pairs = edges.copy()
     present = set(pairs)
     size = len(pairs)
-    randrange, coin = rng.randrange, rng.random
+    width, getrandbits, coin = size.bit_length(), rng.getrandbits, rng.random
     for _ in range(REWIRE_ATTEMPTS_PER_EDGE * size):
-        i = randrange(size)
-        j = randrange(size)
+        i = getrandbits(width)
+        while i >= size:
+            i = getrandbits(width)
+        j = getrandbits(width)
+        while j >= size:
+            j = getrandbits(width)
         if i == j:
             continue
         a, b = pairs[i]
@@ -442,7 +449,7 @@ def _rewired_copy(g, rng: random.Random):
         present.add(e1)
         present.add(e2)
         pairs[i], pairs[j] = e1, e2
-    return type(g)(g.n, frozenset(present))
+    return type(g)(g.n, pairs)
 
 
 def motif_significance(g, k: int, rewires: int, seed) -> MotifCensus:
@@ -457,15 +464,15 @@ def motif_significance(g, k: int, rewires: int, seed) -> MotifCensus:
     observed = count_network_motifs(g, k)
     if rewires < 1:
         return observed
-    edge_count = _size(g)
-    if edge_count < 1:
+    edges = to_edge_list(g)
+    if not edges:
         raise MotifError("motif significance needs at least one edge")
-    if edge_count < 2:
+    if len(edges) < 2:
         return observed
     rng = random.Random(seed)
     totals: dict[str, float] = {}
     for _ in range(rewires):
-        sample = count_network_motifs(_rewired_copy(g, rng), k)
+        sample = count_network_motifs(_rewired_copy(g, edges, rng), k)
         for identifier, count in sample.counts.items():
             totals[identifier] = totals.get(identifier, 0.0) + count
     background = {identifier: total / rewires for identifier, total in sorted(totals.items())}

@@ -1,6 +1,7 @@
 import math
 import random
 import string
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -11,6 +12,7 @@ from conftest import all_graphs, random_graph, triangle_pairs
 from observement.complexity import (
     ComplexityReport,
     LzwError,
+    _minimal_graph6_mask,
     canonical_string,
     lzw_compress,
     lzw_decompress,
@@ -132,6 +134,78 @@ def scan_canonical_string(g: Graph) -> str:
     return _pack_graph6(g.n, bits)
 
 
+def branch_and_bound_mask(n: int, adj: tuple) -> int:
+    """Oracle: the former ``_minimal_graph6_mask``, which branches on every vertex.
+
+    It places any unplaced vertex at each position, cuts a prefix only when it
+    is greater than the best complete code's prefix, and skips a vertex whose
+    twin was already tried at that position.
+    """
+    bit_count = n * (n - 1) // 2
+    best = None
+    order = []
+
+    def extend(prefix: int) -> None:
+        nonlocal best
+        j = len(order)
+        if j == n:
+            best = prefix
+            return
+        shift = bit_count - j * (j + 1) // 2
+        tried = []
+        for v in range(n):
+            if v in order or any(adj[t] & ~(1 << v) == adj[v] & ~(1 << t) for t in tried):
+                continue
+            tried.append(v)
+            code = prefix
+            for u in order:
+                code = code << 1 | adj[v] >> u & 1
+            if best is not None and code > best >> shift:
+                continue
+            order.append(v)
+            extend(code)
+            order.pop()
+
+    extend(0)
+    return best
+
+
+def extend_calls(search, graphs) -> int:
+    """Calls of the nested ``extend`` of ``search``'s module while it runs on ``graphs``."""
+    filename = sys.modules[search.__module__].__file__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "extend" \
+                and frame.f_code.co_filename == filename:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        for g in graphs:
+            search(g.n, g._masks[0])
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def sampled_graph(rng, n, share):
+    """A graph on ``n`` vertices with ``share`` of the possible edges, drawn as the bench draws."""
+    slots = [(u, v) for v in range(n) for u in range(v)]
+    return Graph(n, rng.sample(slots, round(len(slots) * share)))
+
+
+def petersen():
+    return Graph(10, {(i, (i + 1) % 5) for i in range(5)}
+                 | {(5 + i, 5 + (i + 2) % 5) for i in range(5)} | {(i, i + 5) for i in range(5)})
+
+
+def prism(k):
+    return Graph(2 * k, {(i, (i + 1) % k) for i in range(k)}
+                 | {(k + i, k + (i + 1) % k) for i in range(k)} | {(i, i + k) for i in range(k)})
+
+
 def _complete(vertices):
     return set(combinations(vertices, 2))
 
@@ -206,6 +280,50 @@ class TestCanonicalString:
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert canonical_string(relabel(g, perm)) == expected, perm
+
+
+class TestLeastColumnSearch:
+    """``_minimal_graph6_mask`` against the former branch and bound it replaced."""
+
+    def test_matches_the_former_search_on_seeded_graphs_up_to_8_vertices(self):
+        rng = random.Random(23)
+        for _ in range(2400):
+            g = random_graph(rng, rng.randint(0, 8), rng.choice([0.05, 0.2, 0.35, 0.5,
+                                                                  0.65, 0.8, 0.95]))
+            adj = g._masks[0]
+            assert _minimal_graph6_mask(g.n, adj) == branch_and_bound_mask(g.n, adj), \
+                (g.n, sorted(g.edges))
+
+    @pytest.mark.parametrize("name", sorted(TIE_HEAVY))
+    def test_matches_the_former_search_on_tie_heavy_relabellings(self, name):
+        g = TIE_HEAVY[name]
+        rng = random.Random(name)
+        for _ in range(6):
+            h = relabel(g, rng.sample(range(g.n), g.n))
+            adj = h._masks[0]
+            assert _minimal_graph6_mask(h.n, adj) == branch_and_bound_mask(h.n, adj)
+
+    def test_matches_the_former_search_at_9_and_10_vertices(self):
+        rng = random.Random(24)
+        named = [petersen(), Graph(10, {(i, (i + 1) % 10) for i in range(10)}), prism(5),
+                 Graph(9, {(i, (i + 1) % 9) for i in range(9)})]
+        randoms = [random_graph(rng, rng.choice([9, 10]), rng.uniform(0.1, 0.9))
+                   for _ in range(100)]
+        for g in named + randoms:
+            adj = g._masks[0]
+            assert _minimal_graph6_mask(g.n, adj) == branch_and_bound_mask(g.n, adj), \
+                (g.n, sorted(g.edges))
+
+    def test_visits_at_most_60_percent_of_the_former_search_nodes(self):
+        # 7- and 8-vertex graphs holding 30-60% of the possible edges, as the
+        # bench's canonical-form jobs do.
+        rng = random.Random(25)
+        graphs = [sampled_graph(rng, rng.choice([7, 8]), 0.3 + 0.3 * rng.randrange(5) / 4)
+                  for _ in range(200)]
+        new = extend_calls(_minimal_graph6_mask, graphs)
+        old = extend_calls(branch_and_bound_mask, graphs)
+        assert old > 0
+        assert new <= 0.6 * old, (new, old)
 
 
 class TestRelativeComplexity:

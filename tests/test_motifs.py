@@ -16,6 +16,7 @@ from observement.graphs import (
     _pack_graph6,
     relabel,
     to_adjacency_list,
+    to_edge_list,
 )
 from observement.motifs import (
     AnyOf,
@@ -451,6 +452,45 @@ def oracle_rewired_copy(g, rng):
     return Graph(g.n, frozenset(present))
 
 
+def randrange_rewired_copy(g, rng):
+    """Reference rewiring: the former ``_rewired_copy``, which draws each pair
+    index with ``rng.randrange`` and lists the pairs afresh for every sample."""
+    directed = isinstance(g, Digraph)
+    pairs = to_edge_list(g)
+    present = set(pairs)
+    size = len(pairs)
+    randrange, coin = rng.randrange, rng.random
+    for _ in range(motifs.REWIRE_ATTEMPTS_PER_EDGE * size):
+        i = randrange(size)
+        j = randrange(size)
+        if i == j:
+            continue
+        a, b = pairs[i]
+        c, d = pairs[j]
+        if not directed and coin() < 0.5:
+            c, d = d, c
+        if a == b or c == d or a == d or c == b:
+            continue
+        e1, e2 = (a, d), (c, b)
+        if not directed:
+            if a > d:
+                e1 = (d, a)
+            if c > b:
+                e2 = (b, c)
+        if e1 == e2 or e1 in present or e2 in present:
+            continue
+        present.discard(pairs[i])
+        present.discard(pairs[j])
+        present.add(e1)
+        present.add(e2)
+        pairs[i], pairs[j] = e1, e2
+    return type(g)(g.n, frozenset(present))
+
+
+def rewired(g, rng):
+    return motifs._rewired_copy(g, to_edge_list(g), rng)
+
+
 class TestMotifSignificance:
     @pytest.mark.parametrize("directed", [False, True])
     def test_rewiring_matches_the_per_attempt_oracle(self, directed):
@@ -461,7 +501,7 @@ class TestMotifSignificance:
             for seed in (0, 1, 7):
                 expected_rng, actual_rng = random.Random(seed), random.Random(seed)
                 expected = oracle_rewired_copy(g, expected_rng)
-                actual = motifs._rewired_copy(g, actual_rng)
+                actual = rewired(g, actual_rng)
                 assert actual == expected
                 if directed:
                     assert list(actual.arcs) == list(expected.arcs)
@@ -469,12 +509,35 @@ class TestMotifSignificance:
                     assert list(actual.edges) == list(expected.edges)
                 assert actual_rng.getstate() == expected_rng.getstate()
 
+    @pytest.mark.parametrize("kind", ["graph", "digraph", "looped"])
+    def test_rewiring_keeps_the_randrange_stream(self, kind):
+        # Edge counts at and around powers of two, where an index drawn from
+        # random bits is redrawn most often.  Equal generator states after each
+        # sample prove that the same stream was consumed.
+        rng = random.Random(f"stream-{kind}")
+        for size in (2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65):
+            n = 3
+            while (n * n if kind == "looped" else n * (n - 1) // (1 + (kind == "graph"))) < size:
+                n += 1
+            n += rng.randint(0, 4)
+            slots = [(u, v) for u in range(n) for v in range(n)
+                     if kind == "looped" or u != v and (kind == "digraph" or u < v)]
+            g = (Graph if kind == "graph" else Digraph)(n, rng.sample(slots, size))
+            edges = to_edge_list(g)
+            expected_rng, actual_rng = random.Random(size), random.Random(size)
+            for _ in range(5):
+                expected = randrange_rewired_copy(g, expected_rng)
+                actual = motifs._rewired_copy(g, edges, actual_rng)
+                assert to_edge_list(actual) == to_edge_list(expected), (kind, size)
+                assert actual_rng.getstate() == expected_rng.getstate(), (kind, size)
+            assert edges == to_edge_list(g)
+
     def test_rewiring_keeps_every_self_loop_and_degree(self):
         rng = random.Random(16)
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 12), rng.uniform(0.1, 0.7), True,
                              self_loops=True)
-            sample = motifs._rewired_copy(g, random.Random(rng.randrange(1000)))
+            sample = rewired(g, random.Random(rng.randrange(1000)))
             assert [(u, v) for u, v in sorted(sample.arcs) if u == v] == \
                 [(u, v) for u, v in sorted(g.arcs) if u == v]
             for side in (0, 1):
@@ -522,10 +585,10 @@ class TestMotifSignificance:
         g = Graph(10, frozenset(
             (i, j) for j in range(10) for i in range(j) if rng.random() < 0.4
         ))
-        sample = motifs._rewired_copy(g, random.Random(3))
+        sample = rewired(g, random.Random(3))
         assert degree_sequences(sample) == degree_sequences(g)
         dg = Digraph(9, frozenset(
             (i, j) for i in range(9) for j in range(9) if i != j and rng.random() < 0.3
         ))
-        dsample = motifs._rewired_copy(dg, random.Random(3))
+        dsample = rewired(dg, random.Random(3))
         assert degree_sequences(dsample) == degree_sequences(dg)
