@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import CapExceeded, ObservementError
 from .graphs import Graph, _pack_graph6, encode_graph6
 
-CANONICAL_CAP = 8
+CANONICAL_CAP = 10
 
 
 class LzwError(ObservementError):
@@ -113,7 +113,7 @@ def canonical_string(g: Graph) -> str:
 
     The canonical form is isomorphism-invariant.  It is found by an exact
     search that fills graph6 columns one at a time, branching only on the
-    vertices whose column is least, and it is capped at 8 vertices.
+    vertices whose column is least, and it is capped at 10 vertices.
     ``encode_graph6`` gives the code in the given vertex order.
     """
     if g.n > CANONICAL_CAP:

@@ -970,11 +970,19 @@ class TestComplexityAndLzw:
         assert result.exit_code == 0
         assert result.stdout == expected
 
+    def test_complexity_canonical_of_the_petersen_graph(self, runner, tmp_path):
+        edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)] \
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        text = "graph 10\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        result = runner.invoke(cli, ["complexity", write(tmp_path / "g.g", text), "--canonical"])
+        assert result.exit_code == 0
+        assert result.stdout == "9\t16\t9\n"
+
     def test_complexity_canonical_cap_is_one_line_error(self, runner, tmp_path):
-        path = write(tmp_path / "g.g", "graph 9\n0 1\n")
+        path = write(tmp_path / "g.g", "graph 11\n0 1\n")
         result = runner.invoke(cli, ["complexity", path, "--canonical"])
         assert_domain_error_without_output(result)
-        assert result.stderr == "Error: canonical form capped at 8 vertices, got 9\n"
+        assert result.stderr == "Error: canonical form capped at 10 vertices, got 11\n"
 
     def test_complexity_of_sequence_file(self, runner, tmp_path):
         path = write(tmp_path / "seq.fa", ">s\naaaaaaaa\n")

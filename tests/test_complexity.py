@@ -256,7 +256,7 @@ class TestCanonicalString:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            canonical_string(Graph(9))
+            canonical_string(Graph(11))
 
     def test_matches_scan_on_every_graph_up_to_5_vertices(self):
         for n in range(6):
@@ -313,6 +313,17 @@ class TestLeastColumnSearch:
             adj = g._masks[0]
             assert _minimal_graph6_mask(g.n, adj) == branch_and_bound_mask(g.n, adj), \
                 (g.n, sorted(g.edges))
+
+    def test_canonical_string_at_the_cap_is_relabelling_invariant(self):
+        rng = random.Random(26)
+        for g in [petersen(), prism(5)] + [random_graph(rng, 10, p) for p in (0.2, 0.5, 0.8)]:
+            expected = canonical_string(g)
+            bit_count = g.n * (g.n - 1) // 2
+            mask = branch_and_bound_mask(g.n, g._masks[0])
+            assert expected == _pack_graph6(g.n, [mask >> bit_count - 1 - p & 1
+                                                  for p in range(bit_count)])
+            for _ in range(3):
+                assert canonical_string(relabel(g, rng.sample(range(g.n), g.n))) == expected
 
     def test_visits_at_most_60_percent_of_the_former_search_nodes(self):
         # 7- and 8-vertex graphs holding 30-60% of the possible edges, as the
