@@ -142,7 +142,7 @@ def _minimal_graph6_mask(n: int, adj: tuple) -> int:
     bit_count = n * (n - 1) // 2
     twins = [sum(1 << t for t in range(n) if adj[t] & ~(1 << v) == adj[v] & ~(1 << t))
              for v in range(n)]
-    bits = [[row >> v & 1 for v in range(n)] for row in adj]
+    bits = [[row >> u & 1 for u in range(n)] for row in adj]  # bits[v][u]: u's bit for v too
     placed = 1 << n  # above every column, which holds fewer than n bits
     best = None
 
