@@ -28,7 +28,11 @@ replaced by a placeholder, followed by the command's label.  The commands:
   under a random relabelling;
 * extra ``graph motifs --significance`` commands on graphs, digraphs and
   looped digraphs whose edge counts straddle powers of two, where drawing a
-  pair index takes a redraw most often.
+  pair index takes a redraw most often;
+* extra ``graph motifs`` commands on digraphs of 0-200 vertices, ``-k 3`` and
+  for a quarter of those of at most 60 vertices ``-k 4``: random ones of every
+  mean degree, edgeless and complete ones, one mutual dyad, in-stars and
+  out-stars, with none, 5%, half or all of their vertices looped.
 
 A change to any of those bytes fails the test, which names each changed
 command.  To re-record after a change that is meant, run this module as a
@@ -420,6 +424,40 @@ def significance_command(rng, write):
             "--significance", str(rng.randint(1, 6)), "--seed", str(rng.randint(0, 999))]
 
 
+LOOP_SHARES = [0, 0.05, 0.5, 1]
+
+
+def dcensus_command(rng, write, large):
+    """``graph motifs`` on a digraph of 0-120 vertices, or of 121-200 when ``large``:
+    ``-k 3``, or ``-k 4`` for a quarter of those of 60 vertices or fewer.
+
+    Random digraphs of every mean degree from 0 to n-1, edgeless and complete
+    ones, one mutual dyad, in-stars and out-stars, each with a share of its
+    vertices looped.
+    """
+    n = rng.choice([200, rng.randint(121, 199)]) if large else rng.randint(0, 120)
+    kind = rng.choice(["random"] * 5 + ["edgeless", "complete", "mutual", "in-star",
+                                        "out-star"])
+    vertices = range(n)
+    if kind == "random":
+        degree = rng.choice([0, 0.5, 1, 2, 4, rng.uniform(0, n - 1), n - 1])
+        p = degree / max(n - 1, 1)
+        pairs = {(u, v) for u in vertices for v in vertices if u != v and rng.random() < p}
+    elif kind == "complete":
+        pairs = {(u, v) for u in vertices for v in vertices if u != v}
+    elif kind == "edgeless" or n < 2:
+        pairs = set()
+    elif kind == "mutual":
+        u, v = rng.sample(vertices, 2)
+        pairs = {(u, v), (v, u)}
+    else:
+        hub = rng.randrange(n)
+        pairs = {(u, hub) if kind == "in-star" else (hub, u) for u in vertices if u != hub}
+    pairs |= {(v, v) for v in rng.sample(vertices, round(rng.choice(LOOP_SHARES) * n))}
+    k = "4" if n <= 60 and rng.random() < 0.25 else "3"
+    return ["graph", "motifs", write(graph_text(n, pairs, True, rng.random() < 0.3)), "-k", k]
+
+
 def bench_commands(write):
     """Every job of the --quick rounds and probes, as (label, args)."""
     sys.path.insert(0, str(BENCH))
@@ -461,6 +499,9 @@ def commands(write):
     rng = random.Random(24)
     for i in range(150):
         yield f"significance/{i:03d}", significance_command(rng, write)
+    rng = random.Random(25)
+    for i in range(150):
+        yield f"dcensus/{i:03d}", dcensus_command(rng, write, large=i % 15 == 7)
 
 
 def digests():
