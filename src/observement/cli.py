@@ -75,6 +75,12 @@ def main():
     cli()
 
 
+def _echo_lines(lines):
+    """Write each line and its newline in one write; nothing when there are no lines."""
+    if lines:
+        click.echo("\n".join(lines))
+
+
 # --- observement systems ------------------------------------------------------
 
 
@@ -119,7 +125,7 @@ def system_verify(fixture_file, algorithm_name):
         else:
             lines.append(f"{algorithm.name}: fails ({len(report.counterexamples)} counterexamples)")
             lines += [f"  {ce}" for ce in report.counterexamples]
-    click.echo("\n".join(lines))
+    _echo_lines(lines)
 
 
 # --- grammars -------------------------------------------------------------------
@@ -147,8 +153,7 @@ def grammar_gen(grammar_file, max_len):
     """Print every derivable string up to MAX_LEN, shortest first."""
     from . import strings
     g = strings.parse_grammar(_read(grammar_file))
-    for derived in strings.generate(g, max_len):
-        click.echo(derived)
+    _echo_lines(strings.generate(g, max_len))
 
 
 # --- genetics -------------------------------------------------------------------
@@ -169,8 +174,7 @@ def translate(seq_file, table_file, frame):
         proteins = ["".join(genetics.translate_frame(dna, table)) for _, dna in records]
     else:
         proteins = [genetics.translate_gene(dna, table) for _, dna in records]
-    for protein in proteins:
-        click.echo(protein)
+    _echo_lines(proteins)
 
 
 # --- motifs ---------------------------------------------------------------------
@@ -200,9 +204,11 @@ def motif_match(pattern, seq_file, anchored):
     """Print match offsets of PATTERN in each sequence of SEQ_FILE."""
     from . import motifs
     parsed = motifs.parse_motif(pattern)
+    lines = []
     for name, sequence in _read_sequences(seq_file):
         offsets = motifs.match_motif(parsed, sequence, anchored=anchored)
-        click.echo(f"{name}\t{' '.join(map(str, offsets))}")
+        lines.append(f"{name}\t{' '.join(map(str, offsets))}")
+    _echo_lines(lines)
 
 
 @motif.command("derive")
@@ -242,11 +248,7 @@ def graph_convert(graph_file, target):
 
 
 def _echo_mapping(mapping):
-    if mapping is None:
-        click.echo("none")
-    else:
-        for v in sorted(mapping):
-            click.echo(f"{v} {mapping[v]}")
+    _echo_lines(["none"] if mapping is None else [f"{v} {mapping[v]}" for v in sorted(mapping)])
 
 
 @graph.command("iso")
@@ -282,11 +284,13 @@ def graph_motifs(graph_file, k, significance, seed):
     from . import graphs, motifs
     g = graphs.parse_graph_text(_read(graph_file))
     census = motifs.motif_significance(g, int(k), significance, seed)
+    lines = []
     for identifier in sorted(census.counts):
         background = "NA"
         if census.background is not None:
             background = f"{census.background.get(identifier, 0.0):.6f}"
-        click.echo(f"{identifier}\t{census.counts[identifier]}\t{background}")
+        lines.append(f"{identifier}\t{census.counts[identifier]}\t{background}")
+    _echo_lines(lines)
 
 
 @cli.group()
@@ -300,8 +304,7 @@ def automaton_graph(automaton_file):
     """Print the state-space digraph of an automaton file."""
     from . import graphs
     machine = graphs.parse_automaton_file(_read(automaton_file))
-    for index, state in enumerate(graphs.state_order(machine)):
-        click.echo(f"# {index} {state}")
+    _echo_lines([f"# {index} {state}" for index, state in enumerate(graphs.state_order(machine))])
     click.echo(graphs.format_graph_file(graphs.state_space_graph(machine)), nl=False)
 
 
@@ -329,9 +332,7 @@ def percolate(n, p_from, p_to, steps, trials, seed):
         p_values = [p_from + i * (p_to - p_from) / (steps - 1) for i in range(steps - 1)]
         p_values.append(p_to)
     rows = graphs.percolation_sweep(n, p_values, trials, seed)
-    click.echo("p,mean_fraction")
-    for p, fraction in rows:
-        click.echo(f"{p:.6g},{fraction:.6f}")
+    _echo_lines(["p,mean_fraction"] + [f"{p:.6g},{fraction:.6f}" for p, fraction in rows])
 
 
 # --- family trees ----------------------------------------------------------------
@@ -361,8 +362,7 @@ def tree_descendants(kinship_file, person):
     """Print every descendant of PERSON, one per line."""
     from . import familytree
     g = familytree.parse_kinship_file(_read(kinship_file))
-    for name in sorted(familytree.descendants(g, person)):
-        click.echo(name)
+    _echo_lines(sorted(familytree.descendants(g, person)))
 
 
 # --- complexity -------------------------------------------------------------------

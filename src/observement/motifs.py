@@ -4,17 +4,19 @@ A string motif is a token sequence: literal symbols, fixed-width wildcards
 written ``x(N)``, and classes written ``{A,B,C}`` that match any one of the
 listed symbols.  A network motif census buckets every k-vertex induced
 subgraph of a graph by its isomorphism class, named by its least local
-adjacency mask over the k! relabellings.  For an undirected graph the census
-is built: closed-form counts of each class as a subgraph, from degrees,
-codegrees and triangles, turned into induced counts by one inversion over a
-fixed table.  For a digraph it tallies the k-subsets per local mask,
-splitting the last vertex's candidates after each (k-1)-prefix by adjacency
-bitsets.  Classes come out in sorted identifier order.  The census can be
-compared against a degree-preserving rewiring null model.
+adjacency mask over the k! relabellings, read from one table per relabelling.
+For an undirected graph the census is built: closed-form counts of each class
+as a subgraph, from degrees, codegrees and triangles, turned into induced
+counts by one inversion over a fixed table.  A digraph's k-subsets are tallied
+per local mask, splitting candidates by adjacency bitsets: for k=3 those of
+each skeleton edge, with the empty triads in closed form; for k=4 those above
+each 3-prefix.  Classes come out in sorted identifier order.  The census can
+be compared against a degree-preserving rewiring null model.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
@@ -23,7 +25,7 @@ from itertools import combinations, permutations
 
 from ._shared import ascii_int
 from .errors import CapExceeded, ObservementError
-from .graphs import Digraph, _pack_graph6, to_edge_list
+from .graphs import Digraph, _bits, _pack_graph6, to_edge_list
 
 CENSUS_CAPS = {3: 200, 4: 60}
 REWIRE_ATTEMPTS_PER_EDGE = 10
@@ -206,22 +208,22 @@ def _cells(k: int, directed: bool) -> list:
     return [(i, j) for j in range(1, k) for i in range(j)]
 
 
-def _canonical_mask(mask: int, k: int, directed: bool) -> int:
-    """The least mask, as an integer, over all k! relabellings of the local vertices."""
+@functools.cache
+def _relabellings(k: int, directed: bool) -> tuple:
+    """Per relabelling of the k local vertices, the destination bit of each cell's bit."""
     cells = _cells(k, directed)
     position = {cell: bit for bit, cell in enumerate(cells)}
-    present = [cell for bit, cell in enumerate(cells) if mask >> bit & 1]
-    best = None
-    for perm in permutations(range(k)):
-        out = 0
-        for i, j in present:
-            a, b = perm[i], perm[j]
-            if not directed and a > b:
-                a, b = b, a
-            out |= 1 << position[a, b]
-        if best is None or out < best:
-            best = out
-    return best
+    return tuple(
+        tuple(1 << position[(a, b) if directed or a < b else (b, a)]
+              for a, b in ((perm[i], perm[j]) for i, j in cells))
+        for perm in permutations(range(k)))
+
+
+def _canonical_mask(mask: int, k: int, directed: bool) -> int:
+    """The least mask, as an integer, over all k! relabellings of the local vertices."""
+    tables = _relabellings(k, directed)
+    bits = [b for b in range(len(tables[0])) if mask >> b & 1]
+    return min(sum(map(table.__getitem__, bits)) for table in tables)
 
 
 def _mask_identifier(mask: int, k: int, directed: bool) -> str:
@@ -327,25 +329,17 @@ def _constructed_census(g, k: int) -> dict:
     return {_mask_identifier(mask, k, False): count for mask, count in induced.items() if count}
 
 
-def _tally_by_prefix(g, k: int) -> dict:
-    """Count the k-vertex induced subgraphs of any graph or digraph by identifier.
-
-    Two passes: tally the k-subsets per local mask, then canonicalise and
-    name each distinct mask once.  The tally walks the (k-1)-prefixes in
-    combinations order; the candidates above a prefix's last vertex split by
-    each cell with the new vertex into parts of equal mask, each counted by
-    its size.
-    """
-    directed = isinstance(g, Digraph)
+def _cell_tests(g, k: int) -> tuple:
+    """How to read the local mask of k-1 prefix vertices plus a last one: a cell
+    between prefix vertices is a bit test (i, j, bit), as undirected rows are
+    symmetric and directed out-rows hold self-loops; a cell with the last vertex
+    splits its candidates (rows, i, bit), (i, last) by prefix vertex i's out-row,
+    (last, i) by its in-row and (last, last) by the loop set."""
     out_rows, in_rows = g._masks[0], g._masks[-1]
     loop_rows = (sum(1 << v for v in range(g.n) if out_rows[v] >> v & 1),) * g.n
     last = k - 1
-    # A cell between prefix vertices is one bit test: undirected rows are
-    # symmetric and directed out-rows carry self-loops on the diagonal.  A cell
-    # with the last vertex splits its candidates instead: (i, last) by prefix
-    # vertex i's out-row, (last, i) by its in-row, (last, last) by the loop set.
     prefix_cells, splits = [], []
-    for bit, (i, j) in enumerate(_cells(k, directed)):
+    for bit, (i, j) in enumerate(_cells(k, isinstance(g, Digraph))):
         if i < last and j < last:
             prefix_cells.append((i, j, 1 << bit))
         elif i < last:
@@ -354,34 +348,95 @@ def _tally_by_prefix(g, k: int) -> dict:
             splits.append((in_rows, j, 1 << bit))
         else:
             splits.append((loop_rows, 0, 1 << bit))
-    full = (1 << g.n) - 1
-    tally: dict[int, int] = {}
-    for prefix in combinations(range(g.n - 1), last):
-        mask = 0
-        for i, j, bit in prefix_cells:
-            if out_rows[prefix[i]] >> prefix[j] & 1:
-                mask |= bit
-        above = full >> (prefix[-1] + 1) << (prefix[-1] + 1)
-        parts = [(above, mask)]
-        for rows, i, bit in splits:
-            row = rows[prefix[i]] & above
-            if not row:
-                continue
-            split = []
-            for members, part_mask in parts:
-                inside = members & row
-                if inside:
-                    split.append((inside, part_mask | bit))
-                if inside != members:
-                    split.append((members ^ inside, part_mask))
-            parts = split
-        for members, part_mask in parts:
-            tally[part_mask] = tally.get(part_mask, 0) + members.bit_count()
+    return out_rows, prefix_cells, splits
+
+
+def _tally_split(tally: dict, tests: tuple, prefix: tuple, members: int) -> int:
+    """Add the subsets of ``prefix`` plus one of ``members`` to ``tally`` per local
+    mask: ``members`` split cell by cell into parts of equal mask, each counted
+    by its size.  Returns the prefix's own mask."""
+    out_rows, prefix_cells, splits = tests
+    mask = 0
+    for i, j, bit in prefix_cells:
+        if out_rows[prefix[i]] >> prefix[j] & 1:
+            mask |= bit
+    parts = [(members, mask)]
+    for rows, i, bit in splits:
+        row = rows[prefix[i]] & members
+        if not row:
+            continue
+        split = []
+        for part, part_mask in parts:
+            inside = part & row
+            if inside:
+                split.append((inside, part_mask | bit))
+            if inside != part:
+                split.append((part ^ inside, part_mask))
+        parts = split
+    for part, part_mask in parts:
+        tally[part_mask] = tally.get(part_mask, 0) + part.bit_count()
+    return mask
+
+
+def _named(tally: dict, k: int, directed: bool) -> dict:
+    """Counts by identifier from counts by local mask, each distinct mask named once."""
     counts: dict[str, int] = {}
     for mask, count in tally.items():
-        identifier = _mask_identifier(_canonical_mask(mask, k, directed), k, directed)
-        counts[identifier] = counts.get(identifier, 0) + count
+        if count:
+            identifier = _mask_identifier(_canonical_mask(mask, k, directed), k, directed)
+            counts[identifier] = counts.get(identifier, 0) + count
     return counts
+
+
+def _tally_by_prefix(g, k: int) -> dict:
+    """Count the k-vertex induced subgraphs of any graph or digraph by identifier,
+    splitting the candidates above each (k-1)-prefix, in combinations order."""
+    tests, full = _cell_tests(g, k), (1 << g.n) - 1
+    tally: dict[int, int] = {}
+    for prefix in combinations(range(g.n - 1), k - 1):
+        _tally_split(tally, tests, prefix, full >> prefix[-1] + 1 << prefix[-1] + 1)
+    return _named(tally, k, isinstance(g, Digraph))
+
+
+def _triad_census(g) -> dict:
+    """The directed k=3 census, built from the skeleton edges v < u (an arc either way).
+
+    With local labels v=0, u=1, w=2 (cell (i, j) is bit 3i+j), each edge counts
+    the w adjacent to neither by popcount, looped or not, and splits the w that
+    give each connected triad once: in N(v) | N(u) above u, or in N(u) - N(v)
+    between.  The empty triads with j looped members are C(L, j) * C(n-L, 3-j),
+    L the looped vertices, less the other triads with j.
+    """
+    n, rows = g.n, g._rows
+    loops = sum(1 << v for v in range(n) if rows[v] >> v & 1)
+    # Past half the possible arcs, tally the arc complement instead: the same
+    # triads with their off-diagonal cells flipped, over fewer skeleton edges.
+    arcs = sum(map(int.bit_count, rows)) - loops.bit_count()
+    flip = 0b011101110 if 2 * arcs > n * (n - 1) else 0
+    if flip:
+        g = Digraph._from_rows(n, [row ^ ((1 << n) - 1) ^ (1 << v) for v, row in enumerate(rows)])
+    tests, (out_rows, in_rows) = _cell_tests(g, 3), g._masks
+    near = [(out | into) & ~(1 << v) for v, (out, into) in enumerate(zip(out_rows, in_rows))]
+    tally: dict[int, int] = {}
+    for v in range(n):
+        near_v = near[v]
+        for u in _bits(near_v >> v + 1 << v + 1):
+            near_u = near[u]
+            either = near_v | near_u
+            between = near_u & ~near_v & (1 << u) - (2 << v)
+            mask = _tally_split(tally, tests, (v, u), either >> u + 1 << u + 1 | between)
+            apart = n - either.bit_count()
+            if apart:
+                looped = (loops & ~either).bit_count()
+                tally[mask | 1 << 8] = tally.get(mask | 1 << 8, 0) + looped
+                tally[mask] = tally.get(mask, 0) + apart - looped
+    with_loops = [0] * 4
+    for mask, count in tally.items():
+        with_loops[(mask & 0b100010001).bit_count()] += count
+    looped = loops.bit_count()
+    for j, mask in enumerate((0, 1, 0b10001, 0b100010001)):
+        tally[mask] = math.comb(looped, j) * math.comb(n - looped, 3 - j) - with_loops[j]
+    return _named({mask ^ flip: count for mask, count in tally.items()}, 3, True)
 
 
 def count_network_motifs(g, k: int) -> MotifCensus:
@@ -389,19 +444,22 @@ def count_network_motifs(g, k: int) -> MotifCensus:
 
     An undirected census is built, not searched: closed-form counts of every
     class as a subgraph, induced or not, converted to induced counts from the
-    most edges down.  A directed census tallies the subsets per local mask,
-    split per (k-1)-prefix.  Classes appear in sorted identifier order, and
-    only those that occur.  Counts sum to C(n, k) and are invariant under
-    vertex relabeling.
+    most edges down.  A directed k=3 census is built from the skeleton edges,
+    the empty triads in closed form; a directed k=4 census splits the
+    candidates above each 3-prefix.  Classes appear in sorted identifier
+    order, and only those that occur.  Counts sum to C(n, k) and are
+    invariant under vertex relabeling.
     """
     if k not in CENSUS_CAPS:
         raise MotifError(f"motif size must be one of {sorted(CENSUS_CAPS)}, got {k}")
     if g.n > CENSUS_CAPS[k]:
         raise CapExceeded(f"census for k={k} capped at {CENSUS_CAPS[k]} vertices, got {g.n}")
-    if isinstance(g, Digraph):
-        counts = _tally_by_prefix(g, k)
-    else:
+    if not isinstance(g, Digraph):
         counts = _constructed_census(g, k)
+    elif k == 3:
+        counts = _triad_census(g)
+    else:
+        counts = _tally_by_prefix(g, k)
     return MotifCensus(k, dict(sorted(counts.items())))
 
 

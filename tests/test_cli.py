@@ -1,5 +1,6 @@
 import random
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -824,6 +825,65 @@ class TestTree:
         path = write(tmp_path / "fam.kin", KINSHIP)
         result = runner.invoke(cli, ["tree", "query", path, "sibling", "alice", "bob"])
         assert result.exit_code == 1
+
+
+class TestOneWrite:
+    """A command that prints several lines writes them at once, and writes nothing
+    when it has no lines."""
+
+    @pytest.fixture()
+    def writes(self, monkeypatch):
+        calls, echo = [], click.echo
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            echo(*args, **kwargs)
+
+        monkeypatch.setattr(click, "echo", record)
+        return calls
+
+    def files(self, tmp_path):
+        return {
+            "turtle": write(tmp_path / "turtle.g", TURTLE),
+            "seqs": write(tmp_path / "seqs.fa", ">s1\nBABA\n>s2\nAAB\n"),
+            "gene": write(tmp_path / "gene.fa", ">a\natgtag\n>b\natgttttaa\n"),
+            "path": write(tmp_path / "path.g", "graph 3\n0 1\n1 2\n"),
+            "digraph": write(tmp_path / "d.g", "digraph 4\n0 1\n1 2\n2 0\n3 3\n"),
+            "kin": write(tmp_path / "fam.kin", KINSHIP),
+            "empty": write(tmp_path / "empty.g", "graph 0\n"),
+            "automaton": write(tmp_path / "m.aut", "s0 -> s1\ns1 -> s0\n"),
+        }
+
+    @pytest.mark.parametrize("args, lines", [
+        (["grammar", "gen", "{turtle}", "--max-len", "2"], 4),
+        (["translate", "{gene}"], 2),
+        (["motif", "match", "A", "{seqs}"], 2),
+        (["graph", "iso", "{path}", "{path}"], 3),
+        (["graph", "sub", "{path}", "{path}"], 3),
+        (["graph", "motifs", "{digraph}", "--significance", "2"], 2),
+        (["percolate", "-n", "9", "--p-from", "0", "--p-to", "1", "--steps", "3",
+          "--trials", "1"], 4),
+        (["tree", "descendants", "{kin}", "alice"], 4),
+        (["automaton", "graph", "{automaton}"], 5),
+    ])
+    def test_lines_are_written_at_once(self, runner, tmp_path, writes, args, lines):
+        files = self.files(tmp_path)
+        result = runner.invoke(cli, [arg.format(**files) for arg in args])
+        assert result.exit_code == 0, result.output
+        assert len(result.stdout.splitlines()) == lines
+        # automaton graph writes its comment lines, then the graph file
+        assert len(writes) == 1 + (args[0] == "automaton")
+
+    @pytest.mark.parametrize("args", [
+        ["grammar", "gen", "{turtle}", "--max-len", "0"],
+        ["tree", "descendants", "{kin}", "frank"],
+        ["graph", "iso", "{empty}", "{empty}"],
+        ["graph", "sub", "{empty}", "{empty}"],
+    ])
+    def test_no_lines_write_nothing(self, runner, tmp_path, writes, args):
+        files = self.files(tmp_path)
+        result = runner.invoke(cli, [arg.format(**files) for arg in args])
+        assert (result.exit_code, result.stdout, result.stderr, writes) == (0, "", "", [])
 
 
 def _table_text(edit):

@@ -1,8 +1,10 @@
 import math
 import random
+import sys
 from collections import Counter
 from itertools import combinations, permutations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -360,6 +362,32 @@ def oracle_census(g, k):
     return counts
 
 
+def looped_digraph(rng, n, density, loop_share):
+    """Each arc between distinct vertices with probability ``density``, each loop with
+    probability ``loop_share``."""
+    loops = {(v, v) for v in range(n) if rng.random() < loop_share}
+    return Digraph(n, random_graph(rng, n, density, directed=True).arcs | loops)
+
+
+# The triad codes of Batagelj & Mrvar and ``networkx.triadic_census``, each
+# with the identifier of its class.
+TRIAD_CODES = {
+    "003": "d3:000000000", "012": "d3:000000010", "102": "d3:000001010",
+    "021D": "d3:000000110", "021U": "d3:000100100", "021C": "d3:000001100",
+    "111D": "d3:001001010", "111U": "d3:000001110", "030T": "d3:000100110",
+    "030C": "d3:001100010", "201": "d3:001001110", "120D": "d3:001101100",
+    "120U": "d3:000101110", "120C": "d3:001100110", "210": "d3:001101110",
+    "300": "d3:011101110",
+}
+
+
+def nx_triadic_census(n, arcs):
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(arcs)
+    return nx.triadic_census(g)
+
+
 class TestCensusOracle:
     @pytest.mark.parametrize("k", [3, 4])
     def test_every_graph_on_at_most_five_vertices(self, k):
@@ -401,6 +429,66 @@ class TestCensusOracle:
             g = random_graph(rng, n, density)
             assert list(count_network_motifs(g, k).counts.items()) == \
                 sorted(motifs._tally_by_prefix(g, k).items())
+
+    @pytest.mark.parametrize("loop_share", [0, 0.5, 1])
+    @pytest.mark.parametrize("density", [0, 0.1, 0.6, 1])
+    def test_triad_construction_matches_the_prefix_split_up_to_the_cap(self, density, loop_share):
+        # Above half the possible arcs the construction tallies the arc complement.
+        rng = random.Random(f"triads-{density}-{loop_share}")
+        cap = motifs.CENSUS_CAPS[3]
+        for n in (0, 1, 2, 3, 5, rng.randint(6, 40), cap):
+            g = looped_digraph(rng, n, density, loop_share)
+            assert list(count_network_motifs(g, 3).counts.items()) == \
+                sorted(motifs._tally_by_prefix(g, 3).items())
+
+    def test_triad_census_matches_networkx(self):
+        codes = {}  # each labelled loopless 3-vertex digraph: its triad code, its identifier
+        pairs = [(u, v) for u in range(3) for v in range(3) if u != v]
+        for mask in range(1 << len(pairs)):
+            arcs = [pair for bit, pair in enumerate(pairs) if mask >> bit & 1]
+            (code,) = [code for code, count in nx_triadic_census(3, arcs).items() if count]
+            codes.setdefault(code, set()).update(count_network_motifs(Digraph(3, arcs), 3).counts)
+        assert codes == {code: {identifier} for code, identifier in TRIAD_CODES.items()}
+        assert len(set(TRIAD_CODES.values())) == len(TRIAD_CODES) == 16
+        # networkx takes seconds on a dense digraph of 120 vertices or more.
+        rng = random.Random(24)
+        sizes = [(n, density) for n in (3, 4, 10, 40) for density in (0, 0.1, 0.5, 0.9, 1)]
+        for n, density in sizes + [(120, 0.05), (motifs.CENSUS_CAPS[3], 0.02)]:
+            g = looped_digraph(rng, n, density, 0)
+            expected = {TRIAD_CODES[code]: count
+                        for code, count in nx_triadic_census(n, g.arcs).items() if count}
+            assert count_network_motifs(g, 3).counts == dict(sorted(expected.items()))
+
+    @pytest.mark.parametrize("k, directed", [(3, False), (4, False), (3, True), (4, True)])
+    def test_canonical_mask_matches_the_permutation_oracle(self, k, directed):
+        tables = _oracle_bit_permutations(k, directed)
+        cells = k * k if directed else k * (k - 1) // 2
+        rng = random.Random(k)
+        masks = range(1 << cells) if cells < 16 else [rng.getrandbits(cells) for _ in range(5000)]
+        for mask in masks:
+            assert motifs._canonical_mask(mask, k, directed) == min(
+                sum(1 << dst for src, dst in table if mask >> src & 1) for table in tables)
+
+    def test_triad_construction_makes_a_tenth_of_the_prefix_splits_popcounts(self):
+        # Work, not time: a sparse 200-vertex digraph, mean degree 4, half its vertices looped.
+        g = looped_digraph(random.Random(4), 200, 4 / 199, 0.5)
+
+        def popcounts(census):
+            calls = Counter()
+
+            def profile(frame, event, arg):
+                if event == "c_call" and arg.__name__ == "bit_count":
+                    calls[census] += 1
+
+            sys.setprofile(profile)
+            try:
+                census(g, 3)
+            finally:
+                sys.setprofile(None)
+            return calls[census]
+
+        built, split = popcounts(count_network_motifs), popcounts(motifs._tally_by_prefix)
+        assert 0 < built <= split / 10
 
     def test_subgraph_copy_table_rebuilds_from_canonical_masks(self):
         for k in (3, 4):
