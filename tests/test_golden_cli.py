@@ -15,6 +15,11 @@ replaced by a placeholder, followed by the command's label.  The commands:
   ternary and empty relations, whose blocks hold repeated and blank lines,
   blanks of several kinds and several kinds of line break, and whose
   algorithms hold or fail forward or backward;
+* the same ``system`` commands with one fault per fixture: a wrong-arity line
+  at the start, middle or end of a block, or after a comment that splits it,
+  several undeclared members in one relation, a relation of arity 0, a
+  relation declared twice, a header glued to a token, and faulty headers on
+  the first line and on an unterminated last line, after each blank and break;
 * every job of the ``bench/run.py --quick`` rounds and probes, read from
   ``bench/workloads.py``, which bring realistic sizes;
 * extra ``graph convert`` commands from every text format to every target,
@@ -129,9 +134,9 @@ SYSTEM_BREAKS = ["\n", "\n", "\n", "\r\n", "\u2028"]
 SYSTEM_BLANKS = [" ", " ", "\t", "\xa0", "\u3000"]
 
 
-def system_command(rng, write):
-    """``system classify`` or ``verify`` on a fixture whose object relations are
-    unions of class blocks, so that class-constant maps hold and the others fail.
+def system_lines(rng):
+    """The lines of a fixture whose object relations are unions of class blocks,
+    so that class-constant maps hold and the others fail, and its algorithm names.
 
     Each algorithm labels the classes, or cuts of them, with values of its own;
     the observation relations are the union of every labelling's images.  An
@@ -201,12 +206,140 @@ def system_command(rng, write):
     for name, label in algorithms:
         lines += [f"MAP {name}"] + [f"{x} {label[x]}" for x in objects]
         lines += ["PAIR"] + [f"{r} p{r}" for r in arity]
-    text = "".join(line + rng.choice(SYSTEM_BREAKS) for line in lines)
+    return lines, [name for name, _ in algorithms]
+
+
+def system_args(rng, path, names):
+    """``system classify``, or ``verify`` with or without ``--alg``, on ``path``."""
     if rng.random() < 0.5:
-        return ["system", "classify", write(text)]
-    names = [name for name, _ in algorithms] + ["missing"]
-    return ["system", "verify", write(text)] + (["--alg", rng.choice(names)]
-                                                if rng.random() < 0.4 else [])
+        return ["system", "classify", path]
+    return ["system", "verify", path] + (["--alg", rng.choice(names + ["missing"])]
+                                         if rng.random() < 0.4 else [])
+
+
+def system_command(rng, write):
+    """``system classify`` or ``verify`` on a ``system_lines`` fixture."""
+    lines, names = system_lines(rng)
+    text = "".join(line + rng.choice(SYSTEM_BREAKS) for line in lines)
+    return system_args(rng, write(text), names)
+
+
+# Section headers, and the faults of the ``sysfault/`` family, one per fixture.
+SYSTEM_HEADS = {"OBJECTS", "OBSERVATIONS", "RELATION", "MAP", "PAIR"}
+SYSTEM_FAULTS = ["arity", "arity", "arity", "undeclared", "empty/0", "line/0", "duplicate",
+                 "glued", "first", "last"]
+# Undeclared members whose least by repr is not their least by value: a quote
+# or a backslash changes how the repr starts or sorts.
+UNDECLARED = ["q", "Q", "zz", "x'y", "a\\b", "o0x", "v", "\u00e9", "_", "o1'"]
+# Faulty headers for the unterminated last line, which attaches to the
+# observation universe and the last algorithm.
+LAST_HEADERS = ["PAIR x", "MAP alg0", "RELATION pr/2", "RELATION r", "OBSERVATIONS v",
+                "RELATION z/0", "RELATION z/-1", "MAP extra", "RELATION pu/1 x"]
+
+
+def is_head(line):
+    words = line.split()
+    return bool(words) and words[0] in SYSTEM_HEADS
+
+
+def sysfault_command(rng, write, i):
+    """``system classify`` or ``verify`` on a ``system_lines`` fixture with one
+    fault, ``SYSTEM_FAULTS[i % 10]``, and a blank margin before most headers.
+
+    The faults: a wrong-arity line first, in the middle or last in an object
+    or observation block, half of them after a comment line that splits the
+    block; two to four undeclared members in one relation; ``RELATION x/0``
+    empty or with one line; a relation declared twice in one universe; a
+    header glued to the token after it; a faulty or sound header on the first
+    line, or a faulty one on an unterminated last line, each after one of the
+    blanks and breaks the fixtures use, taken in turn.
+    """
+    lines, names = system_lines(rng)
+    fault = SYSTEM_FAULTS[i % len(SYSTEM_FAULTS)]
+    margin = sorted(set(SYSTEM_BLANKS))[i // 10 % 4]
+    brk = sorted(set(SYSTEM_BREAKS))[i // 10 % 3]
+    arity = {"u": 1, "r": 2, "t": 3, "e": 2}
+    universes = {"object": ("OBJECTS", "OBSERVATIONS"), "observation": ("OBSERVATIONS", "MAP")}
+
+    def heads():
+        return [k for k, line in enumerate(lines) if is_head(line)]
+
+    def block(name):
+        """The header index of relation ``name``, the end of its block, its arity
+        and its universe's members."""
+        k = lines.index(f"RELATION {name}/{arity[name.removeprefix('p')]}")
+        end = next(j for j in heads() if j > k)
+        members = lines[lines.index("OBSERVATIONS" if name.startswith("p") else "OBJECTS") + 1]
+        return k, end, arity[name.removeprefix("p")], members.split()
+
+    def universe_slot(kind):
+        """An index where a header may go inside the ``kind`` universe."""
+        first, after = universes[kind]
+        start = lines.index(first) + 2
+        stop = next(k for k, line in enumerate(lines) if line.startswith(after) and k > start)
+        return rng.choice([k for k in heads() if start <= k < stop] + [stop])
+
+    def wrong_arity():
+        name = rng.choice(["u", "r", "t", "e", "pu", "pr", "pt", "pe"])
+        k, end, n, members = block(name)
+        where = rng.choice(["first", "middle", "last"])
+        pos = {"first": k + 1, "middle": (k + 1 + end) // 2, "last": end}[where]
+        if rng.random() < 0.5:
+            lines.insert(rng.randint(k + 1, pos), rng.choice(["# split", "  # split"]))
+            pos += 1
+        count = n + rng.choice([-1, 1]) if n > 1 else 2
+        lines.insert(pos, rng.choice(SYSTEM_BLANKS).join(rng.choices(members, k=count)))
+
+    if fault == "arity":
+        wrong_arity()
+    elif fault == "undeclared":
+        name = rng.choice(["u", "r", "t", "pu", "pr", "pt"])
+        k, end, n, members = block(name)
+        for token in rng.sample(UNDECLARED, rng.randint(2, 4)):
+            t = rng.choices(members, k=n)
+            t[rng.randrange(n)] = token
+            lines.insert(rng.randint(k + 1, end), " ".join(t))
+    elif fault in ("empty/0", "line/0"):
+        kind = rng.choice(sorted(universes))
+        k = universe_slot(kind)
+        members = lines[lines.index(universes[kind][0]) + 1].split()
+        body = [" ".join(rng.sample(members, rng.randint(1, 2)))] if fault == "line/0" else []
+        lines[k:k] = ["RELATION x/0"] + body
+    elif fault == "duplicate":
+        kind = rng.choice(sorted(universes))
+        name = rng.choice("urte")
+        name = "p" + name if kind == "observation" else name
+        k = universe_slot(kind)
+        while k <= lines.index(f"RELATION {name}/{arity[name.removeprefix('p')]}"):
+            k = universe_slot(kind)
+        lines.insert(k, f"RELATION {name}/{rng.choice([arity[name.removeprefix('p')], 1, 3])}")
+    elif fault == "glued":
+        k = rng.choice(heads())
+        head, _, rest = lines[k].partition(" ")
+        lines[k] = head + (rest or rng.choice(["x", "o1", "u", "1"]))
+    elif fault == "first":
+        del lines[0]  # the comment line: the file starts with OBJECTS
+        if i // 10 % 2:
+            lines[0] += rng.choice([" o1", " x", " OBJECTS"])
+        else:
+            wrong_arity()
+    else:
+        lines.append(rng.choice(LAST_HEADERS))
+    text = ""
+    for k, line in enumerate(lines):
+        first, last = k == 0, k == len(lines) - 1
+        if is_head(line):
+            if fault == "first" and first or fault == "last" and last:
+                line = margin + line
+            else:
+                line = rng.choice(["", ""] + SYSTEM_BLANKS) + line
+        if fault == "first" and first or fault == "last" and k == len(lines) - 2:
+            text += line + brk
+        elif not (fault == "last" and last):
+            text += line + rng.choice(SYSTEM_BREAKS)
+        else:
+            text += line
+    return system_args(rng, write(text), names)
 
 
 def graph_text(n, pairs, directed, adjacency):
@@ -489,6 +622,9 @@ def commands(write):
     rng = random.Random(21)
     for i in range(300):
         yield f"system/{i:03d}", system_command(rng, write)
+    rng = random.Random(26)
+    for i in range(100):
+        yield f"sysfault/{i:03d}", sysfault_command(rng, write, i)
     yield from bench_commands(write)
     rng = random.Random(22)
     for i in range(300):
