@@ -24,11 +24,11 @@ measurement is the special case where observation values happen to be
 numbers.
 
 All types here are immutable values and all operations are pure functions,
-so concurrent use needs no coordination.  An object system keeps each
-relation only as rows, grouped in one pass when it is built and never changed
-after; its tuple set is built only if a caller reads it.  The fixture reader
-works one section at a time: each relation block becomes a list of tuples in
-one pass, and line numbers are counted only for the line an error names.
+so concurrent use needs no coordination.  Both universes keep each relation
+only as rows, grouped once and never changed after; a tuple set is built only
+if a caller reads it.  The fixture reader works one section at a time: each
+relation block is grouped straight into its rows as its lines are split, and
+line numbers are counted only for the line an error names.
 """
 
 from __future__ import annotations
@@ -51,65 +51,84 @@ class SystemDefinitionError(ObservementError):
     """A malformed fixture file, or a system or algorithm that breaks its invariants."""
 
 
-def _normalise(kind: str, members, relations, arities, store) -> tuple:
-    """Check one universe; return its members, relations as ``store`` keeps them, and arities.
+def _group(tuples, arity: int, rows) -> None:
+    """Add each tuple's last member to its prefix's list in ``rows``, a defaultdict.
 
-    Each relation, a collection of sequences, is checked for arity on the
-    lengths of its tuples, so ``store(tuples)`` sees one arity >= 1 only.  It
-    returns the form kept, rows or a tuple set, and the members that form
-    names, which are checked next: each tuple is walked once, by ``store``.
+    Arity 2 unpacks each pair, which checks its length, and keys it by its
+    first member; other arities check ``len`` and key by the prefix tuple.  A
+    tuple of another length raises ValueError.
     """
-    members = frozenset(members)
-    for m in members:
-        if not isinstance(m, str) or not m:
-            raise SystemDefinitionError(f"{kind} identifiers must be non-empty strings, got {m!r}")
-    out_relations, out_arities = {}, {}
+    if arity == 2:
+        for a, b in tuples:
+            rows[a].append(b)
+        return
+    for t in tuples:
+        if len(t) != arity:
+            raise ValueError(t)
+        rows[tuple(t[:-1])].append(t[-1])
+
+
+def _grouped(relations: dict, arities: dict):
+    """Yield (name, arity, rows) per relation of a direct build, in order: the
+    arity declared, else the first tuple's length.  All lengths are read only
+    to name a fault, and an arity declared for no relation is refused last."""
     for name, tuples in relations.items():
-        declared, seen = arities.get(name), set(map(len, tuples))
-        if len(seen) > 1:
-            raise SystemDefinitionError(f"relation {name!r} mixes arities {sorted(seen)}")
-        arity = seen.pop() if seen else declared
-        if arity is None:
-            raise SystemDefinitionError(f"relation {name!r} is empty; declare its arity explicitly")
-        if declared is not None and declared != arity:
-            raise SystemDefinitionError(
-                f"relation {name!r} declared with arity {declared} but holds {arity}-tuples")
-        if arity < 1:
-            raise SystemDefinitionError(f"relation {name!r} must have arity >= 1")
-        kept, named = store(tuples)
-        undeclared = named - members
-        if undeclared:
-            # The least by repr, so the member named does not depend on set order.
-            raise SystemDefinitionError(
-                f"relation {name!r} references {min(undeclared, key=repr)!r}, "
-                f"not a declared {kind}")
-        out_relations[name] = kept
-        out_arities[name] = arity
+        tuples, declared = list(map(tuple, tuples)), arities.get(name)
+        arity = declared if declared is not None else len(tuples[0]) if tuples else None
+        rows = collections.defaultdict(list)
+        try:
+            if arity is None or arity < 1:
+                raise ValueError(arity)
+            _group(tuples, arity, rows)
+        except ValueError:
+            seen = sorted(set(map(len, tuples)))
+            arity = seen[0] if seen else declared
+            fault = (f"mixes arities {seen}" if len(seen) > 1
+                     else "is empty; declare its arity explicitly" if arity is None
+                     else f"declared with arity {declared} but holds {arity}-tuples"
+                     if declared not in (None, arity) else None)
+            if fault:
+                raise SystemDefinitionError(f"relation {name!r} {fault}") from None
+        yield name, arity, rows
     for name in arities:
         if name not in relations:
             raise SystemDefinitionError(f"arity declared for unknown relation {name!r}")
-    return members, out_relations, out_arities
 
 
-def _rows(tuples) -> tuple:
-    """A relation's rows, each (k-1)-prefix of its tuples mapped to the frozenset
-    of last members that complete it, grouped in one pass; and the members they name."""
-    rows = collections.defaultdict(list)
-    for t in map(tuple, tuples):
-        rows[t[:-1]].append(t[-1])
-    rows = {prefix: frozenset(row) for prefix, row in rows.items()}
-    return rows, frozenset().union(*rows, *rows.values())
+def _store(system, members, grouped):
+    """Check one universe, freeze its rows and store them as ``system``'s fields.
 
-
-def _tuple_set(tuples) -> tuple:
-    """A relation's tuples as a frozenset, and the members they name."""
-    tuples = frozenset(map(tuple, tuples))
-    return tuples, frozenset().union(*tuples)
+    ``grouped`` yields (name, arity, rows), rows as ``_group`` leaves them; each
+    becomes a frozenset keyed by a prefix tuple.  Which member is undeclared
+    is worked out only when ``issuperset`` finds one.  Returns ``system``.
+    """
+    field_name = "objects" if isinstance(system, ObjectSystem) else "observations"
+    kind, members = field_name[:-1], frozenset(members)
+    for m in members:
+        if not isinstance(m, str) or not m:
+            raise SystemDefinitionError(f"{kind} identifiers must be non-empty strings, got {m!r}")
+    relations, arities = {}, {}
+    for name, arity, rows in grouped:
+        if arity < 1:
+            raise SystemDefinitionError(f"relation {name!r} must have arity >= 1")
+        rows = {(p,) if arity == 2 else p: frozenset(row) for p, row in rows.items()}
+        if not (members.issuperset(itertools.chain.from_iterable(rows))
+                and all(map(members.issuperset, rows.values()))):
+            # The least by repr, so the member named does not depend on set order.
+            undeclared = frozenset().union(*rows, *rows.values()) - members
+            raise SystemDefinitionError(
+                f"relation {name!r} references {min(undeclared, key=repr)!r}, "
+                f"not a declared {kind}")
+        relations[name], arities[name] = rows, arity
+    # The only stored form of the relations, shared by every check: never mutate it.
+    vars(system).update({field_name: members, "relations": _Relations(relations),
+                         "arities": arities, "_rows": relations})
+    return system
 
 
 class _Relations(collections.abc.Mapping):
-    """An object system's relations, read-only: a relation's tuple set is built from
-    its rows when first read, then kept.  ``in``, ``len`` and iteration read names only."""
+    """A system's relations, read-only: a relation's tuple set is built from its
+    rows when first read, then kept.  ``in``, ``len`` and iteration read names only."""
 
     def __init__(self, rows: dict):
         self._rows, self._sets = rows, {}
@@ -148,13 +167,7 @@ class ObjectSystem:
     arities: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        members, rows, arities = _normalise("object", self.objects, self.relations, self.arities,
-                                            _rows)
-        object.__setattr__(self, "objects", members)
-        object.__setattr__(self, "relations", _Relations(rows))
-        object.__setattr__(self, "arities", arities)
-        # The only stored form of the relations, shared by every check: never mutate it.
-        object.__setattr__(self, "_rows", rows)
+        _store(self, self.objects, _grouped(self.relations, self.arities))
 
 
 @dataclass(frozen=True)
@@ -166,12 +179,7 @@ class ObservationSystem:
     arities: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        members, relations, arities = _normalise(
-            "observation", self.observations, self.relations, self.arities, _tuple_set
-        )
-        object.__setattr__(self, "observations", members)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "arities", arities)
+        _store(self, self.observations, _grouped(self.relations, self.arities))
 
 
 @dataclass(frozen=True)
@@ -287,10 +295,9 @@ def _failures(system: ObjectSystem, observations: ObservationSystem,
         fibres[h(x)].append(x)
     for r_name in sorted(algorithm.relation_pairing):
         rows = system._rows[r_name]
-        allowed = collections.defaultdict(set)
-        for q in observations.relations[algorithm.relation_pairing[r_name]]:
-            if fibres[q[-1]]:
-                allowed[q[:-1]].update(fibres[q[-1]])
+        observed = observations._rows[algorithm.relation_pairing[r_name]].items()
+        allowed = {key: ok for key, values in observed
+                   if (ok := frozenset().union(*map(fibres.__getitem__, values)))}
         for prefix, row in rows.items():
             ok = allowed.get(tuple(map(h, prefix)), frozenset())
             if row != ok:
@@ -311,18 +318,18 @@ def verify_representation(system: ObjectSystem, observations: ObservationSystem,
 
     The check compares rows.  The row of an object prefix P, a (k-1)-tuple, is
     the set of objects x with P + (x,) in ``r``; the row allowed for P is the
-    set of x with h(P + (x,)) in the paired relation ``p``, which is the union
-    of the fibres h^-1(q_k) over the ``q`` in ``p`` that start with h(P).
+    set of x with h(P + (x,)) in the paired relation ``p``: the union of the
+    fibres h^-1(v) over the values v in the row of h(P) in ``p``.
     Representation holds iff the two rows agree for every P; where they
     differ, row - allowed fails forward and allowed - row fails backward.  Only
     a prefix with a non-empty row or a non-empty allowed row can differ: the
     first kind are the keys of the system's rows, the second lie in the
-    product of fibres of a prefix of some ``q``.  Each prefix checked has a
-    tuple in ``r`` or a preimage in ``p``, so the cost is O(|r| + |p|) set
-    work plus those prefixes, never |objects|^k.  The rows are grouped once,
-    when the system is built, and shared by every algorithm.  Counterexamples
-    come out sorted by relation, then tuple, which is the order of a walk over
-    the product of the sorted object set.
+    product of fibres of some prefix of ``p``'s rows.  Each prefix checked has
+    a tuple in ``r`` or a preimage in ``p``, so the cost is O(|r| + |p|) set
+    work plus those prefixes, never |objects|^k.  Both universes' rows are
+    grouped once, when they are read, and shared by every algorithm.
+    Counterexamples come out sorted by relation, then tuple, which is the
+    order of a walk over the product of the sorted object set.
     """
     counterexamples = tuple(
         Counterexample(r_name, t, d)
@@ -436,10 +443,10 @@ _PAIR_LINE_WORDS = {
     "PAIR": ("object-relation observation-relation", "relation", "paired"),
 }
 
-# A section header or a comment line, at the start of a line of the fixture's
-# lines joined by "\n".  ``\s`` takes the same blanks as ``str.split``, and
-# ``str.splitlines`` leaves no line break but "\n" in the joined text.
-_MARK = re.compile(rf"^[^\S\n]*(?:({'|'.join(sorted(_SECTION_KEYWORDS))})(?!\S)|#)", re.M)
+# A section header or a comment line, after the "\n" put before each of the
+# fixture's lines, so the scan skips to line starts.  ``\s`` takes the same
+# blanks as ``str.split``, and ``str.splitlines`` leaves no "\n" in a line.
+_MARK = re.compile(rf"\n[^\S\n]*(?:({'|'.join(sorted(_SECTION_KEYWORDS))})(?!\S)|#)")
 
 
 def parse_system_file(text: str) -> SystemFixture:
@@ -447,19 +454,21 @@ def parse_system_file(text: str) -> SystemFixture:
 
     The text is read a section at a time.  It is split into lines once, and
     one scan of those lines finds the section headers and comment lines; the
-    data lines between two of them are read as one block.  Line numbers are
+    data lines between two of them are read as one block, and a relation's
+    blocks are grouped straight into its rows.  Both universes are built
+    from those rows by the routine a direct build uses.  Line numbers are
     counted only where a line is refused, so the first bad line in file
     order is the one named.
     """
-    # One (members, relations, arities) record per universe, and one
-    # (name, mapping, pairing) per algorithm.  ``section`` is (header, what its
-    # data lines fill): the member list, the relation's (name, arity, tuples),
-    # or the algorithm's mapping or pairing dict.
-    universes = {"OBJECTS": ([], {}, {}), "OBSERVATIONS": ([], {}, {})}
+    # One (members, relations) record per universe, each relation as its
+    # (name, arity, rows), and one (name, mapping, pairing) per algorithm.
+    # ``section`` is (header, what its data lines fill): the member list, the
+    # relation's record, or the algorithm's mapping or pairing dict.
+    universes = {"OBJECTS": ([], []), "OBSERVATIONS": ([], [])}
     algorithms: list[tuple] = []
     section = universe = None  # universe: the record that RELATION attaches to
     lines = text.splitlines()
-    joined = "\n".join(lines)
+    joined = "\n" + "\n".join(lines)
     index = offset = start = 0  # the mark's line and its offset; the block's first line
     for mark in _MARK.finditer(joined):
         index += joined.count("\n", offset, mark.start())
@@ -494,12 +503,11 @@ def parse_system_file(text: str) -> SystemFixture:
                 raise SystemDefinitionError(
                     f"line {lineno}: RELATION before any OBJECTS or OBSERVATIONS section"
                 )
-            _, relations, arities = universe
-            if name in relations:
+            relations = universe[1]
+            if any(name == known for known, _, _ in relations):
                 raise SystemDefinitionError(f"line {lineno}: duplicate relation {name!r}")
-            relations[name] = []
-            arities[name] = arity
-            section = (head, (name, arity, relations[name]))
+            relations.append((name, arity, collections.defaultdict(list)))
+            section = (head, relations[-1])
         else:  # MAP
             if len(tokens) != 2:
                 raise SystemDefinitionError(f"line {lineno}: expected MAP <algorithm-name>")
@@ -508,9 +516,9 @@ def parse_system_file(text: str) -> SystemFixture:
             algorithms.append((tokens[1], {}, {}))
             section = (head, algorithms[-1][1])
     _read_block(section, lines, start, len(lines))
-
-    system = ObjectSystem(*universes["OBJECTS"])
-    obs_system = ObservationSystem(*universes["OBSERVATIONS"])
+    del lines  # not held while the rows are frozen
+    system = _store(ObjectSystem.__new__(ObjectSystem), *universes["OBJECTS"])
+    obs_system = _store(ObservationSystem.__new__(ObservationSystem), *universes["OBSERVATIONS"])
     algs = tuple(ObservationAlgorithm(*a) for a in algorithms)
     for alg in algs:
         for obj, value in alg.mapping.items():
@@ -533,26 +541,24 @@ def parse_system_file(text: str) -> SystemFixture:
 def _read_block(section, lines: list, start: int, stop: int) -> None:
     """Add ``lines[start:stop]``, which hold no header or comment line, to ``section``.
 
-    A relation block becomes a list of tuples in one pass, repeats kept, and is
-    checked for arity once; a MAP or PAIR block becomes a dict, checked for
-    shape and repeats at once; member lines are split and kept in order.  Only
-    a block that fails its check, or data before any section, is read line by
-    line, to name its first bad line.
+    A relation block is grouped into the relation's rows as its lines are
+    split, by ``_group``, whose grouping is the arity check; a MAP or PAIR
+    block becomes a dict, checked for shape and repeats at once; member lines
+    are split and kept in order.  Only a block that fails its check, or data
+    before any section, is read line by line, to name its first bad line.
     """
     kind, target = section or (None, None)
     block = lines[start:stop]
     if kind == "RELATION":
-        name, arity, tuples = target
-        new = list(map(tuple, filter(None, map(str.split, block))))
-        if not set(map(len, new)) <= {arity}:
-            lineno, tokens = next((lineno, tokens)
-                                  for lineno, tokens in enumerate(map(str.split, block), start + 1)
+        name, arity, rows = target
+        try:
+            return _group(filter(None, map(str.split, block)), arity, rows)
+        except ValueError:  # a line of another length: name the first
+            lineno, tokens = next((lineno, tokens) for lineno, tokens
+                                  in enumerate(map(str.split, block), start + 1)
                                   if tokens and len(tokens) != arity)
-            raise SystemDefinitionError(
-                f"line {lineno}: relation {name!r} has arity {arity}, got {len(tokens)} tokens"
-            )
-        tuples += new
-        return
+        raise SystemDefinitionError(
+            f"line {lineno}: relation {name!r} has arity {arity}, got {len(tokens)} tokens")
     if kind in ("OBJECTS", "OBSERVATIONS"):
         target.extend(itertools.chain.from_iterable(map(str.split, block)))
         return
@@ -593,25 +599,18 @@ def _check_token(token: str, what: str) -> str:
 def format_system_file(fixture: SystemFixture) -> str:
     """Serialize a fixture in canonical order; parse_system_file inverts this."""
     lines: list[str] = []
-
-    def emit_members(header: str, members):
+    system, observations = fixture.system, fixture.observations
+    for header, members, universe in (("OBJECTS", system.objects, system),
+                                      ("OBSERVATIONS", observations.observations, observations)):
         lines.append(header)
-        for m in sorted(members):
-            lines.append(_check_token(m, "identifier"))
-
-    def emit_relations(relations, arities):
-        for name in sorted(relations):
+        lines += (_check_token(m, "identifier") for m in sorted(members))
+        for name in sorted(universe.relations):
             _check_token(name, "relation name")
             if "/" in name:
                 raise SystemDefinitionError(f"relation name {name!r} may not contain '/'")
-            lines.append(f"RELATION {name}/{arities[name]}")
-            for t in sorted(relations[name]):
-                lines.append(" ".join(_check_token(x, "identifier") for x in t))
-
-    emit_members("OBJECTS", fixture.system.objects)
-    emit_relations(fixture.system.relations, fixture.system.arities)
-    emit_members("OBSERVATIONS", fixture.observations.observations)
-    emit_relations(fixture.observations.relations, fixture.observations.arities)
+            lines.append(f"RELATION {name}/{universe.arities[name]}")
+            lines += (" ".join(_check_token(x, "identifier") for x in t)
+                      for t in sorted(universe.relations[name]))
     for alg in fixture.algorithms:
         lines.append(f"MAP {_check_token(alg.name, 'algorithm name')}")
         for obj in sorted(alg.mapping):

@@ -284,6 +284,7 @@ def test_reader_agrees_with_line_by_line_reference():
         if isinstance(got, SystemFixture):
             fixtures += 1
             assert got.system._rows == reference_rows(got.system.relations), text
+            assert got.observations._rows == reference_rows(got.observations.relations), text
         else:
             assert got[0] is SystemDefinitionError, text
             messages.add(re.sub(r"^line \d+: ", "", got[1]))
@@ -305,15 +306,23 @@ def test_reader_agrees_with_line_by_line_reference():
     ({"r": {("a", "b")}}, {"s": 2}),
     ({"r": ["ab", "ba"]}, {}),
     ({"r": {("a", "b"), ("a", "a"), ("b", "b")}, "s": {("b",)}}, {}),
+    ({"r": {("a", "b", "a"), ("b", "b", "a")}, "s": {("a", "b", "q")}}, {"s": 3}),
+    ({"r": {("a", "q")}, "s": {("a",), ("a", "b")}}, {}),
+    ({"r": {("a", "b"), ("a", "c")}}, {"r": 2, "s": 1}),
+    ({"r": {("a", "a")}}, {"r": -1}),
+    ({"r": [("a", "b"), ("a", "b"), ["b", "a"]]}, {"r": 2}),
 ], ids=["mixed", "mixed-declared", "empty-tuple", "empty-tuple-declared", "empty-and-unary",
         "undeclared", "undeclared-prefix", "empty-relation", "empty-arity-0", "declared-other",
-        "unknown-arity", "strings", "valid"])
-def test_direct_build_agrees_with_reference(relations, arities):
+        "unknown-arity", "strings", "valid", "ternary", "undeclared-before-mixed",
+        "undeclared-before-unknown-arity", "declared-negative", "repeats-and-lists"])
+@pytest.mark.parametrize("build", [ObjectSystem, ObservationSystem], ids=["object", "observation"])
+def test_direct_build_agrees_with_reference(relations, arities, build):
     members = frozenset({"a", "b"})
-    expected = outcome(reference_normalise, "object", members, relations, arities)
-    got = outcome(ObjectSystem, members, relations, arities)
-    if isinstance(got, ObjectSystem):
-        assert_agrees(got, ObjectSystem, expected)
+    kind = "object" if build is ObjectSystem else "observation"
+    expected = outcome(reference_normalise, kind, members, relations, arities)
+    got = outcome(build, members, relations, arities)
+    if isinstance(got, build):
+        assert_agrees(got, build, expected)
         assert got._rows == reference_rows(expected[1])
     else:
         assert got == expected
@@ -336,11 +345,11 @@ def test_random_direct_builds_agree_with_reference():
                 assert got == expected
             else:
                 assert_agrees(got, build, expected)
-                if build is ObjectSystem:
-                    assert got._rows == reference_rows(expected[1])
+                assert got._rows == reference_rows(expected[1])
 
 
-def test_equality_reads_rows_and_agrees_with_reference():
+@pytest.mark.parametrize("build", [ObjectSystem, ObservationSystem], ids=["object", "observation"])
+def test_equality_reads_rows_and_agrees_with_reference(build):
     rng = random.Random(4)
     members = ["a", "b", "c"]
 
@@ -354,8 +363,8 @@ def test_equality_reads_rows_and_agrees_with_reference():
     for _ in range(3000):
         left, right = rng.choice(relations), rng.choice(relations)
         arities = {name: {"r": 2, "s": 1}[name] for name in set(left) | set(right)}
-        a = ObjectSystem(members, left, {r: arities[r] for r in left})
-        b = ObjectSystem(members, right, {r: arities[r] for r in right})
+        a = build(members, left, {r: arities[r] for r in left})
+        b = build(members, right, {r: arities[r] for r in right})
         expected = reference_normalise("object", members, left, {r: arities[r] for r in left}) \
             == reference_normalise("object", members, right, {r: arities[r] for r in right})
         assert (a == b, a != b) == (expected, not expected), (left, right)
