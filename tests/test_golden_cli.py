@@ -11,6 +11,10 @@ replaced by a placeholder, followed by the command's label.  The commands:
 * extra ``tree`` commands on kinship files that mix plain, quoted and
   escaped names, quoted and unquoted labels, and blank padding of several
   kinds, a quarter of them with one fault;
+* extra ``tree`` commands on genealogies shaped like the benchmark's, each
+  with two or three faults: declarations twice or after an edge, malformed
+  lines, repeated arcs and reversed partner edges, empty names, self-parents,
+  third parents and cycles, half of them with one quoted or escaped name;
 * extra ``system`` commands on fixtures of 20-60 objects with unary, binary,
   ternary and empty relations, whose blocks hold repeated and blank lines,
   blanks of several kinds and several kinds of line break, and whose
@@ -122,10 +126,98 @@ def kinship_command(rng, write):
         lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "# note", "  # c"]))
     lines = [rng.choice(KIN_PADDING) + line + rng.choice(KIN_PADDING) for line in lines]
     path = write("\n".join(lines) + "\n")
+    return tree_args(rng, path, names)
+
+
+def tree_args(rng, path, names):
+    """``tree descendants`` or ``tree query`` on ``path`` about some of ``names``."""
     u, v = rng.choice(names), rng.choice(names)
     if rng.random() < 0.3:
         return ["tree", "descendants", path, u]
     return ["tree", "query", path, rng.choice(RELATIONS), u, v]
+
+
+# The fault plans of the ``kinfault/`` family, taken in turn, each fault placed
+# after the one before it.
+KIN_FAULT_PLANS = [
+    ("twice", "malformed"), ("malformed", "twice"), ("late", "malformed"),
+    ("malformed", "late"), ("arc", "partner"), ("partner", "arc"), ("arc", "malformed"),
+    ("partner", "malformed"), ("empty",), ("arc", "self"), ("partner", "third"),
+    ("arc", "cycle"), ("self", "third", "cycle"), ("third", "cycle"), ("late", "arc"),
+]
+KIN_MALFORMED = ["{0} {1}", "person", "person {0} {1} {0}", "{0} -> {1} {0}", '"{0} -> {1}',
+                 "{0} -> '{1}", "{0} -> {1}\\", 'person {0} "L\\']
+
+
+def kinfault_command(rng, write, i):
+    """``tree`` on a genealogy shaped like the benchmark's, 6-60 persons, with
+    the faults of ``KIN_FAULT_PLANS[i % 15]``; odd ``i`` spell one name with
+    quotes or an escape.
+
+    The faults: a person declared twice, or declared after an edge named
+    them; a malformed line (a wrong word count, an unclosed quote, a trailing
+    escape); a repeated arc, or a partner edge repeated reversed; ``person
+    ""``, ``"" -> x`` and ``"" <-> ""`` in some order; a self-parent, a third
+    parent and a cycle.
+    """
+    workloads = bench_workloads()
+    width = rng.randint(3, 12)
+    while True:  # a genealogy with an arc, a partner edge and a declaration
+        people, arcs, partners, _ = family = workloads._family(rng, rng.randint(2, 5), width)
+        lines = workloads._kin_text(rng, *family).splitlines()
+        if arcs and partners and any(line.startswith("person ") for line in lines):
+            break
+    if i % 2:
+        k = rng.randrange(1, len(lines))
+        words = lines[k].split(" ")
+        w = 1 if words[0] == "person" else rng.choice([0, 2])
+        name = words[w]
+        words[w] = rng.choice([f'"{name}"', f"'{name}'", f"{name[0]}\\{name[1:]}"])
+        lines[k] = " ".join(words)
+    genealogy, last, floor = lines[1:], people[-width:], 0
+
+    def pick(mark):
+        """The index of a random genealogy line that holds ``mark``."""
+        return lines.index(rng.choice([line for line in genealogy if mark in line]))
+
+    def place(line, after=0):
+        """Insert ``line`` past the line at ``after`` and past the fault before it."""
+        nonlocal floor
+        floor = rng.randint(max(floor, after) + 1, len(lines))
+        lines.insert(floor, line)
+
+    for fault in KIN_FAULT_PLANS[i % len(KIN_FAULT_PLANS)]:
+        if fault == "twice":
+            k = pick("person ")
+            place(f"person {lines[k].split(' ')[1]}", k)
+        elif fault == "late":
+            k = pick("-> ")
+            place(f"person {rng.choice(lines[k].split(' ')[::2])}", k)
+        elif fault == "malformed":
+            place(rng.choice(KIN_MALFORMED).format(*rng.sample(people, 2)))
+        elif fault == "arc":
+            k = pick(" -> ")
+            place(lines[k], k)
+        elif fault == "partner":
+            k = pick(" <-> ")
+            place(" ".join(lines[k].split(" ")[::-1]), k)
+        elif fault == "empty":
+            for line in rng.sample(['person ""', f'"" -> {rng.choice(people)}', '"" <-> ""'], 3):
+                place(line)
+        elif fault == "self":
+            person = rng.choice(people)
+            place(f"{person} -> {person}")
+        elif fault == "third":
+            child = rng.choice(last)
+            had = sum(c == child for _, c in arcs)
+            others = [p for p in people if p not in last and (p, child) not in arcs]
+            for parent in rng.sample(others, 3 - had):
+                place(f"{parent} -> {child}")
+        else:
+            children = {c for _, c in arcs}
+            parent, child = rng.choice(sorted(a for a in arcs if a[0] not in children))
+            place(f"{child} -> {parent}")
+    return tree_args(rng, write("\n".join(lines) + "\n"), people)
 
 
 # Fixture line breaks, all of them ``str.splitlines`` breaks, and blanks that
@@ -591,13 +683,19 @@ def dcensus_command(rng, write, large):
     return ["graph", "motifs", write(graph_text(n, pairs, True, rng.random() < 0.3)), "-k", k]
 
 
-def bench_commands(write):
-    """Every job of the --quick rounds and probes, as (label, args)."""
+def bench_workloads():
+    """The benchmark's ``workloads`` module."""
     sys.path.insert(0, str(BENCH))
     try:
         import workloads
     finally:
         sys.path.remove(str(BENCH))
+    return workloads
+
+
+def bench_commands(write):
+    """Every job of the --quick rounds and probes, as (label, args)."""
+    workloads = bench_workloads()
     rounds = [(name, workloads.make_round(name, 7, 0, quick=True))
               for name in workloads.WORKLOADS]
     rounds.append(("probes", workloads.probe_round(7)))
@@ -619,6 +717,9 @@ def commands(write):
     rng = random.Random(20)
     for i in range(300):
         yield f"kinship/{i:03d}", kinship_command(rng, write)
+    rng = random.Random(27)
+    for i in range(100):
+        yield f"kinfault/{i:03d}", kinfault_command(rng, write, i)
     rng = random.Random(21)
     for i in range(300):
         yield f"system/{i:03d}", system_command(rng, write)
