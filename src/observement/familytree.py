@@ -6,14 +6,15 @@ Parent arcs must stay acyclic, so nobody is their own ancestor, and nobody
 has more than two parents.  Partner edges are stored as unordered pairs to
 reflect the symmetry of the relationship.
 
-A kinship file is read in one regular-expression scan of its lines, which
-builds the persons, labels, arcs and partner edges straight from the
-matches.  A file the scan does not take whole (a quoted or escaped word, a
-faulty line, a repeated declaration, arc or partner edge) goes to the line
-reader, the only reader of quotes and escapes and the only one that names a
-faulty line.  A graph proves itself valid in unsorted passes, acyclicity by
-in-degree counts (Kahn 1962); only a graph that fails one is walked again in
-sorted order, to name the same fault whatever the set order.
+A kinship file is read by one loop over one row per line, which builds the
+persons, labels, arcs and partner edges.  The rows come from one
+regular-expression scan of the text when it takes every line.  Otherwise
+each line is read on its own: by the scan's pattern where that takes it,
+and by ``shlex.split`` where it does not (a quoted or escaped word, a faulty
+line), so the faulty line met first is the one named.  A graph proves
+itself valid in unsorted passes, acyclicity by in-degree counts (Kahn
+1962); only a graph that fails one is walked again in sorted order, to name
+the same fault whatever the set order.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ import collections
 import functools
 import itertools
 import re
+import shlex
 from dataclasses import dataclass, field
 
-from ._shared import first_cycle, reachable, significant_lines
+from ._shared import first_cycle, reachable
 from .errors import ObservementError
 
 RELATIONS = (
@@ -214,98 +216,49 @@ def query(g: KinshipGraph, relation: str, u: str, v: str) -> bool:
 #   A <-> B
 #
 # '#' lines are comments.  Persons first mentioned on an edge line are
-# declared implicitly.  Words follow POSIX shell rules: only space, tab, CR
-# and LF separate them, quotes group, and a backslash escapes the next
-# character; inside double quotes it escapes only '"' and '\\' and is kept
-# before anything else, inside single quotes it is an ordinary character.
+# declared implicitly.  Words are read by ``shlex.split``, by POSIX shell
+# rules: only space, tab, CR and LF separate them, quotes group, and a
+# backslash escapes the next character; inside double quotes it escapes only
+# '"' and '\\' and is kept before anything else, inside single quotes it is an
+# ordinary character.
 
 _WORDS = re.compile(r"[^ \t\r\n]+")
-_PIECES = re.compile(r"""
-    [ \t\r\n]+                     # a separator
-  | ([^ \t\r\n'"\\]+)              # 1: unquoted characters
-  | \\(.)                          # 2: an escaped character
-  | '([^']*)'                      # 3: single quotes, no escapes
-  | "((?:[^"\\]|\\.)*)"            # 4: double quotes
-  | (\\|"(?:[^"\\]|\\.)*\\)\Z      # 5: a line ending in an open escape
-  | (.)                            # 6: an unclosed quote
-""", re.S | re.X)
-_QUOTED_ESCAPE = re.compile(r'\\([\\"])')
-
-
-def _split_line(line: str) -> list:
-    """The words of ``line`` by POSIX shell rules, as the standard library's
-    shell splitter returns them.
-
-    Raises ValueError("No closing quotation") for an unclosed quote and
-    ValueError("No escaped character") for a line ending in an escape.
-    """
-    if '"' not in line and "'" not in line and "\\" not in line:
-        return _WORDS.findall(line)
-    words: list = []
-    word = None
-    for m in _PIECES.finditer(line):
-        kind = m.lastindex
-        if kind is None:
-            if word is not None:
-                words.append(word)
-                word = None
-        elif kind == 5:
-            raise ValueError("No escaped character")
-        elif kind == 6:
-            raise ValueError("No closing quotation")
-        else:
-            piece = m[kind]
-            if kind == 4:
-                piece = _QUOTED_ESCAPE.sub(r"\1", piece)
-            word = piece if word is None else word + piece
-    if word is not None:
-        words.append(word)
-    return words
-
 
 # One line of the forms the scan takes: blank, a comment, ``person NAME`` with
 # an optional double-quoted label holding no escape, or ``A -> B`` or
 # ``A <-> B``.  Words hold no blank of any kind, quote or backslash, and only
-# space and tab pad them, so each is read as the line reader would read it.
+# space and tab pad them, so each is read as ``shlex.split`` would read it.
 _WORD = r"""[^\s"'\\]+"""
 _LINE = re.compile(rf"""
     ^[ \t]*(?:
-        \#.*                                              # a comment
-      | person[ \t]+({_WORD})(?:[ \t]+("[^"\\\n]*"))?      # 1: a person, 2: its label
-      | (?!person[ \t])({_WORD})[ \t]+(<?->)[ \t]+({_WORD})  # 3, 5: the ends, 4: the arrow
+        \#.*                                                  # a comment
+      | (person)[ \t]+({_WORD})(?:[ \t]+("[^"\\\n]*"))?      # 1: person, 2: name, 3: label
+      | (?!person[ \t])({_WORD})[ \t]+(<?->)[ \t]+({_WORD})  # 4, 6: the ends, 5: the arrow
     )?[ \t]*$""", re.M | re.X)
 
 
 def parse_kinship_file(text: str) -> KinshipGraph:
     """Read a kinship file; see the format above.
 
-    One scan of the lines builds the graph when it takes every line and
-    finds no person declared twice and no arc or partner edge repeated.
-    Otherwise the line reader reads the whole text, so the fault it names
-    first is the one reported.
+    Each line gives a row ``(person, name, label, a, arrow, b)``, a label
+    within its quotes.  One scan of the text gives every row when it takes
+    every line; otherwise each line is read on its own as the loop meets it,
+    by the scan's pattern where that takes the line and by ``shlex.split``
+    where it does not, so the faulty line met first is the one named.  A
+    repeated arc or partner edge is named after every line has been read.
     """
     lines = text.splitlines()
     rows = _LINE.findall("\n".join(lines))
-    fields = _scan(rows) if len(rows) == len(lines) else None
-    operations = None if fields else _line_operations(text)
-    try:
-        return KinshipGraph(*fields) if fields else build(operations)
-    except KinshipError as exc:
-        raise KinshipError(f"kinship file invalid: {exc}") from exc
-
-
-def _scan(rows):
-    """The persons, arcs, partner edges and labels of the scanned lines, or
-    None for a person declared twice or a repeated arc or partner edge,
-    which the line reader reports."""
+    if len(rows) != len(lines):
+        rows = _line_rows(lines)
     declared: set = set()
     labels: dict = {}
     arcs: list = []
     partners: list = []
-    for name, label, a, arrow, b in rows:
-        if name:
+    for lineno, (person, name, label, a, arrow, b) in enumerate(rows, 1):
+        if person:
             if name in declared:
-                return None
+                raise KinshipError(f"line {lineno}: person {name!r} declared twice")
             declared.add(name)
             if label:
                 labels[name] = label[1:-1]
@@ -317,46 +270,52 @@ def _scan(rows):
             declared.add(a)
             declared.add(b)
     arc_set, partner_set = set(arcs), set(partners)
-    if len(arc_set) < len(arcs) or len(partner_set) < len(partners):
-        return None
-    return declared, arc_set, partner_set, labels
+    try:
+        if len(arc_set) < len(arcs) or len(partner_set) < len(partners):
+            _raise_first_repeat(_line_rows(lines))
+        return KinshipGraph(declared, arc_set, partner_set, labels)
+    except KinshipError as exc:
+        raise KinshipError(f"kinship file invalid: {exc}") from exc
 
 
-def _line_operations(text: str) -> list:
-    """The build operations of the file, read line by line."""
-    operations: list = []
-    declared: set = set()
+def _line_rows(lines):
+    """The row of each line in turn, read when it is asked for."""
+    for lineno, line in enumerate(lines, 1):
+        found = _LINE.fullmatch(line)
+        yield found.groups("") if found else _line_row(lineno, line)
 
-    def ensure(name):
-        if name not in declared:
-            declared.add(name)
-            operations.append(("person", name))
 
-    for lineno, line in significant_lines(text):
-        try:
-            tokens = _split_line(line)
-        except ValueError as exc:
-            raise KinshipError(f"line {lineno}: {exc}") from None
-        # Only the unquoted keyword declares, so '"person" -> b' is an arc.
-        if _WORDS.match(line)[0] == "person":
-            if len(tokens) not in (2, 3):
-                raise KinshipError(f"line {lineno}: expected 'person NAME [\"label\"]'")
-            name = tokens[1]
-            if name in declared:
-                raise KinshipError(f"line {lineno}: person {name!r} declared twice")
-            declared.add(name)
-            operations.append(("person", name, tokens[2] if len(tokens) == 3 else None))
-        elif len(tokens) == 3 and tokens[1] == "->":
-            ensure(tokens[0])
-            ensure(tokens[2])
-            operations.append(("arc", tokens[0], tokens[2]))
-        elif len(tokens) == 3 and tokens[1] == "<->":
-            ensure(tokens[0])
-            ensure(tokens[2])
-            operations.append(("partner", tokens[0], tokens[2]))
-        else:
-            raise KinshipError(f"line {lineno}: expected a person, '->', or '<->' line")
-    return operations
+def _line_row(lineno: int, line: str) -> tuple:
+    """The row of a line the scan does not take, its words split by ``shlex.split``."""
+    line = line.strip()
+    if not line or line[0] == "#":
+        return ("",) * 6
+    try:
+        words = shlex.split(line)
+    except ValueError as exc:
+        raise KinshipError(f"line {lineno}: {exc}") from None
+    # Only the unquoted keyword declares, so '"person" -> b' is an arc.
+    if _WORDS.match(line)[0] == "person":
+        if len(words) not in (2, 3):
+            raise KinshipError(f"line {lineno}: expected 'person NAME [\"label\"]'")
+        return "person", words[1], f'"{words[2]}"' if len(words) == 3 else "", "", "", ""
+    if len(words) == 3 and words[1] in ("->", "<->"):
+        return "", "", "", *words
+    raise KinshipError(f"line {lineno}: expected a person, '->', or '<->' line")
+
+
+def _raise_first_repeat(rows) -> None:
+    """Name the first arc or partner edge that repeats one before it in ``rows``."""
+    seen: set = set()
+    for _, _, _, a, arrow, b in rows:
+        if arrow == "->":
+            if (a, b) in seen:
+                raise KinshipError(f"duplicate arc ({a},{b})")
+            seen.add((a, b))
+        elif arrow:
+            if frozenset((a, b)) in seen:
+                raise KinshipError(f"duplicate partner edge {{{a},{b}}}")
+            seen.add(frozenset((a, b)))
 
 
 def format_kinship_file(g: KinshipGraph) -> str:

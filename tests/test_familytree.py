@@ -1,6 +1,5 @@
 import os
 import random
-import shlex
 import subprocess
 import sys
 from itertools import permutations
@@ -197,39 +196,6 @@ class TestCycleOracle:
             assert found == expected, sorted(arcs)
             outcomes.add("parents" if third else "cycle" if found else "valid")
         assert outcomes == {"valid", "cycle", "parents"}
-
-
-def split_outcome(split, line):
-    """What ``split(line)`` returns, or the text of the ValueError it raises."""
-    try:
-        return split(line)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
-
-
-class TestSplitLine:
-    """``_split_line`` is checked against ``shlex.split``, kept as the oracle."""
-
-    @pytest.mark.parametrize("line", [
-        "", "a", "  a \tb\r\nc  ", "a\xa0b c\x1fd e\u3000f g\x00h", '""', "''", '"" x',
-        'a"b c"d', "a'b c'd", 'x"\\"y', '"a\\"b"', '"\\x"', "'\\x'", "a\\ b", "\\\\",
-        '"\\$"', '"open', "'open", '"a\\', "\\", '"a\\\\', '"\\"', "a\\\n", "#c -> d",
-    ])
-    def test_edge_cases_match_shlex(self, line):
-        assert split_outcome(ft._split_line, line) == split_outcome(shlex.split, line)
-
-    def test_random_lines_match_shlex(self):
-        rng = random.Random(9)
-        alphabet = [" ", "\t", "\r", "\n", '"', "'", "\\", "#", "->", "a", "b", "\xa0",
-                    "\x1f", "\u3000", "\x00"]
-        outcomes = set()
-        for _ in range(100_000):
-            line = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
-            expected = split_outcome(shlex.split, line)
-            assert split_outcome(ft._split_line, line) == expected, repr(line)
-            outcomes.add(expected if isinstance(expected, str) else "words")
-        assert outcomes == {"words", "ValueError: No closing quotation",
-                            "ValueError: No escaped character"}
 
 
 class TestQueries:

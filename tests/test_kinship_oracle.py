@@ -1,14 +1,15 @@
-"""The one-scan kinship reader and the unsorted validity passes, checked against
-the line-by-line reader and the sorted checks they replace.
+"""The kinship reader's one loop and the unsorted validity passes, checked
+against the line-by-line reader and the sorted checks they replace.
 
 The references below are those earlier implementations, kept as test
-oracles: the line reader builds operations, the operations build the fields,
-and the fields are checked in sorted order.  Each reads words through the
-library's ``_split_line``, which ``test_familytree`` checks against
-``shlex.split``, since only the reading strategy is under test here.
+oracles: the line reader splits each line's words with ``shlex.split`` and
+builds operations, the operations build the fields, and the fields are
+checked in sorted order.
 """
 
+import functools
 import random
+import shlex
 import sys
 from pathlib import Path
 
@@ -93,7 +94,7 @@ def reference_parse(text):
 
     for lineno, line in significant_lines(text):
         try:
-            tokens = ft._split_line(line)
+            tokens = shlex.split(line)
         except ValueError as exc:
             raise KinshipError(f"line {lineno}: {exc}") from None
         # Only the unquoted keyword declares, so '"person" -> b' is an arc.
@@ -117,11 +118,10 @@ def reference_parse(text):
 
 
 def scanned(text):
-    """The fields that the one scan builds from ``text``, or None when it hands
-    the text to the line reader."""
+    """Whether the one scan of ``text`` takes every line, so that no line of it
+    is read on its own."""
     lines = text.splitlines()
-    rows = ft._LINE.findall("\n".join(lines))
-    return ft._scan(rows) if len(rows) == len(lines) else None
+    return len(ft._LINE.findall("\n".join(lines))) == len(lines)
 
 
 def outcome(make, *args):
@@ -146,9 +146,20 @@ def kind(found):
     return found
 
 
+# Words that shell splitting reads with care: blanks of several kinds, empty,
+# glued and unclosed quotes, escapes inside and outside quotes, a trailing
+# escape, and a line break inside a word.
+SPLIT_CASES = [
+    "", "a", "  a \tb\r\nc  ", "a\xa0b c\x1fd e\u3000f g\x00h", '""', "''", '"" x',
+    'a"b c"d', "a'b c'd", 'x"\\"y', '"a\\"b"', '"\\x"', "'\\x'", "a\\ b", "\\\\",
+    '"\\$"', '"open', "'open", '"a\\', "\\", '"a\\\\', '"\\"', "a\\\n", "#c -> d",
+]
 EXTRA_LINES = ['person a ""', "person a Ann", 'person b "B b"', "a#b -> c", "#a -> b",
                "x -> a#b", "person #x", "a <-> a", "person\t-> b", "a -> b -> c", "b <-> a",
-               "g -> a", "h -> a", "person a", "a -> e", "e -> a", "b -> a"]
+               "g -> a", "h -> a", "person a", "a -> e", "e -> a", "b -> a",
+               'person ""', '"" -> a', '"" <-> ""']
+EXTRA_LINES += [f"person {case}" for case in SPLIT_CASES]
+EXTRA_LINES += [f"{case} -> a" for case in SPLIT_CASES]
 PADDING = ["", "", "", " ", "\t", "\xa0", "\u3000"]
 BREAKS = ["\n", "\n", "\n", "\r\n", "\x0b", " "]
 
@@ -189,16 +200,22 @@ def family_text(rng, fault):
     return "".join(line + rng.choice(BREAKS[:4]) for line in lines)
 
 
+@functools.cache
+def fuzz_texts():
+    """600 valid genealogies, 3,000 texts of pooled lines and 900 faulty genealogies."""
+    rng = random.Random(20)
+    genealogies = [family_text(rng, None) for _ in range(600)]
+    texts = genealogies + [line_text(rng) for _ in range(3000)]
+    texts += [family_text(rng, rng.choice(["late", "repeat", "parent", "cycle", "loop",
+                                           "partner"])) for _ in range(900)]
+    return genealogies, texts
+
+
 class TestReader:
     def test_lines_and_genealogies_match_the_line_reader(self):
-        rng = random.Random(20)
-        genealogies = [family_text(rng, None) for _ in range(600)]
-        texts = genealogies + [line_text(rng) for _ in range(3000)]
-        texts += [family_text(rng, rng.choice(["late", "repeat", "parent", "cycle", "loop",
-                                               "partner"])) for _ in range(900)]
+        genealogies, texts = fuzz_texts()
         for text in genealogies:  # taken by the scan and proved valid without sorting
-            fields = scanned(text)
-            assert fields is not None and KinshipGraph(*fields)._valid(), repr(text)
+            assert scanned(text) and ft.parse_kinship_file(text)._valid(), repr(text)
         kinds = {}
         for text in texts:
             expected = outcome(reference_parse, text)
@@ -208,17 +225,25 @@ class TestReader:
                               "two distinct", "both partners", "two parents", "cycle"}, kinds
         assert kinds["valid"] >= 600
 
+    def test_no_file_is_built_through_the_operations_list(self, monkeypatch):
+        def refuse(operations):
+            raise AssertionError("parse_kinship_file built through build()")
+
+        monkeypatch.setattr(ft, "build", refuse)
+        for text in fuzz_texts()[1]:
+            outcome(ft.parse_kinship_file, text)
+
     def test_a_file_the_scan_takes_reads_as_the_line_reader_reads_it(self):
         text = ('person a ""\nperson b "B b"\n\ta#b -> c \n#a -> b\nx -> a#b\nperson #x\n'
                 "person -> \"L\"\nc <-> b\n")
-        assert scanned(text) is not None
+        assert scanned(text)
         assert outcome(ft.parse_kinship_file, text) == outcome(reference_parse, text)
 
     def test_the_scan_leaves_quotes_escapes_and_other_blanks_to_the_line_reader(self):
         for line in ["'a' -> b", "a\\ b -> c", "a -> b\xa0", "\u3000a -> b", "a\x1fb -> c",
                      "person a Ann", 'person a "A\\"n"', 'person a "A"b', "person -> b",
                      "person\t-> b", "a -> b # c"]:
-            assert scanned(line) is None, line
+            assert not scanned(line), line
             assert outcome(ft.parse_kinship_file, line) == outcome(reference_parse, line)
 
 
