@@ -6,6 +6,7 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
+from test_kinship_oracle import SPLIT_CASES, outcome, reference_parse
 
 from observement import familytree as ft
 from observement.familytree import KinshipError, KinshipGraph
@@ -196,6 +197,31 @@ class TestCycleOracle:
             assert found == expected, sorted(arcs)
             outcomes.add("parents" if third else "cycle" if found else "valid")
         assert outcomes == {"valid", "cycle", "parents"}
+
+
+class TestSplitLine:
+    """The reader splits a line that its scan does not take with ``shlex.split``.
+    Its words, and its line-numbered error for an unclosed quote or a trailing
+    escape, are checked against the line-by-line reference reader."""
+
+    @pytest.mark.parametrize("line", SPLIT_CASES)
+    def test_edge_cases_match_shlex(self, line):
+        for text in (f"person {line}", f"{line} -> a", f"a <-> {line}", f"person a {line}"):
+            assert outcome(ft.parse_kinship_file, text) == outcome(reference_parse, text), \
+                repr(text)
+
+    def test_random_lines_match_shlex(self):
+        rng = random.Random(9)
+        alphabet = [" ", "\t", "\r", "\n", '"', "'", "\\", "#", "->", "a", "b", "\xa0",
+                    "\x1f", "\u3000", "\x00"]
+        outcomes = set()
+        for _ in range(20_000):
+            line = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+            for text in (line, "person " + line):
+                expected = outcome(reference_parse, text)
+                assert outcome(ft.parse_kinship_file, text) == expected, repr(text)
+                outcomes.add(expected.split(": ")[-1] if isinstance(expected, str) else "words")
+        assert {"words", "No closing quotation", "No escaped character"} <= outcomes, outcomes
 
 
 class TestQueries:
