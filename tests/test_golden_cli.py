@@ -42,6 +42,14 @@ replaced by a placeholder, followed by the command's label.  The commands:
   for a quarter of those of at most 60 vertices ``-k 4``: random ones of every
   mean degree, edgeless and complete ones, one mutual dyad, in-stars and
   out-stars, with none, 5%, half or all of their vertices looped.
+* extra ``graph convert``, ``graph sub`` and ``complexity`` commands on edge
+  and adjacency texts of 0-40 vertices with the header first, half of them
+  plain (blank lines, space and tab padding, "\r\n" line ends, no final line
+  end, adjacency rows shuffled, left out or empty) and half with one near
+  miss: another line break or blank, a comment before the header, a vertex
+  spelled ``007``, ``-0``, ``+1`` or in Arabic-Indic digits, a vertex out of
+  range, a self-loop in an undirected text, a duplicate adjacency row,
+  ``1:2`` with no blank, or an asymmetric undirected adjacency list.
 
 A change to any of those bytes fails the test, which names each changed
 command.  To re-record after a change that is meant, run this module as a
@@ -582,6 +590,151 @@ def graph_command(rng, write):
     return ["graph", "convert", write(text), "--to", rng.choice(GRAPH_TARGETS)]
 
 
+# Line breaks other than "\n" that ``str.splitlines`` breaks at, and blanks
+# that ``str.split`` takes, none of which a plain graph text holds.
+GTEXT_BREAKS = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+GTEXT_BLANKS = ["\xa0", "\u3000"]
+GTEXT_PADDING = ["", "", " ", "\t", " \t "]
+# The near misses of the ``gtext/`` family, taken in turn by its odd commands.
+GTEXT_MISSES = ["break-head", "break-data", "blank", "comment", "numeral", "range", "loop",
+                "duplicate", "glued", "asymmetric"]
+ARABIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66a))))
+
+
+def gtext_lines(rng, source, n, pairs):
+    """The header and data lines of an edge or adjacency text: edge lines
+    shuffled, undirected ones half reversed; adjacency rows shuffled, each
+    empty one written as ``v:`` or left out."""
+    directed = source.startswith("d")
+    if source in ("graph", "digraph"):
+        body = [f"{v} {u}" if not directed and rng.random() < 0.5 else f"{u} {v}"
+                for u, v in sorted(pairs)]
+    else:
+        rows = [[] for _ in range(n)]
+        for u, v in sorted(pairs):
+            rows[u].append(v)
+            if not directed:
+                rows[v].append(u)
+        body = [f"{v}: {' '.join(map(str, row))}".rstrip() for v, row in enumerate(rows)
+                if row or rng.random() < 0.5]
+    rng.shuffle(body)
+    return [f"{source} {n}"] + body
+
+
+def gtext_miss(rng, miss, lines):
+    """Apply near miss ``miss`` to the ``gtext_lines`` of an edge or adjacency text."""
+    source, n = lines[0].split()
+    n = int(n)
+    k = rng.randrange(1, len(lines)) if len(lines) > 1 else 0  # a data line, or the header
+    if miss in ("break-head", "break-data", "blank"):
+        k = 0 if miss == "break-head" else k
+        mark = rng.choice(GTEXT_BREAKS if miss.startswith("break") else GTEXT_BLANKS)
+        cuts = [i for i, ch in enumerate(lines[k]) if ch == " "] + [0, len(lines[k])]
+        cut = rng.choice(cuts)
+        replace = lines[k][cut:cut + 1] == " " and rng.random() < 0.5
+        lines[k] = lines[k][:cut] + mark + lines[k][cut + replace:]
+    elif miss == "comment":
+        lines.insert(0, rng.choice(["# graph", "#", "  # c 0 1"]))
+    elif miss == "numeral":
+        words = lines[k].split(" ")
+        w = rng.randrange(len(words)) if k else 1
+        tail = ":" if words[w].endswith(":") else ""
+        token = words[w].removesuffix(":")
+        spellings = ["0" * rng.randint(1, 2) + token, "+" + token, token.translate(ARABIC_DIGITS)]
+        words[w] = rng.choice(spellings + ["-0"] * 2 * (token == "0")) + tail
+        lines[k] = " ".join(words)
+    elif miss == "range":
+        out, w = n + rng.randint(0, 2), rng.randrange(max(n, 1))
+        if source in ("graph", "digraph"):
+            lines.insert(rng.randint(1, len(lines)), rng.choice([f"{w} {out}", f"{out} {w}"]))
+        elif rng.random() < 0.5:
+            lines.insert(rng.randint(1, len(lines)), f"{out}: {w}")
+        else:
+            lines.insert(rng.randint(1, len(lines)), f"{w}: {out}")
+    elif miss in ("loop", "asymmetric"):  # one more neighbour in one row only
+        u = rng.randrange(n)
+        v = u if miss == "loop" else rng.choice([w for w in range(n) if w != u])
+        rows = [i for i, line in enumerate(lines) if line.startswith(f"{u}:")]
+        if source == "graph":
+            lines.insert(rng.randint(1, len(lines)), f"{u} {v}")
+        elif not rows:
+            lines.append(f"{u}: {v}")
+        elif str(v) in lines[rows[0]].split()[1:]:
+            lines[rows[0]] = " ".join(w for w in lines[rows[0]].split() if w != str(v))
+        else:
+            lines[rows[0]] += f" {v}"
+    elif miss == "duplicate":
+        heads = [line.partition(":")[0] for line in lines[1:]]
+        if not heads:
+            heads.append(str(rng.randrange(n)))
+            lines.append(f"{heads[0]}:")
+        lines.insert(rng.randint(1, len(lines)), f"{rng.choice(heads)}:")
+    else:  # glued
+        full = [i for i, line in enumerate(lines) if ": " in line]
+        if full:
+            k = rng.choice(full)
+            lines[k] = lines[k].replace(": ", ":", 1)
+        else:
+            lines.append(f"{n - 1}:{n - 1}")
+    return lines
+
+
+def gtext_text(rng, source, n, pairs, miss=None):
+    """An edge or adjacency text with the header first: blank lines between data
+    lines, space and tab padding, "\\n" or "\\r\\n" line ends and no final
+    line end at times; then near miss ``miss``, if any."""
+    lines = gtext_lines(rng, source, n, pairs)
+    if miss:
+        lines = gtext_miss(rng, miss, lines)
+    for _ in range(rng.choice([0, 0, 1, 3])):
+        lines.insert(rng.randint(1, len(lines)), rng.choice(["", " ", "\t"]))
+    end = rng.choice(["\n", "\n", "\r\n"])
+    padded = [rng.choice(GTEXT_PADDING) + line.replace(" ", rng.choice([" ", " ", "  ", "\t"]))
+              + rng.choice(GTEXT_PADDING) for line in lines]
+    return end.join(padded) + rng.choice([end, end, ""])
+
+
+def gtext_graph(rng, miss):
+    """(source, n, pairs) for a ``gtext_text``, of a kind and size ``miss`` can take."""
+    sources = {"loop": ["graph", "adjlist"], "duplicate": ["adjlist", "dadjlist"],
+               "glued": ["adjlist", "dadjlist"], "asymmetric": ["adjlist"]}
+    source = rng.choice(sources.get(miss, ["graph", "digraph", "adjlist", "dadjlist"]))
+    n = rng.choice([0, 1, 1, 2, 3, 4, 6, 9, 15, 40])
+    if miss in ("loop", "duplicate", "glued", "asymmetric"):
+        n = max(n, 2)
+    directed = source.startswith("d")
+    p = rng.choice([0.1, 0.3, 0.6])
+    pairs = {(u, v) for u in range(n) for v in range(n)
+             if (u < v or directed and (u > v or rng.random() < 0.1)) and rng.random() < p}
+    return source, n, pairs
+
+
+def gtext_command(rng, write, i):
+    """``graph convert``, ``graph sub`` or ``complexity`` on an edge or adjacency
+    text with the header first, plain for even ``i`` and with near miss
+    ``GTEXT_MISSES[i // 2 % 10]`` for odd ``i``.
+
+    The near misses: a line break other than "\\n" in the header or a data
+    line, a no-break or ideographic space among the padding, a comment before
+    the header, a vertex written ``007``, ``-0``, ``+1`` or in Arabic-Indic
+    digits, a vertex out of range, a self-loop in an undirected text, a
+    duplicate adjacency row, ``1:2`` with no blank, and an asymmetric
+    undirected adjacency list.
+    """
+    miss = GTEXT_MISSES[i // 2 % len(GTEXT_MISSES)] if i % 2 else None
+    source, n, pairs = gtext_graph(rng, miss)
+    path = write(gtext_text(rng, source, n, pairs, miss))
+    command = rng.choice(["convert", "convert", "convert", "sub", "complexity"])
+    if command == "complexity":
+        return ["complexity", path]
+    if command == "convert":
+        return ["graph", "convert", path, "--to", rng.choice(GRAPH_TARGETS)]
+    k = rng.randint(0, 3)
+    small = {(u, v) for u, v in pairs if u < k and v < k}
+    pattern = write(gtext_text(rng, rng.choice([source, source.lstrip("d")]), k, small))
+    return ["graph", "sub", pattern, path]
+
+
 def tie_heavy_pairs(rng, n):
     """The edges of a graph with many automorphisms or twins on ``n`` vertices."""
     kind = rng.choice(["cycle", "star", "cube", "bipartite", "cliques", "edgeless",
@@ -739,6 +892,9 @@ def commands(write):
     rng = random.Random(25)
     for i in range(150):
         yield f"dcensus/{i:03d}", dcensus_command(rng, write, large=i % 15 == 7)
+    rng = random.Random(28)
+    for i in range(150):
+        yield f"gtext/{i:03d}", gtext_command(rng, write, i)
 
 
 def digests():
