@@ -1,4 +1,5 @@
-"""A line reader, the number readers and two graph walks shared across modules.
+"""A line reader and its first-word scan, the number readers and two graph
+walks shared across modules.
 
 Every number the package reads, in a file or an argument, goes through
 ``ascii_int`` or, for a list of tokens, ``ascii_ints``: ASCII digits after
@@ -10,6 +11,7 @@ from the package.
 from __future__ import annotations
 
 import math
+import re
 
 
 def significant_lines(text: str) -> list:
@@ -19,6 +21,19 @@ def significant_lines(text: str) -> list:
     """
     return [(lineno, line) for lineno, line in enumerate(map(str.strip, text.splitlines()), 1)
             if line and line[0] != "#"]
+
+
+# Blanks and comment lines, then the next word: a comment runs to the next
+# character where ``str.splitlines`` breaks, and ``\s`` is ``str.isspace``.
+_FIRST_WORD = r"(?:\s*#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)*\s*(\S*)"
+
+
+def first_word(text: str) -> str:
+    """The first word of the first of ``significant_lines``, or '' if there is none.
+
+    One scan that stops at that word, so a long text is not split into lines.
+    """
+    return re.match(_FIRST_WORD, text)[1]
 
 
 def reachable(start, successors: dict) -> set:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import click
 
 from . import __version__
-from ._shared import ascii_decimal, ascii_int, ascii_ints, significant_lines
+from ._shared import ascii_decimal, ascii_int, ascii_ints, first_word
 from .errors import ObservementError
 
 
@@ -370,9 +370,7 @@ def tree_descendants(kinship_file, person):
 
 def _looks_like_graph(text: str) -> bool:
     from . import graphs
-    for _, line in significant_lines(text):
-        return line.split()[0] in graphs._HEADER_PARSERS
-    return False
+    return first_word(text) in graphs._HEADER_PARSERS
 
 
 @cli.command("complexity")

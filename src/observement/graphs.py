@@ -1,13 +1,14 @@
 """Graphs and digraphs with interchangeable representations.
 
 Vertices are integers 0..n-1.  Edge lists, adjacency lists, adjacency
-matrices, and graph6 text all encode the same structure and convert
-losslessly in every direction, which is exactly what makes the collection of
-representations interchangeable.  Each is read into and written from one
-adjacency bitset row per vertex, the only stored form; ``edges`` and ``arcs``
-are read off the rows when first asked for.  Also here: isomorphism and
-subgraph search sharing one exact backtracking routine (small sizes only,
-with explicit caps) whose candidate sets are bitset intersections of host
+matrices and graph6 text encode the same structure and convert losslessly in
+every direction, which is what makes them interchangeable.  Each is read
+into and written from one adjacency bitset row per vertex, the only stored
+form; ``edges`` and ``arcs`` are read off the rows when first asked for.  A
+plain edge or adjacency text is read in whole-text passes, any other by a
+line walk, which alone names faults.  Also here: isomorphism and subgraph
+search sharing one exact backtracking routine (small sizes only, with
+explicit caps) whose candidate sets are bitset intersections of host
 adjacency rows, cut before the search by degree profiles and by parity, the
 state-space digraph of a finite automaton, and percolation sweeps.
 """
@@ -42,12 +43,19 @@ def _check_vertex_count(n: int, where: str) -> None:
         raise CapExceeded(f"{where}graphs are capped at {VERTEX_CAP} vertices, got {n}")
 
 
-def _bits(row: int):
+def _bits(row: int) -> list:
     """The set bits of ``row``, least first."""
+    return _row_names(row, range(row.bit_length()))
+
+
+def _row_names(row: int, names) -> list:
+    """The entries of ``names`` at the set bits of ``row``, least bit first."""
+    out = []
     while row:
         low = row & -row
-        yield low.bit_length() - 1
+        out.append(names[low.bit_length() - 1])
         row ^= low
+    return out
 
 
 class _Rows:
@@ -163,8 +171,11 @@ def _matrix_fault(rows):
     diagonal bit, then an unmirrored cell below the diagonal; None if symmetric."""
     above = [0] * len(rows)  # above[i]: the j < i whose row holds bit i
     for j, row in enumerate(rows):
-        for i in _bits(row >> j + 1 << j + 1):
-            above[i] |= 1 << j
+        row = row >> j + 1 << j + 1
+        while row:
+            low = row & -row
+            above[low.bit_length() - 1] |= 1 << j
+            row ^= low
     for i, row in enumerate(rows):
         if row >> i & 1:
             return f"nonzero diagonal at {i} in an undirected matrix"
@@ -511,12 +522,27 @@ def percolation_sweep(n: int, p_values: Iterable, trials: int, seed) -> list:
 #   adjlist N / dadjlist N  N lines "v: neighbours..."
 #
 # graph6 text has no header; parse_graph_text falls back to it for a
-# single-line input that matches no header keyword.
+# single-line input that matches no header keyword.  A plain text, a graph,
+# digraph, adjlist or dadjlist header first and then lines of ASCII digits
+# padded by spaces and tabs (an adjacency line's colon right after its
+# vertex), each ended by "\n" or "\r\n", is read in whole-text passes.  An edge
+# body takes one search for a line that is not blank or two vertices.
+_PLAIN_HEAD = re.compile(
+    r"[ \t]*(graph|digraph|adjlist|dadjlist)[ \t]+([0-9]{1,4})[ \t]*(?:\r?\n|\Z)")
+_EDGE_MISS = re.compile(r"\n(?![ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*)?\r?(?:\n|\Z))")
+_ADJACENCY_LINE = re.compile(r"^[ \t]*(?:([0-9]+):((?:[ \t]+[0-9]+)*)[ \t]*)?\r?$", re.M)
 
 
 def format_graph_file(g) -> str:
-    head = "graph" if isinstance(g, Graph) else "digraph"
-    return "\n".join([f"{head} {g.n}"] + [f"{u} {v}" for u, v in to_edge_list(g)]) + "\n"
+    undirected = isinstance(g, Graph)
+    names = list(map(str, range(g.n)))
+    lines = [f"{'graph' if undirected else 'digraph'} {g.n}"]
+    for u, row in enumerate(g._rows):
+        ends = _row_names(row >> u + 1 << u + 1 if undirected else row, names)
+        if ends:
+            lead = names[u] + " "
+            lines.append(lead + ("\n" + lead).join(ends))
+    return "\n".join(lines) + "\n"
 
 
 def format_matrix_text(g) -> str:
@@ -527,13 +553,19 @@ def format_matrix_text(g) -> str:
 
 def format_adjacency_text(g) -> str:
     head = "adjlist" if isinstance(g, Graph) else "dadjlist"
-    return "\n".join([f"{head} {g.n}"] + [f"{v}: {' '.join(map(str, _bits(row)))}".rstrip()
+    names = list(map(str, range(g.n)))
+    return "\n".join([f"{head} {g.n}"] + [" ".join([names[v] + ":"] + _row_names(row, names))
                                           for v, row in enumerate(g._rows)]) + "\n"
 
 
 def parse_graph_text(text: str):
     """Parse any of the text representations (including bare graph6) to a graph."""
-    lines = significant_lines(text)
+    plain = _PLAIN_HEAD.match(text)
+    if plain and int(plain[2]) <= VERTEX_CAP:
+        graph = _read_plain(plain[1], int(plain[2]), text[plain.end():])
+        if graph is not None:
+            return graph
+    lines = significant_lines(text)  # the line walk
     if not lines:
         raise GraphError("empty graph text")
     head = lines[0][1].split()
@@ -544,6 +576,32 @@ def parse_graph_text(text: str):
     if len(lines) == 1 and len(head) == 1:
         return decode_graph6(head[0])
     raise GraphError(f"line {lines[0][0]}: unknown header {keyword!r}")
+
+
+def _read_plain(keyword: str, n: int, body: str):
+    """The graph of a plain text's body, or None for the line walk to read: a line
+    the passes refuse, a name ``names`` lacks, a duplicate row or a build fault."""
+    names = dict(zip(map(str, range(n)), range(n)))
+    try:
+        if keyword.endswith("graph"):
+            if _EDGE_MISS.search("\n" + body):
+                return None
+            ends = map(names.__getitem__, body.split())
+            return from_edge_list(n, zip(ends, ends), keyword == "digraph")
+        found = _ADJACENCY_LINE.findall(body)
+        heads = [head for head, _ in found if head]
+        if len(found) != body.count("\n") + 1 or len(set(heads)) < len(heads):
+            return None
+        rows = [0] * n
+        for head, rest in found:
+            if head:
+                row = 0
+                for v in map(names.__getitem__, rest.split()):
+                    row |= 1 << v
+                rows[names[head]] = row
+        return _matrix_graph(rows, keyword == "dadjlist")
+    except (KeyError, GraphError):
+        return None
 
 
 def _parse_header_n(lines):
@@ -566,26 +624,8 @@ def _vertices(tokens: list, lineno: int) -> list:
         raise GraphError(f"line {lineno}: bad vertex {exc.args[0]!r}") from None
 
 
-_PAIR_LINES = re.compile(r"(?:\S+[^\S\n]+\S+(?:\n|\Z))*")  # "\n"-joined lines of two words
-
-
-def _read_pairs(lines):
-    """The data lines' pairs, read in blocks so that one block's tokens are held at once."""
-    for start in range(1, len(lines), 1024):
-        block = "\n".join([line for _, line in lines[start:start + 1024]])
-        if not _PAIR_LINES.fullmatch(block):
-            raise ValueError(block)
-        ends = iter(ascii_ints(block.split()))
-        yield from zip(ends, ends)
-
-
 def _parse_edge_lines(lines, directed: bool):
     n = _parse_header_n(lines)
-    try:
-        return from_edge_list(n, _read_pairs(lines), directed)
-    except (ValueError, GraphError):
-        pass
-    # Refused: the line walk and then the pair set name the first fault.
     pairs = set()
     for lineno, line in lines[1:]:
         parts = line.split()

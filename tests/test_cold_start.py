@@ -49,6 +49,28 @@ def test_system_classify_loads_core_only(tmp_path):
     assert loaded == expected, f"extra: {sorted(loaded - expected)}"
 
 
+def test_graph_convert_loads_graphs_only(tmp_path):
+    graph = tmp_path / "p3.g"
+    graph.write_text("graph 3\n0 1\n1 2\n")
+    stdout, loaded = loaded_modules(
+        "sys.argv = ['observe', 'graph', 'convert', sys.argv[1], '--to', 'adjlist']; "
+        "from observement.cli import main; main()", str(graph))
+    assert stdout.splitlines()[:4] == ["adjlist 3", "0: 1", "1: 0 2", "2: 1"]
+    expected = {*CLI, "observement.graphs"}
+    assert loaded == expected, f"extra: {sorted(loaded - expected)}"
+
+
+def test_graph_motifs_loads_graphs_and_motifs(tmp_path):
+    graph = tmp_path / "k3.g"
+    graph.write_text("adjlist 3\n0: 1 2\n1: 0 2\n2: 0 1\n")
+    stdout, loaded = loaded_modules(
+        "sys.argv = ['observe', 'graph', 'motifs', sys.argv[1]]; "
+        "from observement.cli import main; main()", str(graph))
+    assert stdout.splitlines()[0] == "Bw\t1\tNA"  # one triangle, by its graph6 code
+    expected = {*CLI, "observement.graphs", "observement.motifs"}
+    assert loaded == expected, f"extra: {sorted(loaded - expected)}"
+
+
 def test_version_loads_no_subsystem():
     stdout, loaded = loaded_modules(
         "sys.argv = ['observe', '--version']; from observement.cli import main; main()")

@@ -8,6 +8,7 @@ graphs or equal error texts.
 """
 
 import ast
+import collections
 import gc
 import math
 import random
@@ -16,7 +17,8 @@ import tracemalloc
 from dataclasses import dataclass
 from typing import Sequence
 
-from test_golden_cli import add_graph_faults, graph_file_lines
+from test_golden_cli import (GTEXT_MISSES, add_graph_faults, graph_file_lines, gtext_graph,
+                             gtext_text)
 
 from observement import graphs
 from observement._shared import ascii_int, ascii_ints, reachable, significant_lines
@@ -387,11 +389,31 @@ FAULTS = {
 }
 
 
-def test_reader_agrees_with_the_pair_set_reader():
+def test_reader_agrees_with_the_pair_set_reader(monkeypatch):
+    """Half the texts are edge or adjacency texts with the header first, half
+    of those with one near miss; each path of the reader must be taken often."""
+    paths = collections.Counter()
+    read_plain, walk = graphs._read_plain, graphs.significant_lines
+
+    def counted_read_plain(*args):
+        graph = read_plain(*args)
+        paths["whole-text" if graph is not None else "refused"] += 1
+        return graph
+
+    def counted_walk(text):
+        paths["walk"] += 1
+        return walk(text)
+
+    monkeypatch.setattr(graphs, "_read_plain", counted_read_plain)
+    monkeypatch.setattr(graphs, "significant_lines", counted_walk)
     rng = random.Random(22)
     graphs_read, messages = 0, set()
-    for _ in range(6000):
-        text = random_graph_text(rng)
+    for i in range(6000):
+        if i % 2:
+            miss = rng.choice(GTEXT_MISSES) if rng.random() < 0.5 else None
+            text = gtext_text(rng, *gtext_graph(rng, miss), miss)
+        else:
+            text = random_graph_text(rng)
         expected = outcome(reference_parse_graph_text, text)
         got = outcome(graphs.parse_graph_text, text)
         assert got == expected, text
@@ -401,6 +423,8 @@ def test_reader_agrees_with_the_pair_set_reader():
             messages.add(re.sub(r"\d+", "N", got[1]))
     assert graphs_read >= 2500
     assert FAULTS <= messages, sorted(FAULTS - messages)
+    assert paths["whole-text"] >= 1500 and paths["refused"] >= 500, paths
+    assert paths["walk"] >= 2000, paths
 
 
 WRITERS = [
@@ -507,18 +531,26 @@ def test_random_graphs_and_components_agree_with_the_pair_set_ones():
         assert graphs.largest_component_fraction(g) == largest
 
 
+def peak(read, text):
+    """The most memory ``read(text)`` held at once, in bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        read(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_edge_reader_holds_no_more_than_the_pair_set_reader():
     rng = random.Random(28)
     arcs = {(rng.randrange(250), rng.randrange(250)) for _ in range(5000)}
     text = "digraph 250\n" + "".join(f"{u} {v}\n" for u, v in arcs)
+    assert peak(graphs.parse_graph_text, text) <= peak(reference_parse_graph_text, text)
 
-    def peak(read):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            read(text)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert peak(graphs.parse_graph_text) <= peak(reference_parse_graph_text)
+def test_adjacency_reader_holds_no_more_than_the_pair_set_reader():
+    rng = random.Random(29)
+    arcs = {(rng.randrange(250), rng.randrange(250)) for _ in range(5000)}
+    text = reference_format_adjacency_text(ReferenceDigraph(250, arcs))
+    assert peak(graphs.parse_graph_text, text) <= peak(reference_parse_graph_text, text)

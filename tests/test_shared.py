@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from observement import core, familytree, genetics, graphs, strings
+from observement._shared import first_word, significant_lines
 from observement.errors import ObservementError
 
 # Blank, whitespace-only and indented comment lines: each is skipped but counted.
@@ -24,3 +27,17 @@ def test_error_names_the_true_line_after_blank_and_comment_lines(name):
     lineno = text.count("\n")
     with pytest.raises(ObservementError, match=rf"^line {lineno}[:,]"):
         parse(text)
+
+
+# Text pieces: comment starts, words, blanks, and every ``str.splitlines`` break.
+PIECES = ["#", "# c", "graph", "3", "x#", "Bw", "", " ", "\t", "\xa0", "\u3000", "\x1f",
+          "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+          "\u2029"]
+
+
+def test_first_word_is_the_first_word_of_the_first_significant_line():
+    rng = random.Random(3)
+    for _ in range(20000):
+        text = "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 8)))
+        lines = significant_lines(text)
+        assert first_word(text) == (lines[0][1].split()[0] if lines else ""), repr(text)
