@@ -50,6 +50,11 @@ replaced by a placeholder, followed by the command's label.  The commands:
   spelled ``007``, ``-0``, ``+1`` or in Arabic-Indic digits, a vertex out of
   range, a self-loop in an undirected text, a duplicate adjacency row,
   ``1:2`` with no blank, or an asymmetric undirected adjacency list.
+* extra ``grammar gen`` commands: the benchmark's four grammar templates at
+  ``--max-len`` 0-9 (the path language at most 8), and grammars with unit
+  chains, ``+`` on nonterminals, duplicate alternatives, unreachable and
+  unproductive rules and a solitary start line, some of them finite
+  languages at ``--max-len 1000000000``, all on random letters and digits.
 
 A change to any of those bytes fails the test, which names each changed
 command.  To re-record after a change that is meant, run this module as a
@@ -836,6 +841,42 @@ def dcensus_command(rng, write, large):
     return ["graph", "motifs", write(graph_text(n, pairs, True, rng.random() < 0.3)), "-k", k]
 
 
+# Grammar shapes of the ``ggen/`` family over five random symbols, each with
+# its ``--max-len`` words: a unit chain into a repetition, a longer unit chain,
+# a repeated nonterminal, duplicate alternatives, unreachable and unproductive
+# rules, a solitary start line, and finite languages, one of them empty while
+# a nonterminal it reaches is not.
+GGEN_SHAPES = [
+    ("<a> -> <b>\n<b> -> <c>+\n<c> -> {0} | {1} <c>\n", None),
+    ("<s> -> <t> | {0} <s>\n<t> -> <u>+ {1}\n<u> -> <v>\n<v> -> {2} | {3} <v>\n", None),
+    ("<s> -> <w>+ <w>\n<w> -> {0} | {1} <w>\n", None),
+    ("<s> -> {0} <s> | {0} <s> | {1}\n<s> -> {1} | {2} <t>\n<t> -> {3} | {3}\n", None),
+    ("<s> -> {0} <t> | {1} <u> | {2}\n<t> -> {2} <t>\n<u> -> {3} | {4}+ <u>\n"
+     "<z> -> {0} <z> | {1}\n", None),
+    ("# start named first\n<u>\n<s> -> {0} | {1} <s>\n<u> -> {2} <s> | {3}+\n", None),
+    ("<s> -> {0} {1}\n", "1000000000"),
+    ("<s> -> <x> <y> <x>\n<x> -> {0} | {1} {2}\n<y> -> {3} <x> | {4}\n", "1000000000"),
+    ("<s> -> <x> <q>\n<x> -> {0} | {0} <x>\n<q> -> {1} <q>\n", "1000000000"),
+    ("<s> -> <t>\n<t> -> {0} <u> <u> {1} | <u>\n<u> -> {2} | {3} {4}\n<w> -> {0}+\n",
+     "1000000000"),
+]
+
+
+def ggen_command(rng, write, i):
+    """``grammar gen`` on a benchmark grammar template for ``i < 80``, at
+    ``--max-len i // 4 % 10`` (at most 8 for the path language), and on
+    ``GGEN_SHAPES[i % 10]`` after that."""
+    if i < 80:
+        kind = i % 4
+        text = bench_workloads().grammar_template(rng, kind)[0]
+        max_len = str(min(i // 4 % 10, 8 if kind == 0 else 9))
+    else:
+        shape, max_len = GGEN_SHAPES[i % len(GGEN_SHAPES)]
+        text = shape.format(*rng.sample("ABCDEFdefg0189", 5))
+        max_len = max_len or str(rng.randint(0, 8))
+    return ["grammar", "gen", write(text), "--max-len", max_len]
+
+
 def bench_workloads():
     """The benchmark's ``workloads`` module."""
     sys.path.insert(0, str(BENCH))
@@ -895,6 +936,9 @@ def commands(write):
     rng = random.Random(28)
     for i in range(150):
         yield f"gtext/{i:03d}", gtext_command(rng, write, i)
+    rng = random.Random(29)
+    for i in range(120):
+        yield f"ggen/{i:03d}", ggen_command(rng, write, i)
 
 
 def digests():
