@@ -1,23 +1,23 @@
 """Restricted BNF grammars over single-character alphabets.
 
 Supports concatenation, alternation with ``|``, and one-or-more repetition
-with a postfix ``+``.  That is enough for path languages and body-plan
-templates, while keeping membership decidable by a memoized top-down parse:
-alternatives may not be empty, so every item consumes at least one symbol,
-and left recursion is rejected up front.
+with a postfix ``+``: enough for path languages and body-plan templates.
+Membership is a memoized top-down parse and generation a construction by
+length; both rest on alternatives never being empty, so every item consumes
+at least one symbol, and on left recursion being rejected up front.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count
 
 from ._shared import first_cycle, significant_lines
 from .errors import CapExceeded, ObservementError
 
 GENERATE_CAP = 100_000
-FORM_CAP = 1_000_000
+SYMBOL_CAP = 2**25
 
 
 class GrammarError(ObservementError):
@@ -128,8 +128,7 @@ def _parse_alternatives(tokens, lineno: int):
 
 
 def parse_grammar(text: str) -> Grammar:
-    rules: dict[str, list] = {}
-    order: list[str] = []
+    rules: dict[str, dict] = {}  # alternatives as keys: first-seen order, no repeats
     start = None
     raw_lines = text.splitlines()
     for lineno, _ in significant_lines(text):
@@ -143,38 +142,23 @@ def parse_grammar(text: str) -> Grammar:
         if len(tokens) < 2 or tokens[0][0] != "NAME" or tokens[1][0] != "ARROW":
             raise GrammarError(f"line {lineno}: expected '<name> -> ...'")
         lhs = tokens[0][1]
-        alternatives = _parse_alternatives(tokens[2:], lineno)
-        rules.setdefault(lhs, [])
-        if lhs not in order:
-            order.append(lhs)
-        for alt in alternatives:
-            if alt not in rules[lhs]:
-                rules[lhs].append(alt)
+        rules.setdefault(lhs, {}).update(dict.fromkeys(_parse_alternatives(tokens[2:], lineno)))
     if not rules:
         raise GrammarError("grammar has no rules")
     nonterminals = frozenset(rules)
     terminals = set()
-
-    def walk(item):
-        if isinstance(item, OneOrMore):
-            walk(item.item)
-        elif isinstance(item, Terminal):
+    for item in (_leftmost(item) for alts in rules.values() for alt in alts for item in alt):
+        if isinstance(item, Terminal):
             terminals.add(item.symbol)
-        else:
-            if item.name not in nonterminals:
-                raise GrammarError(f"undefined nonterminal <{item.name}>")
-
-    for alts in rules.values():
-        for alt in alts:
-            for item in alt:
-                walk(item)
+        elif item.name not in nonterminals:
+            raise GrammarError(f"undefined nonterminal <{item.name}>")
     clash = terminals & nonterminals
     if clash:
         raise GrammarError(
             f"names used as both terminal and nonterminal: {sorted(clash)}"
         )
     if start is None:
-        start = order[0]
+        start = next(iter(rules))
     elif start not in nonterminals:
         raise GrammarError(f"undefined nonterminal <{start}>")
     grammar = Grammar(
@@ -272,71 +256,86 @@ def _nonterminal_ends(grammar, s, name, pos):
 # --- generation -------------------------------------------------------------
 
 
-def _item_min(item, lengths: dict):
-    """Shortest expansion of one item, given the per-nonterminal table ``lengths``."""
-    if isinstance(item, Terminal):
-        return 1
-    if isinstance(item, NonTerminal):
-        return lengths[item.name]
-    return _item_min(item.item, lengths)
+def _least(rules) -> dict:
+    """Each head's least value, in the order settled (Knuth's generalisation of Dijkstra):
+    ``(head, needs, weight)`` offers weight plus the values of needs once all are settled."""
+    users, heap, tick = {}, [], count()  # the tick settles equal offers first come, first
+    for head, needs, weight in rules:
+        entry = [head, len(needs), weight]  # needs not yet settled, weight so far
+        for need in needs:
+            users.setdefault(need, []).append(entry)
+        if not needs:
+            heappush(heap, (weight, next(tick), head))
+    least: dict = {}
+    while heap:
+        value, _, head = heappop(heap)
+        if head not in least:
+            least[head] = value
+            for entry in users.pop(head, ()):
+                entry[1:] = entry[1] - 1, entry[2] + value
+                if not entry[1]:
+                    heappush(heap, (entry[2], next(tick), entry[0]))
+    return least
 
 
-def _min_lengths(grammar: Grammar) -> dict:
-    lengths = {name: math.inf for name in grammar.nonterminals}
-    changed = True
-    while changed:
-        changed = False
-        for name, alts in grammar.rules.items():
-            for alt in alts:
-                total = sum(_item_min(item, lengths) for item in alt)
-                if total < lengths[name]:
-                    lengths[name] = total
-                    changed = True
-    return lengths
+def _spell(tables: list, length: int) -> list:
+    """The strings of ``length`` that items derive in turn, from each one's strings by length."""
+    heads = {0: [""]}  # length so far -> the texts so far
+    for after, table in zip(range(len(tables) - 1, 0, -1), tables):  # all but the last
+        grown: dict = {}
+        for used, texts in heads.items():
+            for size, pieces in table.items():
+                if used + size + after > length:
+                    break
+                grown.setdefault(used + size, []).extend([t + p for t in texts for p in pieces])
+        heads = grown
+    return [t + p for used, texts in heads.items() for p in tables[-1].get(length - used, ())
+            for t in texts]
 
 
 def generate(grammar: Grammar, max_len: int) -> list:
     """All derivable strings of length at most ``max_len``, sorted by (length, text).
 
-    Breadth-first expansion of sentential forms with duplicate pruning; forms
-    whose minimum completion length exceeds ``max_len`` are dropped.  Raises
-    CapExceeded when more than ``GENERATE_CAP`` distinct strings would be
-    produced, or more than ``FORM_CAP`` distinct forms explored.
+    A construction by length for each nonterminal the start reaches, and each
+    ``X+`` read as ``X | X X+``, from its shortest length to ``max_len`` less the
+    fewest symbols around it.  Several items join shorter strings; one item
+    lends its strings of the same length, built first, as refusing left
+    recursion allows.  Nothing past K times the longest length built, K the
+    most items in an alternative, is built: it would need a longer piece.
+
+    Raises CapExceeded past ``GENERATE_CAP`` strings, checked after each length,
+    or past ``SYMBOL_CAP`` symbols held in all the strings built.
     """
-    cap, form_cap = GENERATE_CAP, FORM_CAP
     if max_len < 0:
         raise GrammarError(f"max_len must be >= 0, got {max_len}")
-    min_lengths = _min_lengths(grammar)
-
-    def lower_bound(form):
-        return sum(_item_min(item, min_lengths) for item in form)
-
-    results: set = set()
-    start_form = (NonTerminal(grammar.start),)
-    if lower_bound(start_form) > max_len:
-        return []
-    seen = {start_form}
-    queue = deque([start_form])
-    while queue:
-        form = queue.popleft()
-        index = next((i for i, item in enumerate(form) if not isinstance(item, Terminal)), None)
-        if index is None:
-            results.add("".join(item.symbol for item in form))
-            if len(results) > cap:
-                raise CapExceeded(f"generation produced more than {cap} strings")
-            continue
-        head, item, tail = form[:index], form[index], form[index + 1:]
-        if isinstance(item, NonTerminal):
-            successors = [head + alt + tail for alt in grammar.rules[item.name]]
-        else:
-            successors = [
-                head + (item.item,) + tail,
-                head + (item.item, item) + tail,
-            ]
-        for nxt in successors:
-            if nxt not in seen and lower_bound(nxt) <= max_len:
-                seen.add(nxt)
-                if len(seen) > form_cap:
-                    raise CapExceeded(f"generation explored more than {form_cap} forms")
-                queue.append(nxt)
-    return sorted(results, key=lambda t: (len(t), t))
+    rules = {NonTerminal(name): alts for name, alts in grammar.rules.items()} | {
+        item: ((item.item,), (item.item, item)) for alts in grammar.rules.values()
+        for alt in alts for item in alt if isinstance(item, OneOrMore)}
+    least = _least([(Terminal(t), [], 1) for t in grammar.terminals] +
+                   [(node, alt, 0) for node, alts in rules.items() for alt in alts])
+    least = {**dict.fromkeys(rules, max_len + 1), **least}  # past max_len: derives nothing
+    spare = _least([(NonTerminal(grammar.start), [], 0)] + [  # fewest symbols around each
+        (item, [node], sum(map(least.get, alt)) - least[item])
+        for node, alts in rules.items() for alt in alts for item in alt if item in rules])
+    cells = {node: {} for node in spare} | {Terminal(t): {1: [t]} for t in grammar.terminals}
+    wide = max(len(alt) for node in spare for alt in rules[node])
+    order = _least((node, [alt[0] for alt in rules[node] if alt[0] in spare and len(alt) == 1], 0)
+                   for node in spare)  # a single item before its left side
+    plans = [(cells[node], [[cells[item] for item in alt] for alt in rules[node]],
+              least[node], max_len - spare[node]) for node in order]
+    out, held, longest = [], 0, 1
+    for length in range(1, max_len + 1):
+        if length > wide * longest:
+            break
+        for table, alts, low, high in plans:
+            made = ({text for tables in alts for text in _spell(tables, length)}
+                    if low <= length <= high else ())
+            if made:
+                table[length], longest = made, length
+                held += length * len(made)
+                if held > SYMBOL_CAP:
+                    raise CapExceeded(f"generation held more than {SYMBOL_CAP} symbols")
+        out += sorted(cells[NonTerminal(grammar.start)].get(length, ()))
+        if len(out) > GENERATE_CAP:
+            raise CapExceeded(f"generation produced more than {GENERATE_CAP} strings")
+    return out

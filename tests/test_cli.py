@@ -1,4 +1,5 @@
 import random
+import time
 
 import click
 import pytest
@@ -336,6 +337,14 @@ class TestGrammar:
         member = "".join(rng.choice("FLR") for _ in range(399)) + "T"
         result = runner.invoke(cli, ["grammar", "check", path, member], catch_exceptions=False)
         assert result.output == "true\n"
+
+    def test_gen_refuses_a_long_max_len_on_one_symbol_at_a_time(self, runner, tmp_path):
+        path = write(tmp_path / "as.g", "<s> -> a | a <s>\n")
+        began = time.perf_counter()
+        result = runner.invoke(cli, ["grammar", "gen", path, "--max-len", "100000"])
+        assert time.perf_counter() - began < 2
+        assert_domain_error_without_output(result)
+        assert result.stderr == f"Error: generation held more than {2**25} symbols\n"
 
     def test_gen_negative_max_len_is_domain_error(self, runner, tmp_path):
         path = write(tmp_path / "turtle.g", TURTLE)

@@ -1,7 +1,11 @@
 import itertools
+import math
 import random
+import time
+from collections import deque
 
 import pytest
+from test_golden_cli import bench_workloads
 
 from observement import strings
 from observement.errors import CapExceeded
@@ -86,6 +90,15 @@ class TestParseGrammar:
         with pytest.raises(GrammarError, match="line 2"):
             strings.parse_grammar("<a> -> x\n<b -> y\n")
 
+    def test_3000_alternatives_keep_first_seen_order_without_repeats(self):
+        words = [f"a{i:04d}" for i in range(3000)]
+        text = "<s> -> " + " | ".join(" ".join(word) for word in words) + "\n"
+        began = time.perf_counter()
+        grammar = strings.parse_grammar(text + text.replace("<s> ->", "<s> -> b |"))
+        assert time.perf_counter() - began < 0.5
+        alts = grammar.rules["s"]
+        assert ["".join(item.symbol for item in alt) for alt in alts] == words + ["b"]
+
     def test_error_column_counts_from_the_unstripped_line(self):
         with pytest.raises(GrammarError) as info:
             strings.parse_grammar("   <a> -> 'x\n")
@@ -126,22 +139,24 @@ def recursive_left_recursion_check(grammar):
 
 
 def random_grammar(rng, size):
-    """Rules over nonterminals in shuffled order; leftmost items pick other rules at random."""
+    """Rules over nonterminals in shuffled order: one to three alternatives of one to
+    three items, each item a terminal or a nonterminal picked at random, a fifth
+    of them repeated with ``+``; leftmost items are terminals less often."""
     names = [f"{letter}{i}" for i, letter in enumerate(rng.sample("pqrstuvw", size))]
     rng.shuffle(names)
+
+    def item(terminal_share):
+        if rng.random() < terminal_share:
+            base = Terminal(rng.choice("ab"))
+        else:
+            base = NonTerminal(rng.choice(names))
+        return OneOrMore(base) if rng.random() < 0.2 else base
+
     rules = {}
     for name in names:
-        alts = []
-        for _ in range(rng.randint(1, 3)):
-            roll = rng.random()
-            if roll < 0.3:
-                head = Terminal("a")
-            else:
-                head = NonTerminal(rng.choice(names))
-                if roll > 0.8:
-                    head = OneOrMore(head)
-            alts.append((head, Terminal("b")))
-        rules[name] = tuple(alts)
+        rules[name] = tuple(
+            tuple(item(0.6 if i else 0.3) for i in range(rng.choice([1, 2, 2, 3])))
+            for _ in range(rng.randint(1, 3)))
     return strings.Grammar(frozenset("ab"), frozenset(names), rules, names[0])
 
 
@@ -260,6 +275,55 @@ class TestMembership:
         assert not strings.membership(grammar, "hstt")
 
 
+def form_search(grammar, max_len):
+    """The breadth-first search over sentential forms that ``generate`` replaced,
+    kept as an oracle: forms whose shortest completion passes ``max_len`` are
+    dropped, shortest completions coming from a fixpoint over every rule."""
+    lengths = dict.fromkeys(grammar.nonterminals, math.inf)
+
+    def least(item):
+        if isinstance(item, Terminal):
+            return 1
+        if isinstance(item, NonTerminal):
+            return lengths[item.name]
+        return least(item.item)
+
+    changed = True
+    while changed:
+        changed = False
+        for name, alts in grammar.rules.items():
+            for alt in alts:
+                total = sum(map(least, alt))
+                if total < lengths[name]:
+                    lengths[name], changed = total, True
+    start = (NonTerminal(grammar.start),)
+    if sum(map(least, start)) > max_len:
+        return []
+    results, seen, queue = set(), {start}, deque([start])
+    while queue:
+        form = queue.popleft()
+        index = next((i for i, item in enumerate(form) if not isinstance(item, Terminal)), None)
+        if index is None:
+            results.add("".join(item.symbol for item in form))
+            continue
+        head, item, tail = form[:index], form[index], form[index + 1:]
+        if isinstance(item, NonTerminal):
+            successors = [head + alt + tail for alt in grammar.rules[item.name]]
+        else:
+            successors = [head + (item.item,) + tail, head + (item.item, item) + tail]
+        for nxt in successors:
+            if nxt not in seen and sum(map(least, nxt)) <= max_len:
+                seen.add(nxt)
+                queue.append(nxt)
+    return sorted(results, key=lambda t: (len(t), t))
+
+
+def chain(size, link):
+    """``size`` nonterminals in rule order, each ``link`` of the next, the last one ``a``."""
+    return "".join(f"<n{i}> -> {link.format(f'<n{i + 1}>')}\n" for i in range(size)) + \
+        f"<n{size}> -> a\n"
+
+
 class TestGenerate:
     def test_turtle_up_to_one(self, turtle):
         assert strings.generate(turtle, 1) == ["T"]
@@ -281,9 +345,9 @@ class TestGenerate:
         with pytest.raises(CapExceeded, match="more than 10 strings"):
             strings.generate(turtle, 9)
 
-    def test_form_cap_enforced(self, turtle, monkeypatch):
-        monkeypatch.setattr(strings, "FORM_CAP", 5)
-        with pytest.raises(CapExceeded, match="more than 5 forms"):
+    def test_symbol_cap_enforced(self, turtle, monkeypatch):
+        monkeypatch.setattr(strings, "SYMBOL_CAP", 5)
+        with pytest.raises(CapExceeded, match="more than 5 symbols"):
             strings.generate(turtle, 9)
 
     @pytest.mark.parametrize("text", [
@@ -307,3 +371,70 @@ class TestGenerate:
     def test_nonterminating_rule_defines_empty_language(self):
         grammar = strings.parse_grammar("<a> -> x <a>\n")
         assert strings.generate(grammar, 6) == []
+
+    def test_random_grammars_match_the_form_search(self):
+        rng = random.Random(37)
+        checked, shapes, nonempty = 0, set(), 0
+        while checked < 840:
+            grammar = random_grammar(rng, rng.randint(1, 8))
+            if recursive_left_recursion_check(grammar) is not None:
+                continue
+            max_len = checked % 8
+            expected = form_search(grammar, max_len)
+            assert strings.generate(grammar, max_len) == expected, (grammar.rules, max_len)
+            checked += 1
+            nonempty += bool(expected)
+            shapes |= {(len(alt), type(item).__name__, type(getattr(item, "item", item)).__name__)
+                       for alts in grammar.rules.values() for alt in alts for item in alt}
+        assert nonempty > 400
+        assert {(3, "OneOrMore", "Terminal"), (1, "OneOrMore", "NonTerminal"),
+                (1, "NonTerminal", "NonTerminal")} <= shapes
+
+    @pytest.mark.parametrize("kind", range(4))
+    def test_bench_templates_match_the_form_search(self, kind):
+        text = bench_workloads().grammar_template(random.Random(kind), kind)[0]
+        grammar = strings.parse_grammar(text)
+        for max_len in range(9):
+            assert strings.generate(grammar, max_len) == form_search(grammar, max_len)
+
+    def test_finite_language_stops_long_before_max_len(self):
+        assert strings.generate(strings.parse_grammar("<s> -> a b\n"), 10**9) == ["ab"]
+        empty = "<s> -> <x> <q>\n<x> -> a | a <x>\n<q> -> b <q>\n"
+        assert strings.generate(strings.parse_grammar(empty), 10**9) == []
+
+    @pytest.mark.parametrize("text", [
+        "<s> -> <h> <body>\n<body> -> a | b | a <body> | b <body>\n",
+        "<s> -> <h> <m>\n<m> -> <body> c\n<body> -> <ab>+\n<ab> -> a | b\n",
+        "<s> -> <m> <h> | <h> <ab>+\n<m> -> <ab>+ b | b\n<ab> -> a | b\n",
+    ])
+    def test_only_lengths_that_fit_beside_a_long_context_are_built(self, text):
+        # <body>, <ab>+ or <m> at every length up to 36 would pass SYMBOL_CAP.
+        grammar = strings.parse_grammar(text + "<h> -> " + "c " * 30 + "\n")
+        began = time.perf_counter()
+        found = strings.generate(grammar, 36)
+        assert time.perf_counter() - began < 0.5
+        assert found == form_search(grammar, 36)
+        assert len(found) > 10
+
+    def test_chain_of_3000_nonterminals_in_rule_order_derives_nothing_short(self):
+        grammar = strings.parse_grammar(chain(3000, "{} a"))
+        began = time.perf_counter()
+        assert strings.generate(grammar, 5) == []
+        assert time.perf_counter() - began < 0.5
+
+    @pytest.mark.parametrize("link", ["{}", "{}+"])
+    def test_unit_chain_of_3000_nonterminals_in_rule_order(self, link):
+        # Each cell waits for the one below it at the same length; the order
+        # that settles them is found in one pass, without recursion.
+        grammar = strings.parse_grammar(chain(3000, link))
+        began = time.perf_counter()
+        assert strings.generate(grammar, 5) == (["a"] if link == "{}" else
+                                                ["a" * n for n in range(1, 6)])
+        assert time.perf_counter() - began < 2
+
+    def test_one_symbol_at_a_time_to_a_long_max_len_meets_the_symbol_cap(self):
+        grammar = strings.parse_grammar("<s> -> a | a <s>\n")
+        began = time.perf_counter()
+        with pytest.raises(CapExceeded, match=f"^generation held more than {2**25} symbols$"):
+            strings.generate(grammar, 100_000)
+        assert time.perf_counter() - began < 2
