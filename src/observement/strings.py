@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import count
+from itertools import accumulate, count
 
 from ._shared import first_cycle, significant_lines
 from .errors import CapExceeded, ObservementError
@@ -58,19 +58,16 @@ class Grammar:
 
 
 def _tokenize_line(line: str, lineno: int) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
+    tokens, i = [], 0
     while i < len(line):
-        ch = line[i]
-        col = i + 1
+        ch, col = line[i], i + 1
         if ch.isspace():
             i += 1
         elif ch == "<":
             end = line.find(">", i + 1)
             if end < 0:
                 raise GrammarError(f"line {lineno}, col {col}: missing '>'")
-            name = line[i + 1:end].strip()
-            if not name:
+            if not (name := line[i + 1:end].strip()):
                 raise GrammarError(f"line {lineno}, col {col}: empty nonterminal name")
             tokens.append(("NAME", name, col))
             i = end + 1
@@ -80,29 +77,21 @@ def _tokenize_line(line: str, lineno: int) -> list[tuple[str, str, int]]:
                 raise GrammarError(f"line {lineno}, col {col}: unterminated quote")
             sym = line[i + 1:end]
             if len(sym) != 1:
-                raise GrammarError(
-                    f"line {lineno}, col {col}: quoted terminal must be one character, got {sym!r}"
-                )
+                raise GrammarError(f"line {lineno}, col {col}: "
+                                   f"quoted terminal must be one character, got {sym!r}")
             tokens.append(("SYM", sym, col))
             i = end + 1
-        elif ch == "-" and line[i:i + 2] == "->":
+        elif line.startswith("->", i):
             tokens.append(("ARROW", "->", col))
             i += 2
-        elif ch == "|":
-            tokens.append(("PIPE", ch, col))
-            i += 1
-        elif ch == "+":
-            tokens.append(("PLUS", ch, col))
-            i += 1
         else:
-            tokens.append(("SYM", ch, col))
+            tokens.append(({"|": "PIPE", "+": "PLUS"}.get(ch, "SYM"), ch, col))
             i += 1
     return tokens
 
 
 def _parse_alternatives(tokens, lineno: int):
-    alternatives = []
-    items: list = []
+    alternatives, items = [], []
     for kind, value, col in tokens:
         if kind == "PIPE":
             if not items:
@@ -145,8 +134,7 @@ def parse_grammar(text: str) -> Grammar:
         rules.setdefault(lhs, {}).update(dict.fromkeys(_parse_alternatives(tokens[2:], lineno)))
     if not rules:
         raise GrammarError("grammar has no rules")
-    nonterminals = frozenset(rules)
-    terminals = set()
+    nonterminals, terminals = frozenset(rules), set()
     for item in (_leftmost(item) for alts in rules.values() for alt in alts for item in alt):
         if isinstance(item, Terminal):
             terminals.add(item.symbol)
@@ -161,12 +149,8 @@ def parse_grammar(text: str) -> Grammar:
         start = next(iter(rules))
     elif start not in nonterminals:
         raise GrammarError(f"undefined nonterminal <{start}>")
-    grammar = Grammar(
-        terminals=frozenset(terminals),
-        nonterminals=nonterminals,
-        rules={name: tuple(alts) for name, alts in rules.items()},
-        start=start,
-    )
+    grammar = Grammar(terminals=frozenset(terminals), nonterminals=nonterminals,
+                      rules={name: tuple(alts) for name, alts in rules.items()}, start=start)
     _reject_left_recursion(grammar)
     return grammar
 
@@ -178,16 +162,9 @@ def _leftmost(item):
 def _reject_left_recursion(grammar: Grammar) -> None:
     # Leftmost-reachability graph over nonterminals; a cycle would make the
     # memoized parser recurse without consuming input.
-    graph = {
-        name: {
-            _leftmost(alt[0]).name
-            for alt in alts
-            if isinstance(_leftmost(alt[0]), NonTerminal)
-        }
-        for name, alts in grammar.rules.items()
-    }
-    cycle = first_cycle(graph)
-    if cycle:
+    graph = {name: {item.name for item in (_leftmost(alt[0]) for alt in alts)
+                    if isinstance(item, NonTerminal)} for name, alts in grammar.rules.items()}
+    if cycle := first_cycle(graph):
         raise GrammarError("left recursion through " + " -> ".join(f"<{n}>" for n in cycle))
 
 
@@ -205,10 +182,9 @@ def membership(grammar: Grammar, s: str) -> bool:
     """
     if any(ch not in grammar.terminals for ch in s):
         return False
-    memo: dict = {}
+    memo, ends = {}, None
     root = (grammar.start, 0)
     stack = [(root, _nonterminal_ends(grammar, s, *root))]
-    ends = None
     while stack:
         key, walk = stack[-1]
         try:
@@ -237,8 +213,7 @@ def _nonterminal_ends(grammar, s, name, pos):
             # appears; every application consumes at least one symbol.
             repeat = isinstance(item, OneOrMore)
             inner = item.item if repeat else item
-            reached: set = set()
-            frontier = positions
+            reached, frontier = set(), positions
             while frontier:
                 step: set = set()
                 for q in frontier:
@@ -278,19 +253,26 @@ def _least(rules) -> dict:
     return least
 
 
-def _spell(tables: list, length: int) -> list:
-    """The strings of ``length`` that items derive in turn, from each one's strings by length."""
+def _spell(steps: list, length: int, room: int) -> list:
+    """The strings of ``length`` that items derive in turn, from a step for each item;
+    CapExceeded before they, or those joined on the way, would hold over ``room`` symbols."""
     heads = {0: [""]}  # length so far -> the texts so far
-    for after, table in zip(range(len(tables) - 1, 0, -1), tables):  # all but the last
+    for table, fewest, most in steps:  # its strings by length; the symbols of the items after it
         grown: dict = {}
         for used, texts in heads.items():
-            for size, pieces in table.items():
-                if used + size + after > length:
+            low, high = length - used - most, length - used - fewest
+            for size in range(max(low, 1), high + 1) if high - low < len(table) else table:
+                if size > high:
                     break
+                pieces = table.get(size)
+                if size < low or not pieces:
+                    continue
+                room -= len(texts) * len(pieces) * (used + size)
+                if room < 0:
+                    raise CapExceeded(f"generation held more than {SYMBOL_CAP} symbols")
                 grown.setdefault(used + size, []).extend([t + p for t in texts for p in pieces])
         heads = grown
-    return [t + p for used, texts in heads.items() for p in tables[-1].get(length - used, ())
-            for t in texts]
+    return heads.get(length, [])
 
 
 def generate(grammar: Grammar, max_len: int) -> list:
@@ -298,44 +280,60 @@ def generate(grammar: Grammar, max_len: int) -> list:
 
     A construction by length for each nonterminal the start reaches, and each
     ``X+`` read as ``X | X X+``, from its shortest length to ``max_len`` less the
-    fewest symbols around it.  Several items join shorter strings; one item
-    lends its strings of the same length, built first, as refusing left
-    recursion allows.  Nothing past K times the longest length built, K the
-    most items in an alternative, is built: it would need a longer piece.
-
-    Raises CapExceeded past ``GENERATE_CAP`` strings, checked after each length,
-    or past ``SYMBOL_CAP`` symbols held in all the strings built.
+    fewest symbols around it, or to its longest length if its language is finite.
+    Several items join shorter strings; one item lends its strings of the same
+    length, built first, as refusing left recursion allows.  Raises CapExceeded
+    past ``GENERATE_CAP`` strings, checked after each length, or before the
+    strings built, and those being joined, hold over ``SYMBOL_CAP`` symbols.
     """
+    def key(item):  # hashed in C, unlike the items; symbols and names never coincide
+        if isinstance(item, OneOrMore):
+            return (key(item.item),)
+        return item.symbol if isinstance(item, Terminal) else item.name
+
+    def after(alt, bound):  # the fewest or most symbols that the items after each one take
+        return [*accumulate(map(bound.get, alt[:0:-1]), initial=0)][::-1]
+
     if max_len < 0:
         raise GrammarError(f"max_len must be >= 0, got {max_len}")
-    rules = {NonTerminal(name): alts for name, alts in grammar.rules.items()} | {
-        item: ((item.item,), (item.item, item)) for alts in grammar.rules.values()
-        for alt in alts for item in alt if isinstance(item, OneOrMore)}
-    least = _least([(Terminal(t), [], 1) for t in grammar.terminals] +
+    rules = {lhs: [tuple(map(key, alt)) for alt in alts] for lhs, alts in grammar.rules.items()}
+    rules |= {item: ((item[0],), (item[0], item))  # X+ read as X | X X+
+              for alts in rules.values() for alt in alts for item in alt if type(item) is tuple}
+    least = _least([(t, [], 1) for t in grammar.terminals] +
                    [(node, alt, 0) for node, alts in rules.items() for alt in alts])
+    useful = {node: [alt for alt in alts if all(item in least for item in alt)]
+              for node, alts in rules.items() if node in least}
+    most = dict.fromkeys(rules, max_len) | dict.fromkeys(grammar.terminals, 1)  # no bound yet
+    for node in _least((node, {item for alt in alts for item in alt if item in rules}, 0)
+                       for node, alts in useful.items()):  # all items first: none on a cycle
+        most[node] = max(sum(map(most.get, alt)) for alt in useful[node])
     least = {**dict.fromkeys(rules, max_len + 1), **least}  # past max_len: derives nothing
-    spare = _least([(NonTerminal(grammar.start), [], 0)] + [  # fewest symbols around each
+    spare = _least([(grammar.start, [], 0)] + [  # fewest symbols around each
         (item, [node], sum(map(least.get, alt)) - least[item])
         for node, alts in rules.items() for alt in alts for item in alt if item in rules])
-    cells = {node: {} for node in spare} | {Terminal(t): {1: [t]} for t in grammar.terminals}
-    wide = max(len(alt) for node in spare for alt in rules[node])
+    cells = {node: {} for node in spare} | {t: {1: [t]} for t in grammar.terminals}
     order = _least((node, [alt[0] for alt in rules[node] if alt[0] in spare and len(alt) == 1], 0)
                    for node in spare)  # a single item before its left side
-    plans = [(cells[node], [[cells[item] for item in alt] for alt in rules[node]],
-              least[node], max_len - spare[node]) for node in order]
-    out, held, longest = [], 0, 1
+    starts: dict = {}  # first length -> (rank in order, last length, cells, alternatives' cells)
+    for rank, node in enumerate(order):
+        high = min(max_len - spare[node], most[node])
+        if least[node] <= high:
+            starts.setdefault(least[node], []).append((rank, high, cells[node], [
+                [*zip(map(cells.get, alt), after(alt, least), after(alt, most))]
+                for alt in rules[node]]))
+    out, held, plans = [], 0, []
     for length in range(1, max_len + 1):
-        if length > wide * longest:
+        plans = sorted([plan for plan in plans if plan[1] >= length] + starts.pop(length, []))
+        if not (plans or starts):
             break
-        for table, alts, low, high in plans:
-            made = ({text for tables in alts for text in _spell(tables, length)}
-                    if low <= length <= high else ())
+        for _, _, table, alts in plans:
+            made, room = set(), SYMBOL_CAP - held
+            for tables in alts:
+                made.update(texts := _spell(tables, length, room))
+                room -= length * len(texts)
             if made:
-                table[length], longest = made, length
-                held += length * len(made)
-                if held > SYMBOL_CAP:
-                    raise CapExceeded(f"generation held more than {SYMBOL_CAP} symbols")
-        out += sorted(cells[NonTerminal(grammar.start)].get(length, ()))
+                table[length], held = made, held + length * len(made)
+        out += sorted(cells[grammar.start].get(length, ()))
         if len(out) > GENERATE_CAP:
             raise CapExceeded(f"generation produced more than {GENERATE_CAP} strings")
     return out

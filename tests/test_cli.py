@@ -338,10 +338,14 @@ class TestGrammar:
         result = runner.invoke(cli, ["grammar", "check", path, member], catch_exceptions=False)
         assert result.output == "true\n"
 
-    def test_gen_refuses_a_long_max_len_on_one_symbol_at_a_time(self, runner, tmp_path):
-        path = write(tmp_path / "as.g", "<s> -> a | a <s>\n")
+    @pytest.mark.parametrize("text, max_len", [
+        ("<s> -> a | a <s>\n", "100000"),  # one symbol at a time
+        ("<w> -> <y> <y> <y> <y>\n<y> -> " + "<b> " * 8 + "\n<b> -> 0 | 1\n", "32"),  # one cell
+    ])
+    def test_gen_refuses_past_the_symbol_cap_at_once(self, runner, tmp_path, text, max_len):
+        path = write(tmp_path / "big.g", text)
         began = time.perf_counter()
-        result = runner.invoke(cli, ["grammar", "gen", path, "--max-len", "100000"])
+        result = runner.invoke(cli, ["grammar", "gen", path, "--max-len", max_len])
         assert time.perf_counter() - began < 2
         assert_domain_error_without_output(result)
         assert result.stderr == f"Error: generation held more than {2**25} symbols\n"

