@@ -304,8 +304,9 @@ def automaton_graph(automaton_file):
     """Print the state-space digraph of an automaton file."""
     from . import graphs
     machine = graphs.parse_automaton_file(_read(automaton_file))
-    _echo_lines([f"# {index} {state}" for index, state in enumerate(graphs.state_order(machine))])
-    click.echo(graphs.format_graph_file(graphs.state_space_graph(machine)), nl=False)
+    graph = graphs.format_graph_file(graphs.state_space_graph(machine))
+    order = enumerate(graphs.state_order(machine))
+    click.echo("".join(f"# {index} {state}\n" for index, state in order) + graph, nl=False)
 
 
 @cli.command("percolate")

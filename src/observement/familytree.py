@@ -7,11 +7,10 @@ has more than two parents.  Partner edges are stored as unordered pairs to
 reflect the symmetry of the relationship.
 
 A kinship file is read by one loop over one row per line, which builds the
-persons, labels, arcs and partner edges.  The rows come from one
-regular-expression scan of the text when it takes every line.  Otherwise
-each line is read on its own: by the scan's pattern where that takes it,
-and by ``shlex.split`` where it does not (a quoted or escaped word, a faulty
-line), so the faulty line met first is the one named.  A graph proves
+persons, labels, arcs and partner edges.  One regular-expression scan of the
+text gives every row; a line the scan cannot take (a quoted or escaped word,
+a faulty line) is kept whole in its row and split by ``shlex.split`` as the
+loop meets it, so the faulty line met first is the one named.  A graph proves
 itself valid in unsorted passes, acyclicity by in-degree counts (Kahn
 1962); only a graph that fails one is walked again in sorted order, to name
 the same fault whatever the set order.
@@ -228,34 +227,37 @@ _WORDS = re.compile(r"[^ \t\r\n]+")
 # an optional double-quoted label holding no escape, or ``A -> B`` or
 # ``A <-> B``.  Words hold no blank of any kind, quote or backslash, and only
 # space and tab pad them, so each is read as ``shlex.split`` would read it.
+# Any other line falls whole to the last group.  That capture is greedy and
+# sits after the leading blanks: a lazy one, or one outside the group, which
+# lets the leading blanks be read again, reads a long run of blanks in
+# quadratic time.
 _WORD = r"""[^\s"'\\]+"""
 _LINE = re.compile(rf"""
     ^[ \t]*(?:
         \#.*                                                  # a comment
       | (person)[ \t]+({_WORD})(?:[ \t]+("[^"\\\n]*"))?      # 1: person, 2: name, 3: label
       | (?!person[ \t])({_WORD})[ \t]+(<?->)[ \t]+({_WORD})  # 4, 6: the ends, 5: the arrow
+      | (.+)                                                 # 7: any other line
     )?[ \t]*$""", re.M | re.X)
 
 
 def parse_kinship_file(text: str) -> KinshipGraph:
     """Read a kinship file; see the format above.
 
-    Each line gives a row ``(person, name, label, a, arrow, b)``, a label
-    within its quotes.  One scan of the text gives every row when it takes
-    every line; otherwise each line is read on its own as the loop meets it,
-    by the scan's pattern where that takes the line and by ``shlex.split``
-    where it does not, so the faulty line met first is the one named.  A
+    One scan of the text gives one row per line, ``(person, name, label, a,
+    arrow, b, other)``, a label within its quotes.  A line the scan cannot
+    take is ``other``, and only such a line is split by ``shlex.split``, as
+    the loop meets it, so the faulty line met first is the one named.  A
     repeated arc or partner edge is named after every line has been read.
     """
-    lines = text.splitlines()
-    rows = _LINE.findall("\n".join(lines))
-    if len(rows) != len(lines):
-        rows = _line_rows(lines)
+    rows = _LINE.findall("\n".join(text.splitlines()))
     declared: set = set()
     labels: dict = {}
     arcs: list = []
     partners: list = []
-    for lineno, (person, name, label, a, arrow, b) in enumerate(rows, 1):
+    for lineno, (person, name, label, a, arrow, b, other) in enumerate(rows, 1):
+        if other:
+            person, name, label, a, arrow, b = _line_row(lineno, other)
         if person:
             if name in declared:
                 raise KinshipError(f"line {lineno}: person {name!r} declared twice")
@@ -272,17 +274,10 @@ def parse_kinship_file(text: str) -> KinshipGraph:
     arc_set, partner_set = set(arcs), set(partners)
     try:
         if len(arc_set) < len(arcs) or len(partner_set) < len(partners):
-            _raise_first_repeat(_line_rows(lines))
+            _raise_first_repeat(rows)
         return KinshipGraph(declared, arc_set, partner_set, labels)
     except KinshipError as exc:
         raise KinshipError(f"kinship file invalid: {exc}") from exc
-
-
-def _line_rows(lines):
-    """The row of each line in turn, read when it is asked for."""
-    for lineno, line in enumerate(lines, 1):
-        found = _LINE.fullmatch(line)
-        yield found.groups("") if found else _line_row(lineno, line)
 
 
 def _line_row(lineno: int, line: str) -> tuple:
@@ -305,9 +300,12 @@ def _line_row(lineno: int, line: str) -> tuple:
 
 
 def _raise_first_repeat(rows) -> None:
-    """Name the first arc or partner edge that repeats one before it in ``rows``."""
+    """Name the first arc or partner edge that repeats one before it in the scan's
+    ``rows``, splitting again only the lines the scan did not take."""
     seen: set = set()
-    for _, _, _, a, arrow, b in rows:
+    for lineno, (_, _, _, a, arrow, b, other) in enumerate(rows, 1):
+        if other:
+            _, _, _, a, arrow, b = _line_row(lineno, other)
         if arrow == "->":
             if (a, b) in seen:
                 raise KinshipError(f"duplicate arc ({a},{b})")

@@ -108,7 +108,7 @@ def _parse_alternatives(tokens, lineno: int):
             if isinstance(items[-1], OneOrMore):
                 raise GrammarError(f"line {lineno}, col {col}: repeated '+' on one item")
             items[-1] = OneOrMore(items[-1])
-        else:  # pragma: no cover - tokenizer emits no other kinds
+        else:
             raise GrammarError(f"line {lineno}, col {col}: unexpected token {value!r}")
     if not items:
         raise GrammarError(f"line {lineno}: empty alternative")

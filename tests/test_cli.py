@@ -712,6 +712,12 @@ class TestAutomaton:
         assert lines[3] == "digraph 3"
         assert set(lines[4:]) == {"0 1", "1 2", "2 0"}
 
+    def test_over_the_cap_writes_nothing(self, runner, tmp_path):
+        cycle = "".join(f"s{i} -> s{(i + 1) % 5001}\n" for i in range(5001))
+        result = runner.invoke(cli, ["automaton", "graph", write(tmp_path / "m.aut", cycle)])
+        assert_domain_error_without_output(result)
+        assert result.stderr == "Error: graphs are capped at 5000 vertices, got 5001\n"
+
 
 class TestPercolate:
     def test_byte_identical_runs(self, runner):
@@ -884,8 +890,7 @@ class TestOneWrite:
         result = runner.invoke(cli, [arg.format(**files) for arg in args])
         assert result.exit_code == 0, result.output
         assert len(result.stdout.splitlines()) == lines
-        # automaton graph writes its comment lines, then the graph file
-        assert len(writes) == 1 + (args[0] == "automaton")
+        assert len(writes) == 1
 
     @pytest.mark.parametrize("args", [
         ["grammar", "gen", "{turtle}", "--max-len", "0"],
@@ -929,10 +934,12 @@ class TestErrorBranchPins:
          "line 1, col 1: empty nonterminal name"),
         (["grammar", "check", "{0}", "a"], ["<s> -> a++\n"],
          "line 1, col 10: repeated '+' on one item"),
+        (["grammar", "check", "{0}", "a"], ["<a> -> b -> c\n"],
+         "line 1, col 10: unexpected token '->'"),
     ], ids=["graph-header-one-word", "graph-header-three-words", "adjlist-row-out-of-range",
             "person-without-name", "person-with-extra-word", "translate-empty-file",
             "table-invalid-codon", "table-unknown-letter", "grammar-empty-name",
-            "grammar-repeated-plus"])
+            "grammar-repeated-plus", "grammar-arrow-in-alternatives"])
     def test_stderr(self, runner, tmp_path, command, files, stderr):
         paths = [write(tmp_path / f"in{i}.txt", text) for i, text in enumerate(files)]
         result = runner.invoke(cli, [arg.format(*paths) for arg in command])

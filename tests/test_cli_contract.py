@@ -2,12 +2,14 @@
 
 The contract: the exit code is 0, 1 (a one-line domain error) or 2 (a usage
 error); no exception but SystemExit escapes a command, so no traceback is
-printed; and a failing command writes nothing to stdout.
+printed; a command writes its stdout in at most one ``click.echo``; and a
+failing command writes nothing to stdout.
 """
 
 import itertools
 import random
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -163,15 +165,25 @@ def run_keeping_the_contract(tmp_path, commands):
         path.write_text(text)
         return str(path)
 
+    writes, echo = [], click.echo
+
+    def record(*args, **kwargs):
+        writes.append(args)
+        echo(*args, **kwargs)
+
     exits = set()
-    for args in commands(write):
-        result = runner.invoke(cli, args)
-        assert result.exception is None or isinstance(result.exception, SystemExit), \
-            (args, result.exception)
-        assert result.exit_code in (0, 1, 2), args
-        if result.exit_code != 0:
-            assert result.stdout == "", args
-        exits.add(result.exit_code)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(click, "echo", record)
+        for args in commands(write):
+            writes.clear()
+            result = runner.invoke(cli, args)
+            assert result.exception is None or isinstance(result.exception, SystemExit), \
+                (args, result.exception)
+            assert result.exit_code in (0, 1, 2), args
+            assert len(writes) <= 1, args
+            if result.exit_code != 0:
+                assert result.stdout == "", args
+            exits.add(result.exit_code)
     return exits
 
 

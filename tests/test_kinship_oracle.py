@@ -11,6 +11,7 @@ import functools
 import random
 import shlex
 import sys
+import time
 from pathlib import Path
 
 from test_cli_contract import LINES
@@ -118,10 +119,9 @@ def reference_parse(text):
 
 
 def scanned(text):
-    """Whether the one scan of ``text`` takes every line, so that no line of it
-    is read on its own."""
-    lines = text.splitlines()
-    return len(ft._LINE.findall("\n".join(lines))) == len(lines)
+    """Whether the one scan of ``text`` takes every line itself, so that no row
+    falls to the catch-all group and no line is split by ``shlex.split``."""
+    return not any(row[-1] for row in ft._LINE.findall("\n".join(text.splitlines())))
 
 
 def outcome(make, *args):
@@ -245,6 +245,45 @@ class TestReader:
                      "person\t-> b", "a -> b # c"]:
             assert not scanned(line), line
             assert outcome(ft.parse_kinship_file, line) == outcome(reference_parse, line)
+
+    def test_the_scan_gives_one_row_per_line(self):
+        for text in fuzz_texts()[1]:
+            lines = text.splitlines()
+            assert len(ft._LINE.findall("\n".join(lines))) == max(len(lines), 1), repr(text)
+
+    def test_only_the_lines_the_scan_cannot_take_are_shell_split(self, monkeypatch):
+        family = _family(random.Random(3), 5, 60)
+        lines = _kin_text(random.Random(4), *family).splitlines()
+        assert len(lines) > 300 and scanned("\n".join(lines))
+        lines.insert(len(lines) // 2, "person 'q u'")
+        text = "\n".join(lines) + "\n"
+        calls, split_words = [], shlex.split
+
+        def split(*args, **kwargs):
+            calls.append(args)
+            return split_words(*args, **kwargs)
+
+        monkeypatch.setattr(ft.shlex, "split", split)
+        g = ft.parse_kinship_file(text)
+        assert calls == [("person 'q u'",)] and "q u" in g.persons
+
+    def test_long_runs_of_blanks_read_in_linear_time(self):
+        for text in ["a" + " " * 100_000 + "b", "\t" * 100_000 + "x\xa0",
+                     "a -> b" + " " * 100_000 + "c"]:
+            start = time.perf_counter()
+            assert outcome(ft.parse_kinship_file, text) == \
+                "line 1: expected a person, '->', or '<->' line"
+            assert time.perf_counter() - start < 1.0
+
+    def test_a_repeat_after_a_line_the_scan_cannot_take(self):
+        cases = [(f"p -> r\n{line}\nd -> e\np -> r\nd <-> q\n", "duplicate arc (p,r)")
+                 for line in ["person 'q u'", "a\\ b -> c", '"x y" <-> z']]
+        cases += [("a <-> b\n'c d' -> e\nb <-> a\n", "duplicate partner edge {b,a}"),
+                  ("'c d' -> e\nx -> y\nc\\ d -> e\nx -> y\n", "duplicate arc (c d,e)")]
+        for text, repeat in cases:
+            assert not scanned(text)
+            assert outcome(ft.parse_kinship_file, text) == f"kinship file invalid: {repeat}"
+            assert outcome(reference_parse, text) == f"kinship file invalid: {repeat}"
 
 
 class TestValidation:
