@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceeded, ObservementError
-from .graphs import Graph, _pack_graph6, encode_graph6
+from .graphs import Graph, GraphError, _pack_graph6, encode_graph6
 
 CANONICAL_CAP = 10
 
@@ -111,11 +111,16 @@ def lzw_decompress(compressed, alphabet) -> str:
 def canonical_string(g: Graph) -> str:
     """The lexicographically smallest graph6 code over all vertex permutations.
 
-    The canonical form is isomorphism-invariant.  It is found by an exact
-    search that fills graph6 columns one at a time, branching only on the
-    vertices whose column is least, and it is capped at 10 vertices.
-    ``encode_graph6`` gives the code in the given vertex order.
+    The canonical form is isomorphism-invariant.  Every order that gives it
+    starts with a maximum independent set: exactly then are the code's
+    leading bits, one per pair of those vertices, all 0.  An exact search
+    places such a set first as one unordered block, then fills graph6 columns
+    one at a time, branching only on the vertices whose column is least; it
+    is capped at 10 vertices.  ``encode_graph6`` gives the code in the given
+    vertex order.
     """
+    if not isinstance(g, Graph):
+        raise GraphError("graph6 encodes undirected graphs only")
     if g.n > CANONICAL_CAP:
         raise CapExceeded(f"canonical form capped at {CANONICAL_CAP} vertices, got {g.n}")
     bit_count = g.n * (g.n - 1) // 2
@@ -130,40 +135,79 @@ def _minimal_graph6_mask(n: int, adj: tuple) -> int:
     Placing vertex v at position j fixes column j of the graph6 triangle: its
     bits are v's adjacency to the vertices at positions 0..j-1, most
     significant first, so the code so far is a prefix of every completion.
-    Every unplaced vertex's column is kept up to date, and a placed vertex's
-    is pushed above them all.  Only the vertices whose column is least are
-    placed next: any other gives a greater prefix than every completion of a
-    least one.  A prefix greater than the best complete code's prefix is cut;
-    a tie is not, so the minimum is the one a scan of all n! orders finds.
-    Of two twins (same neighbours apart from each other) only the first is
-    placed at a position: swapping them is an automorphism that fixes every
-    placed vertex, so both branches yield the same codes.
+    With k the independence number, the first k(k-1)/2 bits are all 0 exactly
+    when the first k positions hold a maximum independent set S, and no order
+    has more leading 0s; so every least code starts that way.  The order
+    inside S changes none of those bits, so S is placed as one unordered
+    block.  Over a block B, a later vertex u's column is least as u's
+    non-neighbours in B (0s) then its neighbours in B (1s), and placing u
+    splits B the same way.  The placed vertices thus form a list of blocks in
+    position order, a placed vertex being a block of one, and every order
+    inside the blocks gives the same code so far; a block still whole at the
+    end holds twins.  Only the vertices whose column is least are placed
+    next: any other gives a greater prefix than every completion of a least
+    one.  A prefix greater than the best complete code's prefix is cut; a tie
+    is not, so the minimum is the one a scan of all n! orders finds.  Two
+    twins (same neighbours apart from each other) can be swapped by an
+    automorphism that fixes every other vertex, so both yield the same codes:
+    only the first of them is placed at a position, and of each twin class S
+    holds only the highest-numbered members.
     """
     bit_count = n * (n - 1) // 2
     twins = [sum(1 << t for t in range(n) if adj[t] & ~(1 << v) == adj[v] & ~(1 << t))
              for v in range(n)]
-    bits = [[row >> u & 1 for u in range(n)] for row in adj]  # bits[v][u]: u's bit for v too
-    placed = 1 << n  # above every column, which holds fewer than n bits
     best = None
+    largest = []  # the independent sets of the greatest size found so far
+    most = 0
 
-    def extend(prefix: int, j: int, columns: list) -> None:
+    def gather(chosen: int, size: int, candidates: int) -> None:
+        # Take or skip the highest candidate; skipping it skips its lower twins.
+        nonlocal most
+        if size + candidates.bit_count() < most:
+            return
+        if not candidates:
+            if size > most:
+                most = size
+                largest.clear()
+            largest.append(chosen)
+            return
+        v = candidates.bit_length() - 1
+        gather(chosen | 1 << v, size + 1, candidates & ~(adj[v] | 1 << v))
+        gather(chosen, size, candidates & ~twins[v])
+
+    def extend(prefix: int, j: int, blocks: list, unplaced: list) -> None:
         nonlocal best
         if j == n:
             best = prefix
             return
+        columns = []
+        for u in unplaced:
+            row, column = adj[u], 0
+            for block, size in blocks:
+                column = column << size | (1 << (block & row).bit_count()) - 1
+            columns.append(column)
         least = min(columns)
         code = prefix << j | least
         if best is not None and code > best >> bit_count - j * (j + 1) // 2:
             return
         tried = 0
-        for v, column in enumerate(columns):
-            if column == least and not twins[v] & tried:
-                tried |= 1 << v
-                after = [c << 1 | bit for c, bit in zip(columns, bits[v])]
-                after[v] = placed
-                extend(code, j + 1, after)
+        for u, column in zip(unplaced, columns):
+            if column == least and not twins[u] & tried:
+                tried |= 1 << u
+                row, after = adj[u], []
+                for block, size in blocks:
+                    inside = block & row
+                    if inside != block:
+                        after.append((block ^ inside, size - inside.bit_count()))
+                    if inside:
+                        after.append((inside, inside.bit_count()))
+                after.append((1 << u, 1))
+                extend(code, j + 1, after, [w for w in unplaced if w != u])
 
-    extend(0, 0, [0] * n)
+    gather(0, 0, (1 << n) - 1)
+    for independent in largest:
+        extend(0, most, [(independent, most)],
+               [u for u in range(n) if not independent >> u & 1])
     return best
 
 

@@ -378,12 +378,18 @@ def _tally_split(tally: dict, tests: tuple, prefix: tuple, members: int) -> int:
     return mask
 
 
+@functools.cache
+def _class_identifier(mask: int, k: int, directed: bool) -> str:
+    """The identifier of a local mask's class, named once per process."""
+    return _mask_identifier(_canonical_mask(mask, k, directed), k, directed)
+
+
 def _named(tally: dict, k: int, directed: bool) -> dict:
-    """Counts by identifier from counts by local mask, each distinct mask named once."""
+    """Counts by identifier from counts by local mask."""
     counts: dict[str, int] = {}
     for mask, count in tally.items():
         if count:
-            identifier = _mask_identifier(_canonical_mask(mask, k, directed), k, directed)
+            identifier = _class_identifier(mask, k, directed)
             counts[identifier] = counts.get(identifier, 0) + count
     return counts
 

@@ -20,7 +20,9 @@ from observement.complexity import (
 )
 from observement.errors import CapExceeded
 from observement.graphs import (
+    Digraph,
     Graph,
+    GraphError,
     _pack_graph6,
     are_isomorphic,
     encode_graph6,
@@ -170,14 +172,50 @@ def branch_and_bound_mask(n: int, adj: tuple) -> int:
     return best
 
 
-def extend_calls(search, graphs) -> int:
-    """Calls of the nested ``extend`` of ``search``'s module while it runs on ``graphs``."""
+def least_column_mask(n: int, adj: tuple) -> int:
+    """Oracle: the former ``_minimal_graph6_mask``, which places only least columns.
+
+    Every unplaced vertex's column against the placed ones is kept up to
+    date; only the vertices whose column is least are placed next, twins are
+    skipped, and a prefix is cut only when it is greater than the best
+    complete code's prefix.
+    """
+    bit_count = n * (n - 1) // 2
+    twins = [sum(1 << t for t in range(n) if adj[t] & ~(1 << v) == adj[v] & ~(1 << t))
+             for v in range(n)]
+    bits = [[row >> u & 1 for u in range(n)] for row in adj]  # bits[v][u]: u's bit for v too
+    placed = 1 << n  # above every column, which holds fewer than n bits
+    best = None
+
+    def extend(prefix: int, j: int, columns: list) -> None:
+        nonlocal best
+        if j == n:
+            best = prefix
+            return
+        least = min(columns)
+        code = prefix << j | least
+        if best is not None and code > best >> bit_count - j * (j + 1) // 2:
+            return
+        tried = 0
+        for v, column in enumerate(columns):
+            if column == least and not twins[v] & tried:
+                tried |= 1 << v
+                after = [c << 1 | bit for c, bit in zip(columns, bits[v])]
+                after[v] = placed
+                extend(code, j + 1, after)
+
+    extend(0, 0, [0] * n)
+    return best
+
+
+def extend_calls(search, graphs, names=("extend",)) -> int:
+    """Calls of the nested functions ``names`` of ``search``'s module while it runs on ``graphs``."""
     filename = sys.modules[search.__module__].__file__
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code.co_name == "extend" \
+        if event == "call" and frame.f_code.co_name in names \
                 and frame.f_code.co_filename == filename:
             calls += 1
 
@@ -208,6 +246,31 @@ def prism(k):
 
 def _complete(vertices):
     return set(combinations(vertices, 2))
+
+
+def cycle(n):
+    return Graph(n, {(i, (i + 1) % n) for i in range(n)})
+
+
+def complement(g):
+    return Graph(g.n, _complete(range(g.n)) - g.edges)
+
+
+# Graphs at the cap with many automorphisms, many largest independent sets,
+# or twin classes that are cliques or independent sets.
+NAMED_AT_THE_CAP = {
+    "petersen": petersen(),
+    "petersen_complement": complement(petersen()),
+    "prism5": prism(5),
+    "cycle9": cycle(9),
+    "cycle10": cycle(10),
+    "cycle10_complement": complement(cycle(10)),
+    "wheel10": Graph(10, {(0, i) for i in range(1, 10)} | {(i, i % 9 + 1) for i in range(1, 10)}),
+    "cocktail_party": complement(Graph(10, {(2 * i, 2 * i + 1) for i in range(5)})),
+    "perfect_matching10": Graph(10, {(2 * i, 2 * i + 1) for i in range(5)}),
+    "three_k3_and_k1": Graph(10, _complete(range(3)) | _complete(range(3, 6))
+                             | _complete(range(6, 9))),
+}
 
 
 # Graphs with many automorphisms, twins and tied prefixes: they exercise the
@@ -283,7 +346,7 @@ class TestCanonicalString:
 
 
 class TestLeastColumnSearch:
-    """``_minimal_graph6_mask`` against the former branch and bound it replaced."""
+    """``_minimal_graph6_mask`` against the branch and bound the least-column search replaced."""
 
     def test_matches_the_former_search_on_seeded_graphs_up_to_8_vertices(self):
         rng = random.Random(23)
@@ -335,6 +398,62 @@ class TestLeastColumnSearch:
         old = extend_calls(branch_and_bound_mask, graphs)
         assert old > 0
         assert new <= 0.6 * old, (new, old)
+
+
+class TestIndependentSetSearch:
+    """``_minimal_graph6_mask`` against the least-column search it replaced."""
+
+    def test_matches_the_least_column_search_on_every_graph_up_to_6_vertices(self):
+        for n in range(7):
+            for g in all_graphs(n):
+                adj = g._masks[0]
+                assert _minimal_graph6_mask(n, adj) == least_column_mask(n, adj), \
+                    (n, sorted(g.edges))
+
+    @pytest.mark.parametrize("name", sorted(TIE_HEAVY))
+    def test_matches_the_least_column_search_on_tie_heavy_relabellings(self, name):
+        g = TIE_HEAVY[name]
+        rng = random.Random(name)
+        for _ in range(6):
+            h = relabel(g, rng.sample(range(g.n), g.n))
+            adj = h._masks[0]
+            assert _minimal_graph6_mask(h.n, adj) == least_column_mask(h.n, adj)
+
+    @pytest.mark.parametrize("name", sorted(NAMED_AT_THE_CAP))
+    def test_matches_the_least_column_search_on_named_relabellings(self, name):
+        g = NAMED_AT_THE_CAP[name]
+        expected = least_column_mask(g.n, g._masks[0])
+        rng = random.Random(name)
+        for _ in range(3):
+            h = relabel(g, rng.sample(range(g.n), g.n))
+            assert _minimal_graph6_mask(h.n, h._masks[0]) == expected
+
+    def test_matches_the_least_column_search_at_9_and_10_vertices(self):
+        rng = random.Random(27)
+        densities = [0.05, 0.15, 0.25, 0.35, 0.5, 0.65, 0.75, 0.85, 0.95]
+        for i in range(300):
+            g = random_graph(rng, 9 + i % 2, densities[i % len(densities)])
+            adj = g._masks[0]
+            assert _minimal_graph6_mask(g.n, adj) == least_column_mask(g.n, adj), \
+                (g.n, sorted(g.edges))
+
+    def test_places_at_most_20_percent_of_the_least_column_search_nodes(self):
+        # The corpus of the 60 percent guard above: 7- and 8-vertex graphs as
+        # the bench's canonical-form jobs draw them.
+        rng = random.Random(25)
+        graphs = [sampled_graph(rng, rng.choice([7, 8]), 0.3 + 0.3 * rng.randrange(5) / 4)
+                  for _ in range(200)]
+        old = extend_calls(least_column_mask, graphs)
+        placed = extend_calls(_minimal_graph6_mask, graphs)
+        every = extend_calls(_minimal_graph6_mask, graphs, ("extend", "gather"))
+        assert placed > 0
+        assert every > placed
+        assert placed <= 0.2 * old, (placed, old)
+        assert every <= 0.4 * old, (every, old)
+
+    def test_canonical_string_refuses_a_digraph(self):
+        with pytest.raises(GraphError, match="graph6 encodes undirected graphs only"):
+            canonical_string(Digraph(3, [(0, 1), (1, 2)]))
 
 
 class TestRelativeComplexity:
