@@ -151,12 +151,18 @@ def _minimal_graph6_mask(n: int, adj: tuple) -> int:
     twins (same neighbours apart from each other) can be swapped by an
     automorphism that fixes every other vertex, so both yield the same codes:
     only the first of them is placed at a position, and of each twin class S
-    holds only the highest-numbered members.
+    holds only the highest-numbered members.  The sets are searched one after
+    another.  A complete order from the search of S that ties the best code
+    found while searching an earlier set S' ends the search of S: the two
+    orders give the same adjacency, so mapping one onto the other position by
+    position is an automorphism that takes S' to S, and the least code
+    starting with S is then the least starting with S'.
     """
     bit_count = n * (n - 1) // 2
     twins = [sum(1 << t for t in range(n) if adj[t] & ~(1 << v) == adj[v] & ~(1 << t))
              for v in range(n)]
     best = None
+    earlier = False  # whether best was found while searching an earlier set
     largest = []  # the independent sets of the greatest size found so far
     most = 0
 
@@ -175,11 +181,14 @@ def _minimal_graph6_mask(n: int, adj: tuple) -> int:
         gather(chosen | 1 << v, size + 1, candidates & ~(adj[v] | 1 << v))
         gather(chosen, size, candidates & ~twins[v])
 
-    def extend(prefix: int, j: int, blocks: list, unplaced: list) -> None:
-        nonlocal best
+    def extend(prefix: int, j: int, blocks: list, unplaced: list) -> bool:
+        # True when a complete order ties an earlier set's best: this set is done.
+        nonlocal best, earlier
         if j == n:
-            best = prefix
-            return
+            if earlier and prefix == best:
+                return True
+            best, earlier = prefix, False
+            return False
         columns = []
         for u in unplaced:
             row, column = adj[u], 0
@@ -189,7 +198,7 @@ def _minimal_graph6_mask(n: int, adj: tuple) -> int:
         least = min(columns)
         code = prefix << j | least
         if best is not None and code > best >> bit_count - j * (j + 1) // 2:
-            return
+            return False
         tried = 0
         for u, column in zip(unplaced, columns):
             if column == least and not twins[u] & tried:
@@ -202,12 +211,15 @@ def _minimal_graph6_mask(n: int, adj: tuple) -> int:
                     if inside:
                         after.append((inside, inside.bit_count()))
                 after.append((1 << u, 1))
-                extend(code, j + 1, after, [w for w in unplaced if w != u])
+                if extend(code, j + 1, after, [w for w in unplaced if w != u]):
+                    return True
+        return False
 
     gather(0, 0, (1 << n) - 1)
     for independent in largest:
         extend(0, most, [(independent, most)],
                [u for u in range(n) if not independent >> u & 1])
+        earlier = True
     return best
 
 

@@ -378,18 +378,12 @@ def _tally_split(tally: dict, tests: tuple, prefix: tuple, members: int) -> int:
     return mask
 
 
-@functools.cache
-def _class_identifier(mask: int, k: int, directed: bool) -> str:
-    """The identifier of a local mask's class, named once per process."""
-    return _mask_identifier(_canonical_mask(mask, k, directed), k, directed)
-
-
 def _named(tally: dict, k: int, directed: bool) -> dict:
-    """Counts by identifier from counts by local mask."""
+    """Counts by identifier from counts by local mask, each distinct mask named once."""
     counts: dict[str, int] = {}
     for mask, count in tally.items():
         if count:
-            identifier = _class_identifier(mask, k, directed)
+            identifier = _mask_identifier(_canonical_mask(mask, k, directed), k, directed)
             counts[identifier] = counts.get(identifier, 0) + count
     return counts
 

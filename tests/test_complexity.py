@@ -451,6 +451,18 @@ class TestIndependentSetSearch:
         assert placed <= 0.2 * old, (placed, old)
         assert every <= 0.4 * old, (every, old)
 
+    @pytest.mark.parametrize("name", sorted(NAMED_AT_THE_CAP))
+    def test_makes_at_most_75_percent_of_the_least_column_calls_on_named_graphs(self, name):
+        # Dense symmetric graphs have many largest independent sets that are
+        # images of each other; searching each in full made more calls than
+        # the least-column search (the complement of Petersen 904 against 881).
+        g = NAMED_AT_THE_CAP[name]
+        rng = random.Random(name)
+        for h in [g] + [relabel(g, rng.sample(range(g.n), g.n)) for _ in range(3)]:
+            old = extend_calls(least_column_mask, [h])
+            every = extend_calls(_minimal_graph6_mask, [h], ("extend", "gather"))
+            assert every <= 0.75 * old, (every, old)
+
     def test_canonical_string_refuses_a_digraph(self):
         with pytest.raises(GraphError, match="graph6 encodes undirected graphs only"):
             canonical_string(Digraph(3, [(0, 1), (1, 2)]))

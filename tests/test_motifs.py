@@ -491,24 +491,6 @@ class TestCensusOracle:
         built, split = popcounts(count_network_motifs), popcounts(motifs._tally_by_prefix)
         assert 0 < built <= split / 10
 
-    def test_a_second_census_names_no_mask_again(self, monkeypatch):
-        g = looped_digraph(random.Random(6), 30, 0.1, 0.3)
-        calls = []
-        canonical_mask = motifs._canonical_mask
-
-        def counted(*args):
-            calls.append(args)
-            return canonical_mask(*args)
-
-        monkeypatch.setattr(motifs, "_canonical_mask", counted)
-        motifs._class_identifier.cache_clear()
-        first = count_network_motifs(g, 3)
-        named = len(calls)
-        assert named > 0
-        assert count_network_motifs(g, 3) == first
-        assert len(calls) == named
-        assert first.counts == dict(sorted(oracle_census(g, 3).items()))
-
     def test_subgraph_copy_table_rebuilds_from_canonical_masks(self):
         for k in (3, 4):
             cells = k * (k - 1) // 2
