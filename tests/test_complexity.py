@@ -454,8 +454,8 @@ class TestIndependentSetSearch:
     @pytest.mark.parametrize("name", sorted(NAMED_AT_THE_CAP))
     def test_makes_at_most_75_percent_of_the_least_column_calls_on_named_graphs(self, name):
         # Dense symmetric graphs have many largest independent sets that are
-        # images of each other; searching each in full made more calls than
-        # the least-column search (the complement of Petersen 904 against 881).
+        # images of each other: unless a set's search ends at a tie with an
+        # earlier set, the complement of Petersen makes 904 calls against 881.
         g = NAMED_AT_THE_CAP[name]
         rng = random.Random(name)
         for h in [g] + [relabel(g, rng.sample(range(g.n), g.n)) for _ in range(3)]:
