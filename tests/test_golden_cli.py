@@ -50,6 +50,9 @@ replaced by a placeholder, followed by the command's label.  The commands:
   spelled ``007``, ``-0``, ``+1`` or in Arabic-Indic digits, a vertex out of
   range, a self-loop in an undirected text, a duplicate adjacency row,
   ``1:2`` with no blank, or an asymmetric undirected adjacency list.
+  Later ones take other valid spellings in turn: line ends "\r", "\x1d",
+  "\x1e" or "\u2029", "\x1f" among the padding, blanks before an adjacency
+  colon, and a vertex count written with leading zeros.
 * extra ``grammar gen`` commands: the benchmark's four grammar templates at
   ``--max-len`` 0-9 (the path language at most 8), and grammars with unit
   chains, ``+`` on nonterminals, duplicate alternatives, unreachable and
@@ -603,6 +606,11 @@ GTEXT_PADDING = ["", "", " ", "\t", " \t "]
 # The near misses of the ``gtext/`` family, taken in turn by its odd commands.
 GTEXT_MISSES = ["break-head", "break-data", "blank", "comment", "numeral", "range", "loop",
                 "duplicate", "glued", "asymmetric"]
+# Valid spellings the later ``gtext/`` commands take in turn: line ends
+# other than ``GTEXT_BREAKS``, "\x1f" among the padding, blanks before an
+# adjacency colon, and a vertex count with leading zeros.
+GTEXT_SPELLINGS = ["ends", "unit-separator", "colon", "count"]
+GTEXT_ENDS = ["\r", "\x1d", "\x1e", "\u2029"]
 ARABIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66a))))
 
 
@@ -627,7 +635,7 @@ def gtext_lines(rng, source, n, pairs):
 
 
 def gtext_miss(rng, miss, lines):
-    """Apply near miss ``miss`` to the ``gtext_lines`` of an edge or adjacency text."""
+    """Apply near miss or spelling ``miss`` to the ``gtext_lines`` of an edge or adjacency text."""
     source, n = lines[0].split()
     n = int(n)
     k = rng.randrange(1, len(lines)) if len(lines) > 1 else 0  # a data line, or the header
@@ -674,13 +682,22 @@ def gtext_miss(rng, miss, lines):
             heads.append(str(rng.randrange(n)))
             lines.append(f"{heads[0]}:")
         lines.insert(rng.randint(1, len(lines)), f"{rng.choice(heads)}:")
-    else:  # glued
+    elif miss == "glued":
         full = [i for i, line in enumerate(lines) if ": " in line]
         if full:
             k = rng.choice(full)
             lines[k] = lines[k].replace(": ", ":", 1)
         else:
             lines.append(f"{n - 1}:{n - 1}")
+    elif miss == "unit-separator":
+        lines = [rng.choice(["", "\x1f"]) + line.replace(" ", rng.choice(["\x1f", " \x1f"]))
+                 + rng.choice(["", "\x1f", "\x1f "]) for line in lines]
+    elif miss == "colon":  # "3 : 1 2" or "3 :1"
+        for k in range(1, len(lines)):
+            head, _, rest = lines[k].partition(":")
+            lines[k] = head + rng.choice([" :", "\t:", "  : ", " : "]) + rest.lstrip(" ")
+    elif miss == "count":
+        lines[0] = f"{source} {'0' * rng.randint(1, 3)}{n}"
     return lines
 
 
@@ -693,7 +710,7 @@ def gtext_text(rng, source, n, pairs, miss=None):
         lines = gtext_miss(rng, miss, lines)
     for _ in range(rng.choice([0, 0, 1, 3])):
         lines.insert(rng.randint(1, len(lines)), rng.choice(["", " ", "\t"]))
-    end = rng.choice(["\n", "\n", "\r\n"])
+    end = rng.choice(GTEXT_ENDS if miss == "ends" else ["\n", "\n", "\r\n"])
     padded = [rng.choice(GTEXT_PADDING) + line.replace(" ", rng.choice([" ", " ", "  ", "\t"]))
               + rng.choice(GTEXT_PADDING) for line in lines]
     return end.join(padded) + rng.choice([end, end, ""])
@@ -702,7 +719,8 @@ def gtext_text(rng, source, n, pairs, miss=None):
 def gtext_graph(rng, miss):
     """(source, n, pairs) for a ``gtext_text``, of a kind and size ``miss`` can take."""
     sources = {"loop": ["graph", "adjlist"], "duplicate": ["adjlist", "dadjlist"],
-               "glued": ["adjlist", "dadjlist"], "asymmetric": ["adjlist"]}
+               "glued": ["adjlist", "dadjlist"], "asymmetric": ["adjlist"],
+               "colon": ["adjlist", "dadjlist"]}
     source = rng.choice(sources.get(miss, ["graph", "digraph", "adjlist", "dadjlist"]))
     n = rng.choice([0, 1, 1, 2, 3, 4, 6, 9, 15, 40])
     if miss in ("loop", "duplicate", "glued", "asymmetric"):
@@ -714,19 +732,17 @@ def gtext_graph(rng, miss):
     return source, n, pairs
 
 
-def gtext_command(rng, write, i):
+def gtext_command(rng, write, miss):
     """``graph convert``, ``graph sub`` or ``complexity`` on an edge or adjacency
-    text with the header first, plain for even ``i`` and with near miss
-    ``GTEXT_MISSES[i // 2 % 10]`` for odd ``i``.
+    text with the header first, plain or with near miss or spelling ``miss``.
 
     The near misses: a line break other than "\\n" in the header or a data
     line, a no-break or ideographic space among the padding, a comment before
     the header, a vertex written ``007``, ``-0``, ``+1`` or in Arabic-Indic
     digits, a vertex out of range, a self-loop in an undirected text, a
     duplicate adjacency row, ``1:2`` with no blank, and an asymmetric
-    undirected adjacency list.
+    undirected adjacency list.  The spellings are ``GTEXT_SPELLINGS``.
     """
-    miss = GTEXT_MISSES[i // 2 % len(GTEXT_MISSES)] if i % 2 else None
     source, n, pairs = gtext_graph(rng, miss)
     path = write(gtext_text(rng, source, n, pairs, miss))
     command = rng.choice(["convert", "convert", "convert", "sub", "complexity"])
@@ -935,10 +951,14 @@ def commands(write):
         yield f"dcensus/{i:03d}", dcensus_command(rng, write, large=i % 15 == 7)
     rng = random.Random(28)
     for i in range(150):
-        yield f"gtext/{i:03d}", gtext_command(rng, write, i)
+        miss = GTEXT_MISSES[i // 2 % len(GTEXT_MISSES)] if i % 2 else None
+        yield f"gtext/{i:03d}", gtext_command(rng, write, miss)
     rng = random.Random(29)
     for i in range(120):
         yield f"ggen/{i:03d}", ggen_command(rng, write, i)
+    rng = random.Random(30)
+    for i in range(150, 198):
+        yield f"gtext/{i:03d}", gtext_command(rng, write, GTEXT_SPELLINGS[i % 4])
 
 
 def digests():
