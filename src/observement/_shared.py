@@ -23,9 +23,14 @@ def significant_lines(text: str) -> list:
             if line and line[0] != "#"]
 
 
-# Blanks and comment lines, then the next word: a comment runs to the next
-# character where ``str.splitlines`` breaks, and ``\s`` is ``str.isspace``.
-_FIRST_WORD = r"(?:\s*#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)*\s*(\S*)"
+# Regular-expression class bodies: BREAKS holds every character where
+# ``str.splitlines`` breaks ("\r\n" is one break), and BLANKS every other
+# character where ``str.split`` splits, so ``\s`` is the two together.
+BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+BLANKS = r"\t \x1f\xa0\u1680\u2000-\u200a\u202f\u205f\u3000"
+
+# Blanks and comment lines, then the next word: a comment runs to the next break.
+_FIRST_WORD = rf"(?:\s*#[^{BREAKS}]*)*\s*(\S*)"
 
 
 def first_word(text: str) -> str:

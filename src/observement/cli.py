@@ -371,7 +371,7 @@ def tree_descendants(kinship_file, person):
 
 def _looks_like_graph(text: str) -> bool:
     from . import graphs
-    return first_word(text) in graphs._HEADER_PARSERS
+    return first_word(text) in graphs._READERS
 
 
 @cli.command("complexity")

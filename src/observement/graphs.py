@@ -4,13 +4,13 @@ Vertices are integers 0..n-1.  Edge lists, adjacency lists, adjacency
 matrices and graph6 text encode the same structure and convert losslessly in
 every direction, which is what makes them interchangeable.  Each is read
 into and written from one adjacency bitset row per vertex, the only stored
-form; ``edges`` and ``arcs`` are read off the rows when first asked for.  A
-plain edge or adjacency text is read in whole-text passes, any other by a
-line walk, which alone names faults.  Also here: isomorphism and subgraph
-search sharing one exact backtracking routine (small sizes only, with
-explicit caps) whose candidate sets are bitset intersections of host
-adjacency rows, cut before the search by degree profiles and by parity, the
-state-space digraph of a finite automaton, and percolation sweeps.
+form; ``edges`` and ``arcs`` are read off the rows when first asked for.
+Each text format has one reader, whole-text passes that also name its
+faults.  Also here: isomorphism and subgraph search sharing one exact
+backtracking routine (small sizes only, with explicit caps) whose candidate
+sets are bitset intersections of host adjacency rows, cut before the search
+by degree profiles and by parity, the state-space digraph of a finite
+automaton, and percolation sweeps.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import re
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Sequence
 
-from ._shared import ascii_int, ascii_ints, significant_lines
+from ._shared import BLANKS, BREAKS, ascii_int, ascii_ints
 from .errors import CapExceeded, ObservementError
 
 ISO_CAP = 10
@@ -210,8 +210,13 @@ def from_edge_list(n: int, pairs: Iterable, directed: bool = False):
 def from_adjacency_list(rows: Sequence, directed: bool = False):
     n = len(rows)
     _check_vertex_count(n, "")
-    if all(0 <= min(row) and max(row) < n for row in rows if row):
-        masks = [sum(set(map((1).__lshift__, row))) for row in rows]
+    masks = [0] * n
+    for u, row in enumerate(rows):
+        if row and not 0 <= min(row) <= max(row) < n:
+            break
+        for v in row:
+            masks[u] |= 1 << v
+    else:
         if directed or not _matrix_fault(masks):
             return (Digraph if directed else Graph)._from_rows(n, masks)
     # Refused: the pair walk names the fault that set order meets first.
@@ -521,16 +526,24 @@ def percolation_sweep(n: int, p_values: Iterable, trials: int, seed) -> list:
 #   matrix N / dmatrix N    N rows of N characters, each 0 or 1
 #   adjlist N / dadjlist N  N lines "v: neighbours..."
 #
-# graph6 text has no header; parse_graph_text falls back to it for a
-# single-line input that matches no header keyword.  A plain text, a graph,
-# digraph, adjlist or dadjlist header first and then lines of ASCII digits
-# padded by spaces and tabs (an adjacency line's colon right after its
-# vertex), each ended by "\n" or "\r\n", is read in whole-text passes.  An edge
-# body takes one search for a line that is not blank or two vertices.
-_PLAIN_HEAD = re.compile(
-    r"[ \t]*(graph|digraph|adjlist|dadjlist)[ \t]+([0-9]{1,4})[ \t]*(?:\r?\n|\Z)")
-_EDGE_MISS = re.compile(r"\n(?![ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*)?\r?(?:\n|\Z))")
-_ADJACENCY_LINE = re.compile(r"^[ \t]*(?:([0-9]+):((?:[ \t]+[0-9]+)*)[ \t]*)?\r?$", re.M)
+# Lines end where str.splitlines breaks and words part where str.split does;
+# blank and "#" lines may stand anywhere.  A lone word on a lone line that is
+# no keyword is graph6.  An edge body is read by one search for its first line
+# that is not two vertices and one split of the lines before it, any other
+# body by one scan giving a row per line.  Line faults are named from these
+# matches, graph faults by a build from the pair set, in set order.
+_B = f"[{BLANKS}]"
+_INT = r"-?[0-9]+"
+_ROW_END = rf"(?:\r\n|[{BREAKS}]|\Z)"
+_HEAD = re.compile(rf"(?<![^{BREAKS}]){_B}*([^\s#]\S*)(?:{_B}+(\S+))?([^{BREAKS}]*)")
+_EDGE_MISS = re.compile(rf"[{BREAKS}](?![0-9]+ [0-9]+[{BREAKS}]|{_B}*(?:{_INT}{_B}+{_INT}{_B}*|"
+                        rf"#[^{BREAKS}]*|)(?:[{BREAKS}]|\Z))([^{BREAKS}]*)")
+_COMMENT = re.compile(rf"#[^{BREAKS}]*")
+_MATRIX_ROW = re.compile(rf"{_B}*(?:([01]+){_B}*|#[^{BREAKS}]*|([^{BREAKS}]*)){_ROW_END}")
+_ADJACENCY_ROW = re.compile(
+    rf"{_B}*(?:({_INT}){_B}*:([-0-9{BLANKS}]*)|#[^{BREAKS}]*|([^{BREAKS}]*)){_ROW_END}")
+_ARROW_ROW = re.compile(
+    rf"{_B}*(?:([^\s#]\S*){_B}+->{_B}+(\S+){_B}*|#[^{BREAKS}]*|([^{BREAKS}]*)){_ROW_END}")
 
 
 def format_graph_file(g) -> str:
@@ -560,131 +573,117 @@ def format_adjacency_text(g) -> str:
 
 def parse_graph_text(text: str):
     """Parse any of the text representations (including bare graph6) to a graph."""
-    plain = _PLAIN_HEAD.match(text)
-    if plain and int(plain[2]) <= VERTEX_CAP:
-        graph = _read_plain(plain[1], int(plain[2]), text[plain.end():])
-        if graph is not None:
-            return graph
-    lines = significant_lines(text)  # the line walk
-    if not lines:
+    head = _HEAD.search(text)
+    if not head:
         raise GraphError("empty graph text")
-    head = lines[0][1].split()
-    keyword = head[0]
-    if keyword in _HEADER_PARSERS:
-        parser, directed = _HEADER_PARSERS[keyword]
-        return parser(lines, directed)
-    if len(lines) == 1 and len(head) == 1:
-        return decode_graph6(head[0])
-    raise GraphError(f"line {lines[0][0]}: unknown header {keyword!r}")
-
-
-def _read_plain(keyword: str, n: int, body: str):
-    """The graph of a plain text's body, or None for the line walk to read: a line
-    the passes refuse, a name ``names`` lacks, a duplicate row or a build fault."""
-    names = dict(zip(map(str, range(n)), range(n)))
+    keyword, count, rest = head.groups()
+    first = _line_number(text, head.start())
+    if keyword not in _READERS:
+        if count or rest.strip() or _HEAD.search(text, head.end()):
+            raise GraphError(f"line {first}: unknown header {keyword!r}")
+        return decode_graph6(keyword)
+    if not count or rest.strip():
+        raise GraphError(f"line {first}: expected '<kind> <n>'")
     try:
-        if keyword.endswith("graph"):
-            if _EDGE_MISS.search("\n" + body):
-                return None
-            ends = map(names.__getitem__, body.split())
-            return from_edge_list(n, zip(ends, ends), keyword == "digraph")
-        found = _ADJACENCY_LINE.findall(body)
-        heads = [head for head, _ in found if head]
-        if len(found) != body.count("\n") + 1 or len(set(heads)) < len(heads):
-            return None
-        rows = [0] * n
-        for head, rest in found:
-            if head:
-                row = 0
-                for v in map(names.__getitem__, rest.split()):
-                    row |= 1 << v
-                rows[names[head]] = row
-        return _matrix_graph(rows, keyword == "dadjlist")
-    except (KeyError, GraphError):
-        return None
-
-
-def _parse_header_n(lines):
-    lineno, line = lines[0]
-    parts = line.split()
-    if len(parts) != 2:
-        raise GraphError(f"line {lineno}: expected '<kind> <n>'")
-    try:
-        n = ascii_int(parts[1])
+        n = ascii_int(count)
     except ValueError:
-        raise GraphError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
-    _check_vertex_count(n, f"line {lineno}: ")
-    return n
+        raise GraphError(f"line {first}: bad vertex count {count!r}") from None
+    _check_vertex_count(n, f"line {first}: ")
+    read, directed = _READERS[keyword]
+    return read(text, head.end(), first, n, directed)
 
 
-def _vertices(tokens: list, lineno: int) -> list:
+def _line_number(text: str, pos: int) -> int:
+    """The number, from 1, of the line that holds ``pos`` or ends there."""
+    return len(text[:pos + 1].splitlines())
+
+
+def _named(words: list, names: dict) -> list:
+    """The vertices ``words`` name in ``names``; on a miss, ``ascii_ints`` of them."""
     try:
-        return ascii_ints(tokens)
-    except ValueError as exc:
+        return list(map(names.__getitem__, words))
+    except KeyError:
+        return ascii_ints(words)
+
+
+def _read_edges(text: str, start: int, first: int, n: int, directed: bool):
+    miss = _EDGE_MISS.search(text, start)
+    body = text[start:miss and miss.start()]
+    if "#" in body:
+        body = _COMMENT.sub("", body)
+    words = body.split()
+    try:
+        ends = _named(words, dict(zip(map(str, range(n)), range(n))))
+    except ValueError as exc:  # a vertex of more digits than int() reads, met first in body
+        lineno = first + _line_number(body, body.index(exc.args[0])) - 1
         raise GraphError(f"line {lineno}: bad vertex {exc.args[0]!r}") from None
+    if miss:
+        where, words = f"line {_line_number(text, miss.end())}: ", miss[1].split()
+        if len(words) != 2:
+            raise GraphError(f"{where}expected 'u v'")
+        try:
+            ascii_ints(words)
+        except ValueError as exc:
+            raise GraphError(f"{where}bad vertex {exc.args[0]!r}") from None
+    try:
+        return from_edge_list(n, zip(ends[::2], ends[1::2]), directed)
+    except GraphError:  # refused: the pair set names the fault its order meets first
+        return from_edge_list(n, set(zip(ends[::2], ends[1::2])), directed)
 
 
-def _parse_edge_lines(lines, directed: bool):
-    n = _parse_header_n(lines)
-    pairs = set()
-    for lineno, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphError(f"line {lineno}: expected 'u v'")
-        pairs.add(tuple(_vertices(parts, lineno)))
-    return from_edge_list(n, pairs, directed)
-
-
-def _parse_matrix_lines(lines, directed: bool):
-    n = _parse_header_n(lines)
-    body = [line for _, line in lines[1:]]
-    if len(body) == n and set(map(len, body)) <= {n} and not "".join(body).strip("01"):
-        return _matrix_graph([int(line[::-1], 2) for line in body], directed)
-    # Refused: the line walk names the first fault.
-    for lineno, line in lines[1:]:
-        if len(line) != n or line.strip("01"):
+def _read_matrix(text: str, start: int, first: int, n: int, directed: bool):
+    found = _MATRIX_ROW.findall(text, start)
+    for lineno, (cells, other) in enumerate(found, first):
+        if other or len(cells) not in (0, n):
             raise GraphError(f"line {lineno}: expected {n} characters of 0/1")
-    raise GraphError(f"expected {n} matrix rows, got {len(body)}")
+    rows = [int(cells[::-1], 2) for cells, _ in found if cells]
+    if len(rows) != n:
+        raise GraphError(f"expected {n} matrix rows, got {len(rows)}")
+    return _matrix_graph(rows, directed)
 
 
-def _parse_adjacency_lines(lines, directed: bool):
-    n = _parse_header_n(lines)
+def _read_adjacency(text: str, start: int, first: int, n: int, directed: bool):
+    names = dict(zip(map(str, range(n)), range(n)))
     rows: list = [None] * n
-    for lineno, line in lines[1:]:
-        head, sep, rest = line.partition(":")
-        if not sep:
-            raise GraphError(f"line {lineno}: expected 'v: neighbours'")
-        (v,) = _vertices([head.strip()], lineno)
-        if not (0 <= v < n):
-            raise GraphError(f"line {lineno}: vertex {v} out of range")
-        if rows[v] is not None:
-            raise GraphError(f"line {lineno}: duplicate row for vertex {v}")
-        rows[v] = _vertices(rest.split(), lineno)
+    for lineno, (head, rest, other) in enumerate(_ADJACENCY_ROW.findall(text, start), first):
+        if other:
+            head, colon, rest = other.partition(":")
+            if not colon:
+                raise GraphError(f"line {lineno}: expected 'v: neighbours'")
+        elif not head:
+            continue
+        try:
+            v = names[head] if head in names else ascii_int(head.strip())
+            if not 0 <= v < n:
+                raise GraphError(f"line {lineno}: vertex {v} out of range")
+            if rows[v] is not None:
+                raise GraphError(f"line {lineno}: duplicate row for vertex {v}")
+            rows[v] = _named(rest.split(), names)
+        except ValueError as exc:
+            raise GraphError(f"line {lineno}: bad vertex {exc.args[0]!r}") from None
     return from_adjacency_list([row or [] for row in rows], directed)
 
 
-# Header keyword -> (line parser, directed).
-_HEADER_PARSERS = {
-    "graph": (_parse_edge_lines, False),
-    "digraph": (_parse_edge_lines, True),
-    "matrix": (_parse_matrix_lines, False),
-    "dmatrix": (_parse_matrix_lines, True),
-    "adjlist": (_parse_adjacency_lines, False),
-    "dadjlist": (_parse_adjacency_lines, True),
+# Header keyword -> (reader, directed); also what makes a text a graph text to the CLI.
+_READERS = {
+    "graph": (_read_edges, False),
+    "digraph": (_read_edges, True),
+    "matrix": (_read_matrix, False),
+    "dmatrix": (_read_matrix, True),
+    "adjlist": (_read_adjacency, False),
+    "dadjlist": (_read_adjacency, True),
 }
 
 
 def parse_automaton_file(text: str) -> Automaton:
     """Lines of 'state -> state'; every state must have exactly one successor."""
-    successor = {}
-    states = set()
-    for lineno, line in significant_lines(text):
-        parts = line.split()
-        if len(parts) != 3 or parts[1] != "->":
+    successor, states = {}, set()
+    for lineno, (src, dst, other) in enumerate(_ARROW_ROW.findall(text), 1):
+        if other:
             raise GraphError(f"line {lineno}: expected 'state -> state'")
-        src, dst = parts[0], parts[2]
         if src in successor:
             raise GraphError(f"line {lineno}: state {src!r} has two successors")
-        successor[src] = dst
-        states.update((src, dst))
+        if src:
+            successor[src] = dst
+            states.update((src, dst))
     return Automaton(frozenset(states), successor)

@@ -17,8 +17,8 @@ import tracemalloc
 from dataclasses import dataclass
 from typing import Sequence
 
-from test_golden_cli import (GTEXT_MISSES, add_graph_faults, graph_file_lines, gtext_graph,
-                             gtext_text)
+from test_golden_cli import (GTEXT_MISSES, GTEXT_SPELLINGS, add_graph_faults, graph_file_lines,
+                             gtext_graph, gtext_text)
 
 from observement import graphs
 from observement._shared import ascii_int, ascii_ints, reachable, significant_lines
@@ -307,6 +307,21 @@ REFERENCE_PARSERS = {
     "dadjlist": (reference_adjacency_lines, True),
 }
 
+
+def reference_parse_automaton_file(text):
+    successor = {}
+    states = set()
+    for lineno, line in significant_lines(text):
+        parts = line.split()
+        if len(parts) != 3 or parts[1] != "->":
+            raise GraphError(f"line {lineno}: expected 'state -> state'")
+        src, dst = parts[0], parts[2]
+        if src in successor:
+            raise GraphError(f"line {lineno}: state {src!r} has two successors")
+        successor[src] = dst
+        states.update((src, dst))
+    return graphs.Automaton(frozenset(states), successor)
+
 # --- comparison ---------------------------------------------------------------
 
 
@@ -386,31 +401,20 @@ FAULTS = {
     "line N: expected N characters of N/N", "expected N matrix rows, got N",
     "line N: duplicate row for vertex N", "line N: vertex N out of range",
     "line N: bad vertex 'x'", "line N: bad vertex count 'x'",
+    "line N: expected 'v: neighbours'", "line N: expected '<kind> <n>'",
+    "line N: unknown header 'N'", "empty graph text", "line N: vertex count must be >= N",
+    "byte N at position N outside graphN range",
 }
 
 
-def test_reader_agrees_with_the_pair_set_reader(monkeypatch):
+def test_reader_agrees_with_the_pair_set_reader():
     """Half the texts are edge or adjacency texts with the header first, half
-    of those with one near miss; each path of the reader must be taken often."""
-    paths = collections.Counter()
-    read_plain, walk = graphs._read_plain, graphs.significant_lines
-
-    def counted_read_plain(*args):
-        graph = read_plain(*args)
-        paths["whole-text" if graph is not None else "refused"] += 1
-        return graph
-
-    def counted_walk(text):
-        paths["walk"] += 1
-        return walk(text)
-
-    monkeypatch.setattr(graphs, "_read_plain", counted_read_plain)
-    monkeypatch.setattr(graphs, "significant_lines", counted_walk)
+    of those with one near miss or another valid spelling."""
     rng = random.Random(22)
     graphs_read, messages = 0, set()
     for i in range(6000):
         if i % 2:
-            miss = rng.choice(GTEXT_MISSES) if rng.random() < 0.5 else None
+            miss = rng.choice(GTEXT_MISSES + GTEXT_SPELLINGS) if rng.random() < 0.5 else None
             text = gtext_text(rng, *gtext_graph(rng, miss), miss)
         else:
             text = random_graph_text(rng)
@@ -423,8 +427,35 @@ def test_reader_agrees_with_the_pair_set_reader(monkeypatch):
             messages.add(re.sub(r"\d+", "N", got[1]))
     assert graphs_read >= 2500
     assert FAULTS <= messages, sorted(FAULTS - messages)
-    assert paths["whole-text"] >= 1500 and paths["refused"] >= 500, paths
-    assert paths["walk"] >= 2000, paths
+
+
+# Words and blanks of automaton lines: arrows, near arrows, comment starts and
+# states that look like them, with every break and some blanks of str.split.
+AUTOMATON_PIECES = ["a", "b", "c", "->", "-> ", " -> ", "-->", "<-", "#", "#a", "a#", "- >",
+                    " ", "\t", "\x1f", "\xa0", "\u3000", "\n", "\n", "\r", "\r\n", "\x0b",
+                    "\x1c", "\x1e", "\x85", "\u2029"]
+
+
+def test_automaton_reader_agrees_with_the_line_walk():
+    """Machines on up to four states, some with a second successor line, with
+    noise lines made of pieces of lines."""
+    rng = random.Random(30)
+    outcomes = collections.Counter()
+    for _ in range(6000):
+        states = rng.sample("abcd", rng.randint(1, 4))
+        lines = [f"{s} -> {rng.choice(states)}" for s in states]
+        if rng.random() < 0.2:
+            lines.insert(rng.randint(0, len(lines)), f"{rng.choice(states)} -> a")
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            piece = "".join(rng.choice(AUTOMATON_PIECES) for _ in range(rng.randint(1, 5)))
+            lines.insert(rng.randint(0, len(lines)), piece)
+        text = rng.choice(["\n", "\r\n", "\u2028"]).join(lines)
+        got = outcome(graphs.parse_automaton_file, text)
+        assert got == outcome(reference_parse_automaton_file, text), text
+        outcomes[got[1].split(":")[1] if isinstance(got, tuple) else "read"] += 1
+    assert outcomes["read"] >= 2000, outcomes
+    assert outcomes[" expected 'state -> state'"] >= 300, outcomes
+    assert sum(outcomes[k] for k in outcomes if "two successors" in k) >= 300, outcomes
 
 
 WRITERS = [
@@ -553,4 +584,12 @@ def test_adjacency_reader_holds_no_more_than_the_pair_set_reader():
     rng = random.Random(29)
     arcs = {(rng.randrange(250), rng.randrange(250)) for _ in range(5000)}
     text = reference_format_adjacency_text(ReferenceDigraph(250, arcs))
+    assert peak(graphs.parse_graph_text, text) <= peak(reference_parse_graph_text, text)
+
+
+def test_matrix_reader_holds_no_more_than_the_pair_set_reader():
+    rng = random.Random(30)
+    edges = {(u, v) for u, v in ((rng.randrange(250), rng.randrange(250)) for _ in range(3000))
+             if u < v}
+    text = reference_format_matrix_text(ReferenceGraph(250, edges))
     assert peak(graphs.parse_graph_text, text) <= peak(reference_parse_graph_text, text)

@@ -1,9 +1,11 @@
 import random
+import re
+import sys
 
 import pytest
 
 from observement import core, familytree, genetics, graphs, strings
-from observement._shared import first_word, significant_lines
+from observement._shared import BLANKS, BREAKS, first_word, significant_lines
 from observement.errors import ObservementError
 
 # Blank, whitespace-only and indented comment lines: each is skipped but counted.
@@ -41,3 +43,10 @@ def test_first_word_is_the_first_word_of_the_first_significant_line():
         text = "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 8)))
         lines = significant_lines(text)
         assert first_word(text) == (lines[0][1].split()[0] if lines else ""), repr(text)
+
+
+def test_breaks_and_blanks_are_where_splitlines_and_split_part():
+    breaks, blanks = re.compile(f"[{BREAKS}]"), re.compile(f"[{BLANKS}]")
+    for ch in map(chr, range(sys.maxunicode + 1)):
+        assert bool(breaks.match(ch)) == (len(f"a{ch}b".splitlines()) == 2), hex(ord(ch))
+        assert bool(blanks.match(ch)) == (ch.isspace() and not breaks.match(ch)), hex(ord(ch))
