@@ -57,7 +57,10 @@ replaced by a placeholder, followed by the command's label.  The commands:
   ``--max-len`` 0-9 (the path language at most 8), and grammars with unit
   chains, ``+`` on nonterminals, duplicate alternatives, unreachable and
   unproductive rules and a solitary start line, some of them finite
-  languages at ``--max-len 1000000000``, all on random letters and digits.
+  languages at ``--max-len 1000000000``, all on random letters and digits;
+  later ones take ambiguous grammars of ``X+ Y+`` runs at ``--max-len``
+  40-800, and grammars whose alternatives of 3-6 items share prefixes;
+* one more ``kinfault/`` command, with a refused line of one 16k-unit word.
 
 A change to any of those bytes fails the test, which names each changed
 command.  To re-record after a change that is meant, run this module as a
@@ -167,14 +170,15 @@ KIN_MALFORMED = ["{0} {1}", "person", "person {0} {1} {0}", "{0} -> {1} {0}", '"
 
 def kinfault_command(rng, write, i):
     """``tree`` on a genealogy shaped like the benchmark's, 6-60 persons, with
-    the faults of ``KIN_FAULT_PLANS[i % 15]``; odd ``i`` spell one name with
-    quotes or an escape.
+    the faults of ``KIN_FAULT_PLANS[i % 15]`` for ``i < 100`` and a long line
+    after that; odd ``i`` spell one name with quotes or an escape.
 
     The faults: a person declared twice, or declared after an edge named
     them; a malformed line (a wrong word count, an unclosed quote, a trailing
     escape); a repeated arc, or a partner edge repeated reversed; ``person
     ""``, ``"" -> x`` and ``"" <-> ""`` in some order; a self-parent, a third
-    parent and a cycle.
+    parent and a cycle.  The long line is one unquoted word of 16k ``<a>``
+    units.
     """
     workloads = bench_workloads()
     width = rng.randint(3, 12)
@@ -202,8 +206,10 @@ def kinfault_command(rng, write, i):
         floor = rng.randint(max(floor, after) + 1, len(lines))
         lines.insert(floor, line)
 
-    for fault in KIN_FAULT_PLANS[i % len(KIN_FAULT_PLANS)]:
-        if fault == "twice":
+    for fault in KIN_FAULT_PLANS[i % len(KIN_FAULT_PLANS)] if i < 100 else ("long",):
+        if fault == "long":
+            place("<a>" * 2**14)
+        elif fault == "twice":
             k = pick("person ")
             place(f"person {lines[k].split(' ')[1]}", k)
         elif fault == "late":
@@ -878,16 +884,42 @@ GGEN_SHAPES = [
 ]
 
 
+# Longer ``ggen/`` shapes, each with its ``--max-len`` words: an ambiguous
+# grammar of ``X+ Y+`` runs over one four-symbol word, then variants of it with
+# a second word, a third run and a terminal run, at ``--max-len`` 40-800; then
+# grammars whose alternatives of 3-6 items share prefixes, one of them finite.
+GGEN_RUNS = [
+    ("<p2> -> <v1>+ <u4>+ <v1>\n<v1> -> <u4>\n<u4> -> <r0> a a\n<r0> -> b a\n",
+     ["40", "400", "800"]),
+    ("<p> -> <v>+ <u>+ <v> | <u>+ <v>+\n<v> -> <u> | <r> <u>\n<u> -> <r> {0} {0}\n"
+     "<r> -> {1} {0}\n", ["40", "60", "70"]),
+    ("<s> -> <x>+ <y>+ <x>+ <y>\n<x> -> {0} {1}\n<y> -> <x> | {0} {1} {0} {1}\n",
+     ["40", "100", "150"]),
+    ("<p> -> <v>+ {0}+ <v>\n<v> -> <u> {0}\n<u> -> {1} {0}\n", ["50", "300", "450"]),
+    ("<s> -> {0} {1} {2} | {0} {1} {3} <s> | {0} {1} {2} {3} {4} | <t> {0} {1} {2} {3} {4}\n"
+     "<t> -> {0} {1} | {0} {1} <t> {2}\n", ["9", "30", "60"]),
+    ("<s> -> <a> <b> <c> | <a> <b> <c> <a> | <a> <b> <a>+ <c> <b> <a> | "
+     "<a> <b> <c> <a>+ <b> <c>\n<a> -> {0} | {1}\n<b> -> {2} | {0} {2}\n<c> -> {3} <c> | {4}\n",
+     ["6", "9", "12"]),
+    ("<s> -> <a> <a> <a> <a> <a> <a> | <a> <a> <a> {0} | <a> <a> <b> <b>\n"
+     "<a> -> {0} | {1} | {2}\n<b> -> {3} {4} | <a>\n", ["1000000000"]),
+    ("<s> -> <t> <u> {0} <t> | <t> <u> {0} | <t> <u> <u> <t> {1} {2}\n<t> -> {3} | {3} <t>\n"
+     "<u> -> {4} <t> | {4}\n", ["8", "12", "16"]),
+]
+GGEN_LONG = [(shape, max_len) for shape, lengths in GGEN_RUNS for max_len in lengths]
+
+
 def ggen_command(rng, write, i):
     """``grammar gen`` on a benchmark grammar template for ``i < 80``, at
-    ``--max-len i // 4 % 10`` (at most 8 for the path language), and on
-    ``GGEN_SHAPES[i % 10]`` after that."""
+    ``--max-len i // 4 % 10`` (at most 8 for the path language), on
+    ``GGEN_SHAPES[i % 10]`` for ``i < 120``, and on ``GGEN_LONG[i - 120]``
+    after that."""
     if i < 80:
         kind = i % 4
         text = bench_workloads().grammar_template(rng, kind)[0]
         max_len = str(min(i // 4 % 10, 8 if kind == 0 else 9))
     else:
-        shape, max_len = GGEN_SHAPES[i % len(GGEN_SHAPES)]
+        shape, max_len = GGEN_SHAPES[i % len(GGEN_SHAPES)] if i < 120 else GGEN_LONG[i - 120]
         text = shape.format(*rng.sample("ABCDEFdefg0189", 5))
         max_len = max_len or str(rng.randint(0, 8))
     return ["grammar", "gen", write(text), "--max-len", max_len]
@@ -959,6 +991,10 @@ def commands(write):
     rng = random.Random(30)
     for i in range(150, 198):
         yield f"gtext/{i:03d}", gtext_command(rng, write, GTEXT_SPELLINGS[i % 4])
+    rng = random.Random(31)
+    for i in range(120, 120 + len(GGEN_LONG)):
+        yield f"ggen/{i:03d}", ggen_command(rng, write, i)
+    yield "kinfault/100", kinfault_command(random.Random(32), write, 100)
 
 
 def digests():
