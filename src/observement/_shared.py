@@ -1,5 +1,5 @@
-"""A line reader and its first-word scan, the number readers and two graph
-walks shared across modules.
+"""A line reader, its break and blank classes, the number readers and two
+graph walks shared across modules.
 
 Every number the package reads, in a file or an argument, goes through
 ``ascii_int`` or, for a list of tokens, ``ascii_ints``: ASCII digits after
@@ -11,7 +11,6 @@ from the package.
 from __future__ import annotations
 
 import math
-import re
 
 
 def significant_lines(text: str) -> list:
@@ -28,17 +27,6 @@ def significant_lines(text: str) -> list:
 # character where ``str.split`` splits, so ``\s`` is the two together.
 BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
 BLANKS = r"\t \x1f\xa0\u1680\u2000-\u200a\u202f\u205f\u3000"
-
-# Blanks and comment lines, then the next word: a comment runs to the next break.
-_FIRST_WORD = rf"(?:\s*#[^{BREAKS}]*)*\s*(\S*)"
-
-
-def first_word(text: str) -> str:
-    """The first word of the first of ``significant_lines``, or '' if there is none.
-
-    One scan that stops at that word, so a long text is not split into lines.
-    """
-    return re.match(_FIRST_WORD, text)[1]
 
 
 def reachable(start, successors: dict) -> set:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import click
 
 from . import __version__
-from ._shared import ascii_decimal, ascii_int, ascii_ints, first_word
+from ._shared import ascii_decimal, ascii_int, ascii_ints
 from .errors import ObservementError
 
 
@@ -370,8 +370,10 @@ def tree_descendants(kinship_file, person):
 
 
 def _looks_like_graph(text: str) -> bool:
+    """Whether the header word that ``parse_graph_text`` reads is a graph keyword."""
     from . import graphs
-    return first_word(text) in graphs._READERS
+    head = graphs._HEAD.search(text)
+    return bool(head) and head[1] in graphs._READERS
 
 
 @cli.command("complexity")

@@ -9,11 +9,12 @@ reflect the symmetry of the relationship.
 A kinship file is read by one loop over one row per line, which builds the
 persons, labels, arcs and partner edges.  One regular-expression scan of the
 text gives every row; a line the scan cannot take (a quoted or escaped word,
-a faulty line) is kept whole in its row and split by ``shlex.split`` as the
-loop meets it, so the faulty line met first is the one named.  A graph proves
-itself valid in unsorted passes, acyclicity by in-degree counts (Kahn
-1962); only a graph that fails one is walked again in sorted order, to name
-the same fault whatever the set order.
+a faulty line) is kept whole in its row and split as the loop meets it, by
+``shlex.split`` if it holds a quote or backslash and by runs of non-blanks if
+not, so the faulty line met first is the one named.  A graph proves itself
+valid in unsorted passes, acyclicity by in-degree counts (Kahn 1962); only a
+graph that fails one is walked again in sorted order, to name the same fault
+whatever the set order.
 """
 
 from __future__ import annotations
@@ -281,12 +282,13 @@ def parse_kinship_file(text: str) -> KinshipGraph:
 
 
 def _line_row(lineno: int, line: str) -> tuple:
-    """The row of a line the scan does not take, its words split by ``shlex.split``."""
+    """The row of a line the scan does not take, its words split by ``shlex.split``, or
+    by ``_WORDS`` when it holds no quote or backslash, which splits such a line alike."""
     line = line.strip()
     if not line or line[0] == "#":
         return ("",) * 6
     try:
-        words = shlex.split(line)
+        words = shlex.split(line) if any(ch in line for ch in "\"'\\") else _WORDS.findall(line)
     except ValueError as exc:
         raise KinshipError(f"line {lineno}: {exc}") from None
     # Only the unquoted keyword declares, so '"person" -> b' is an arc.

@@ -2,16 +2,16 @@
 
 Supports concatenation, alternation with ``|``, and one-or-more repetition
 with a postfix ``+``: enough for path languages and body-plan templates.
-Membership is a memoized top-down parse and generation a construction by
-length; both rest on alternatives never being empty, so every item consumes
-at least one symbol, and on left recursion being rejected up front.
+Membership is a memoized top-down parse, generation a construction by length
+that joins two cells at a time.  Both rest on nonempty alternatives, so every
+item consumes a symbol or more, and on left recursion being refused up front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import accumulate, count
+from itertools import count
 
 from ._shared import first_cycle, significant_lines
 from .errors import CapExceeded, ObservementError
@@ -253,26 +253,19 @@ def _least(rules) -> dict:
     return least
 
 
-def _spell(steps: list, length: int, room: int) -> list:
-    """The strings of ``length`` that items derive in turn, from a step for each item;
-    CapExceeded before they, or those joined on the way, would hold over ``room`` symbols."""
-    heads = {0: [""]}  # length so far -> the texts so far
-    for table, fewest, most in steps:  # its strings by length; the symbols of the items after it
-        grown: dict = {}
-        for used, texts in heads.items():
-            low, high = length - used - most, length - used - fewest
-            for size in range(max(low, 1), high + 1) if high - low < len(table) else table:
-                if size > high:
-                    break
-                pieces = table.get(size)
-                if size < low or not pieces:
-                    continue
-                room -= len(texts) * len(pieces) * (used + size)
-                if room < 0:
-                    raise CapExceeded(f"generation held more than {SYMBOL_CAP} symbols")
-                grown.setdefault(used + size, []).extend([t + p for t in texts for p in pieces])
-        heads = grown
-    return heads.get(length, [])
+def _spell(made: set, left: tuple, right: tuple, length: int, held: int) -> int:
+    """Add the strings of ``length`` that join ``left``'s to ``right``'s, items' ``(cell,
+    fewest, most)``, to ``made``; held plus the symbols joined, or CapExceeded past SYMBOL_CAP."""
+    (heads, fewest, most), (tails, least, longest) = left, right
+    low, high = max(fewest, length - longest), min(most, length - least)
+    for size in range(low, high + 1) if high - low < len(heads) else heads:  # the fewer
+        firsts, lasts = heads.get(size), tails.get(length - size)
+        if low <= size <= high and firsts and lasts:
+            held += len(firsts) * len(lasts) * length
+            if held > SYMBOL_CAP:
+                raise CapExceeded(f"generation held more than {SYMBOL_CAP} symbols")
+            made.update([a + b for a in firsts for b in lasts])
+    return held
 
 
 def generate(grammar: Grammar, max_len: int) -> list:
@@ -281,29 +274,37 @@ def generate(grammar: Grammar, max_len: int) -> list:
     A construction by length for each nonterminal the start reaches, and each
     ``X+`` read as ``X | X X+``, from its shortest length to ``max_len`` less the
     fewest symbols around it, or to its longest length if its language is finite.
-    Several items join shorter strings; one item lends its strings of the same
+    Alternatives are pairs, as in CYK: ``a`` is ``a`` and the empty item, ``a b c``
+    the prefix ``a b``, a node shared by every alternative so begun, and ``c``; a
+    cell joins two cells at a time, shorter ones or a single item's of the same
     length, built first, as refusing left recursion allows.  Raises CapExceeded
     past ``GENERATE_CAP`` strings, checked after each length, or before the
-    strings built, and those being joined, hold over ``SYMBOL_CAP`` symbols.
+    symbols joined, each string once, pass ``SYMBOL_CAP``.
     """
     def key(item):  # hashed in C, unlike the items; symbols and names never coincide
         if isinstance(item, OneOrMore):
-            return (key(item.item),)
+            inner = key(item.item)
+            rules[(inner,)] = [(inner, ""), (inner, (inner,))]  # X+ read as X | X X+
+            return (inner,)
         return item.symbol if isinstance(item, Terminal) else item.name
 
-    def after(alt, bound):  # the fewest or most symbols that the items after each one take
-        return [*accumulate(map(bound.get, alt[:0:-1]), initial=0)][::-1]
+    def pair(alt):  # (a,) -> (a, ""); (a, b, c) -> ((a, b), c), the prefix a node of its own
+        left, *rest = map(key, alt)
+        for item in rest[:-1]:
+            left = (left, item)
+            rules[left] = [left]
+        return left, rest[-1] if rest else ""
 
     if max_len < 0:
         raise GrammarError(f"max_len must be >= 0, got {max_len}")
-    rules = {lhs: [tuple(map(key, alt)) for alt in alts] for lhs, alts in grammar.rules.items()}
-    rules |= {item: ((item[0],), (item[0], item))  # X+ read as X | X X+
-              for alts in rules.values() for alt in alts for item in alt if type(item) is tuple}
-    least = _least([(t, [], 1) for t in grammar.terminals] +
+    rules: dict = {}  # node -> its alternatives, each a pair of items; pair() adds nodes
+    rules |= {lhs: [pair(alt) for alt in alts] for lhs, alts in grammar.rules.items()}
+    symbols = (*grammar.terminals, "")  # the empty item: a terminal of no symbols
+    least = _least([(t, [], len(t)) for t in symbols] +
                    [(node, alt, 0) for node, alts in rules.items() for alt in alts])
     useful = {node: [alt for alt in alts if all(item in least for item in alt)]
               for node, alts in rules.items() if node in least}
-    most = dict.fromkeys(rules, max_len) | dict.fromkeys(grammar.terminals, 1)  # no bound yet
+    most = dict.fromkeys(rules, max_len) | {t: len(t) for t in symbols}  # no bound yet
     for node in _least((node, {item for alt in alts for item in alt if item in rules}, 0)
                        for node, alts in useful.items()):  # all items first: none on a cycle
         most[node] = max(sum(map(most.get, alt)) for alt in useful[node])
@@ -311,28 +312,27 @@ def generate(grammar: Grammar, max_len: int) -> list:
     spare = _least([(grammar.start, [], 0)] + [  # fewest symbols around each
         (item, [node], sum(map(least.get, alt)) - least[item])
         for node, alts in rules.items() for alt in alts for item in alt if item in rules])
-    cells = {node: {} for node in spare} | {t: {1: [t]} for t in grammar.terminals}
-    order = _least((node, [alt[0] for alt in rules[node] if alt[0] in spare and len(alt) == 1], 0)
+    cells = {node: {} for node in spare} | {t: {len(t): [t]} for t in symbols}
+    items = {item: (cell, least[item], most[item]) for item, cell in cells.items()}
+    order = _least((node, [a for a, b in rules[node] if b == "" and a in spare], 0)
                    for node in spare)  # a single item before its left side
-    starts: dict = {}  # first length -> (rank in order, last length, cells, alternatives' cells)
+    starts: dict = {}  # first length -> (rank in order, last length, cell, its pairs)
     for rank, node in enumerate(order):
         high = min(max_len - spare[node], most[node])
         if least[node] <= high:
-            starts.setdefault(least[node], []).append((rank, high, cells[node], [
-                [*zip(map(cells.get, alt), after(alt, least), after(alt, most))]
-                for alt in rules[node]]))
+            starts.setdefault(least[node], []).append(
+                (rank, high, cells[node], [(items[a], items[b]) for a, b in rules[node]]))
     out, held, plans = [], 0, []
     for length in range(1, max_len + 1):
         plans = sorted([plan for plan in plans if plan[1] >= length] + starts.pop(length, []))
         if not (plans or starts):
             break
-        for _, _, table, alts in plans:
-            made, room = set(), SYMBOL_CAP - held
-            for tables in alts:
-                made.update(texts := _spell(tables, length, room))
-                room -= length * len(texts)
+        for _, _, table, pairs in plans:
+            made: set = set()
+            for left, right in pairs:
+                held = _spell(made, left, right, length, held)
             if made:
-                table[length], held = made, held + length * len(made)
+                table[length] = made
         out += sorted(cells[grammar.start].get(length, ()))
         if len(out) > GENERATE_CAP:
             raise CapExceeded(f"generation produced more than {GENERATE_CAP} strings")

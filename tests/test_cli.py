@@ -144,6 +144,10 @@ mid MID
 """
 
 
+# An ambiguous grammar of X+ Y+ runs over one word: "baaa" three times or more.
+RUNS = "<p2> -> <v1>+ <u4>+ <v1>\n<v1> -> <u4>\n<u4> -> <r0> a a\n<r0> -> b a\n"
+
+
 def weighed_shelf_text():
     """Twelve objects tied in pairs, read by two relabelled fine scales.
 
@@ -349,6 +353,24 @@ class TestGrammar:
         assert time.perf_counter() - began < 2
         assert_domain_error_without_output(result)
         assert result.stderr == f"Error: generation held more than {2**25} symbols\n"
+
+    @pytest.mark.parametrize("max_len", [400, 800])
+    def test_gen_lists_an_ambiguous_grammar_of_runs_once_per_string(self, runner, tmp_path,
+                                                                     max_len):
+        path = write(tmp_path / "runs.g", RUNS)
+        result = runner.invoke(cli, ["grammar", "gen", path, "--max-len", str(max_len)])
+        assert result.exit_code == 0, result.exception
+        assert result.output == "".join("baaa" * k + "\n" for k in range(3, max_len // 4 + 1))
+
+    def test_gen_refuses_an_ambiguous_grammar_of_runs_at_once(self, runner, tmp_path):
+        # Each length's strings of <v1>+ <u4>+ join every split once: a number of
+        # symbols cubic in the length, which passes the cap between 1100 and 1200.
+        path = write(tmp_path / "runs.g", RUNS)
+        began = time.perf_counter()
+        result = runner.invoke(cli, ["grammar", "gen", path, "--max-len", "10000"])
+        assert time.perf_counter() - began < 1
+        assert_domain_error_without_output(result)
+        assert result.stderr == "Error: generation held more than 33554432 symbols\n"
 
     def test_gen_negative_max_len_is_domain_error(self, runner, tmp_path):
         path = write(tmp_path / "turtle.g", TURTLE)

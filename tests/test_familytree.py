@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import permutations
 from pathlib import Path
 
@@ -200,9 +201,10 @@ class TestCycleOracle:
 
 
 class TestSplitLine:
-    """The reader splits a line that its scan does not take with ``shlex.split``.
-    Its words, and its line-numbered error for an unclosed quote or a trailing
-    escape, are checked against the line-by-line reference reader."""
+    """The reader splits a line that its scan does not take with ``shlex.split``, or
+    by runs of non-blanks when the line holds no quote or backslash.  Its words, and
+    its line-numbered error for an unclosed quote or a trailing escape, are checked
+    against the line-by-line reference reader."""
 
     @pytest.mark.parametrize("line", SPLIT_CASES)
     def test_edge_cases_match_shlex(self, line):
@@ -222,6 +224,15 @@ class TestSplitLine:
                 assert outcome(ft.parse_kinship_file, text) == expected, repr(text)
                 outcomes.add(expected.split(": ")[-1] if isinstance(expected, str) else "words")
         assert {"words", "No closing quotation", "No escaped character"} <= outcomes, outcomes
+
+    @pytest.mark.parametrize("unit", ["<a>", "x\xa0"])
+    def test_a_long_unquoted_line_is_refused_in_linear_time(self, unit):
+        # 256k units: shlex.split reads such a line in seconds, a character at a time.
+        text = "a -> b\n" + unit * 2**18 + "\n"
+        began = time.perf_counter()
+        with pytest.raises(ft.KinshipError, match="^line 2: expected a person, '->', or '<->' line$"):
+            ft.parse_kinship_file(text)
+        assert time.perf_counter() - began < 1
 
 
 class TestQueries:

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from observement import core, familytree, genetics, graphs, strings
-from observement._shared import BLANKS, BREAKS, first_word, significant_lines
+from observement._shared import BLANKS, BREAKS, significant_lines
+from observement.cli import _looks_like_graph
 from observement.errors import ObservementError
 
 # Blank, whitespace-only and indented comment lines: each is skipped but counted.
@@ -38,11 +39,15 @@ PIECES = ["#", "# c", "graph", "3", "x#", "Bw", "", " ", "\t", "\xa0", "\u3000",
 
 
 def test_first_word_is_the_first_word_of_the_first_significant_line():
+    # The header word that the graph reader and ``complexity``'s format check read.
     rng = random.Random(3)
     for _ in range(20000):
         text = "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 8)))
         lines = significant_lines(text)
-        assert first_word(text) == (lines[0][1].split()[0] if lines else ""), repr(text)
+        head = graphs._HEAD.search(text)
+        word = lines[0][1].split()[0] if lines else ""
+        assert (head[1] if head else "") == word, repr(text)
+        assert _looks_like_graph(text) == (word in graphs._READERS), repr(text)
 
 
 def test_breaks_and_blanks_are_where_splitlines_and_split_part():

@@ -397,6 +397,21 @@ class TestGenerate:
         for max_len in range(9):
             assert strings.generate(grammar, max_len) == form_search(grammar, max_len)
 
+    @pytest.mark.parametrize("text", [
+        "<s> -> <x>+ <y>+ <x>\n<x> -> <y>\n<y> -> <r> a\n<r> -> b a\n",
+        "<s> -> a+ b+ a+ | a+ a+ b | <x>+ <x>+\n<x> -> a | a b\n",
+        "<s> -> <x> <y> a | <x> <y> b <s> | <x> <y> a b a | <t> <x> <y>\n"
+        "<x> -> a | b a\n<y> -> b | a <y>\n<t> -> a b | a b <t> b\n",
+        "<s> -> <c> <d> <c> <d> <c> <d> | <c> <d> <c>+ | <c> <d> <c> <d>+\n"
+        "<c> -> a | a a\n<d> -> b | <c> b\n",
+    ])
+    def test_ambiguous_grammars_match_the_form_search(self, text):
+        # Runs of X+ Y+ and alternatives that share prefixes: many derivations
+        # of one string, each prefix joined once at each length.
+        grammar = strings.parse_grammar(text)
+        for max_len in range(13):
+            assert strings.generate(grammar, max_len) == form_search(grammar, max_len)
+
     def test_finite_language_stops_long_before_max_len(self):
         assert strings.generate(strings.parse_grammar("<s> -> a b\n"), 10**9) == ["ab"]
         empty = "<s> -> <x> <q>\n<x> -> a | a <x>\n<q> -> b <q>\n"
