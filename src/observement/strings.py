@@ -258,7 +258,7 @@ def _spell(made: set, left: tuple, right: tuple, length: int, held: int) -> int:
     fewest, most)``, to ``made``; held plus the symbols joined, or CapExceeded past SYMBOL_CAP."""
     (heads, fewest, most), (tails, least, longest) = left, right
     low, high = max(fewest, length - longest), min(most, length - least)
-    for size in range(low, high + 1) if high - low < len(heads) else heads:  # the fewer
+    for size in range(low, high + 1) if high - low < len(heads) else heads:  # whichever fewer
         firsts, lasts = heads.get(size), tails.get(length - size)
         if low <= size <= high and firsts and lasts:
             held += len(firsts) * len(lasts) * length
