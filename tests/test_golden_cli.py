@@ -60,7 +60,12 @@ replaced by a placeholder, followed by the command's label.  The commands:
   languages at ``--max-len 1000000000``, all on random letters and digits;
   later ones take ambiguous grammars of ``X+ Y+`` runs at ``--max-len``
   40-800, and grammars whose alternatives of 3-6 items share prefixes;
-* one more ``kinfault/`` command, with a refused line of one 16k-unit word.
+* one more ``kinfault/`` command, with a refused line of one 16k-unit word;
+* more ``system/`` commands, all ``system verify``, on fixtures of 3-9
+  objects: a 4-ary relation, unary relations that fail only backward, binary
+  and ternary relations whose failing prefixes have no tuple at all, tuple
+  lines repeated up to three times, and ``--alg`` among valid and failing
+  algorithms.
 
 A change to any of those bytes fails the test, which names each changed
 command.  To re-record after a change that is meant, run this module as a
@@ -454,6 +459,96 @@ def sysfault_command(rng, write, i):
         else:
             text += line
     return system_args(rng, write(text), names)
+
+
+VERIFY_CASES = ["arity4", "unary", "unwalked", "repeats", "alg"]
+
+
+def verify_case_lines(rng, case):
+    """The lines of a small fixture for ``system verify`` whose relations are
+    unions of class blocks, so that a map by class holds, and its algorithm names.
+
+    ``arity4`` holds a 4-ary relation whose image loses one tuple and gains
+    one; ``unary`` two unary relations, one empty, whose images only gain
+    values, so every failure is backward; ``unwalked`` a binary and a ternary
+    relation in which no tuple starts with one object, a class of its own,
+    while the image gains tuples that start with its value, so each failing
+    prefix has no row; ``repeats`` repeats each tuple line up to three times,
+    some of them after a comment that splits the block, and loses or gains
+    image tuples or moves an object; ``alg`` gives three algorithms: by
+    class, by a cut of each class, and by class with one object moved.
+    """
+    n = rng.randint(3, 5) if case == "arity4" else rng.randint(4, 9)
+    objects = [f"o{i}" for i in range(n)]
+    classes = rng.randint(2, n - 1)
+    cls = {x: i % classes for i, x in enumerate(rng.sample(objects, n))}
+    bare = rng.choice(objects)  # in ``unwalked``, a class of its own that starts no tuple
+    if case == "unwalked":
+        cls[bare] = classes
+    arity = {"arity4": {"q": 4, "u": 1}, "unary": {"u": 1, "w": 1},
+             "unwalked": {"r": 2, "t": 3}}.get(case, {"u": 1, "r": 2, "t": 3})
+    density = {1: 0.5, 2: 0.4, 3: 0.2, 4: 0.15}
+    relations = {}
+    for name, k in arity.items():
+        blocks = {c for c in itertools.product(range(classes + 1), repeat=k)
+                  if rng.random() < density[k] and name != "w"}
+        relations[name] = [t for t in itertools.product(objects, repeat=k)
+                           if tuple(map(cls.__getitem__, t)) in blocks
+                           and not (case == "unwalked" and t[0] == bare)]
+    algorithms, observed, values = [], {name: set() for name in arity}, set()
+    for a in range(3 if case == "alg" else rng.randint(1, 2)):
+        cuts = 2 if case == "alg" and a == 1 else 1
+        label = {x: f"v{a}_{cls[x]}_{i % cuts}" for i, x in enumerate(objects)}
+        values |= set(label.values())
+        images = {name: {tuple(map(label.__getitem__, t)) for t in ts}
+                  for name, ts in relations.items()}
+        image = sorted(set(label.values()))
+        fault = {"alg": "move" if a == 2 else "", "unary": "add",
+                 "unwalked": "unwalked", "arity4": "both"}.get(
+            case, rng.choice(["drop", "add", "move"]))
+        if fault == "move":
+            x, y = rng.sample(objects, 2)
+            label[x] = label[y]
+        for name, k in arity.items():
+            if fault in ("drop", "both") and images[name]:
+                images[name].discard(rng.choice(sorted(images[name])))
+            if fault in ("add", "both"):
+                images[name].add(tuple(rng.choices(image, k=k)))
+            if fault == "unwalked":
+                images[name].add((label[bare], *rng.choices(image, k=k - 1)))
+        for name in arity:
+            observed[name] |= images[name]
+        algorithms.append((f"alg{a}", label))
+
+    def block(header, tuples):
+        lines = [" ".join(t) for t in tuples]
+        if case == "repeats":
+            lines = [line for line in lines for _ in range(rng.randint(1, 3))]
+            rng.shuffle(lines)
+            lines.insert(rng.randint(0, len(lines)), "# split")
+        return [header] + lines
+
+    lines = ["OBJECTS", " ".join(objects)]
+    for name, k in arity.items():
+        lines += block(f"RELATION {name}/{k}", relations[name])
+    lines += ["OBSERVATIONS", " ".join(sorted(values))]
+    for name, k in arity.items():
+        lines += block(f"RELATION p{name}/{k}", sorted(observed[name]))
+    for name, label in algorithms:
+        lines += [f"MAP {name}"] + [f"{x} {label[x]}" for x in objects]
+        lines += ["PAIR"] + [f"{r} p{r}" for r in arity]
+    return lines, [name for name, _ in algorithms]
+
+
+def verify_case_command(rng, write, i):
+    """``system verify`` on a ``verify_case_lines`` fixture of ``VERIFY_CASES[i % 5]``,
+    with ``--alg`` for the ``alg`` case and for some others."""
+    case = VERIFY_CASES[i % len(VERIFY_CASES)]
+    lines, names = verify_case_lines(rng, case)
+    path = write("\n".join(lines) + "\n")
+    if case == "alg" or rng.random() < 0.25:
+        return ["system", "verify", path, "--alg", rng.choice(names)]
+    return ["system", "verify", path]
 
 
 def graph_text(n, pairs, directed, adjacency):
@@ -995,6 +1090,9 @@ def commands(write):
     for i in range(120, 120 + len(GGEN_LONG)):
         yield f"ggen/{i:03d}", ggen_command(rng, write, i)
     yield "kinfault/100", kinfault_command(random.Random(32), write, 100)
+    rng = random.Random(33)
+    for i in range(300, 340):
+        yield f"system/{i:03d}", verify_case_command(rng, write, i)
 
 
 def digests():
