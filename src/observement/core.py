@@ -10,7 +10,8 @@ three defining conditions are decidable mechanically:
   relation holds on the mapped tuple (both directions of the biconditional).
   It is decided row by row: for each prefix of a tuple, the objects that
   complete it in the object relation must be exactly those whose values
-  complete its image in the observation relation;
+  complete its image in the observation relation.  The work and the listing
+  go one failing row at a time, not one failing tuple at a time;
 * existence: at least one of the supplied algorithms satisfies representation;
 * uniqueness: for every ordered pair of valid algorithms there is a
   translation function between their observation values that commutes with
@@ -25,10 +26,11 @@ numbers.
 
 All types here are immutable values and all operations are pure functions,
 so concurrent use needs no coordination.  Both universes keep each relation
-only as rows, grouped once and never changed after; a tuple set is built only
-if a caller reads it.  The fixture reader works one section at a time: each
-relation block is grouped straight into its rows as its lines are split, and
-line numbers are counted only for the line an error names.
+only as rows, each a set of last members keyed by its prefix, grouped once and
+never changed after; a tuple set is built only if a caller reads it.  The
+fixture reader works one section at a time: each relation block is grouped
+straight into its rows as its lines are split, each member added to its
+row's set, and line numbers are counted only for the line an error names.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ import collections
 import collections.abc
 import enum
 import itertools
+import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -52,20 +56,28 @@ class SystemDefinitionError(ObservementError):
 
 
 def _group(tuples, arity: int, rows) -> None:
-    """Add each tuple's last member to its prefix's list in ``rows``, a defaultdict.
+    """Add each tuple's last member to its prefix's set in ``rows``, a defaultdict.
 
-    Arity 2 unpacks each pair, which checks its length, and keys it by its
-    first member; other arities check ``len`` and key by the prefix tuple.  A
-    tuple of another length raises ValueError.
+    Arities 1 to 3 unpack each tuple, which checks its length; arity 2 keys
+    it by its first member, the others by the prefix tuple.  Longer tuples
+    check ``len`` and key by a slice.  A tuple of another length raises
+    ValueError.
     """
     if arity == 2:
         for a, b in tuples:
-            rows[a].append(b)
-        return
-    for t in tuples:
-        if len(t) != arity:
-            raise ValueError(t)
-        rows[tuple(t[:-1])].append(t[-1])
+            rows[a].add(b)
+    elif arity == 3:
+        for a, b, c in tuples:
+            rows[a, b].add(c)
+    elif arity == 1:
+        members = [a for a, in tuples]
+        if members:  # an empty block adds no row
+            rows[()].update(members)
+    else:
+        for t in tuples:
+            if len(t) != arity:
+                raise ValueError(t)
+            rows[tuple(t[:-1])].add(t[-1])
 
 
 def _grouped(relations: dict, arities: dict):
@@ -75,7 +87,7 @@ def _grouped(relations: dict, arities: dict):
     for name, tuples in relations.items():
         tuples, declared = list(map(tuple, tuples)), arities.get(name)
         arity = declared if declared is not None else len(tuples[0]) if tuples else None
-        rows = collections.defaultdict(list)
+        rows = collections.defaultdict(set)
         try:
             if arity is None or arity < 1:
                 raise ValueError(arity)
@@ -96,11 +108,13 @@ def _grouped(relations: dict, arities: dict):
 
 
 def _store(system, members, grouped):
-    """Check one universe, freeze its rows and store them as ``system``'s fields.
+    """Check one universe and store its rows as ``system``'s fields.
 
-    ``grouped`` yields (name, arity, rows), rows as ``_group`` leaves them; each
-    becomes a frozenset keyed by a prefix tuple.  Which member is undeclared
-    is worked out only when ``issuperset`` finds one.  Returns ``system``.
+    ``grouped`` yields (name, arity, rows), rows as ``_group`` leaves them:
+    each set is kept as it was built, not copied, and only binary rows are
+    keyed again, by the 1-tuple of their first member.  Which member is
+    undeclared is worked out only when ``issuperset`` finds one.  Returns
+    ``system``.
     """
     field_name = "objects" if isinstance(system, ObjectSystem) else "observations"
     kind, members = field_name[:-1], frozenset(members)
@@ -111,7 +125,7 @@ def _store(system, members, grouped):
     for name, arity, rows in grouped:
         if arity < 1:
             raise SystemDefinitionError(f"relation {name!r} must have arity >= 1")
-        rows = {(p,) if arity == 2 else p: frozenset(row) for p, row in rows.items()}
+        rows = {(p,): row for p, row in rows.items()} if arity == 2 else dict(rows)
         if not (members.issuperset(itertools.chain.from_iterable(rows))
                 and all(map(members.issuperset, rows.values()))):
             # The least by repr, so the member named does not depend on set order.
@@ -282,34 +296,42 @@ def _check_algorithm(system: ObjectSystem, observations: ObservationSystem,
 
 def _failures(system: ObjectSystem, observations: ObservationSystem,
               algorithm: ObservationAlgorithm):
-    """Yield (relation, tuple, direction) for each tuple that breaks representation.
+    """Yield (relation, prefix, row, allowed) for each prefix whose row differs
+    from the row allowed for it: row - allowed fails forward, allowed - row
+    backward.
 
-    Relations come in sorted order, tuples within one relation unsorted.  The
-    rows are compared lazily, so a caller that needs only the verdict stops
-    at the first failure.
+    Relations come in sorted order, prefixes within one relation unsorted,
+    each once.  A prefix with no row can fail only backward, and lies in the
+    product of the fibres of some key of the allowed rows; those products
+    are disjoint, so how many of their prefixes have no row is their total
+    size, a sum of products of fibre sizes, less the prefixes with a row
+    whose image is such a key.  The products are walked only when that count
+    is not zero.  The rows are compared lazily, so a caller that needs only
+    the verdict stops at the first failure.
     """
     _check_algorithm(system, observations, algorithm)
     h = algorithm.mapping.__getitem__
     fibres: dict = {v: [] for v in observations.observations}
     for x in system.objects:
         fibres[h(x)].append(x)
+    empty = frozenset()
     for r_name in sorted(algorithm.relation_pairing):
         rows = system._rows[r_name]
         observed = observations._rows[algorithm.relation_pairing[r_name]].items()
         allowed = {key: ok for key, values in observed
                    if (ok := frozenset().union(*map(fibres.__getitem__, values)))}
+        covered = 0  # prefixes with a row whose image has an allowed row
         for prefix, row in rows.items():
-            ok = allowed.get(tuple(map(h, prefix)), frozenset())
+            ok = allowed.get(tuple(map(h, prefix)), empty)
+            covered += bool(ok)
             if row != ok:
-                for x in row - ok:
-                    yield r_name, prefix + (x,), "forward"
-                for x in ok - row:
-                    yield r_name, prefix + (x,), "backward"
-        for key, ok in allowed.items():
-            products = itertools.product(*map(fibres.__getitem__, key))
-            for prefix in itertools.filterfalse(rows.__contains__, products):
-                for x in ok:
-                    yield r_name, prefix + (x,), "backward"
+                yield r_name, prefix, row, ok
+        preimages = sum(math.prod(len(fibres[v]) for v in key) for key in allowed)
+        if covered < preimages:
+            for key, ok in allowed.items():
+                products = itertools.product(*map(fibres.__getitem__, key))
+                for prefix in itertools.filterfalse(rows.__contains__, products):
+                    yield r_name, prefix, empty, ok
 
 
 def verify_representation(system: ObjectSystem, observations: ObservationSystem,
@@ -324,18 +346,25 @@ def verify_representation(system: ObjectSystem, observations: ObservationSystem,
     differ, row - allowed fails forward and allowed - row fails backward.  Only
     a prefix with a non-empty row or a non-empty allowed row can differ: the
     first kind are the keys of the system's rows, the second lie in the
-    product of fibres of some prefix of ``p``'s rows.  Each prefix checked has
-    a tuple in ``r`` or a preimage in ``p``, so the cost is O(|r| + |p|) set
-    work plus those prefixes, never |objects|^k.  Both universes' rows are
-    grouped once, when they are read, and shared by every algorithm.
-    Counterexamples come out sorted by relation, then tuple, which is the
-    order of a walk over the product of the sorted object set.
+    product of fibres of some prefix of ``p``'s rows, and those products are
+    walked only when a count in closed form says some of their prefixes have
+    no row.  So the cost is O(|r| + |p|) set work plus the failing prefixes,
+    never |objects|^k.  Both universes' rows are grouped once, when they are
+    read, and shared by every algorithm.  Counterexamples come out sorted by
+    relation, then tuple, which is the order of a walk over the product of
+    the sorted object set: the failing prefixes are sorted, never their
+    rows, then each prefix's failing members, and each counterexample is
+    built once, in that order.
     """
-    counterexamples = tuple(
-        Counterexample(r_name, t, d)
-        for r_name, t, d in sorted(_failures(system, observations, algorithm))
-    )
-    return HomomorphismReport(counterexamples)
+    counterexamples = []
+    append, new = counterexamples.append, object.__new__
+    for r_name, prefix, row, ok in sorted(_failures(system, observations, algorithm),
+                                          key=operator.itemgetter(0, 1)):
+        for x in sorted(row ^ ok):
+            append(ce := new(Counterexample))
+            ce.__dict__.update(relation=r_name, members=prefix + (x,),
+                               direction="forward" if x in row else "backward")
+    return HomomorphismReport(tuple(counterexamples))
 
 
 def _represents(system: ObjectSystem, observations: ObservationSystem,
@@ -446,7 +475,10 @@ _PAIR_LINE_WORDS = {
 # A section header or a comment line, after the "\n" put before each of the
 # fixture's lines, so the scan skips to line starts.  ``\s`` takes the same
 # blanks as ``str.split``, and ``str.splitlines`` leaves no "\n" in a line.
-_MARK = re.compile(rf"\n[^\S\n]*(?:({'|'.join(sorted(_SECTION_KEYWORDS))})(?!\S)|#)")
+# The lookahead holds the first letter of each keyword and "#", so a data
+# line is most often refused by one class test after its leading blanks.
+_MARK = re.compile(rf"\n[^\S\n]*(?=[MOPR#])"
+                   rf"(?:({'|'.join(sorted(_SECTION_KEYWORDS))})(?!\S)|#)")
 
 
 def parse_system_file(text: str) -> SystemFixture:
@@ -506,7 +538,7 @@ def parse_system_file(text: str) -> SystemFixture:
             relations = universe[1]
             if any(name == known for known, _, _ in relations):
                 raise SystemDefinitionError(f"line {lineno}: duplicate relation {name!r}")
-            relations.append((name, arity, collections.defaultdict(list)))
+            relations.append((name, arity, collections.defaultdict(set)))
             section = (head, relations[-1])
         else:  # MAP
             if len(tokens) != 2:

@@ -426,6 +426,135 @@ class TestRowCheckAgreesWithPreimageWalk:
         assert peaks[1] <= 6 * peaks[0]
 
 
+def tuple_verify_representation(system, observations, algorithm):
+    """Reference check: the rows compared, one (relation, tuple, direction)
+    triple per failing tuple, every fibre product walked, and every triple
+    sorted."""
+    core._check_algorithm(system, observations, algorithm)
+    h = algorithm.mapping.__getitem__
+    fibres = {v: [] for v in observations.observations}
+    for x in system.objects:
+        fibres[h(x)].append(x)
+    failures = []
+    for r_name in sorted(algorithm.relation_pairing):
+        rows = system._rows[r_name]
+        observed = observations._rows[algorithm.relation_pairing[r_name]].items()
+        allowed = {key: ok for key, values in observed
+                   if (ok := frozenset().union(*map(fibres.__getitem__, values)))}
+        for prefix, row in rows.items():
+            ok = allowed.get(tuple(map(h, prefix)), frozenset())
+            failures += [(r_name, prefix + (x,), "forward") for x in row - ok]
+            failures += [(r_name, prefix + (x,), "backward") for x in ok - row]
+        for key, ok in allowed.items():
+            for prefix in itertools.product(*map(fibres.__getitem__, key)):
+                if prefix not in rows:
+                    failures += [(r_name, prefix + (x,), "backward") for x in ok]
+    return core.HomomorphismReport(tuple(core.Counterexample(*f) for f in sorted(failures)))
+
+
+def perturbed_case(rng):
+    """A system with relations of arity 1 to 4, unions of class blocks, and a
+    map by class that is cut, has objects moved, or both.
+
+    In about a third of the relations no tuple starts with one object, so its
+    prefixes have no row while their images may have one.  The observation
+    relations are the images under the map before it was perturbed, with a
+    few tuples dropped and a few added over every value, including one
+    outside the image.
+    """
+    n = rng.randint(2, 6)
+    objects = [f"o{i}" for i in range(n)]
+    classes = rng.randint(1, n)
+    cls = {x: rng.randrange(classes) for x in objects}
+    arities = {"a": 1, "b": 2, "c": 3, "d": 4}
+    relations = {}
+    for name, k in arities.items():
+        blocks = {c for c in itertools.product(range(classes), repeat=k) if rng.random() < 0.4}
+        bare = rng.choice(objects) if rng.random() < 0.3 else None
+        relations[name] = {t for t in itertools.product(objects, repeat=k)
+                           if tuple(map(cls.__getitem__, t)) in blocks and t[0] != bare}
+    cuts = rng.choice([1, 1, 2])
+    mapping = {x: f"v{cls[x]}_{i % cuts}" for i, x in enumerate(objects)}
+    observed = {name.upper(): {tuple(map(mapping.__getitem__, t)) for t in ts}
+                for name, ts in relations.items()}
+    values = sorted(set(mapping.values())) + ["w"]
+    for x in rng.sample(objects, rng.randint(0, min(2, n))):
+        mapping[x] = rng.choice(values)
+    for name, k in arities.items():
+        p = observed[name.upper()]
+        p -= {q for q in sorted(p) if rng.random() < 0.1}
+        p |= {tuple(rng.choices(values, k=k)) for _ in range(rng.randint(0, 2))}
+    system = ObjectSystem(frozenset(objects), relations, arities)
+    obs = ObservationSystem(frozenset(values), observed,
+                            {name.upper(): k for name, k in arities.items()})
+    return system, obs, ObservationAlgorithm("h", mapping, {k: k.upper() for k in arities})
+
+
+class _CountingItertools:
+    """``itertools`` with its ``product`` calls counted."""
+
+    def __init__(self):
+        self.products = 0
+
+    def __getattr__(self, name):
+        return getattr(itertools, name)
+
+    def product(self, *fibres):
+        self.products += 1
+        return itertools.product(*fibres)
+
+
+def walked_products(system, obs, alg, report):
+    """The fibre products a walk takes: one per allowed key of each relation
+    that has a failing prefix with no row, and none for the other relations."""
+    image = alg.image()
+    walked = {c.relation for c in report.counterexamples
+              if c.members[:-1] not in system._rows[c.relation]}
+    return sum(bool(image.intersection(values)) for r_name in walked
+               for values in obs._rows[alg.relation_pairing[r_name]].values())
+
+
+class TestFailingRowsAgreeWithFailingTuples:
+    """``verify_representation`` against the per-tuple check it replaced: the
+    same counterexamples, in the same order."""
+
+    def cases(self):
+        for system, algorithms in oracle_corpus():
+            for alg, obs in algorithms:
+                yield system, obs, alg
+        rng = random.Random(37)
+        for _ in range(400):
+            yield perturbed_case(rng)
+
+    def test_exhaustive_corpus_and_seeded_systems_of_arity_one_to_four(self):
+        directions, rowless, arities = Counter(), 0, set()
+        for system, obs, alg in self.cases():
+            report = core.verify_representation(system, obs, alg)
+            assert report == tuple_verify_representation(system, obs, alg)
+            assert all(type(c) is core.Counterexample for c in report.counterexamples)
+            directions[frozenset(c.direction for c in report.counterexamples)] += 1
+            rowless += any(c.members[:-1] not in system._rows[c.relation]
+                           for c in report.counterexamples)
+            arities |= {len(c.members) for c in report.counterexamples}
+        assert min(directions.values()) >= 40 and len(directions) == 4, directions
+        assert rowless >= 50 and arities == {1, 2, 3, 4}
+
+    def test_fibre_products_are_walked_only_when_the_count_is_short(self, monkeypatch):
+        counting = _CountingItertools()
+        monkeypatch.setattr(core, "itertools", counting)
+        walks = Counter()
+        for system, obs, alg in self.cases():
+            before = counting.products
+            report = core.verify_representation(system, obs, alg)
+            expected = walked_products(system, obs, alg, report)
+            assert counting.products - before == expected
+            walks[expected > 0] += 1
+            before = counting.products
+            assert core._represents(system, obs, alg) == report.holds
+            assert counting.products == before or not report.holds
+        assert min(walks.values()) >= 100, walks
+
+
 class TestVerifyRepresentation:
     def test_identity_mapping_holds(self):
         system, obs, alg = identity_fixture()
