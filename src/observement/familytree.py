@@ -10,8 +10,9 @@ A kinship file is read by one loop over one row per line, which builds the
 persons, labels, arcs and partner edges.  One regular-expression scan of the
 text gives every row; a line the scan cannot take (a quoted or escaped word,
 a faulty line) is kept whole in its row and split as the loop meets it, by
-``shlex.split`` if it holds a quote or backslash and by runs of non-blanks if
-not, so the faulty line met first is the one named.  A graph proves itself
+one scan of its quoted, escaped and plain pieces if it holds a quote or
+backslash and by runs of non-blanks if not, so the faulty line met first is
+the one named.  A graph proves itself
 valid in unsorted passes, acyclicity by in-degree counts (Kahn 1962); only a
 graph that fails one is walked again in sorted order, to name the same fault
 whatever the set order.
@@ -23,7 +24,6 @@ import collections
 import functools
 import itertools
 import re
-import shlex
 from dataclasses import dataclass, field
 
 from ._shared import first_cycle, reachable
@@ -216,13 +216,26 @@ def query(g: KinshipGraph, relation: str, u: str, v: str) -> bool:
 #   A <-> B
 #
 # '#' lines are comments.  Persons first mentioned on an edge line are
-# declared implicitly.  Words are read by ``shlex.split``, by POSIX shell
-# rules: only space, tab, CR and LF separate them, quotes group, and a
+# declared implicitly.  Words are read as ``shlex.split`` reads them, by POSIX
+# shell rules: only space, tab, CR and LF separate them, quotes group, and a
 # backslash escapes the next character; inside double quotes it escapes only
 # '"' and '\\' and is kept before anything else, inside single quotes it is an
 # ordinary character.
 
 _WORDS = re.compile(r"[^ \t\r\n]+")
+# The pieces of such a line, each read by one pattern in one pass: blanks,
+# which end a word, or a piece of one.  Double quotes are spelled as an
+# unrolled loop, so a long quoted word is read in linear time.
+_PIECES = re.compile(r"""
+    [ \t\r\n]+                         # blanks
+  | ([^ \t\r\n'"\\]+)                  # 1: unquoted characters
+  | \\(.)                              # 2: an escaped character
+  | '([^']*)'                          # 3: single quotes, no escapes
+  | "([^"\\]*(?:\\.[^"\\]*)*)"         # 4: double quotes
+  | (\\|"[^"\\]*(?:\\.[^"\\]*)*\\)\Z   # 5: a line ending in an open escape
+  | (.)                                # 6: an unclosed quote
+""", re.S | re.X)
+_QUOTED_ESCAPE = re.compile(r'\\([\\"])')
 
 # One line of the forms the scan takes: blank, a comment, ``person NAME`` with
 # an optional double-quoted label holding no escape, or ``A -> B`` or
@@ -247,8 +260,8 @@ def parse_kinship_file(text: str) -> KinshipGraph:
 
     One scan of the text gives one row per line, ``(person, name, label, a,
     arrow, b, other)``, a label within its quotes.  A line the scan cannot
-    take is ``other``, and only such a line is split by ``shlex.split``, as
-    the loop meets it, so the faulty line met first is the one named.  A
+    take is ``other``, and only such a line is split into words, as the loop
+    meets it, so the faulty line met first is the one named.  A
     repeated arc or partner edge is named after every line has been read.
     """
     rows = _LINE.findall("\n".join(text.splitlines()))
@@ -281,14 +294,43 @@ def parse_kinship_file(text: str) -> KinshipGraph:
         raise KinshipError(f"kinship file invalid: {exc}") from exc
 
 
+def _split_words(line: str) -> list:
+    """The words of ``line`` as ``shlex.split`` gives them, in time linear in its length.
+
+    Raises ValueError("No closing quotation") for an unclosed quote and
+    ValueError("No escaped character") for a line that ends in an escape.
+    """
+    words: list = []
+    word = None  # the pieces of the word being read
+    for m in _PIECES.finditer(line):
+        kind = m.lastindex
+        if kind is None:
+            if word is not None:
+                words.append("".join(word))
+                word = None
+        elif kind == 5:
+            raise ValueError("No escaped character")
+        elif kind == 6:
+            raise ValueError("No closing quotation")
+        else:
+            piece = _QUOTED_ESCAPE.sub(r"\1", m[4]) if kind == 4 else m[kind]
+            if word is None:
+                word = [piece]
+            else:
+                word.append(piece)
+    if word is not None:
+        words.append("".join(word))
+    return words
+
+
 def _line_row(lineno: int, line: str) -> tuple:
-    """The row of a line the scan does not take, its words split by ``shlex.split``, or
-    by ``_WORDS`` when it holds no quote or backslash, which splits such a line alike."""
+    """The row of a line the scan does not take, its words split by ``_split_words``,
+    or by ``_WORDS`` when it holds no quote or backslash, which splits such a line alike."""
     line = line.strip()
     if not line or line[0] == "#":
         return ("",) * 6
     try:
-        words = shlex.split(line) if any(ch in line for ch in "\"'\\") else _WORDS.findall(line)
+        words = _split_words(line) if any(ch in line for ch in "\"'\\") else _WORDS.findall(line)
     except ValueError as exc:
         raise KinshipError(f"line {lineno}: {exc}") from None
     # Only the unquoted keyword declares, so '"person" -> b' is an arc.

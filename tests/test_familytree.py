@@ -201,10 +201,10 @@ class TestCycleOracle:
 
 
 class TestSplitLine:
-    """The reader splits a line that its scan does not take with ``shlex.split``, or
-    by runs of non-blanks when the line holds no quote or backslash.  Its words, and
+    """The reader splits a line that its scan does not take by shell rules, or by
+    runs of non-blanks when the line holds no quote or backslash.  Its words, and
     its line-numbered error for an unclosed quote or a trailing escape, are checked
-    against the line-by-line reference reader."""
+    against the line-by-line reference reader, which uses ``shlex.split``."""
 
     @pytest.mark.parametrize("line", SPLIT_CASES)
     def test_edge_cases_match_shlex(self, line):
@@ -233,6 +233,15 @@ class TestSplitLine:
         with pytest.raises(ft.KinshipError, match="^line 2: expected a person, '->', or '<->' line$"):
             ft.parse_kinship_file(text)
         assert time.perf_counter() - began < 1
+
+    def test_a_long_quoted_word_is_read_and_refused_in_linear_time(self):
+        # A 200,000-character quoted word: shlex.split takes about 0.8 s on it.
+        word = "x" * 200_000
+        began = time.perf_counter()
+        assert ft.parse_kinship_file(f'person "{word}"\n').persons == {word}
+        with pytest.raises(ft.KinshipError, match="^line 2: expected a person, '->', or '<->' line$"):
+            ft.parse_kinship_file(f'person a\n"{word}" -> a ?\n')
+        assert time.perf_counter() - began < 0.1
 
 
 class TestQueries:

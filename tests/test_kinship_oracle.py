@@ -120,7 +120,7 @@ def reference_parse(text):
 
 def scanned(text):
     """Whether the one scan of ``text`` takes every line itself, so that no row
-    falls to the catch-all group and no line is split by ``shlex.split``."""
+    falls to the catch-all group and no line is split into words again."""
     return not any(row[-1] for row in ft._LINE.findall("\n".join(text.splitlines())))
 
 
@@ -257,13 +257,13 @@ class TestReader:
         assert len(lines) > 300 and scanned("\n".join(lines))
         lines.insert(len(lines) // 2, "person 'q u'")
         text = "\n".join(lines) + "\n"
-        calls, split_words = [], shlex.split
+        calls, split_words = [], ft._split_words
 
         def split(*args, **kwargs):
             calls.append(args)
             return split_words(*args, **kwargs)
 
-        monkeypatch.setattr(ft.shlex, "split", split)
+        monkeypatch.setattr(ft, "_split_words", split)
         g = ft.parse_kinship_file(text)
         assert calls == [("person 'q u'",)] and "q u" in g.persons
 
