@@ -58,17 +58,14 @@ class SystemDefinitionError(ObservementError):
 def _group(tuples, arity: int, rows) -> None:
     """Add each tuple's last member to its prefix's set in ``rows``, a defaultdict.
 
-    Arities 1 to 3 unpack each tuple, which checks its length; arity 2 keys
-    it by its first member, the others by the prefix tuple.  Longer tuples
-    check ``len`` and key by a slice.  A tuple of another length raises
+    Arities 1 and 2 unpack each tuple, which checks its length; arity 2 keys
+    it by its first member, arity 1 by ``()``.  Longer tuples check ``len``
+    and key by the prefix tuple.  A tuple of another length raises
     ValueError.
     """
     if arity == 2:
         for a, b in tuples:
             rows[a].add(b)
-    elif arity == 3:
-        for a, b, c in tuples:
-            rows[a, b].add(c)
     elif arity == 1:
         members = [a for a, in tuples]
         if members:  # an empty block adds no row
@@ -78,6 +75,28 @@ def _group(tuples, arity: int, rows) -> None:
             if len(t) != arity:
                 raise ValueError(t)
             rows[tuple(t[:-1])].add(t[-1])
+
+
+def _group_lines(lines, arity: int, rows) -> None:
+    """``_group`` on the lines of a block of arity 3 or more, as ``str.split``
+    would split them.
+
+    Each line is cut once, before its last word, and the text before the cut
+    keys a row of its own; only once per such key, after the block, is it
+    split into the prefix, its length checked, and its row merged into the
+    prefix's row.  So no line builds a prefix tuple.  A line of fewer than
+    two words, or a key of another length, raises ValueError.
+    """
+    heads = collections.defaultdict(set)
+    cut = map(str.rsplit, lines, itertools.repeat(None), itertools.repeat(1))
+    for head, last in filter(None, cut):
+        heads[head].add(last)
+    for head, row in heads.items():
+        prefix = tuple(head.split())
+        if len(prefix) != arity - 1:
+            raise ValueError(head)
+        if (kept := rows.setdefault(prefix, row)) is not row:
+            kept |= row
 
 
 def _grouped(relations: dict, arities: dict):
@@ -574,7 +593,8 @@ def _read_block(section, lines: list, start: int, stop: int) -> None:
     """Add ``lines[start:stop]``, which hold no header or comment line, to ``section``.
 
     A relation block is grouped into the relation's rows as its lines are
-    split, by ``_group``, whose grouping is the arity check; a MAP or PAIR
+    split, by ``_group``, or cut before their last word, by ``_group_lines``
+    (arity 3 and more), whose grouping is the arity check; a MAP or PAIR
     block becomes a dict, checked for shape and repeats at once; member lines
     are split and kept in order.  Only a block that fails its check, or data
     before any section, is read line by line, to name its first bad line.
@@ -584,6 +604,8 @@ def _read_block(section, lines: list, start: int, stop: int) -> None:
     if kind == "RELATION":
         name, arity, rows = target
         try:
+            if arity >= 3:
+                return _group_lines(block, arity, rows)
             return _group(filter(None, map(str.split, block)), arity, rows)
         except ValueError:  # a line of another length: name the first
             lineno, tokens = next((lineno, tokens) for lineno, tokens

@@ -12,10 +12,9 @@ text gives every row; a line the scan cannot take (a quoted or escaped word,
 a faulty line) is kept whole in its row and split as the loop meets it, by
 one scan of its quoted, escaped and plain pieces if it holds a quote or
 backslash and by runs of non-blanks if not, so the faulty line met first is
-the one named.  A graph proves itself
-valid in unsorted passes, acyclicity by in-degree counts (Kahn 1962); only a
-graph that fails one is walked again in sorted order, to name the same fault
-whatever the set order.
+the one named.  A graph proves itself valid in unsorted passes, acyclicity
+by in-degree counts (Kahn 1962); only a graph that fails one is walked again
+in sorted order, to name the same fault whatever the set order.
 """
 
 from __future__ import annotations
@@ -261,8 +260,8 @@ def parse_kinship_file(text: str) -> KinshipGraph:
     One scan of the text gives one row per line, ``(person, name, label, a,
     arrow, b, other)``, a label within its quotes.  A line the scan cannot
     take is ``other``, and only such a line is split into words, as the loop
-    meets it, so the faulty line met first is the one named.  A
-    repeated arc or partner edge is named after every line has been read.
+    meets it, so the faulty line met first is the one named.  A repeated arc
+    or partner edge is named after every line has been read.
     """
     rows = _LINE.findall("\n".join(text.splitlines()))
     declared: set = set()
