@@ -365,16 +365,17 @@ def verify_representation(system: ObjectSystem, observations: ObservationSystem,
     differ, row - allowed fails forward and allowed - row fails backward.  Only
     a prefix with a non-empty row or a non-empty allowed row can differ: the
     first kind are the keys of the system's rows, the second lie in the
-    product of fibres of some prefix of ``p``'s rows, and those products are
-    walked only when a count in closed form says some of their prefixes have
-    no row.  So the cost is O(|r| + |p|) set work plus the failing prefixes,
-    never |objects|^k.  Both universes' rows are grouped once, when they are
-    read, and shared by every algorithm.  Counterexamples come out sorted by
-    relation, then tuple, which is the order of a walk over the product of
-    the sorted object set: the failing prefixes are sorted, never their
-    rows, then each prefix's failing members, and each counterexample is
-    built once, in that order.
+    product of fibres of some prefix of ``p``'s rows, walked only when a
+    count in closed form says some of them have no row.  So the cost is
+    O(|r| + |p|) set work plus the failing prefixes, never |objects|^k.  Both
+    universes' rows are grouped once, when they are read, and shared by every
+    algorithm.  Counterexamples come out sorted by relation, then tuple, the
+    order of a walk over the product of the sorted object set: the failing
+    prefixes are sorted by (relation, prefix), then each one's failing
+    members, and each counterexample is built once, in that order.
     """
+    # Each Counterexample's fields are filled in one dict update, not by the
+    # frozen __init__'s one object.__setattr__ per field; the value is the same.
     counterexamples = []
     append, new = counterexamples.append, object.__new__
     for r_name, prefix, row, ok in sorted(_failures(system, observations, algorithm),
