@@ -58,45 +58,22 @@ class SystemDefinitionError(ObservementError):
 def _group(tuples, arity: int, rows) -> None:
     """Add each tuple's last member to its prefix's set in ``rows``, a defaultdict.
 
-    Arities 1 and 2 unpack each tuple, which checks its length; arity 2 keys
-    it by its first member, arity 1 by ``()``.  Longer tuples check ``len``
-    and key by the prefix tuple.  A tuple of another length raises
-    ValueError.
+    Arities 2 and 3 unpack each tuple, which checks its length, and key it
+    by its first member or its first two.  Other tuples check ``len`` and
+    key by the prefix tuple, ``()`` at arity 1.  A tuple of another length
+    raises ValueError.
     """
     if arity == 2:
         for a, b in tuples:
             rows[a].add(b)
-    elif arity == 1:
-        members = [a for a, in tuples]
-        if members:  # an empty block adds no row
-            rows[()].update(members)
+    elif arity == 3:
+        for a, b, c in tuples:
+            rows[a, b].add(c)
     else:
         for t in tuples:
             if len(t) != arity:
                 raise ValueError(t)
             rows[tuple(t[:-1])].add(t[-1])
-
-
-def _group_lines(lines, arity: int, rows) -> None:
-    """``_group`` on the lines of a block of arity 3 or more, as ``str.split``
-    would split them.
-
-    Each line is cut once, before its last word, and the text before the cut
-    keys a row of its own; only once per such key, after the block, is it
-    split into the prefix, its length checked, and its row merged into the
-    prefix's row.  So no line builds a prefix tuple.  A line of fewer than
-    two words, or a key of another length, raises ValueError.
-    """
-    heads = collections.defaultdict(set)
-    cut = map(str.rsplit, lines, itertools.repeat(None), itertools.repeat(1))
-    for head, last in filter(None, cut):
-        heads[head].add(last)
-    for head, row in heads.items():
-        prefix = tuple(head.split())
-        if len(prefix) != arity - 1:
-            raise ValueError(head)
-        if (kept := rows.setdefault(prefix, row)) is not row:
-            kept |= row
 
 
 def _grouped(relations: dict, arities: dict):
@@ -497,7 +474,7 @@ _PAIR_LINE_WORDS = {
 # blanks as ``str.split``, and ``str.splitlines`` leaves no "\n" in a line.
 # The lookahead holds the first letter of each keyword and "#", so a data
 # line is most often refused by one class test after its leading blanks.
-_MARK = re.compile(rf"\n[^\S\n]*(?=[MOPR#])"
+_MARK = re.compile(rf"\n[^\S\n]*(?=[{''.join(sorted({k[0] for k in _SECTION_KEYWORDS}))}#])"
                    rf"(?:({'|'.join(sorted(_SECTION_KEYWORDS))})(?!\S)|#)")
 
 
@@ -568,7 +545,7 @@ def parse_system_file(text: str) -> SystemFixture:
             algorithms.append((tokens[1], {}, {}))
             section = (head, algorithms[-1][1])
     _read_block(section, lines, start, len(lines))
-    del lines  # not held while the rows are frozen
+    del lines  # not held while the universes and algorithms are checked
     system = _store(ObjectSystem.__new__(ObjectSystem), *universes["OBJECTS"])
     obs_system = _store(ObservationSystem.__new__(ObservationSystem), *universes["OBSERVATIONS"])
     algs = tuple(ObservationAlgorithm(*a) for a in algorithms)
@@ -594,8 +571,7 @@ def _read_block(section, lines: list, start: int, stop: int) -> None:
     """Add ``lines[start:stop]``, which hold no header or comment line, to ``section``.
 
     A relation block is grouped into the relation's rows as its lines are
-    split, by ``_group``, or cut before their last word, by ``_group_lines``
-    (arity 3 and more), whose grouping is the arity check; a MAP or PAIR
+    split, by ``_group``, whose grouping is the arity check; a MAP or PAIR
     block becomes a dict, checked for shape and repeats at once; member lines
     are split and kept in order.  Only a block that fails its check, or data
     before any section, is read line by line, to name its first bad line.
@@ -605,8 +581,6 @@ def _read_block(section, lines: list, start: int, stop: int) -> None:
     if kind == "RELATION":
         name, arity, rows = target
         try:
-            if arity >= 3:
-                return _group_lines(block, arity, rows)
             return _group(filter(None, map(str.split, block)), arity, rows)
         except ValueError:  # a line of another length: name the first
             lineno, tokens = next((lineno, tokens) for lineno, tokens

@@ -323,13 +323,12 @@ def _split_words(line: str) -> list:
 
 
 def _line_row(lineno: int, line: str) -> tuple:
-    """The row of a line the scan does not take, its words split by ``_split_words``,
-    or by ``_WORDS`` when it holds no quote or backslash, which splits such a line alike."""
+    """The row of a line the scan does not take, its words split by ``_split_words``."""
     line = line.strip()
     if not line or line[0] == "#":
         return ("",) * 6
     try:
-        words = _split_words(line) if any(ch in line for ch in "\"'\\") else _WORDS.findall(line)
+        words = _split_words(line)
     except ValueError as exc:
         raise KinshipError(f"line {lineno}: {exc}") from None
     # Only the unquoted keyword declares, so '"person" -> b' is an arc.

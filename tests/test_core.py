@@ -998,11 +998,12 @@ def test_checks_and_commands_build_no_object_tuple_set(monkeypatch, tmp_path):
 
 
 def test_parsing_peaks_at_most_twice_what_the_result_keeps():
-    """Each relation block is grouped into rows as its lines are split, and the
-    lines are let go before the rows are frozen, so neither a list of tuples
-    nor the file's lines are held beside the rows while they are built.  On
-    this fixture the peak is 1.34 times what the result keeps (2.20 when each
-    block was a list of tuples, grouped after reading)."""
+    """Each relation block is grouped into set rows as its lines are split, so
+    no list of tuples is held beside the rows while they are built; the
+    file's lines are, until the last block is read.  On this fixture the peak
+    is 1.63 times what the result keeps (1.34 when the rows were lists,
+    frozen after the lines were let go; 2.20 when each block was a list of
+    tuples, grouped after reading)."""
     rng = random.Random(120)
     objects, values = [f"o{i}" for i in range(120)], [f"v{i}" for i in range(30)]
     lines = ["OBJECTS", " ".join(objects), "RELATION r/2"]
