@@ -65,7 +65,13 @@ replaced by a placeholder, followed by the command's label.  The commands:
   objects: a 4-ary relation, unary relations that fail only backward, binary
   and ternary relations whose failing prefixes have no tuple at all, tuple
   lines repeated up to three times, and ``--alg`` among valid and failing
-  algorithms.
+  algorithms;
+* more ``system/`` commands, all ``system classify``, on fixtures with 3-8
+  algorithms: every valid kernel equal under relabelled values, or one
+  differing kernel first, in the middle or last among the valid ones, with
+  invalid algorithms interleaved;
+* ``graph sub`` commands of a path and then a cycle, odd three times in
+  four, into the complete bipartite graph K_{s,s} for s up to 12.
 
 A change to any of those bytes fails the test, which names each changed
 command.  To re-record after a change that is meant, run this module as a
@@ -549,6 +555,83 @@ def verify_case_command(rng, write, i):
     if case == "alg" or rng.random() < 0.25:
         return ["system", "verify", path, "--alg", rng.choice(names)]
     return ["system", "verify", path]
+
+
+CLASSIFY_CASES = ["equal", "first", "middle", "last"]
+
+
+def classify_case_lines(rng, case):
+    """The lines of a fixture for ``system classify`` with 3-8 algorithms.
+
+    The objects fall into classes and ``r/2`` is a union of class blocks, so a
+    map by class holds, and so does one that splits a class.  Each algorithm
+    has its own values: a map by class under a random relabelling, or a
+    split of it.  In ``equal`` every valid algorithm maps by class, so all
+    kernels are equal; in ``first``, ``middle`` and ``last`` the valid one in
+    that place splits a class instead.  Invalid algorithms, maps by class or
+    splits whose image loses one tuple, are interleaved among the valid ones.
+    """
+    n = rng.randint(4, 9)
+    objects = [f"o{i}" for i in range(n)]
+    classes = rng.randint(2, n - 1)
+    cls = {x: i % classes for i, x in enumerate(rng.sample(objects, n))}
+    blocks = {(c, d) for c in range(classes) for d in range(classes) if rng.random() < 0.5}
+    blocks.add((0, rng.randrange(classes)))
+    relation = [(x, y) for x in objects for y in objects if (cls[x], cls[y]) in blocks]
+    m = rng.randint(3, 8)
+    valid = rng.randint(3 if case == "middle" else 2, m)
+    kinds = ["valid"] * valid
+    if case == "middle":
+        kinds[rng.randint(1, valid - 2)] = "split"
+    elif case != "equal":
+        kinds[0 if case == "first" else -1] = "split"
+    for _ in range(m - valid):
+        kinds.insert(rng.randint(0, len(kinds)), "invalid")
+    shared = [x for x in objects if cls[x] == 0]  # at least two, as classes < n
+    algorithms, values, observed = [], set(), set()
+    for a, kind in enumerate(kinds):
+        names = rng.sample(range(classes), classes)
+        label = {x: f"v{a}_{names[cls[x]]}" for x in objects}
+        if kind == "split" or kind == "invalid" and rng.random() < 0.5:
+            label[rng.choice(shared)] = f"v{a}_{classes}"
+        image = {(label[x], label[y]) for x, y in relation}
+        if kind == "invalid":
+            image.discard(rng.choice(sorted(image)))
+        values |= set(label.values())
+        observed |= image
+        algorithms.append((f"alg{a}", label))
+    lines = ["OBJECTS", " ".join(objects), "RELATION r/2"]
+    lines += [f"{x} {y}" for x, y in relation]
+    lines += ["OBSERVATIONS", " ".join(sorted(values)), "RELATION p/2"]
+    lines += [f"{v} {w}" for v, w in sorted(observed)]
+    for name, label in algorithms:
+        lines += [f"MAP {name}"] + [f"{x} {label[x]}" for x in objects] + ["PAIR", "r p"]
+    return lines
+
+
+def classify_case_command(rng, write, i):
+    """``system classify`` on a ``classify_case_lines`` fixture of ``CLASSIFY_CASES[i % 4]``."""
+    lines = classify_case_lines(rng, CLASSIFY_CASES[i % len(CLASSIFY_CASES)])
+    return ["system", "classify", write("\n".join(lines) + "\n")]
+
+
+def odd_last_sub_command(rng, write, i):
+    """``graph sub`` of a path of 1-5 vertices, then a cycle, into K_{s,s} at s = i % 12 + 1.
+
+    Three cycles in four are odd, a triangle or a 5-cycle, which no
+    bipartite host holds; the others are even, a 4- or 6-cycle, and embed
+    when s allows.  The
+    host's sides are its first and last s vertices, or its even and odd ones.
+    """
+    s = i % 12 + 1
+    cycle = rng.choice([3, 5]) if i % 4 else rng.choice([4, 6])
+    path = rng.randint(1, 8 - cycle)
+    pattern = [(v, v + 1) for v in range(path - 1)]
+    pattern += [(path + k, path + (k + 1) % cycle) for k in range(cycle)]
+    side = (lambda v: v < s) if rng.random() < 0.5 else (lambda v: v % 2)
+    host = [(u, v) for v in range(2 * s) for u in range(v) if side(u) != side(v)]
+    return ["graph", "sub", write(graph_text(path + cycle, pattern, False, False)),
+            write(graph_text(2 * s, host, False, False))]
 
 
 def graph_text(n, pairs, directed, adjacency):
@@ -1093,6 +1176,12 @@ def commands(write):
     rng = random.Random(33)
     for i in range(300, 340):
         yield f"system/{i:03d}", verify_case_command(rng, write, i)
+    rng = random.Random(34)
+    for i in range(340, 400):
+        yield f"system/{i:03d}", classify_case_command(rng, write, i)
+    rng = random.Random(35)
+    for i in range(48):
+        yield f"oddsub/{i:03d}", odd_last_sub_command(rng, write, i)
 
 
 def digests():
