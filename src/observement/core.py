@@ -17,7 +17,8 @@ three defining conditions are decidable mechanically:
   translation function between their observation values that commutes with
   both mappings and preserves the paired relations.  Commuting forces the
   function on the first algorithm's image, so uniqueness is decided by
-  construction, not by search.
+  construction, not by search.  Translations both ways mean equal fibres,
+  a transitive relation, so each valid algorithm meets only the first one.
 
 A system meeting all three conditions classifies as strong; one that passes
 representation and existence but lacks some translation is weak.  Numeric
@@ -43,7 +44,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ._shared import ascii_int
 from .errors import ObservementError
@@ -213,8 +214,7 @@ class ObservationAlgorithm:
         return frozenset(self.mapping.values())
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     relation: str
     members: tuple
     direction: str  # "forward": tuple related, images not; "backward": images related, tuple not
@@ -351,17 +351,10 @@ def verify_representation(system: ObjectSystem, observations: ObservationSystem,
     prefixes are sorted by (relation, prefix), then each one's failing
     members, and each counterexample is built once, in that order.
     """
-    # Each Counterexample's fields are filled in one dict update, not by the
-    # frozen __init__'s one object.__setattr__ per field; the value is the same.
-    counterexamples = []
-    append, new = counterexamples.append, object.__new__
-    for r_name, prefix, row, ok in sorted(_failures(system, observations, algorithm),
-                                          key=operator.itemgetter(0, 1)):
-        for x in sorted(row ^ ok):
-            append(ce := new(Counterexample))
-            ce.__dict__.update(relation=r_name, members=prefix + (x,),
-                               direction="forward" if x in row else "backward")
-    return HomomorphismReport(tuple(counterexamples))
+    failures = sorted(_failures(system, observations, algorithm), key=operator.itemgetter(0, 1))
+    return HomomorphismReport(tuple([
+        Counterexample(r_name, prefix + (x,), "forward" if x in row else "backward")
+        for r_name, prefix, row, ok in failures for x in sorted(row ^ ok)]))
 
 
 def _represents(system: ObjectSystem, observations: ObservationSystem,
@@ -422,7 +415,10 @@ def classify(system: ObjectSystem, observation_systems: Sequence[ObservationSyst
 
     ``algorithms[i]`` is read against ``observation_systems[i]``.  The verdict
     depends only on set contents, never on the ordering of objects,
-    observations, or the algorithm list.
+    observations, or the algorithm list.  Translations both ways exist iff
+    two algorithms have equal fibres, which is transitive, so comparing each
+    valid algorithm with the first, both ways, decides every ordered pair:
+    2(m - 1) forced maps, not m(m - 1).
     """
     if len(observation_systems) != len(algorithms):
         raise SystemDefinitionError(
@@ -432,8 +428,9 @@ def classify(system: ObjectSystem, observation_systems: Sequence[ObservationSyst
              if _represents(system, obs, alg)]
     if not valid:
         return Classification.NOT_OBSERVEMENT
-    for alg_a, alg_b in itertools.permutations(valid, 2):
-        if _forced_translation(alg_a, alg_b) is None:
+    first = valid[0]
+    for alg in valid[1:]:
+        if _forced_translation(first, alg) is None or _forced_translation(alg, first) is None:
             return Classification.WEAK
     return Classification.STRONG
 

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -774,6 +774,52 @@ class TestClassify:
                 assert verdict is brute_force_classify(system, observations, pair)
                 verdicts.add(verdict)
         assert verdicts == set(Classification)
+
+    @staticmethod
+    def algorithm_lists(rng):
+        """(system, observations, algorithms) lists of 3-6 maps per corpus system.
+
+        Most maps of a list share one kernel, under relabelled values; the
+        rest are any map of the corpus, so a list may hold one or more
+        differing kernels anywhere, and invalid maps among the valid ones.
+        """
+        for system, algorithms in oracle_corpus():
+            kernels = defaultdict(list)
+            for alg, obs in algorithms:
+                fibres = defaultdict(set)
+                for x, value in alg.mapping.items():
+                    fibres[value].add(x)
+                kernels[frozenset(map(frozenset, fibres.values()))].append((alg, obs))
+            for _ in range(30):
+                same = rng.choice(list(kernels.values()))
+                chosen = [rng.choice(same if rng.random() < 0.75 else algorithms)
+                          for _ in range(rng.randint(3, 6))]
+                yield system, [obs for _, obs in chosen], [alg for alg, _ in chosen]
+
+    def test_agrees_with_brute_force_on_lists_of_three_to_six(self):
+        outcomes = Counter()
+        for system, observations, algs in self.algorithm_lists(random.Random(38)):
+            verdict = core.classify(system, observations, algs)
+            assert verdict is brute_force_classify(system, observations, algs)
+            valid = sum(core.verify_representation(system, obs, alg).holds
+                        for alg, obs in zip(algs, observations))
+            outcomes[verdict, min(valid, 3)] += 1
+        # Strong and Weak both come from lists with three or more valid maps.
+        assert min(outcomes[verdict, 3] for verdict in
+                   (Classification.STRONG, Classification.WEAK)) >= 100, outcomes
+        assert outcomes[Classification.NOT_OBSERVEMENT, 0] >= 20, outcomes
+
+    def test_forces_at_most_two_maps_per_valid_algorithm_after_the_first(self, monkeypatch):
+        calls = []
+        forced = core._forced_translation
+        monkeypatch.setattr(core, "_forced_translation",
+                            lambda a, b: calls.append((a, b)) or forced(a, b))
+        for system, observations, algs in self.algorithm_lists(random.Random(39)):
+            calls.clear()
+            core.classify(system, observations, algs)
+            valid = sum(core.verify_representation(system, obs, alg).holds
+                        for alg, obs in zip(algs, observations))
+            assert len(calls) <= 2 * max(valid - 1, 0), (len(calls), valid)
 
 
 class TestSystemInvariants:
