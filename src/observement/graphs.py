@@ -2,15 +2,17 @@
 
 Vertices are integers 0..n-1.  Edge lists, adjacency lists, adjacency
 matrices and graph6 text encode the same structure and convert losslessly in
-every direction, which is what makes them interchangeable.  Each is read
-into and written from one adjacency bitset row per vertex, the only stored
-form; ``edges`` and ``arcs`` are read off the rows when first asked for.
-Each text format has one reader, whole-text passes that also name its
-faults.  Also here: isomorphism and subgraph search sharing one exact
-backtracking routine (small sizes only, with explicit caps) whose candidate
-sets are bitset intersections of host adjacency rows, cut before the search
-by degree profiles and by parity, the state-space digraph of a finite
-automaton, and percolation sweeps.
+every direction.  Each is read into and written from one adjacency bitset
+row per vertex, the only stored form; ``edges``, ``arcs`` and a digraph's
+in-rows are read off the rows when first asked for, the in-rows by the one
+transpose that also mirrors graph6 and checks a matrix's symmetry.  Each
+text format has one reader, whole-text passes that also name its faults.
+Also here: isomorphism and subgraph search sharing one exact backtracking
+routine (small sizes only, with explicit caps) whose candidate sets are
+bitset intersections of host adjacency rows, cut before the search by degree
+profiles and by parity, which answer None before the first node when they
+leave a pattern vertex no host; the state-space digraph of a finite
+automaton; and percolation sweeps.
 """
 
 from __future__ import annotations
@@ -58,6 +60,18 @@ def _row_names(row: int, names) -> list:
     return out
 
 
+def _transpose(rows) -> list:
+    """The transposed rows: bit u of row v is bit v of ``rows[u]``."""
+    out = [0] * len(rows)
+    for u, row in enumerate(rows):
+        bit = 1 << u
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return out
+
+
 class _Rows:
     """Immutable, equal and hashed by its adjacency rows: bit v of ``_rows[u]`` is pair (u, v)."""
 
@@ -86,13 +100,8 @@ class _Rows:
 
     @functools.cached_property
     def _masks(self) -> tuple:  # the rows, and a digraph's in-rows after them
-        if isinstance(self, Graph):
-            return (self._rows,)
-        into = [0] * self.n
-        for u, row in enumerate(self._rows):
-            for v in _bits(row):
-                into[v] |= 1 << u
-        return (self._rows, tuple(into))
+        rows = self._rows
+        return (rows,) if isinstance(self, Graph) else (rows, tuple(_transpose(rows)))
 
     @functools.cached_property
     def _odd(self) -> int:
@@ -169,13 +178,7 @@ def _components(masks) -> tuple:
 def _matrix_fault(rows):
     """The first fault of an undirected matrix's rows, scanning row by row: a
     diagonal bit, then an unmirrored cell below the diagonal; None if symmetric."""
-    above = [0] * len(rows)  # above[i]: the j < i whose row holds bit i
-    for j, row in enumerate(rows):
-        row = row >> j + 1 << j + 1
-        while row:
-            low = row & -row
-            above[low.bit_length() - 1] |= 1 << j
-            row ^= low
+    above = _transpose([row >> j + 1 << j + 1 for j, row in enumerate(rows)])
     for i, row in enumerate(rows):
         if row >> i & 1:
             return f"nonzero diagonal at {i} in an undirected matrix"
@@ -291,12 +294,9 @@ def decode_graph6(text: str) -> Graph:
     bits = "".join(format(ord(ch) - 63, "06b") for ch in text[1:])
     if "1" in bits[bit_count:]:
         raise GraphError("nonzero padding bits in graph6 string")
-    # Column j, read as one int, is the part of row j below the diagonal; mirror it.
-    rows = [int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1] or "0", 2) for j in range(size)]
-    for j in range(size):
-        for i in _bits(rows[j]):
-            rows[i] |= 1 << j
-    return Graph._from_rows(size, rows)
+    # Column j, read as one int, is row j below the diagonal; its transpose, above it.
+    below = [int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1] or "0", 2) for j in range(size)]
+    return Graph._from_rows(size, map(int.__or__, below, _transpose(below)))
 
 
 # --- isomorphism and subgraph search ------------------------------------------
@@ -328,9 +328,9 @@ def _search(small, big, exact: bool):
     holds an odd cycle, that lie in such a host component), minus the used
     ones, ANDed with the host row of each placed neighbour's image (out-row
     for an arc into it, in-row for an arc out of it) and, when ``exact``,
-    with the complement row of each placed non-neighbour's image.  Both cuts
-    before the search drop only hosts that no complete map can use, so the
-    witness is the one a scan of every host vertex would find.
+    with the complement row of each placed non-neighbour's image.  The cuts
+    drop only hosts that no complete map can use, so the witness is the one a
+    scan of every host would find, and a vertex left no host proves None at once.
     """
     prof_s, prof_b = _profiles(small), _profiles(big)
     if exact:
@@ -349,6 +349,8 @@ def _search(small, big, exact: bool):
     if odd:
         odd_b = big._odd
         allowed = [a & odd_b if odd >> v & 1 else a for v, a in enumerate(allowed)]
+    if not all(allowed):
+        return None
     # One (pattern rows, host rows, host complement rows) side per direction:
     # arc u->v puts v's image in out_b[image u], arc v->u in in_b[image u].
     full = (1 << big.n) - 1
@@ -405,10 +407,10 @@ def is_subgraph(small, big):
 
     Non-induced: extra adjacencies among the images are fine.  The witness is
     the lexicographically first; patterns above ``SUBGRAPH_CAP`` vertices raise.
-    None is a proof: more pattern vertices or edges than the host has, no
-    host vertex whose degrees dominate a pattern vertex's, a pattern
-    component with an odd cycle and no host component with one to take it
-    (parity), or a search exhausted.
+    None is a proof: more pattern vertices or edges than the host has; a
+    pattern vertex left no host before the first search node, since none
+    dominates its degrees or, if its component has an odd cycle, none such
+    lies in a host component with one (parity); or a search exhausted.
     """
     _check_same_kind(small, big)
     if small.n > SUBGRAPH_CAP:

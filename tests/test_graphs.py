@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -278,6 +279,18 @@ class TestSubgraph:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             is_subgraph(Graph(9), Graph(9))
+
+    def test_a_vertex_no_host_can_take_ends_before_the_search(self):
+        # A 5-vertex path, then a triangle, into K_{s,s}: every path vertex
+        # has hosts, but parity leaves the triangle none.  Searched, the path
+        # is placed every way before the triangle fails, about s^5 nodes:
+        # seconds at s = 20.
+        s = 20
+        pattern = _disjoint(Graph(5, {(v, v + 1) for v in range(4)}), K3)
+        host = Graph(2 * s, {(u, s + v) for u in range(s) for v in range(s)})
+        start = time.perf_counter()
+        assert is_subgraph(pattern, host) is None
+        assert time.perf_counter() - start < 0.1
 
 
 def _pairs(g) -> frozenset:
