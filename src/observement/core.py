@@ -18,7 +18,7 @@ three defining conditions are decidable mechanically:
   both mappings and preserves the paired relations.  Commuting forces the
   function on the first algorithm's image, so uniqueness is decided by
   construction, not by search.  Translations both ways mean equal fibres,
-  a transitive relation, so each valid algorithm meets only the first one.
+  a transitive relation, so each valid algorithm is compared with the first.
 
 A system meeting all three conditions classifies as strong; one that passes
 representation and existence but lacks some translation is weak.  Numeric
