@@ -28,26 +28,21 @@ def _read(path: str) -> str:
             f"{path}: not valid UTF-8 at byte offset {exc.start}") from exc
 
 
-class _Integer(click.types.IntParamType):
-    """click's integer type on ``ascii_int``, which refuses the '١', '1_0' and '+1' of ``int``."""
+class _Number(click.ParamType):
+    """A click number type read by ``ascii_int`` or ``ascii_decimal``, which refuse
+    the '١', '1_0', '+1', 'inf' and 'nan' that ``int`` and ``float`` take."""
 
-    @staticmethod
-    def _number_class(value):
-        return ascii_int(str(value))
+    def __init__(self, name, read):
+        self.name, self._read = name, read
 
-
-_INTEGER = _Integer()
-
-
-class _Decimal(click.types.FloatParamType):
-    """click's float type on ``ascii_decimal``, which refuses the '١', 'inf' and 'nan' of ``float``."""
-
-    @staticmethod
-    def _number_class(value):
-        return ascii_decimal(str(value))
+    def convert(self, value, param, ctx):
+        try:
+            return self._read(str(value))
+        except ValueError:
+            self.fail(f"{value!r} is not a valid {self.name}.", param, ctx)
 
 
-_DECIMAL = _Decimal()
+_INTEGER, _DECIMAL = _Number("integer", ascii_int), _Number("float", ascii_decimal)
 
 _seed_option = click.option(
     "--seed", type=_INTEGER, default=0, show_default=True, envvar="OBSERVE_SEED",
@@ -183,11 +178,10 @@ def translate(seq_file, table_file, frame):
 def _read_sequences(path: str) -> list:
     from . import genetics
     text = _read(path)
-    records = genetics.read_sequence_records(text)
-    if records and any(name != "-" for name, _ in records):
-        return records
-    # Headerless: each nonempty line is its own sequence.
     lines = [line.strip() for line in text.splitlines() if line.strip()]
+    if any(line.startswith(">") for line in lines):
+        return genetics.read_sequence_records(text)
+    # Headerless: each nonempty line is its own sequence.
     return [(str(i), line) for i, line in enumerate(lines)]
 
 

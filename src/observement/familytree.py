@@ -7,14 +7,15 @@ has more than two parents.  Partner edges are stored as unordered pairs to
 reflect the symmetry of the relationship.
 
 A kinship file is read by one loop over one row per line, which builds the
-persons, labels, arcs and partner edges.  One regular-expression scan of the
-text gives every row; a line the scan cannot take (a quoted or escaped word,
-a faulty line) is kept whole in its row and split as the loop meets it, by
-one scan of its quoted, escaped and plain pieces if it holds a quote or
-backslash and by runs of non-blanks if not, so the faulty line met first is
-the one named.  A graph proves itself valid in unsorted passes, acyclicity
-by in-degree counts (Kahn 1962); only a graph that fails one is walked again
-in sorted order, to name the same fault whatever the set order.
+persons, labels, arcs and partner edges and keeps the first repeated arc or
+partner edge, named once every line has been read.  One regular-expression
+scan of the text gives every row; a line the scan cannot take (a quoted or
+escaped word, a faulty line) is kept whole in its row and split as the loop
+meets it, by one scan of its quoted, escaped and plain pieces if it holds a
+quote or backslash and by runs of non-blanks if not, so the faulty line met
+first is the one named.  A graph proves itself valid in unsorted passes,
+acyclicity by in-degree counts (Kahn 1962); only a graph that fails one is
+walked again in sorted order, to name the same fault whatever the set order.
 """
 
 from __future__ import annotations
@@ -260,14 +261,16 @@ def parse_kinship_file(text: str) -> KinshipGraph:
     One scan of the text gives one row per line, ``(person, name, label, a,
     arrow, b, other)``, a label within its quotes.  A line the scan cannot
     take is ``other``, and only such a line is split into words, as the loop
-    meets it, so the faulty line met first is the one named.  A repeated arc
-    or partner edge is named after every line has been read.
+    meets it, so the faulty line met first is the one named.  The loop keeps
+    the first arc or partner edge that repeats one before it and names it
+    after the last line, so a later faulty line or double declaration wins.
     """
     rows = _LINE.findall("\n".join(text.splitlines()))
     declared: set = set()
     labels: dict = {}
-    arcs: list = []
-    partners: list = []
+    arcs: set = set()
+    partners: set = set()
+    repeat = ""  # the text naming the first repeated arc or partner edge
     for lineno, (person, name, label, a, arrow, b, other) in enumerate(rows, 1):
         if other:
             person, name, label, a, arrow, b = _line_row(lineno, other)
@@ -279,16 +282,20 @@ def parse_kinship_file(text: str) -> KinshipGraph:
                 labels[name] = label[1:-1]
         elif arrow:
             if arrow == "->":
-                arcs.append((a, b))
+                if (a, b) in arcs:
+                    repeat = repeat or f"duplicate arc ({a},{b})"
+                arcs.add((a, b))
             else:
-                partners.append(frozenset((a, b)))
+                edge = frozenset((a, b))
+                if edge in partners:
+                    repeat = repeat or f"duplicate partner edge {{{a},{b}}}"
+                partners.add(edge)
             declared.add(a)
             declared.add(b)
-    arc_set, partner_set = set(arcs), set(partners)
     try:
-        if len(arc_set) < len(arcs) or len(partner_set) < len(partners):
-            _raise_first_repeat(rows)
-        return KinshipGraph(declared, arc_set, partner_set, labels)
+        if repeat:
+            raise KinshipError(repeat)
+        return KinshipGraph(declared, arcs, partners, labels)
     except KinshipError as exc:
         raise KinshipError(f"kinship file invalid: {exc}") from exc
 
@@ -339,23 +346,6 @@ def _line_row(lineno: int, line: str) -> tuple:
     if len(words) == 3 and words[1] in ("->", "<->"):
         return "", "", "", *words
     raise KinshipError(f"line {lineno}: expected a person, '->', or '<->' line")
-
-
-def _raise_first_repeat(rows) -> None:
-    """Name the first arc or partner edge that repeats one before it in the scan's
-    ``rows``, splitting again only the lines the scan did not take."""
-    seen: set = set()
-    for lineno, (_, _, _, a, arrow, b, other) in enumerate(rows, 1):
-        if other:
-            _, _, _, a, arrow, b = _line_row(lineno, other)
-        if arrow == "->":
-            if (a, b) in seen:
-                raise KinshipError(f"duplicate arc ({a},{b})")
-            seen.add((a, b))
-        elif arrow:
-            if frozenset((a, b)) in seen:
-                raise KinshipError(f"duplicate partner edge {{{a},{b}}}")
-            seen.add(frozenset((a, b)))
 
 
 def format_kinship_file(g: KinshipGraph) -> str:

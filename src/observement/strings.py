@@ -180,8 +180,6 @@ def membership(grammar: Grammar, s: str) -> bool:
     nonterminal at ``pos`` depends only on later positions, or on leftmost
     nonterminals at ``pos``, which cannot lead back to it.
     """
-    if any(ch not in grammar.terminals for ch in s):
-        return False
     memo, ends = {}, None
     root = (grammar.start, 0)
     stack = [(root, _nonterminal_ends(grammar, s, *root))]

@@ -461,6 +461,16 @@ class TestMotif:
         result = runner.invoke(cli, ["motif", "derive", path, "--class-cap", "2"])
         assert result.output.strip() == "A {B,C}"
 
+    def test_match_reads_empty_headers_as_headers(self, runner, tmp_path):
+        path = write(tmp_path / "seqs.fa", ">\nACGT\n >\nGGA\n")
+        result = runner.invoke(cli, ["motif", "match", "G", path])
+        assert (result.exit_code, result.stdout, result.stderr) == (0, "-\t2\n-\t0 1\n", "")
+
+    def test_derive_reads_empty_headers_as_headers(self, runner, tmp_path):
+        path = write(tmp_path / "seqs.fa", ">\nACGT\n>\nAGGT\n")
+        result = runner.invoke(cli, ["motif", "derive", path, "--class-cap", "2"])
+        assert (result.exit_code, result.stdout, result.stderr) == (0, "A {C,G} G T\n", "")
+
 
 class TestGraph:
     def test_convert_round_trip_through_g6(self, runner, tmp_path):

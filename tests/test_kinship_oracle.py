@@ -267,6 +267,19 @@ class TestReader:
         g = ft.parse_kinship_file(text)
         assert calls == [("person 'q u'",)] and "q u" in g.persons
 
+    def test_a_repeat_splits_each_line_the_scan_cannot_take_once(self, monkeypatch):
+        lines = ["person 'q u'", "'q u' -> b", "c\\ d -> e", "b -> f", "'q u' -> b"]
+        calls, split_words = [], ft._split_words
+
+        def split(*args, **kwargs):
+            calls.append(args)
+            return split_words(*args, **kwargs)
+
+        monkeypatch.setattr(ft, "_split_words", split)
+        assert outcome(ft.parse_kinship_file, "\n".join(lines)) == \
+            "kinship file invalid: duplicate arc (q u,b)"
+        assert calls == [(line,) for line in lines if line != "b -> f"]
+
     def test_long_runs_of_blanks_read_in_linear_time(self):
         for text in ["a" + " " * 100_000 + "b", "\t" * 100_000 + "x\xa0",
                      "a -> b" + " " * 100_000 + "c"]:

@@ -225,6 +225,7 @@ class TestMembership:
         rng = random.Random(31)
         words = [""] + ["".join(w) for n in range(1, 7)
                         for w in itertools.product("ab", repeat=n)]
+        words += ["c", "cab", "abcab", "abc"]  # a foreign symbol first, in the middle, last
         checked = members = 0
         while checked < 300:
             grammar = random_grammar(rng, rng.randint(1, 8))

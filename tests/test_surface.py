@@ -64,7 +64,8 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, 
 
 def _defined_names(statement):
     if isinstance(statement, ast.Assign):
-        return [t.id for t in statement.targets if isinstance(t, ast.Name)]
+        return [node.id for target in statement.targets for node in ast.walk(target)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
     if isinstance(statement, ast.AnnAssign):
         return [statement.target.id] if isinstance(statement.target, ast.Name) else []
     return [statement.name]
