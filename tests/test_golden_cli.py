@@ -71,7 +71,11 @@ replaced by a placeholder, followed by the command's label.  The commands:
   differing kernel first, in the middle or last among the valid ones, with
   invalid algorithms interleaved;
 * ``graph sub`` commands of a path and then a cycle, odd three times in
-  four, into the complete bipartite graph K_{s,s} for s up to 12.
+  four, into the complete bipartite graph K_{s,s} for s up to 12;
+* one command per cap refusal not pinned above: the vertex cap through a
+  graph file and through ``percolate``, the subgraph pattern cap, the
+  percolation sweep cap, both census caps, the canonical form cap, and the
+  two ``grammar gen`` caps, on strings and on symbols held.
 
 A change to any of those bytes fails the test, which names each changed
 command.  To re-record after a change that is meant, run this module as a
@@ -1103,6 +1107,25 @@ def ggen_command(rng, write, i):
     return ["grammar", "gen", write(text), "--max-len", max_len]
 
 
+def cap_commands(write):
+    """One command per ``CapExceeded`` refusal, each just past its cap, as (label, args)."""
+    path9 = "graph 9\n" + "".join(f"{i} {i + 1}\n" for i in range(8))
+    yield "cap/vertices-file", ["graph", "convert", write("graph 5001\n"), "--to", "edges"]
+    yield "cap/vertices-percolate", ["percolate", "-n", "5001", "--p-from", "0.5",
+                                     "--p-to", "0.5", "--steps", "1", "--trials", "1"]
+    yield "cap/subgraph", ["graph", "sub", write(path9), write("graph 10\n0 1\n")]
+    yield "cap/percolation", ["percolate", "-n", "5000", "--p-from", "0", "--p-to", "1",
+                              "--steps", "5", "--trials", "1"]
+    yield "cap/census3", ["graph", "motifs", write("graph 201\n"), "-k", "3"]
+    yield "cap/census4", ["graph", "motifs", write("graph 61\n"), "-k", "4"]
+    yield "cap/canonical", ["complexity", "--canonical", write("graph 11\n")]
+    yield "cap/strings", ["grammar", "gen",
+                          write("<s> -> a <s> | b <s> | c <s> | d <s> | a | b | c | d\n"),
+                          "--max-len", "9"]
+    yield "cap/symbols", ["grammar", "gen", write("<r> -> a <r> | a\n<s> -> <r> <r>\n<s>\n"),
+                          "--max-len", "2000"]
+
+
 def bench_workloads():
     """The benchmark's ``workloads`` module."""
     sys.path.insert(0, str(BENCH))
@@ -1182,6 +1205,7 @@ def commands(write):
     rng = random.Random(35)
     for i in range(48):
         yield f"oddsub/{i:03d}", odd_last_sub_command(rng, write, i)
+    yield from cap_commands(write)
 
 
 def digests():
