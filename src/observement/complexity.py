@@ -64,16 +64,15 @@ def lzw_compress(s: str, alphabet) -> LzwOutput:
     """
     symbols = _check_alphabet(alphabet)
     table = {symbol: code for code, symbol in enumerate(symbols)}
-    for i, ch in enumerate(s):
-        if ch not in table:
-            raise LzwError(f"symbol {ch!r} at position {i} is outside the alphabet")
     codes = []
     new_entries = []
     current = ""
-    for ch in s:
+    for i, ch in enumerate(s):
         candidate = current + ch
         if candidate in table:
             current = candidate
+        elif ch not in table:
+            raise LzwError(f"symbol {ch!r} at position {i} is outside the alphabet")
         else:
             codes.append(table[current])
             table[candidate] = len(table)

@@ -1,6 +1,7 @@
 """Genealogical digraphs: parent-to-child arcs plus symmetric partner edges.
 
-Graphs are read from a kinship file or built from a list of operations, and
+Graphs are read from a kinship file or made by the ``KinshipGraph``
+constructor from sets of persons, parent arcs, partner edges and labels, and
 are immutable afterwards, so completed graphs can be queried concurrently.
 Parent arcs must stay acyclic, so nobody is their own ancestor, and nobody
 has more than two parents.  Partner edges are stored as unordered pairs to
@@ -123,45 +124,6 @@ class KinshipGraph:
         for parent, child in self.parent_arcs:
             out.setdefault(parent, set()).add(child)
         return out
-
-
-# --- constructors -----------------------------------------------------------
-
-
-def build(operations) -> KinshipGraph:
-    """Assemble a graph from a sequence of operations.
-
-    Operations: ``("person", name)`` or ``("person", name, label)`` declares
-    a person; ``("arc", parent, child)`` adds a parent arc between declared
-    persons; ``("partner", a, b)`` adds a partner edge.  The result is the
-    disjoint union of whatever components the operations leave behind.
-    """
-    persons: set = set()
-    labels: dict = {}
-    arcs: set = set()
-    partners: set = set()
-    for op in operations:
-        kind = op[0]
-        if kind == "person":
-            name = op[1]
-            if name in persons:
-                raise KinshipError(f"person {name!r} declared twice")
-            persons.add(name)
-            if len(op) > 2 and op[2] is not None:
-                labels[name] = op[2]
-        elif kind in ("arc", "partner"):
-            _, a, b = op
-            if kind == "arc":
-                if (a, b) in arcs:
-                    raise KinshipError(f"duplicate arc ({a},{b})")
-                arcs.add((a, b))
-            else:
-                if frozenset({a, b}) in partners:
-                    raise KinshipError(f"duplicate partner edge {{{a},{b}}}")
-                partners.add(frozenset({a, b}))
-        else:
-            raise KinshipError(f"unknown operation {kind!r}")
-    return KinshipGraph(persons, arcs, partners, labels)
 
 
 # --- queries ----------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from observement import complexity, core, familytree, genetics, graphs, motifs, strings
-from test_familytree import brute_force_query
+from test_familytree import brute_force_query, three_generations
 
 
 def _report(number, description, check):
@@ -324,17 +324,7 @@ def test_criterion_08_percolation_phase_change():
 
 def test_criterion_09_kinship_relations_match_path_enumeration():
     def check():
-        g = familytree.build([
-            ("person", "alice"), ("person", "bob"), ("person", "carol"),
-            ("person", "dave"), ("person", "eve"), ("person", "frank"),
-            ("person", "grace"),
-            ("partner", "alice", "bob"),
-            ("arc", "alice", "carol"), ("arc", "bob", "carol"),
-            ("arc", "alice", "dave"), ("arc", "bob", "dave"),
-            ("partner", "carol", "eve"),
-            ("arc", "carol", "frank"), ("arc", "eve", "frank"),
-            ("arc", "dave", "grace"),
-        ])
+        g = three_generations()
         assert len(g.persons) == 7
         checked = 0
         for u, v in permutations(sorted(g.persons), 2):

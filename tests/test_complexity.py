@@ -76,8 +76,15 @@ class TestLzw:
             lzw_decompress([3], "abc")  # self-referential needs a predecessor
 
     def test_symbol_outside_alphabet_rejected(self):
-        with pytest.raises(LzwError, match="outside the alphabet"):
-            lzw_compress("abz", "ab")
+        # Foreign symbols last, first, in the middle, after a multi-symbol
+        # match, and two of them, where the first is named.
+        for text, position in [("abz", 2), ("zab", 0), ("abzab", 2), ("aaaz", 3),
+                               ("abyaz", 2)]:
+            with pytest.raises(LzwError) as caught:
+                lzw_compress(text, "ab")
+            symbol = text[position]
+            assert str(caught.value) == \
+                f"symbol {symbol!r} at position {position} is outside the alphabet"
 
     def test_alphabet_validated(self):
         with pytest.raises(LzwError, match="non-empty"):

@@ -225,13 +225,18 @@ class TestReader:
                               "two distinct", "both partners", "two parents", "cycle"}, kinds
         assert kinds["valid"] >= 600
 
-    def test_no_file_is_built_through_the_operations_list(self, monkeypatch):
-        def refuse(operations):
-            raise AssertionError("parse_kinship_file built through build()")
+    def test_each_file_is_built_by_at_most_one_constructor_call(self, monkeypatch):
+        calls = []
 
-        monkeypatch.setattr(ft, "build", refuse)
+        def counted(*fields):
+            calls.append(fields)
+            return KinshipGraph(*fields)
+
+        monkeypatch.setattr(ft, "KinshipGraph", counted)
         for text in fuzz_texts()[1]:
+            calls.clear()
             outcome(ft.parse_kinship_file, text)
+            assert len(calls) <= 1, repr(text)
 
     def test_a_file_the_scan_takes_reads_as_the_line_reader_reads_it(self):
         text = ('person a ""\nperson b "B b"\n\ta#b -> c \n#a -> b\nx -> a#b\nperson #x\n'
