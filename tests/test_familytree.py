@@ -90,6 +90,10 @@ class TestConstruction:
         assert g.partner_edges == frozenset({frozenset({"a", "b"})})
         assert g.parent_arcs == frozenset()
 
+    def test_person_declared_twice_rejected(self):
+        with pytest.raises(KinshipError, match="^line 2: person 'x' declared twice$"):
+            ft.parse_kinship_file("person x\nperson x\n")
+
     def test_cycle_rejected(self):
         with pytest.raises(KinshipError, match="cycle"):
             KinshipGraph({"a", "b"}, {("a", "b"), ("b", "a")})
@@ -97,6 +101,11 @@ class TestConstruction:
     def test_self_parent_rejected(self):
         with pytest.raises(KinshipError, match="own parent"):
             KinshipGraph({"a"}, {("a", "a")})
+
+    def test_duplicate_arc_rejected(self):
+        with pytest.raises(KinshipError,
+                           match=r"^kinship file invalid: duplicate arc \(a,b\)$"):
+            ft.parse_kinship_file("a -> b\na -> b\n")
 
     @pytest.mark.parametrize("persons, arcs, partners", [
         ({"a"}, {("a", "ghost")}, set()),
