@@ -670,6 +670,20 @@ class TestTextFormats:
         with pytest.raises(GraphError, match="self-loop"):
             parse_graph_text("graph 2\n1 1\n")
 
+    @pytest.mark.parametrize("text, fault", [
+        ("graph 9\n0 0\n5 5\n", "self-loop (0,0) not allowed in an undirected graph"),
+        ("graph 9\n5 5\n0 0\n", "self-loop (5,5) not allowed in an undirected graph"),
+        ("digraph 2\n1 3\n4 0\n", "arc (1,3) out of range for n=2"),
+        ("adjlist 3\n0: 1\n1:\n2: 5\n", "adjacency list is not symmetric at (2, 5)"),
+        ("adjlist 3\n0: 2\n1: 1\n2:\n", "self-loop (1,1) not allowed in an undirected graph"),
+    ], ids=["loops", "loops-reversed", "arcs", "adjlist-range", "adjlist-loop"])
+    def test_the_first_fault_the_build_meets_is_named(self, text, fault):
+        """Pairs in file order; in an adjacency list, vertices out of range first,
+        then the cells row by row, a self-loop before an unmirrored pair."""
+        with pytest.raises(GraphError) as info:
+            parse_graph_text(text)
+        assert str(info.value) == fault
+
 
 class TestCaps:
     """Each cap refuses before anything is allocated, so an input just over it is cheap."""
