@@ -176,15 +176,15 @@ def _components(masks) -> tuple:
 
 
 def _matrix_fault(rows):
-    """The first fault of an undirected matrix's rows, scanning row by row: a
-    diagonal bit, then an unmirrored cell below the diagonal; None if symmetric."""
+    """The first faulty cell (i, j), j <= i, of an undirected matrix's rows, row by row:
+    a diagonal bit, then a cell below the diagonal unlike its mirror; None if symmetric."""
     above = _transpose([row >> j + 1 << j + 1 for j, row in enumerate(rows)])
     for i, row in enumerate(rows):
         if row >> i & 1:
-            return f"nonzero diagonal at {i} in an undirected matrix"
+            return i, i
         unmirrored = (row & (1 << i) - 1) ^ above[i]
         if unmirrored:
-            return f"matrix is not symmetric at ({i},{(unmirrored & -unmirrored).bit_length() - 1})"
+            return i, (unmirrored & -unmirrored).bit_length() - 1
     return None
 
 
@@ -216,26 +216,26 @@ def from_adjacency_list(rows: Sequence, directed: bool = False):
     masks = [0] * n
     for u, row in enumerate(rows):
         if row and not 0 <= min(row) <= max(row) < n:
-            break
+            v = next(v for v in row if not 0 <= v < n)  # no row v mirrors (u, v)
+            raise GraphError(f"arc ({u},{v}) out of range for n={n}" if directed
+                             else f"adjacency list is not symmetric at {(u, v)}")
         for v in row:
             masks[u] |= 1 << v
-    else:
-        if directed or not _matrix_fault(masks):
-            return (Digraph if directed else Graph)._from_rows(n, masks)
-    # Refused: the pair walk names the fault that set order meets first.
-    pairs = {(u, v) for u, neighbours in enumerate(rows) for v in neighbours}
-    if not directed:
-        asymmetric = [(u, v) for u, v in pairs if (v, u) not in pairs]
-        if asymmetric:
-            raise GraphError(f"adjacency list is not symmetric at {asymmetric[0]}")
-    return from_edge_list(n, pairs, directed)
+    fault = not directed and _matrix_fault(masks)
+    if fault:
+        u, v = fault if masks[fault[0]] >> fault[1] & 1 else fault[::-1]  # the listed pair
+        raise GraphError(f"self-loop ({u},{v}) not allowed in an undirected graph" if u == v
+                         else f"adjacency list is not symmetric at {(u, v)}")
+    return (Digraph if directed else Graph)._from_rows(n, masks)
 
 
 def _matrix_graph(rows: list, directed: bool):
     """The graph of square matrix rows given as bitsets; an undirected one must be symmetric."""
     fault = not directed and _matrix_fault(rows)
     if fault:
-        raise GraphError(fault)
+        i, j = fault
+        raise GraphError(f"nonzero diagonal at {i} in an undirected matrix" if i == j else
+                         f"matrix is not symmetric at ({i},{j})")
     return (Digraph if directed else Graph)._from_rows(len(rows), rows)
 
 
@@ -533,7 +533,8 @@ def percolation_sweep(n: int, p_values: Iterable, trials: int, seed) -> list:
 # no keyword is graph6.  An edge body is read by one search for its first line
 # that is not two vertices and one split of the lines before it, any other
 # body by one scan giving a row per line.  Line faults are named from these
-# matches, graph faults by a build from the pair set, in set order.
+# matches, graph faults as the one build meets them: pairs in file order, rows
+# in vertex order.
 _B = f"[{BLANKS}]"
 _INT = r"-?[0-9]+"
 _ROW_END = rf"(?:\r\n|[{BREAKS}]|\Z)"
@@ -627,10 +628,7 @@ def _read_edges(text: str, start: int, first: int, n: int, directed: bool):
             ascii_ints(words)
         except ValueError as exc:
             raise GraphError(f"{where}bad vertex {exc.args[0]!r}") from None
-    try:
-        return from_edge_list(n, zip(ends[::2], ends[1::2]), directed)
-    except GraphError:  # refused: the pair set names the fault its order meets first
-        return from_edge_list(n, set(zip(ends[::2], ends[1::2])), directed)
+    return from_edge_list(n, zip(ends[::2], ends[1::2]), directed)
 
 
 def _read_matrix(text: str, start: int, first: int, n: int, directed: bool):

@@ -92,12 +92,24 @@ def reference_from_edge_list(n, pairs, directed=False):
 
 
 def reference_from_adjacency_list(rows: Sequence, directed=False):
+    """Pairs in reading order.  The first with a vertex out of range is named;
+    then, undirected, the fault whose cell (max, min) comes first row by row, a
+    self-loop before the unmirrored pairs of its row."""
     n = len(rows)
-    pairs = {(u, v) for u, neighbours in enumerate(rows) for v in neighbours}
+    pairs = [(u, v) for u, neighbours in enumerate(rows) for v in neighbours]
+    for u, v in pairs:
+        if not 0 <= v < n:
+            if directed:
+                raise GraphError(f"arc ({u},{v}) out of range for n={n}")
+            raise GraphError(f"adjacency list is not symmetric at {(u, v)}")
     if not directed:
-        asymmetric = [(u, v) for u, v in pairs if (v, u) not in pairs]
-        if asymmetric:
-            raise GraphError(f"adjacency list is not symmetric at {asymmetric[0]}")
+        listed = set(pairs)  # looked up only: the order is the list's
+        faults = [(u, v) for u, v in pairs if u == v or (v, u) not in listed]
+        if faults:
+            u, v = min(faults, key=lambda p: (max(p), p[0] != p[1], min(p)))
+            if u == v:
+                raise GraphError(f"self-loop ({u},{v}) not allowed in an undirected graph")
+            raise GraphError(f"adjacency list is not symmetric at {(u, v)}")
     return reference_from_edge_list(n, pairs, directed)
 
 
@@ -259,12 +271,12 @@ def reference_vertices(tokens, lineno):
 
 def reference_edge_lines(lines, directed):
     n = reference_header_n(lines)
-    pairs = set()
+    pairs = []
     for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise GraphError(f"line {lineno}: expected 'u v'")
-        pairs.add(tuple(reference_vertices(parts, lineno)))
+        pairs.append(tuple(reference_vertices(parts, lineno)))
     return reference_from_edge_list(n, pairs, directed)
 
 

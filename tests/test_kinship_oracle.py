@@ -67,9 +67,7 @@ def reference_fields(persons, arcs, partners, labels):
 def reference_build(operations):
     persons, labels, arcs, partners = set(), {}, set(), set()
     for op in operations:
-        if op[0] == "person":
-            if op[1] in persons:
-                raise KinshipError(f"person {op[1]!r} declared twice")
+        if op[0] == "person":  # declared once: reference_parse refuses a second declaration
             persons.add(op[1])
             if op[2] is not None:
                 labels[op[1]] = op[2]
