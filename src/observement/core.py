@@ -568,10 +568,10 @@ def _read_block(section, lines: list, start: int, stop: int) -> None:
     """Add ``lines[start:stop]``, which hold no header or comment line, to ``section``.
 
     A relation block is grouped into the relation's rows as its lines are
-    split, by ``_group``, whose grouping is the arity check; a MAP or PAIR
-    block becomes a dict, checked for shape and repeats at once; member lines
-    are split and kept in order.  Only a block that fails its check, or data
-    before any section, is read line by line, to name its first bad line.
+    split, by ``_group``, whose grouping is the arity check; member lines are
+    split and kept in order.  A MAP or PAIR block is walked line by line, each
+    line checked for shape and repeat as it is added, so the first bad line is
+    the one named, as is the first non-blank line of data before any section.
     """
     kind, target = section or (None, None)
     block = lines[start:stop]
@@ -588,26 +588,18 @@ def _read_block(section, lines: list, start: int, stop: int) -> None:
     if kind in ("OBJECTS", "OBSERVATIONS"):
         target.extend(itertools.chain.from_iterable(map(str.split, block)))
         return
-    if kind is not None:
-        pairs = list(filter(None, map(str.split, block)))
-        try:
-            new = dict(pairs)
-        except ValueError:  # a line of other than two tokens
-            new = {}
-        if len(new) == len(pairs) and new.keys().isdisjoint(target):
-            target.update(new)
-            return
-    # Data before any section, or a MAP or PAIR block that failed its check:
-    # name the first bad line.
+    if kind is None:
+        for lineno, line in enumerate(block, start + 1):
+            if line.split():
+                raise SystemDefinitionError(f"line {lineno}: data before any section header")
+        return
+    shape, noun, verb = _PAIR_LINE_WORDS[kind]
     for lineno, tokens in enumerate(map(str.split, block), start + 1):
-        if not tokens:
-            continue
-        if kind is None:
-            raise SystemDefinitionError(f"line {lineno}: data before any section header")
-        shape, noun, verb = _PAIR_LINE_WORDS[kind]
-        if len(tokens) != 2:
-            raise SystemDefinitionError(f"line {lineno}: expected '{shape}'")
-        if tokens[0] in target:
+        if len(tokens) != 2 or tokens[0] in target:
+            if not tokens:
+                continue
+            if len(tokens) != 2:
+                raise SystemDefinitionError(f"line {lineno}: expected '{shape}'")
             raise SystemDefinitionError(f"line {lineno}: {noun} {tokens[0]!r} {verb} twice")
         target[tokens[0]] = tokens[1]
 

@@ -14,14 +14,14 @@ scan of the text gives every row; a line the scan cannot take (a quoted or
 escaped word, a faulty line) is kept whole in its row and split as the loop
 meets it, by one scan of its quoted, escaped and plain pieces if it holds a
 quote or backslash and by runs of non-blanks if not, so the faulty line met
-first is the one named.  A graph proves itself valid in unsorted passes,
-acyclicity by in-degree counts (Kahn 1962); only a graph that fails one is
-walked again in sorted order, to name the same fault whatever the set order.
+first is the one named.  A graph's invariants are checked by one walk over
+its arcs, partner edges and labels in set order, acyclicity by in-degree
+counts (Kahn 1962); only when that walk meets a fault does it run again over
+the sorted arcs and edges, to name the same fault whatever the set order.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import re
@@ -56,26 +56,40 @@ class KinshipGraph:
         object.__setattr__(self, "parent_arcs", frozenset(map(tuple, self.parent_arcs)))
         object.__setattr__(self, "partner_edges", frozenset(map(frozenset, self.partner_edges)))
         object.__setattr__(self, "labels", dict(self.labels))
-        if not self._valid():
-            self._raise_first_fault()
+        if self._fault(self.parent_arcs, self.partner_edges):
+            edges = sorted(tuple(sorted(edge)) for edge in self.partner_edges)
+            raise KinshipError(self._fault(sorted(self.parent_arcs), edges))
 
-    def _valid(self) -> bool:
-        """Whether every invariant holds, checked in passes that sort nothing."""
-        persons, arcs, children = self.persons, self.parent_arcs, self._children
-        parents = dict(collections.Counter(child for _, child in arcs))
-        if not (persons.issuperset(children) and persons.issuperset(parents)
-                and persons.issuperset(self.labels) and max(parents.values(), default=0) <= 2):
-            return False
-        for edge in self.partner_edges:
-            if len(edge) != 2 or not persons.issuperset(edge):
-                return False
+    def _fault(self, arcs, edges):
+        """The text of the first fault met walking ``arcs`` and ``edges`` in the order
+        given, or None."""
+        persons, parents, crowded = self.persons, {}, []
+        for parent, child in arcs:
+            if parent not in persons or child not in persons:
+                return f"arc ({parent},{child}) references an unknown person"
+            if parent == child:
+                return f"{parent!r} cannot be their own parent"
+            parents[child] = count = parents.get(child, 0) + 1
+            if count == 3:
+                crowded.append(child)
+        for edge in edges:
+            if len(edge) != 2:
+                return f"partner edge {_spelled(edge)} must join two distinct persons"
+            if not persons.issuperset(edge):
+                return f"partner edge {_spelled(edge)} references an unknown person"
             a, b = edge
-            if (a, b) in arcs or (b, a) in arcs:
-                return False
+            if (a, b) in self.parent_arcs or (b, a) in self.parent_arcs:
+                return f"{_spelled(edge)} cannot be both partners and parent/child"
+        for person in self.labels:
+            if person not in persons:
+                return f"label for unknown person {person!r}"
+        if crowded:
+            return f"{crowded[0]!r} has more than two parents"
         # Kahn's pass: take away the arcs out of each parent left without
         # parents of their own; the arcs are acyclic exactly when every one is
-        # taken.  A self-parent arc is a cycle of one and is never taken.
-        left = len(arcs)
+        # taken.
+        children = self._children
+        left = len(self.parent_arcs)
         ready = [person for person in children if person not in parents]
         while ready:
             kids = children[ready.pop()]
@@ -85,35 +99,9 @@ class KinshipGraph:
                     parents[child] = count = parents[child] - 1
                     if not count:
                         ready.append(child)
-        return not left
-
-    def _raise_first_fault(self) -> None:
-        """Raise the fault met first when arcs and edges are walked in sorted order."""
-        arcs = sorted(self.parent_arcs)
-        for parent, child in arcs:
-            if parent not in self.persons or child not in self.persons:
-                raise KinshipError(f"arc ({parent},{child}) references an unknown person")
-            if parent == child:
-                raise KinshipError(f"{parent!r} cannot be their own parent")
-        for pair in sorted(tuple(sorted(edge)) for edge in self.partner_edges):
-            spelled = "{" + ", ".join(map(repr, pair)) + "}"
-            if len(pair) != 2:
-                raise KinshipError(f"partner edge {spelled} must join two distinct persons")
-            if not self.persons.issuperset(pair):
-                raise KinshipError(f"partner edge {spelled} references an unknown person")
-            if pair in self.parent_arcs or pair[::-1] in self.parent_arcs:
-                raise KinshipError(f"{spelled} cannot be both partners and parent/child")
-        for person in self.labels:
-            if person not in self.persons:
-                raise KinshipError(f"label for unknown person {person!r}")
-        parent_count: dict = {}
-        for _, child in arcs:
-            parent_count[child] = parent_count.get(child, 0) + 1
-            if parent_count[child] > 2:
-                raise KinshipError(f"{child!r} has more than two parents")
-        cycle = first_cycle(self._children)
-        if cycle:
-            raise KinshipError("parent arcs form a cycle: " + " -> ".join(cycle))
+        if left:
+            return "parent arcs form a cycle: " + " -> ".join(first_cycle(children))
+        return None
 
     # Adjacency along parent arcs, built once per graph.  The sets are shared
     # by every query, so nothing may mutate them.
@@ -124,6 +112,10 @@ class KinshipGraph:
         for parent, child in self.parent_arcs:
             out.setdefault(parent, set()).add(child)
         return out
+
+
+def _spelled(edge) -> str:
+    return "{" + ", ".join(map(repr, sorted(edge))) + "}"
 
 
 # --- queries ----------------------------------------------------------------

@@ -200,30 +200,18 @@ class MotifCensus:
             object.__setattr__(self, "background", dict(self.background))
 
 
-def _cells(k: int, directed: bool) -> list:
-    # Bit b of a local mask is cell b: the triangle pairs (i, j), i < j, when
-    # undirected; the row-major k*k pairs, diagonal included, when directed.
-    if directed:
-        return [(i, j) for i in range(k) for j in range(k)]
-    return [(i, j) for j in range(1, k) for i in range(j)]
-
-
 @functools.cache
-def _relabellings(k: int, directed: bool) -> tuple:
-    """Per relabelling of the k local vertices, the destination bit of each cell's bit."""
-    cells = _cells(k, directed)
-    position = {cell: bit for bit, cell in enumerate(cells)}
-    return tuple(
-        tuple(1 << position[(a, b) if directed or a < b else (b, a)]
-              for a, b in ((perm[i], perm[j]) for i, j in cells))
-        for perm in permutations(range(k)))
+def _relabellings(k: int) -> tuple:
+    """Per relabelling of the k local vertices, the destination bit of each cell's
+    bit, where cell (i, j) of a directed local mask, diagonal included, is bit k*i + j."""
+    return tuple(tuple(1 << k * perm[i] + perm[j] for i in range(k) for j in range(k))
+                 for perm in permutations(range(k)))
 
 
-def _canonical_mask(mask: int, k: int, directed: bool) -> int:
-    """The least mask, as an integer, over all k! relabellings of the local vertices."""
-    tables = _relabellings(k, directed)
-    bits = [b for b in range(len(tables[0])) if mask >> b & 1]
-    return min(sum(map(table.__getitem__, bits)) for table in tables)
+def _canonical_mask(mask: int, k: int) -> int:
+    """The least directed mask, as an integer, over all k! relabellings of the local vertices."""
+    bits = [b for b in range(k * k) if mask >> b & 1]
+    return min(sum(map(table.__getitem__, bits)) for table in _relabellings(k))
 
 
 def _mask_identifier(mask: int, k: int, directed: bool) -> str:
@@ -232,11 +220,12 @@ def _mask_identifier(mask: int, k: int, directed: bool) -> str:
     return _pack_graph6(k, [mask >> b & 1 for b in range(k * (k - 1) // 2)])
 
 
-# The undirected classes on k vertices by canonical mask (bit b is cell b of
-# ``_cells``), most edges first.  Class G maps each class H with more edges to
-# s(G, H), the number of edge subsets of one labelled copy of H that are
-# copies of G, where that is not zero.  A literal, so importing costs nothing;
-# the tests rebuild it from ``_canonical_mask``.
+# The undirected classes on k vertices by canonical mask, most edges first:
+# bit b is the b-th pair (i, j), i < j, in graph6's column order (0,1), (0,2),
+# (1,2), (0,3), ...  Class G maps each class H with more edges to s(G, H), the
+# number of edge subsets of one labelled copy of H that are copies of G, where
+# that is not zero.  A literal, so importing costs nothing; the tests rebuild
+# it from a permutation oracle.
 _SUBGRAPH_COPIES = {
     3: {
         0b111: {},  # triangle
@@ -330,16 +319,17 @@ def _constructed_census(g, k: int) -> dict:
 
 
 def _cell_tests(g, k: int) -> tuple:
-    """How to read the local mask of k-1 prefix vertices plus a last one: a cell
-    between prefix vertices is a bit test (i, j, bit), as undirected rows are
-    symmetric and directed out-rows hold self-loops; a cell with the last vertex
-    splits its candidates (rows, i, bit), (i, last) by prefix vertex i's out-row,
-    (last, i) by its in-row and (last, last) by the loop set."""
-    out_rows, in_rows = g._masks[0], g._masks[-1]
+    """How to read the local mask of k-1 prefix vertices of a digraph plus a last
+    one: a cell between prefix vertices is a bit test (i, j, bit) on the
+    out-rows, which hold self-loops; a cell with the last vertex splits its
+    candidates (rows, i, bit), (i, last) by prefix vertex i's out-row, (last, i)
+    by its in-row and (last, last) by the loop set."""
+    out_rows, in_rows = g._masks
     loop_rows = (sum(1 << v for v in range(g.n) if out_rows[v] >> v & 1),) * g.n
     last = k - 1
     prefix_cells, splits = [], []
-    for bit, (i, j) in enumerate(_cells(k, isinstance(g, Digraph))):
+    for bit in range(k * k):
+        i, j = divmod(bit, k)
         if i < last and j < last:
             prefix_cells.append((i, j, 1 << bit))
         elif i < last:
@@ -378,24 +368,24 @@ def _tally_split(tally: dict, tests: tuple, prefix: tuple, members: int) -> int:
     return mask
 
 
-def _named(tally: dict, k: int, directed: bool) -> dict:
-    """Counts by identifier from counts by local mask, each distinct mask named once."""
+def _named(tally: dict, k: int) -> dict:
+    """Counts by identifier from directed local-mask counts, each distinct mask named once."""
     counts: dict[str, int] = {}
     for mask, count in tally.items():
         if count:
-            identifier = _mask_identifier(_canonical_mask(mask, k, directed), k, directed)
+            identifier = _mask_identifier(_canonical_mask(mask, k), k, True)
             counts[identifier] = counts.get(identifier, 0) + count
     return counts
 
 
 def _tally_by_prefix(g, k: int) -> dict:
-    """Count the k-vertex induced subgraphs of any graph or digraph by identifier,
-    splitting the candidates above each (k-1)-prefix, in combinations order."""
+    """Count the k-vertex induced subgraphs of a digraph by identifier, splitting
+    the candidates above each (k-1)-prefix, in combinations order."""
     tests, full = _cell_tests(g, k), (1 << g.n) - 1
     tally: dict[int, int] = {}
     for prefix in combinations(range(g.n - 1), k - 1):
         _tally_split(tally, tests, prefix, full >> prefix[-1] + 1 << prefix[-1] + 1)
-    return _named(tally, k, isinstance(g, Digraph))
+    return _named(tally, k)
 
 
 def _triad_census(g) -> dict:
@@ -436,7 +426,7 @@ def _triad_census(g) -> dict:
     looped = loops.bit_count()
     for j, mask in enumerate((0, 1, 0b10001, 0b100010001)):
         tally[mask] = math.comb(looped, j) * math.comb(n - looped, 3 - j) - with_loops[j]
-    return _named({mask ^ flip: count for mask, count in tally.items()}, 3, True)
+    return _named({mask ^ flip: count for mask, count in tally.items()}, 3)
 
 
 def count_network_motifs(g, k: int) -> MotifCensus:

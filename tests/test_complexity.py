@@ -91,6 +91,9 @@ class TestLzw:
             lzw_compress("", "")
         with pytest.raises(LzwError, match="duplicate"):
             lzw_compress("a", "aa")
+        with pytest.raises(LzwError) as caught:
+            lzw_compress("a", ["a", "bc"])
+        assert str(caught.value) == "alphabet symbols must be single characters, got 'bc'"
 
     def test_stored_dictionary_matches_decoder_rebuild(self):
         # A decoder reconstructs the dictionary from the code stream alone;

@@ -607,6 +607,18 @@ class TestVerifyRepresentation:
         with pytest.raises(SystemDefinitionError, match="pair every object relation"):
             core.verify_representation(system, obs, alg)
 
+    @pytest.mark.parametrize("mapping, pairing, message", [
+        ({"a": "x", "z": "x"}, {"r": "p"}, "algorithm 'm' maps unknown objects ['z']"),
+        ({"a": "q"}, {"r": "p"}, "algorithm 'm' maps into unknown observations ['q']"),
+        ({"a": "x"}, {"r": "s"}, "algorithm 'm' pairs 'r' with unknown relation 's'"),
+    ])
+    def test_stray_members_and_relations_rejected(self, mapping, pairing, message):
+        system = ObjectSystem(frozenset({"a"}), {"r": {("a",)}})
+        obs = ObservationSystem(frozenset({"x"}), {"p": {("x",)}})
+        with pytest.raises(SystemDefinitionError) as caught:
+            core.verify_representation(system, obs, ObservationAlgorithm("m", mapping, pairing))
+        assert str(caught.value) == message
+
 
 class TestVerifyExistence:
     def test_empty_list_is_false(self):
@@ -848,6 +860,15 @@ class TestSystemInvariants:
             (1, "", "Error: relation 'r' references 'q', not a declared object\n")
         }
 
+    def test_members_must_be_non_empty_strings(self):
+        for make, members, message in [
+            (ObjectSystem, {""}, "object identifiers must be non-empty strings, got ''"),
+            (ObservationSystem, {1}, "observation identifiers must be non-empty strings, got 1"),
+        ]:
+            with pytest.raises(SystemDefinitionError) as caught:
+                make(frozenset(members), {})
+            assert str(caught.value) == message
+
     def test_mixed_arity_rejected(self):
         with pytest.raises(SystemDefinitionError, match="mixes arities"):
             ObjectSystem(frozenset({"a", "b"}), {"r": {("a",), ("a", "b")}})
@@ -914,6 +935,19 @@ class TestFixtureFile:
         system = ObjectSystem(frozenset({"a", "x#"}), {"r#": {("x#",), ("a",)}})
         alg = ObservationAlgorithm("m#", {"a": "v", "x#": "v"}, {"r#": "p"})
         self.round_trip(SystemFixture(system, obs, (alg,)))
+
+    @pytest.mark.parametrize("member, relation, message", [
+        ("a b", "r", "identifier 'a b' cannot be written as a file token"),
+        ("MAP", "r", "identifier 'MAP' collides with a section keyword"),
+        ("a", "r/s", "relation name 'r/s' may not contain '/'"),
+    ])
+    def test_names_the_file_cannot_hold_are_refused(self, member, relation, message):
+        system = ObjectSystem(frozenset({member}), {relation: {(member,)}})
+        obs = ObservationSystem(frozenset({"v"}), {"p": {("v",)}})
+        alg = ObservationAlgorithm("m", {member: "v"}, {relation: "p"})
+        with pytest.raises(SystemDefinitionError) as caught:
+            core.format_system_file(SystemFixture(system, obs, (alg,)))
+        assert str(caught.value) == message
 
     def test_comments_and_blank_lines_ignored(self):
         system, obs, alg = identity_fixture()

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from dataclasses import FrozenInstanceError
 
 import networkx as nx
 import pytest
@@ -64,6 +65,19 @@ class TestTypes:
 
     def test_edges_normalised_to_sorted_pairs(self):
         assert Graph(3, {(2, 0)}) == Graph(3, {(0, 2)})
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        with pytest.raises(FrozenInstanceError) as caught:
+            K3.n = 4
+        assert str(caught.value) == "cannot assign to field 'n'"
+        with pytest.raises(FrozenInstanceError) as caught:
+            del K3._rows
+        assert str(caught.value) == "cannot delete field '_rows'"
+
+    def test_relabel_needs_a_permutation(self):
+        with pytest.raises(GraphError) as caught:
+            relabel(K3, [0, 0, 1])
+        assert str(caught.value) == "relabeling must be a permutation of the vertex set"
 
     def test_digraph_admits_self_loops(self):
         assert Digraph(2, {(1, 1)}).arcs == frozenset({(1, 1)})
@@ -163,6 +177,11 @@ class TestGraph6:
     def test_decode_rejects_bad_byte(self):
         with pytest.raises(GraphError, match="outside graph6 range"):
             decode_graph6("A" + chr(40))
+
+    def test_decode_rejects_the_empty_string(self):
+        with pytest.raises(GraphError) as caught:
+            decode_graph6("")
+        assert str(caught.value) == "empty graph6 string"
 
     def test_decode_rejects_trailing_garbage(self):
         with pytest.raises(GraphError, match="trailing garbage"):
@@ -569,6 +588,15 @@ class TestAutomata:
     def test_partial_successor_rejected(self):
         with pytest.raises(GraphError, match="not total"):
             Automaton({"a", "b"}, {"a": "b"})
+
+    @pytest.mark.parametrize("successor, message", [
+        ({"a": "a", "b": "a"}, "successor defined on unknown states ['b']"),
+        ({"a": "z"}, "successor maps outside the state set: ['z']"),
+    ])
+    def test_successor_outside_the_states_rejected(self, successor, message):
+        with pytest.raises(GraphError) as caught:
+            Automaton({"a"}, successor)
+        assert str(caught.value) == message
 
     def test_file_parsing(self):
         machine = parse_automaton_file("s0 -> s1\ns1 -> s0\n")

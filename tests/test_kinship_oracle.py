@@ -1,5 +1,5 @@
-"""The kinship reader's one loop and the unsorted validity passes, checked
-against the line-by-line reader and the sorted checks they replace.
+"""The kinship reader's one loop and the one validity walk, checked against
+the line-by-line reader and the sorted checks they replace.
 
 The references below are those earlier implementations, kept as test
 oracles: the line reader splits each line's words with ``shlex.split`` and
@@ -133,6 +133,26 @@ def outcome(make, *args):
     return result
 
 
+def count_fault_walks(monkeypatch):
+    """A list that gains one entry per ``KinshipGraph._fault`` call."""
+    calls, fault = [], KinshipGraph._fault
+
+    def counted(*args):
+        calls.append(args)
+        return fault(*args)
+
+    monkeypatch.setattr(KinshipGraph, "_fault", counted)
+    return calls
+
+
+def walks(found):
+    """The ``_fault`` calls an outcome takes: one for a valid graph, two for a
+    fault the constructor names, none for one the reader names first."""
+    if not isinstance(found, str):
+        return 1
+    return 0 if kind(found) in ("line", "declared twice", "duplicate") else 2
+
+
 def kind(found):
     """A name for an outcome, to check that the fuzz reaches every branch."""
     if not isinstance(found, str):
@@ -210,14 +230,19 @@ def fuzz_texts():
 
 
 class TestReader:
-    def test_lines_and_genealogies_match_the_line_reader(self):
+    def test_lines_and_genealogies_match_the_line_reader(self, monkeypatch):
         genealogies, texts = fuzz_texts()
-        for text in genealogies:  # taken by the scan and proved valid without sorting
-            assert scanned(text) and ft.parse_kinship_file(text)._valid(), repr(text)
+        calls = count_fault_walks(monkeypatch)
+        for text in genealogies:  # taken by the scan and proved valid in one walk
+            calls.clear()
+            assert scanned(text) and ft.parse_kinship_file(text), repr(text)
+            assert len(calls) == 1, repr(text)
         kinds = {}
         for text in texts:
             expected = outcome(reference_parse, text)
+            calls.clear()
             assert outcome(ft.parse_kinship_file, text) == expected, repr(text)
+            assert len(calls) == walks(expected), repr(text)
             kinds[kind(expected)] = kinds.get(kind(expected), 0) + 1
         assert set(kinds) == {"valid", "line", "declared twice", "duplicate", "own parent",
                               "two distinct", "both partners", "two parents", "cycle"}, kinds
@@ -303,7 +328,8 @@ class TestReader:
 
 
 class TestValidation:
-    def test_direct_construction_matches_the_sorted_checks(self):
+    def test_direct_construction_matches_the_sorted_checks(self, monkeypatch):
+        calls = count_fault_walks(monkeypatch)
         rng = random.Random(21)
         kinds = {}
         for _ in range(3000):
@@ -329,10 +355,11 @@ class TestValidation:
                 else:
                     arcs += [[parent, some] for parent in rng.sample(people, min(3, len(people)))]
             expected = outcome(reference_fields, people, arcs, partners, labels)
+            calls.clear()
             assert outcome(KinshipGraph, people, arcs, partners, labels) == expected, \
                 (people, arcs, partners, labels)
-            if not isinstance(expected, str):  # proved valid without sorting
-                assert KinshipGraph(people, arcs, partners, labels)._valid()
+            # a valid graph is walked once; a fault is walked again in sorted order
+            assert len(calls) == walks(expected), (people, arcs, partners, labels)
             kinds[kind(expected)] = kinds.get(kind(expected), 0) + 1
         assert set(kinds) == {"valid", "own parent", "two distinct", "unknown person",
                               "both partners", "label for", "two parents", "cycle"}, kinds
