@@ -11,10 +11,9 @@ minimal description; every number is relative to this frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapExceeded, ObservementError
-from .graphs import Graph, GraphError, _pack_graph6, encode_graph6
 
 CANONICAL_CAP = 10
 
@@ -23,20 +22,14 @@ class LzwError(ObservementError):
     """Symbol outside the alphabet, or a malformed code stream."""
 
 
-@dataclass(frozen=True)
-class LzwOutput:
+class LzwOutput(NamedTuple):
     """New dictionary entries (in creation order) and the emitted code stream."""
 
     dictionary: tuple
     codes: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "dictionary", tuple(self.dictionary))
-        object.__setattr__(self, "codes", tuple(self.codes))
 
-
-@dataclass(frozen=True)
-class ComplexityReport:
+class ComplexityReport(NamedTuple):
     """Frame-relative complexity: total string length, pattern mass, residual code count."""
 
     total: int
@@ -118,6 +111,7 @@ def canonical_string(g: Graph) -> str:
     is capped at 10 vertices.  ``encode_graph6`` gives the code in the given
     vertex order.
     """
+    from .graphs import Graph, GraphError, _pack_graph6
     if not isinstance(g, Graph):
         raise GraphError("graph6 encodes undirected graphs only")
     if g.n > CANONICAL_CAP:
@@ -231,6 +225,7 @@ def relative_complexity(value, *, canonical: bool = False) -> ComplexityReport:
     total string length, summed length of new dictionary entries, and the
     number of emitted codes.
     """
+    from .graphs import Graph, encode_graph6
     if isinstance(value, Graph):
         text = canonical_string(value) if canonical else encode_graph6(value)
     elif isinstance(value, str):

@@ -224,19 +224,17 @@ class Counterexample(NamedTuple):
         return f"{self.relation}({', '.join(self.members)}) fails {arrow}"
 
 
-@dataclass(frozen=True)
-class HomomorphismReport:
+class HomomorphismReport(NamedTuple):
     """Outcome of the representation check; holds iff no counterexamples."""
 
-    counterexamples: tuple = ()
+    counterexamples: tuple
 
     @property
     def holds(self) -> bool:
         return not self.counterexamples
 
 
-@dataclass(frozen=True)
-class TranslationWitness:
+class TranslationWitness(NamedTuple):
     """A function table between observation values, or absence of one.
 
     ``mapping is None`` means no translation exists: the only candidate map,
@@ -449,14 +447,10 @@ def classify(system: ObjectSystem, observation_systems: Sequence[ObservationSyst
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SystemFixture:
+class SystemFixture(NamedTuple):
     system: ObjectSystem
     observations: ObservationSystem
     algorithms: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
 
 
 # The words that the MAP and PAIR data-line messages differ by: the expected

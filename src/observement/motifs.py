@@ -22,10 +22,10 @@ import random
 import re
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from ._shared import ascii_int
 from .errors import CapExceeded, ObservementError
-from .graphs import Digraph, _bits, _pack_graph6, to_edge_list
 
 CENSUS_CAPS = {3: 200, 4: 60}
 REWIRE_ATTEMPTS_PER_EDGE = 10
@@ -186,18 +186,12 @@ def derive_motif(sequences, class_cap: int) -> MotifPattern:
 # --- network motifs -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MotifCensus:
+class MotifCensus(NamedTuple):
     """Counts per canonical k-vertex subgraph, plus optional null-model means."""
 
     k: int
     counts: dict
-    background: dict | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", dict(self.counts))
-        if self.background is not None:
-            object.__setattr__(self, "background", dict(self.background))
+    background: dict | None
 
 
 @functools.cache
@@ -217,6 +211,7 @@ def _canonical_mask(mask: int, k: int) -> int:
 def _mask_identifier(mask: int, k: int, directed: bool) -> str:
     if directed:
         return f"d{k}:" + format(mask, f"0{k * k}b")
+    from .graphs import _pack_graph6
     return _pack_graph6(k, [mask >> b & 1 for b in range(k * (k - 1) // 2)])
 
 
@@ -260,6 +255,7 @@ def _subgraph_copies(g, k: int) -> dict:
     codegrees c(u, v) = |N(u) & N(v)| and the triangles through each vertex;
     only K4 walks the common neighbours of each edge.  Needs n >= k.
     """
+    from .graphs import to_edge_list
     rows, n, edges = g._masks[0], g.n, to_edge_list(g)
     degrees = [row.bit_count() for row in rows]
     m = len(edges)
@@ -397,6 +393,7 @@ def _triad_census(g) -> dict:
     between.  The empty triads with j looped members are C(L, j) * C(n-L, 3-j),
     L the looped vertices, less the other triads with j.
     """
+    from .graphs import Digraph, _bits
     n, rows = g.n, g._rows
     loops = sum(1 << v for v in range(n) if rows[v] >> v & 1)
     # Past half the possible arcs, tally the arc complement instead: the same
@@ -440,6 +437,7 @@ def count_network_motifs(g, k: int) -> MotifCensus:
     order, and only those that occur.  Counts sum to C(n, k) and are
     invariant under vertex relabeling.
     """
+    from .graphs import Digraph
     if k not in CENSUS_CAPS:
         raise MotifError(f"motif size must be one of {sorted(CENSUS_CAPS)}, got {k}")
     if g.n > CENSUS_CAPS[k]:
@@ -450,7 +448,7 @@ def count_network_motifs(g, k: int) -> MotifCensus:
         counts = _triad_census(g)
     else:
         counts = _tally_by_prefix(g, k)
-    return MotifCensus(k, dict(sorted(counts.items())))
+    return MotifCensus(k, dict(sorted(counts.items())), None)
 
 
 def _rewired_copy(g, edges: list, rng: random.Random):
@@ -464,6 +462,7 @@ def _rewired_copy(g, edges: list, rng: random.Random):
     draws it, from ``size.bit_length()`` random bits redrawn while too large,
     so the generator's stream is the same.
     """
+    from .graphs import Digraph
     directed = isinstance(g, Digraph)
     pairs = edges.copy()
     present = set(pairs)
@@ -509,6 +508,7 @@ def motif_significance(g, k: int, rewires: int, seed) -> MotifCensus:
     unavailable (None); an edgeless graph is refused only when samples are
     requested.
     """
+    from .graphs import to_edge_list
     observed = count_network_motifs(g, k)
     if rewires < 1:
         return observed

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
+from typing import NamedTuple
 
 from ._shared import first_cycle, significant_lines
 from .errors import CapExceeded, ObservementError
@@ -39,8 +40,7 @@ class OneOrMore:
     item: "Terminal | NonTerminal"
 
 
-@dataclass(frozen=True)
-class Grammar:
+class Grammar(NamedTuple):
     terminals: frozenset
     nonterminals: frozenset
     rules: dict  # name -> tuple of alternatives, each a tuple of items

@@ -81,3 +81,56 @@ def test_version_loads_no_subsystem():
 def test_package_import_loads_no_submodule():
     _, loaded = loaded_modules("import observement")
     assert loaded == {"observement"}, f"extra: {sorted(loaded - {'observement'})}"
+
+
+def test_lzw_compress_loads_complexity_only(tmp_path):
+    text = tmp_path / "s.txt"
+    text.write_text("abab\n")
+    stdout, loaded = loaded_modules(
+        "sys.argv = ['observe', 'lzw', 'compress', sys.argv[1], '--alphabet', 'ab']; "
+        "from observement.cli import main; main()", str(text))
+    assert stdout.splitlines()[0] == "0 1 2"
+    expected = {*CLI, "observement.complexity"}
+    assert loaded == expected, f"extra: {sorted(loaded - expected)}"
+
+
+def test_motif_match_loads_motifs_and_the_sequence_reader(tmp_path):
+    sequences = tmp_path / "m.txt"
+    sequences.write_text("ACGTACGT\n")
+    stdout, loaded = loaded_modules(
+        "sys.argv = ['observe', 'motif', 'match', 'ACG', sys.argv[1]]; "
+        "from observement.cli import main; main()", str(sequences))
+    assert stdout.splitlines()[0] == "0\t0 4"
+    expected = {*CLI, "observement.genetics", "observement.motifs"}
+    assert loaded == expected, f"extra: {sorted(loaded - expected)}"
+
+
+def test_grammar_check_loads_strings_only(tmp_path):
+    grammar = tmp_path / "g.txt"
+    grammar.write_text("<S> -> a+\n")
+    stdout, loaded = loaded_modules(
+        "sys.argv = ['observe', 'grammar', 'check', sys.argv[1], 'aaa']; "
+        "from observement.cli import main; main()", str(grammar))
+    assert stdout.splitlines()[0] == "true"
+    expected = {*CLI, "observement.strings"}
+    assert loaded == expected, f"extra: {sorted(loaded - expected)}"
+
+
+def test_tree_query_loads_familytree_only(tmp_path):
+    kinship = tmp_path / "k.txt"
+    kinship.write_text("a -> b\n")
+    stdout, loaded = loaded_modules(
+        "sys.argv = ['observe', 'tree', 'query', sys.argv[1], 'is_parent_of', 'a', 'b']; "
+        "from observement.cli import main; main()", str(kinship))
+    assert stdout.splitlines()[0] == "true"
+    expected = {*CLI, "observement.familytree"}
+    assert loaded == expected, f"extra: {sorted(loaded - expected)}"
+
+
+def test_percolate_loads_graphs_only():
+    stdout, loaded = loaded_modules(
+        "sys.argv = ['observe', 'percolate', '-n', '4', '--p-from', '1', '--p-to', '1', "
+        "'--steps', '1', '--trials', '1']; from observement.cli import main; main()")
+    assert stdout.splitlines()[:2] == ["p,mean_fraction", "1,1.000000"]
+    expected = {*CLI, "observement.graphs"}
+    assert loaded == expected, f"extra: {sorted(loaded - expected)}"

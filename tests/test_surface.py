@@ -17,7 +17,8 @@ unreached.
 
 The settings inventory lists every value a caller may leave out or pass
 through: each parameter with a default, each ``*``/``**`` parameter and
-each dataclass field with a default.  A new knob shows up as a diff here.
+each field with a default of a dataclass or named tuple.  A new knob shows
+up as a diff here.
 """
 
 import ast
@@ -43,7 +44,6 @@ SETTINGS = {
     "core.ObservationSystem.relations",
     "core.ObservationSystem.arities",
     "core.ObservationAlgorithm.relation_pairing",
-    "core.HomomorphismReport.counterexamples",
     "familytree.KinshipGraph.parent_arcs",
     "familytree.KinshipGraph.partner_edges",
     "familytree.KinshipGraph.labels",
@@ -56,7 +56,6 @@ SETTINGS = {
     "graphs.from_adjacency_matrix(directed=)",
     "motifs.MotifPattern.tokens",
     "motifs.match_motif(anchored=)",
-    "motifs.MotifCensus.background",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
@@ -213,7 +212,8 @@ def _settings(node, prefix):
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.ClassDef):
             name = prefix + child.name
-            if any("dataclass" in ast.unparse(d) for d in child.decorator_list):
+            if (any("dataclass" in ast.unparse(d) for d in child.decorator_list)
+                    or any(ast.unparse(b).endswith("NamedTuple") for b in child.bases)):
                 yield from (f"{name}.{field.target.id}" for field in child.body
                             if isinstance(field, ast.AnnAssign) and field.value is not None)
             yield from _settings(child, name + ".")
