@@ -61,6 +61,13 @@ class TestParseGrammar:
     def test_undefined_nonterminal_named_in_error(self):
         with pytest.raises(GrammarError, match="<foo>"):
             strings.parse_grammar("<a> -> x <foo>\n")
+        # F is also a terminal here; the undefined name is still the first one
+        # referenced, taken rule by rule rather than line by line.
+        for text, name in [("<a> -> F <G> <F>\n", "G"),
+                           ("<a> -> <x>\n<b> -> <y>\n<a> -> <z>\n<x> -> q\n", "z")]:
+            with pytest.raises(GrammarError) as info:
+                strings.parse_grammar(text)
+            assert str(info.value) == f"undefined nonterminal <{name}>"
 
     def test_terminal_nonterminal_clash_rejected(self):
         with pytest.raises(GrammarError, match="both terminal and nonterminal"):
