@@ -176,10 +176,10 @@ def translate(seq_file, table_file, frame):
 
 
 def _read_sequences(path: str) -> list:
-    from . import genetics
     text = _read(path)
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if any(line.startswith(">") for line in lines):
+        from . import genetics
         return genetics.read_sequence_records(text)
     # Headerless: each nonempty line is its own sequence.
     return [(str(i), line) for i, line in enumerate(lines)]
@@ -376,7 +376,7 @@ def _looks_like_graph(text: str) -> bool:
               help="Minimize the graph code over vertex permutations first.")
 def complexity_command(input_file, canonical):
     """Print TSV 'total primary secondary' for a graph file or a sequence file."""
-    from . import complexity, genetics, graphs
+    from . import complexity, graphs
     text = _read(input_file)
     if _looks_like_graph(text):
         value = graphs.parse_graph_text(text)
@@ -384,6 +384,7 @@ def complexity_command(input_file, canonical):
             raise click.ClickException("complexity is defined for undirected graph files")
         report = complexity.relative_complexity(value, canonical=canonical)
     else:
+        from . import genetics
         records = genetics.read_sequence_records(text)
         if not records:
             raise click.ClickException("no sequence records in file")

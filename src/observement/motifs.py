@@ -2,16 +2,18 @@
 
 A string motif is a token sequence: literal symbols, fixed-width wildcards
 written ``x(N)``, and classes written ``{A,B,C}`` that match any one of the
-listed symbols.  A network motif census buckets every k-vertex induced
-subgraph of a graph by its isomorphism class, named by its least local
-adjacency mask over the k! relabellings, read from one table per relabelling.
-For an undirected graph the census is built: closed-form counts of each class
-as a subgraph, from degrees, codegrees and triangles, turned into induced
-counts by one inversion over a fixed table.  A digraph's k-subsets are tallied
-per local mask, splitting candidates by adjacency bitsets: for k=3 those of
-each skeleton edge, with the empty triads in closed form; for k=4 those above
-each 3-prefix.  Classes come out in sorted identifier order.  The census can
-be compared against a degree-preserving rewiring null model.
+listed symbols.  A literal token is its symbol, a one-character ``str``; a
+wildcard is a ``Wildcard`` and a class an ``AnyOf``.  A network motif census
+buckets every k-vertex induced subgraph of a graph by its isomorphism class,
+named by its least local adjacency mask over the k! relabellings, read from
+one table per relabelling.  For an undirected graph the census is built:
+closed-form counts of each class as a subgraph, from degrees, codegrees and
+triangles, turned into induced counts by one inversion over a fixed table.  A
+digraph's k-subsets are tallied per local mask, splitting candidates by
+adjacency bitsets: for k=3 those of each skeleton edge, with the empty triads
+in closed form; for k=4 those above each 3-prefix.  Classes come out in sorted
+identifier order.  The census can be compared against a degree-preserving
+rewiring null model.
 """
 
 from __future__ import annotations
@@ -33,11 +35,6 @@ REWIRE_ATTEMPTS_PER_EDGE = 10
 
 class MotifError(ObservementError):
     """Malformed pattern text or invalid motif operation."""
-
-
-@dataclass(frozen=True)
-class Literal:
-    symbol: str
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,7 @@ def parse_motif(text: str) -> MotifPattern:
             tokens.append(AnyOf(frozenset(symbols)))
             i = end + 1
         elif ch.isalpha():
-            tokens.append(Literal(ch))
+            tokens.append(ch)
             i += 1
         else:
             raise MotifError(f"position {i}: unknown character {ch!r}")
@@ -118,8 +115,8 @@ def parse_motif(text: str) -> MotifPattern:
 def format_motif(pattern: MotifPattern) -> str:
     parts = []
     for token in pattern.tokens:
-        if isinstance(token, Literal):
-            parts.append(token.symbol)
+        if isinstance(token, str):
+            parts.append(token)
         elif isinstance(token, Wildcard):
             parts.append(f"x({token.length})")
         else:
@@ -132,8 +129,8 @@ def _regex(pattern: MotifPattern) -> str:
     # under re.S.
     parts = []
     for token in pattern.tokens:
-        if isinstance(token, Literal):
-            parts.append(re.escape(token.symbol))
+        if isinstance(token, str):
+            parts.append(re.escape(token))
         elif isinstance(token, Wildcard):
             parts.append(f".{{{token.length}}}")
         else:
@@ -175,7 +172,7 @@ def derive_motif(sequences, class_cap: int) -> MotifPattern:
     for column in range(length):
         symbols = {s[column] for s in sequences}
         if len(symbols) == 1:
-            tokens.append(Literal(next(iter(symbols))))
+            tokens.append(next(iter(symbols)))
         elif len(symbols) <= class_cap:
             tokens.append(AnyOf(frozenset(symbols)))
         else:

@@ -5,11 +5,14 @@ with a postfix ``+``: enough for path languages and body-plan templates.
 Membership is a memoized top-down parse, generation a construction by length
 that joins two cells at a time.  Both rest on nonempty alternatives, so every
 item consumes a symbol or more, and on left recursion being refused up front.
+
+An item is a plain value: a terminal is its one-character symbol, a
+nonterminal its name, and ``X+`` the 1-tuple ``(X,)``.  No text is both a
+terminal and a nonterminal, so ``item in grammar.rules`` tells them apart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
 from typing import NamedTuple
@@ -25,24 +28,8 @@ class GrammarError(ObservementError):
     """Grammar source is malformed or violates the restrictions."""
 
 
-@dataclass(frozen=True)
-class Terminal:
-    symbol: str
-
-
-@dataclass(frozen=True)
-class NonTerminal:
-    name: str
-
-
-@dataclass(frozen=True)
-class OneOrMore:
-    item: "Terminal | NonTerminal"
-
-
 class Grammar(NamedTuple):
     terminals: frozenset
-    nonterminals: frozenset
     rules: dict  # name -> tuple of alternatives, each a tuple of items
     start: str
 
@@ -98,16 +85,14 @@ def _parse_alternatives(tokens, lineno: int):
                 raise GrammarError(f"line {lineno}, col {col}: empty alternative")
             alternatives.append(tuple(items))
             items = []
-        elif kind == "NAME":
-            items.append(NonTerminal(value))
-        elif kind == "SYM":
-            items.append(Terminal(value))
+        elif kind in ("NAME", "SYM"):
+            items.append(value)
         elif kind == "PLUS":
             if not items:
                 raise GrammarError(f"line {lineno}, col {col}: '+' needs a preceding item")
-            if isinstance(items[-1], OneOrMore):
+            if isinstance(items[-1], tuple):
                 raise GrammarError(f"line {lineno}, col {col}: repeated '+' on one item")
-            items[-1] = OneOrMore(items[-1])
+            items[-1] = (items[-1],)
         else:
             raise GrammarError(f"line {lineno}, col {col}: unexpected token {value!r}")
     if not items:
@@ -118,7 +103,8 @@ def _parse_alternatives(tokens, lineno: int):
 
 def parse_grammar(text: str) -> Grammar:
     rules: dict[str, dict] = {}  # alternatives as keys: first-seen order, no repeats
-    start = None
+    used: dict[str, list] = {}  # per rule, the names it references, in reading order
+    terminals, start = set(), None
     raw_lines = text.splitlines()
     for lineno, _ in significant_lines(text):
         # Columns count from the unstripped line.
@@ -130,40 +116,39 @@ def parse_grammar(text: str) -> Grammar:
             continue
         if len(tokens) < 2 or tokens[0][0] != "NAME" or tokens[1][0] != "ARROW":
             raise GrammarError(f"line {lineno}: expected '<name> -> ...'")
-        lhs = tokens[0][1]
-        rules.setdefault(lhs, {}).update(dict.fromkeys(_parse_alternatives(tokens[2:], lineno)))
+        lhs, rest = tokens[0][1], tokens[2:]
+        rules.setdefault(lhs, {}).update(dict.fromkeys(_parse_alternatives(rest, lineno)))
+        used.setdefault(lhs, []).extend(value for kind, value, _ in rest if kind == "NAME")
+        terminals.update(value for kind, value, _ in rest if kind == "SYM")
     if not rules:
         raise GrammarError("grammar has no rules")
-    nonterminals, terminals = frozenset(rules), set()
-    for item in (_leftmost(item) for alts in rules.values() for alt in alts for item in alt):
-        if isinstance(item, Terminal):
-            terminals.add(item.symbol)
-        elif item.name not in nonterminals:
-            raise GrammarError(f"undefined nonterminal <{item.name}>")
-    clash = terminals & nonterminals
+    for name in (name for names in used.values() for name in names):
+        if name not in rules:
+            raise GrammarError(f"undefined nonterminal <{name}>")
+    clash = terminals.intersection(rules)
     if clash:
         raise GrammarError(
             f"names used as both terminal and nonterminal: {sorted(clash)}"
         )
     if start is None:
         start = next(iter(rules))
-    elif start not in nonterminals:
+    elif start not in rules:
         raise GrammarError(f"undefined nonterminal <{start}>")
-    grammar = Grammar(terminals=frozenset(terminals), nonterminals=nonterminals,
+    grammar = Grammar(terminals=frozenset(terminals),
                       rules={name: tuple(alts) for name, alts in rules.items()}, start=start)
     _reject_left_recursion(grammar)
     return grammar
 
 
 def _leftmost(item):
-    return item.item if isinstance(item, OneOrMore) else item
+    return item[0] if isinstance(item, tuple) else item
 
 
 def _reject_left_recursion(grammar: Grammar) -> None:
     # Leftmost-reachability graph over nonterminals; a cycle would make the
     # memoized parser recurse without consuming input.
-    graph = {name: {item.name for item in (_leftmost(alt[0]) for alt in alts)
-                    if isinstance(item, NonTerminal)} for name, alts in grammar.rules.items()}
+    graph = {name: {item for item in (_leftmost(alt[0]) for alt in alts) if item in grammar.rules}
+             for name, alts in grammar.rules.items()}
     if cycle := first_cycle(graph):
         raise GrammarError("left recursion through " + " -> ".join(f"<{n}>" for n in cycle))
 
@@ -209,15 +194,15 @@ def _nonterminal_ends(grammar, s, name, pos):
         for item in alt:
             # One or more repetitions apply the inner item until no new end
             # appears; every application consumes at least one symbol.
-            repeat = isinstance(item, OneOrMore)
-            inner = item.item if repeat else item
+            repeat = isinstance(item, tuple)
+            inner = item[0] if repeat else item
             reached, frontier = set(), positions
             while frontier:
                 step: set = set()
                 for q in frontier:
-                    if isinstance(inner, NonTerminal):
-                        step |= yield inner.name, q
-                    elif q < len(s) and s[q] == inner.symbol:
+                    if inner in grammar.rules:
+                        step |= yield inner, q
+                    elif q < len(s) and s[q] == inner:
                         step.add(q + 1)
                 frontier = step - reached if repeat else ()
                 reached |= step
@@ -279,15 +264,11 @@ def generate(grammar: Grammar, max_len: int) -> list:
     past ``GENERATE_CAP`` strings, checked after each length, or before the
     symbols joined, each string once, pass ``SYMBOL_CAP``.
     """
-    def key(item):  # hashed in C, unlike the items; symbols and names never coincide
-        if isinstance(item, OneOrMore):
-            inner = key(item.item)
-            rules[(inner,)] = [(inner, ""), (inner, (inner,))]  # X+ read as X | X X+
-            return (inner,)
-        return item.symbol if isinstance(item, Terminal) else item.name
-
     def pair(alt):  # (a,) -> (a, ""); (a, b, c) -> ((a, b), c), the prefix a node of its own
-        left, *rest = map(key, alt)
+        for item in alt:
+            if isinstance(item, tuple):
+                rules[item] = [(item[0], ""), (item[0], item)]  # X+ read as X | X X+
+        left, *rest = alt
         for item in rest[:-1]:
             left = (left, item)
             rules[left] = [left]

@@ -9,7 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import observement
+from observement import genetics
 
 SRC = str(Path(observement.__file__).resolve().parents[1])
 
@@ -95,14 +98,17 @@ def test_lzw_compress_loads_complexity_only(tmp_path):
 
 
 def test_motif_match_loads_motifs_and_the_sequence_reader(tmp_path):
+    # The record reader is loaded only for a file with a '>' header line.
     sequences = tmp_path / "m.txt"
-    sequences.write_text("ACGTACGT\n")
-    stdout, loaded = loaded_modules(
-        "sys.argv = ['observe', 'motif', 'match', 'ACG', sys.argv[1]]; "
-        "from observement.cli import main; main()", str(sequences))
-    assert stdout.splitlines()[0] == "0\t0 4"
-    expected = {*CLI, "observement.genetics", "observement.motifs"}
-    assert loaded == expected, f"extra: {sorted(loaded - expected)}"
+    for text, name, reader in [("ACGTACGT\n", "0", set()),
+                               (">s\nACGTACGT\n", "s", {"observement.genetics"})]:
+        sequences.write_text(text)
+        stdout, loaded = loaded_modules(
+            "sys.argv = ['observe', 'motif', 'match', 'ACG', sys.argv[1]]; "
+            "from observement.cli import main; main()", str(sequences))
+        assert stdout.splitlines()[0] == f"{name}\t0 4"
+        expected = {*CLI, "observement.motifs", *reader}
+        assert loaded == expected, f"extra: {sorted(loaded - expected)}"
 
 
 def test_grammar_check_loads_strings_only(tmp_path):
@@ -133,4 +139,42 @@ def test_percolate_loads_graphs_only():
         "'--steps', '1', '--trials', '1']; from observement.cli import main; main()")
     assert stdout.splitlines()[:2] == ["p,mean_fraction", "1,1.000000"]
     expected = {*CLI, "observement.graphs"}
+    assert loaded == expected, f"extra: {sorted(loaded - expected)}"
+
+
+FIXTURE = ("OBJECTS\na b\nRELATION r/2\na b\nOBSERVATIONS\nx y\nRELATION p/2\nx y\n"
+           "MAP id\na x\nb y\nPAIR\nr p\n")
+P3, P2 = "graph 3\n0 1\n1 2\n", "graph 2\n0 1\n"
+
+
+@pytest.mark.parametrize("args, files, first, modules", [
+    (["system", "verify", "{0}"], [FIXTURE], "id: holds", {"core"}),
+    (["grammar", "gen", "{0}", "--max-len", "2"], ["<S> -> a+\n"], "a", {"strings"}),
+    (["motif", "derive", "{0}", "--class-cap", "2"], ["ACGT\nACGA\n"], "A C G {A,T}",
+     {"motifs"}),
+    (["graph", "iso", "{0}", "{1}"], [P3, P3], "0 0", {"graphs"}),
+    (["graph", "sub", "{0}", "{1}"], [P2, P3], "0 0", {"graphs"}),
+    (["automaton", "graph", "{0}"], ["s0 -> s1\ns1 -> s0\n"], "# 0 s0", {"graphs"}),
+    (["tree", "descendants", "{0}", "a"], ["a -> b\n"], "b", {"familytree"}),
+    (["lzw", "decompress", "{0}", "--alphabet", "ab"], ["0 1 2\n"], "abab", {"complexity"}),
+    (["translate", "{0}", "--table", "{1}"],
+     [">g\natgaaatag\n", genetics.standard_table().to_text()], "MK", {"genetics"}),
+    (["complexity", "{0}"], [P3], "2\t2\t2", {"complexity", "graphs"}),
+    # Telling a sequence file from a graph file reads the graph header pattern.
+    (["complexity", "{0}"], [">g\nacgtacgt\n"], "8\t11\t6",
+     {"complexity", "genetics", "graphs"}),
+], ids=["system-verify", "grammar-gen", "motif-derive", "graph-iso", "graph-sub",
+        "automaton-graph", "tree-descendants", "lzw-decompress", "translate-table",
+        "complexity-graph", "complexity-sequence"])
+def test_command_loads_only_its_subsystems(tmp_path, args, files, first, modules):
+    paths = []
+    for index, text in enumerate(files):
+        path = tmp_path / f"in{index}.txt"
+        path.write_text(text)
+        paths.append(str(path))
+    stdout, loaded = loaded_modules(
+        "sys.argv = ['observe', *sys.argv[1:]]; from observement.cli import main; main()",
+        *(arg.format(*paths) for arg in args))
+    assert stdout.splitlines()[0] == first
+    expected = {*CLI, *(f"observement.{module}" for module in modules)}
     assert loaded == expected, f"extra: {sorted(loaded - expected)}"

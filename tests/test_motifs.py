@@ -23,7 +23,6 @@ from observement.graphs import (
 )
 from observement.motifs import (
     AnyOf,
-    Literal,
     MotifError,
     MotifPattern,
     Wildcard,
@@ -65,8 +64,8 @@ def _oracle_match_at(tokens, s, start):
                 return None
         elif i >= len(s):
             return None
-        elif isinstance(token, Literal):
-            if s[i] != token.symbol:
+        elif isinstance(token, str):
+            if s[i] != token:
                 return None
             i += 1
         else:
@@ -87,10 +86,10 @@ class TestParseMotif:
     def test_figure_style_pattern(self):
         pattern = parse_motif("M x(3) {S,T} G")
         assert pattern.tokens == (
-            Literal("M"),
+            "M",
             Wildcard(3),
             AnyOf(frozenset({"S", "T"})),
-            Literal("G"),
+            "G",
         )
 
     def test_empty_text(self):
@@ -121,7 +120,7 @@ class TestParseMotif:
         assert parse_motif("x(2) x(3)").tokens == (Wildcard(5),)
 
     def test_bare_x_is_a_literal(self):
-        assert parse_motif("xG").tokens == (Literal("x"), Literal("G"))
+        assert parse_motif("xG").tokens == ("x", "G")
 
     def test_format_round_trip(self):
         pattern = parse_motif("A x(2) {D,E} x(1) K")
@@ -129,8 +128,8 @@ class TestParseMotif:
 
     def test_direct_construction_merges_wildcards(self):
         assert MotifPattern((Wildcard(1), Wildcard(2))) == MotifPattern((Wildcard(3),))
-        pattern = MotifPattern((Wildcard(1), Literal("A"), Wildcard(2), Wildcard(2)))
-        assert pattern.tokens == (Wildcard(1), Literal("A"), Wildcard(4))
+        pattern = MotifPattern((Wildcard(1), "A", Wildcard(2), Wildcard(2)))
+        assert pattern.tokens == (Wildcard(1), "A", Wildcard(4))
 
 
 class TestMatchMotif:
@@ -142,13 +141,13 @@ class TestMatchMotif:
 
     def test_wildcard_width_anchored(self):
         # Token widths: 1 + 2 + 1 = 4 = len("AXYD"); A at 0, D at 3.
-        pattern = MotifPattern((Literal("A"), Wildcard(2), Literal("D")))
+        pattern = MotifPattern(("A", Wildcard(2), "D"))
         assert match_motif(pattern, "AXYD", anchored=True) == [0]
         assert match_motif(pattern, "AXYZ", anchored=True) == []
         assert match_motif(pattern, "AXD", anchored=True) == []
 
     def test_search_offsets(self):
-        assert match_motif(MotifPattern((Literal("A"),)), "BABA") == [1, 3]
+        assert match_motif(MotifPattern(("A",)), "BABA") == [1, 3]
 
     def test_anchored_is_prefix_of_search(self):
         pattern = parse_motif("A {B,C}")
@@ -178,7 +177,7 @@ class TestMatchMotif:
             for _ in range(rng.randint(0, 4)):
                 kind = rng.random()
                 if kind < 0.4:
-                    tokens.append(Literal(rng.choice(alphabet)))
+                    tokens.append(rng.choice(alphabet))
                 elif kind < 0.8:
                     tokens.append(AnyOf(frozenset(rng.sample(alphabet, rng.randint(1, 4)))))
                 else:
@@ -190,7 +189,7 @@ class TestMatchMotif:
                     oracle_match_motif(pattern, s, anchored), (pattern, s, anchored)
 
     def test_wildcard_beyond_the_repeat_limit_matches_nowhere(self):
-        pattern = MotifPattern((Literal("A"), Wildcard(2 ** 40)))
+        pattern = MotifPattern(("A", Wildcard(2 ** 40)))
         assert match_motif(pattern, "AB") == oracle_match_motif(pattern, "AB") == []
         assert match_motif(pattern, "AB", anchored=True) == []
 
@@ -198,12 +197,12 @@ class TestMatchMotif:
 class TestDeriveMotif:
     def test_identical_sequences_give_literals(self):
         assert derive_motif(["AAA", "AAA"], class_cap=2).tokens == (
-            Literal("A"), Literal("A"), Literal("A"),
+            "A", "A", "A",
         )
 
     def test_small_class_kept(self):
         assert derive_motif(["AB", "AC"], class_cap=2).tokens == (
-            Literal("A"), AnyOf(frozenset({"B", "C"})),
+            "A", AnyOf(frozenset({"B", "C"})),
         )
 
     def test_wide_columns_become_merged_wildcard(self):

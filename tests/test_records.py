@@ -34,9 +34,8 @@ RECORDS = [
     ("MotifCensus", lambda: motifs.count_network_motifs(graphs.parse_graph_text(TRIANGLE), 3),
      "MotifCensus(k=3, counts={'Bw': 1}, background=None)", "background"),
     ("Grammar", lambda: strings.parse_grammar("<S> -> a+ <S> | a\n"),
-     "Grammar(terminals=frozenset({'a'}), nonterminals=frozenset({'S'}), rules={'S': "
-     "((OneOrMore(item=Terminal(symbol='a')), NonTerminal(name='S')), (Terminal(symbol='a'),))}, "
-     "start='S')", "start"),
+     "Grammar(terminals=frozenset({'a'}), rules={'S': ((('a',), 'S'), ('a',))}, start='S')",
+     "start"),
 ]
 
 

@@ -9,12 +9,7 @@ from test_golden_cli import bench_workloads
 
 from observement import strings
 from observement.errors import CapExceeded
-from observement.strings import (
-    GrammarError,
-    NonTerminal,
-    OneOrMore,
-    Terminal,
-)
+from observement.strings import GrammarError
 
 TURTLE = """\
 <path>
@@ -40,7 +35,7 @@ def turtle():
 class TestParseGrammar:
     def test_turtle_grammar_shape(self, turtle):
         assert sorted(turtle.terminals) == ["F", "L", "R", "T"]
-        assert turtle.nonterminals == frozenset({"path"})
+        assert turtle.rules.keys() == {"path"}
         assert turtle.start == "path"
         assert len(turtle.rules["path"]) == 4
 
@@ -52,11 +47,7 @@ class TestParseGrammar:
     def test_one_or_more_template(self):
         grammar = strings.parse_grammar(ARTHROPOD)
         body = grammar.rules["body"][0]
-        assert body == (
-            NonTerminal("HEAD"),
-            OneOrMore(NonTerminal("SEGMENT")),
-            NonTerminal("TAIL"),
-        )
+        assert body == ("HEAD", ("SEGMENT",), "TAIL")
 
     def test_undefined_nonterminal_named_in_error(self):
         with pytest.raises(GrammarError, match="<foo>"):
@@ -91,7 +82,7 @@ class TestParseGrammar:
 
     def test_quoted_terminals(self):
         grammar = strings.parse_grammar("<a> -> 'x' \"y\"\n")
-        assert grammar.rules["a"][0] == (Terminal("x"), Terminal("y"))
+        assert grammar.rules["a"][0] == ("x", "y")
 
     def test_error_carries_line_and_column(self):
         with pytest.raises(GrammarError, match="line 2"):
@@ -104,7 +95,7 @@ class TestParseGrammar:
         grammar = strings.parse_grammar(text + text.replace("<s> ->", "<s> -> b |"))
         assert time.perf_counter() - began < 2
         alts = grammar.rules["s"]
-        assert ["".join(item.symbol for item in alt) for alt in alts] == words + ["b"]
+        assert ["".join(alt) for alt in alts] == words + ["b"]
 
     def test_error_column_counts_from_the_unstripped_line(self):
         with pytest.raises(GrammarError) as info:
@@ -116,9 +107,9 @@ def recursive_left_recursion_check(grammar):
     """The recursive depth-first check, kept as an oracle: the error message or None."""
     graph = {
         name: {
-            strings._leftmost(alt[0]).name
+            strings._leftmost(alt[0])
             for alt in alts
-            if isinstance(strings._leftmost(alt[0]), NonTerminal)
+            if strings._leftmost(alt[0]) in grammar.rules
         }
         for name, alts in grammar.rules.items()
     }
@@ -154,17 +145,17 @@ def random_grammar(rng, size):
 
     def item(terminal_share):
         if rng.random() < terminal_share:
-            base = Terminal(rng.choice("ab"))
+            base = rng.choice("ab")
         else:
-            base = NonTerminal(rng.choice(names))
-        return OneOrMore(base) if rng.random() < 0.2 else base
+            base = rng.choice(names)
+        return (base,) if rng.random() < 0.2 else base
 
     rules = {}
     for name in names:
         rules[name] = tuple(
             tuple(item(0.6 if i else 0.3) for i in range(rng.choice([1, 2, 2, 3])))
             for _ in range(rng.randint(1, 3)))
-    return strings.Grammar(frozenset("ab"), frozenset(names), rules, names[0])
+    return strings.Grammar(frozenset("ab"), rules, names[0])
 
 
 class TestLeftRecursionOracle:
@@ -212,13 +203,13 @@ def recursive_membership(grammar, s):
         return positions
 
     def item_ends(item, pos):
-        if isinstance(item, Terminal):
-            return {pos + 1} if pos < len(s) and s[pos] == item.symbol else set()
-        if isinstance(item, NonTerminal):
-            return nonterminal_ends(item.name, pos)
+        if item in grammar.rules:
+            return nonterminal_ends(item, pos)
+        if isinstance(item, str):
+            return {pos + 1} if pos < len(s) and s[pos] == item else set()
         ends, frontier = set(), {pos}
         while frontier:
-            frontier = set().union(*(item_ends(item.item, q) for q in frontier)) - ends
+            frontier = set().union(*(item_ends(item[0], q) for q in frontier)) - ends
             ends |= frontier
         return ends
 
@@ -287,14 +278,17 @@ def form_search(grammar, max_len):
     """The breadth-first search over sentential forms that ``generate`` replaced,
     kept as an oracle: forms whose shortest completion passes ``max_len`` are
     dropped, shortest completions coming from a fixpoint over every rule."""
-    lengths = dict.fromkeys(grammar.nonterminals, math.inf)
+    lengths = dict.fromkeys(grammar.rules, math.inf)
+
+    def terminal(item):
+        return isinstance(item, str) and item not in grammar.rules
 
     def least(item):
-        if isinstance(item, Terminal):
+        if terminal(item):
             return 1
-        if isinstance(item, NonTerminal):
-            return lengths[item.name]
-        return least(item.item)
+        if isinstance(item, str):
+            return lengths[item]
+        return least(item[0])
 
     changed = True
     while changed:
@@ -304,21 +298,21 @@ def form_search(grammar, max_len):
                 total = sum(map(least, alt))
                 if total < lengths[name]:
                     lengths[name], changed = total, True
-    start = (NonTerminal(grammar.start),)
+    start = (grammar.start,)
     if sum(map(least, start)) > max_len:
         return []
     results, seen, queue = set(), {start}, deque([start])
     while queue:
         form = queue.popleft()
-        index = next((i for i, item in enumerate(form) if not isinstance(item, Terminal)), None)
+        index = next((i for i, item in enumerate(form) if not terminal(item)), None)
         if index is None:
-            results.add("".join(item.symbol for item in form))
+            results.add("".join(form))
             continue
         head, item, tail = form[:index], form[index], form[index + 1:]
-        if isinstance(item, NonTerminal):
-            successors = [head + alt + tail for alt in grammar.rules[item.name]]
+        if isinstance(item, str):
+            successors = [head + alt + tail for alt in grammar.rules[item]]
         else:
-            successors = [head + (item.item,) + tail, head + (item.item, item) + tail]
+            successors = [head + (item[0],) + tail, head + (item[0], item) + tail]
         for nxt in successors:
             if nxt not in seen and sum(map(least, nxt)) <= max_len:
                 seen.add(nxt)
@@ -392,11 +386,11 @@ class TestGenerate:
             assert strings.generate(grammar, max_len) == expected, (grammar.rules, max_len)
             checked += 1
             nonempty += bool(expected)
-            shapes |= {(len(alt), type(item).__name__, type(getattr(item, "item", item)).__name__)
+            shapes |= {(len(alt), isinstance(item, tuple), strings._leftmost(item) in grammar.rules)
                        for alts in grammar.rules.values() for alt in alts for item in alt}
         assert nonempty > 400
-        assert {(3, "OneOrMore", "Terminal"), (1, "OneOrMore", "NonTerminal"),
-                (1, "NonTerminal", "NonTerminal")} <= shapes
+        # (alternative length, repeated with +, a nonterminal)
+        assert {(3, True, False), (1, True, True), (1, False, True)} <= shapes
 
     @pytest.mark.parametrize("kind", range(4))
     def test_bench_templates_match_the_form_search(self, kind):

@@ -207,12 +207,29 @@ def test_only_the_round_trip_member_is_unreached():
     assert set(package.members()) - package.reached_members() == ROUND_TRIP_MEMBERS
 
 
+def _is_dataclass(node):
+    return any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+
+
+def test_every_dataclass_checks_or_copies_its_input():
+    # A dataclass that only holds its fields is a wrapper: the plain value, a
+    # tuple or a named tuple serves instead.
+    classes = [(path.stem, node) for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef) and _is_dataclass(node)]
+    bare = [f"{module}.{node.name}" for module, node in classes
+            if not any(isinstance(s, ast.FunctionDef) and s.name == "__post_init__"
+                       for s in node.body)]
+    assert classes
+    assert bare == []
+
+
 def _settings(node, prefix):
     """The settable values defined under ``node``, named under ``prefix``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.ClassDef):
             name = prefix + child.name
-            if (any("dataclass" in ast.unparse(d) for d in child.decorator_list)
+            if (_is_dataclass(child)
                     or any(ast.unparse(b).endswith("NamedTuple") for b in child.bases)):
                 yield from (f"{name}.{field.target.id}" for field in child.body
                             if isinstance(field, ast.AnnAssign) and field.value is not None)
