@@ -75,7 +75,15 @@ replaced by a placeholder, followed by the command's label.  The commands:
 * one command per cap refusal not pinned above: the vertex cap through a
   graph file and through ``percolate``, the subgraph pattern cap, the
   percolation sweep cap, both census caps, the canonical form cap, and the
-  two ``grammar gen`` caps, on strings and on symbols held.
+  two ``grammar gen`` caps, on strings and on symbols held;
+* ``tree query``, ``tree descendants`` and ``automaton graph`` on files whose
+  lines end in each ``str.splitlines`` break in turn, each once clean and once
+  with a faulty fourth line;
+* one command per refusal that no command above pins: paired relations of
+  different arities (and ``system classify`` on the same file), a codon table
+  with two stops, a wildcard of length 0, a leading '+' and an empty
+  alternative in a grammar, long-form and trailing graph6 bytes, and
+  ``complexity`` on a lone sequence header.
 
 A change to any of those bytes fails the test, which names each changed
 command.  To re-record after a change that is meant, run this module as a
@@ -1126,6 +1134,47 @@ def cap_commands(write):
                           "--max-len", "2000"]
 
 
+# Every line break of ``str.splitlines``, "\r\n" among them.
+BREAK_SPELLINGS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                   "\u2029"]
+BREAK_KINSHIP = ['# a family', 'person ann "Ann Lee"', "ann -> bob", "bob -> cid", "",
+                 "  ann <-> dee", "cid -> eve"]
+BREAK_AUTOMATON = ["a -> b", "b -> c", "# back to a", "c -> a", "", "  d -> a"]
+
+
+def break_commands(write):
+    """``tree query``, ``tree descendants`` and ``automaton graph`` on files whose
+    lines end in one break spelling each, as (label, args): once clean, and once
+    with a faulty fourth line, so the line number in the error is pinned too."""
+    for i, brk in enumerate(BREAK_SPELLINGS):
+        for fault, kin_bad, arrow_bad in ((False, "", ""), (True, "bob cid", "c a")):
+            name = f"breaks/{i:02d}{'-fault' if fault else ''}"
+            kin, arrows = BREAK_KINSHIP[:], BREAK_AUTOMATON[:]
+            if fault:
+                kin[3], arrows[3] = kin_bad, arrow_bad
+            kin_path = write(brk.join(kin) + brk)
+            yield f"{name}/query", ["tree", "query", kin_path, "is_descendant_of", "eve", "ann"]
+            yield f"{name}/descendants", ["tree", "descendants", kin_path, "ann"]
+            yield f"{name}/automaton", ["automaton", "graph", write(brk.join(arrows) + brk)]
+
+
+def refusal_commands(write):
+    """CLI refusals whose messages no other command pins, as (label, args)."""
+    arity = write("OBJECTS\na b\nRELATION r/2\na b\nOBSERVATIONS\nx\nRELATION p/1\nx\n"
+                  "MAP m\na x\nb x\nPAIR\nr p\n")
+    yield "refusal/pair-arity-verify", ["system", "verify", arity]
+    yield "refusal/pair-arity-classify", ["system", "classify", arity]
+    table = "".join(f"{a}{b}{c}\t{'STOP' if a + b + c in ('taa', 'tag') else 'K'}\n"
+                    for a in "acgt" for b in "acgt" for c in "acgt")
+    yield "refusal/two-stops", ["translate", write("atgaaataa\n"), "--table", write(table)]
+    yield "refusal/wildcard-zero", ["motif", "match", "A x(0) C", write("ACGT\n")]
+    yield "refusal/plus-first", ["grammar", "check", write("<a> -> + x\n"), "x"]
+    yield "refusal/empty-alternative", ["grammar", "check", write("<a> -> x |\n"), "x"]
+    yield "refusal/graph6-long", ["graph", "convert", write("~??~\n"), "--to", "edges"]
+    yield "refusal/graph6-trailing", ["graph", "convert", write("Bw?\n"), "--to", "edges"]
+    yield "refusal/complexity-header", ["complexity", write(">a\n")]
+
+
 def bench_workloads():
     """The benchmark's ``workloads`` module."""
     sys.path.insert(0, str(BENCH))
@@ -1206,6 +1255,8 @@ def commands(write):
     for i in range(48):
         yield f"oddsub/{i:03d}", odd_last_sub_command(rng, write, i)
     yield from cap_commands(write)
+    yield from break_commands(write)
+    yield from refusal_commands(write)
 
 
 def digests():
