@@ -1,5 +1,5 @@
-"""A line reader, its break and blank classes, the number readers and two
-graph walks shared across modules.
+"""Shared across modules: a line reader; ``one_break``, which respells a text
+once so that patterns read it on "\\n" alone; number readers; two graph walks.
 
 Every number the package reads, in a file or an argument, goes through
 ``ascii_int`` or, for a list of tokens, ``ascii_ints``: ASCII digits after
@@ -22,11 +22,11 @@ def significant_lines(text: str) -> list:
             if line and line[0] != "#"]
 
 
-# Regular-expression class bodies: BREAKS holds every character where
-# ``str.splitlines`` breaks ("\r\n" is one break), and BLANKS every other
-# character where ``str.split`` splits, so ``\s`` is the two together.
-BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
-BLANKS = r"\t \x1f\xa0\u1680\u2000-\u200a\u202f\u205f\u3000"
+def one_break(text: str) -> str:
+    """``text`` with each ``str.splitlines`` break spelled "\\n"; itself if it has no other."""
+    if any(brk in text for brk in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"):
+        return "\n".join(text.splitlines())
+    return text
 
 
 def reachable(start, successors: dict) -> set:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import click
 
 from . import __version__
-from ._shared import ascii_decimal, ascii_int, ascii_ints
+from ._shared import ascii_decimal, ascii_int, ascii_ints, one_break
 from .errors import ObservementError
 
 
@@ -366,7 +366,7 @@ def tree_descendants(kinship_file, person):
 def _looks_like_graph(text: str) -> bool:
     """Whether the header word that ``parse_graph_text`` reads is a graph keyword."""
     from . import graphs
-    head = graphs._HEAD.search(text)
+    head = graphs._HEAD.search(one_break(text))
     return bool(head) and head[1] in graphs._READERS
 
 

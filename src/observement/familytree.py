@@ -27,7 +27,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from ._shared import first_cycle, reachable
+from ._shared import first_cycle, one_break, reachable
 from .errors import ObservementError
 
 RELATIONS = (
@@ -219,7 +219,7 @@ def parse_kinship_file(text: str) -> KinshipGraph:
     the first arc or partner edge that repeats one before it and names it
     after the last line, so a later faulty line or double declaration wins.
     """
-    rows = _LINE.findall("\n".join(text.splitlines()))
+    rows = _LINE.findall(one_break(text))
     declared: set = set()
     labels: dict = {}
     arcs: set = set()

@@ -24,7 +24,7 @@ import re
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Sequence
 
-from ._shared import BLANKS, BREAKS, ascii_int, ascii_ints
+from ._shared import ascii_int, ascii_ints, one_break
 from .errors import CapExceeded, ObservementError
 
 ISO_CAP = 10
@@ -528,25 +528,24 @@ def percolation_sweep(n: int, p_values: Iterable, trials: int, seed) -> list:
 #   matrix N / dmatrix N    N rows of N characters, each 0 or 1
 #   adjlist N / dadjlist N  N lines "v: neighbours..."
 #
-# Lines end where str.splitlines breaks and words part where str.split does;
-# blank and "#" lines may stand anywhere.  A lone word on a lone line that is
-# no keyword is graph6.  An edge body is read by one search for its first line
-# that is not two vertices and one split of the lines before it, any other
-# body by one scan giving a row per line.  Line faults are named from these
-# matches, graph faults as the one build meets them: pairs in file order, rows
-# in vertex order.
-_B = f"[{BLANKS}]"
+# Lines end where str.splitlines breaks and words part where str.split does:
+# a text is respelled once by ``one_break``, so every break is "\n", and then
+# read on "\n" alone.  Blank and "#" lines may stand anywhere.  A lone word on
+# a lone line that is no keyword is graph6.  An edge body is read by one search
+# for its first line that is not two vertices and one split of the lines before
+# it, any other body by one scan giving a row per line.  Line faults are named
+# from these matches, graph faults as the one build meets them: pairs in file
+# order, rows in vertex order.
+_B = r"[^\S\n]"
 _INT = r"-?[0-9]+"
-_ROW_END = rf"(?:\r\n|[{BREAKS}]|\Z)"
-_HEAD = re.compile(rf"(?<![^{BREAKS}]){_B}*([^\s#]\S*)(?:{_B}+(\S+))?([^{BREAKS}]*)")
-_EDGE_MISS = re.compile(rf"[{BREAKS}](?![0-9]+ [0-9]+[{BREAKS}]|{_B}*(?:{_INT}{_B}+{_INT}{_B}*|"
-                        rf"#[^{BREAKS}]*|)(?:[{BREAKS}]|\Z))([^{BREAKS}]*)")
-_COMMENT = re.compile(rf"#[^{BREAKS}]*")
-_MATRIX_ROW = re.compile(rf"{_B}*(?:([01]+){_B}*|#[^{BREAKS}]*|([^{BREAKS}]*)){_ROW_END}")
-_ADJACENCY_ROW = re.compile(
-    rf"{_B}*(?:({_INT}){_B}*:([-0-9{BLANKS}]*)|#[^{BREAKS}]*|([^{BREAKS}]*)){_ROW_END}")
-_ARROW_ROW = re.compile(
-    rf"{_B}*(?:([^\s#]\S*){_B}+->{_B}+(\S+){_B}*|#[^{BREAKS}]*|([^{BREAKS}]*)){_ROW_END}")
+_ROW_END = r"(?:\n|\Z)"
+_HEAD = re.compile(rf"^{_B}*([^\s#]\S*)(?:{_B}+(\S+))?(.*)", re.M)
+_EDGE_MISS = re.compile(
+    rf"\n(?![0-9]+ [0-9]+\n|{_B}*(?:{_INT}{_B}+{_INT}{_B}*|#.*|){_ROW_END})(.*)")
+_COMMENT = re.compile(r"#.*")
+_MATRIX_ROW = re.compile(rf"{_B}*(?:([01]+){_B}*|#.*|(.*)){_ROW_END}")
+_ADJACENCY_ROW = re.compile(rf"{_B}*(?:({_INT}){_B}*:(.*)|#.*|(.*)){_ROW_END}")
+_ARROW_ROW = re.compile(rf"{_B}*(?:([^\s#]\S*){_B}+->{_B}+(\S+){_B}*|#.*|(.*)){_ROW_END}")
 
 
 def format_graph_file(g) -> str:
@@ -576,6 +575,7 @@ def format_adjacency_text(g) -> str:
 
 def parse_graph_text(text: str):
     """Parse any of the text representations (including bare graph6) to a graph."""
+    text = one_break(text)
     head = _HEAD.search(text)
     if not head:
         raise GraphError("empty graph text")
@@ -598,7 +598,7 @@ def parse_graph_text(text: str):
 
 def _line_number(text: str, pos: int) -> int:
     """The number, from 1, of the line that holds ``pos`` or ends there."""
-    return len(text[:pos + 1].splitlines())
+    return text.count("\n", 0, pos) + 1
 
 
 def _named(words: list, names: dict) -> list:
@@ -678,7 +678,7 @@ _READERS = {
 def parse_automaton_file(text: str) -> Automaton:
     """Lines of 'state -> state'; every state must have exactly one successor."""
     successor, states = {}, set()
-    for lineno, (src, dst, other) in enumerate(_ARROW_ROW.findall(text), 1):
+    for lineno, (src, dst, other) in enumerate(_ARROW_ROW.findall(one_break(text)), 1):
         if other:
             raise GraphError(f"line {lineno}: expected 'state -> state'")
         if src in successor:

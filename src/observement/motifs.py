@@ -45,6 +45,9 @@ class AnyOf:
         object.__setattr__(self, "symbols", frozenset(self.symbols))
         if not self.symbols:
             raise MotifError("empty symbol class")
+        bad = sorted(repr(s) for s in self.symbols if not isinstance(s, str) or len(s) != 1)
+        if bad:
+            raise MotifError(f"bad class symbol {bad[0]}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,10 @@ class MotifPattern:
         for token in self.tokens:
             if isinstance(token, Wildcard) and merged and isinstance(merged[-1], Wildcard):
                 merged[-1] = Wildcard(merged[-1].length + token.length)
-            else:
+            elif isinstance(token, (AnyOf, Wildcard)) or isinstance(token, str) and len(token) == 1:
                 merged.append(token)
+            else:
+                raise MotifError(f"bad motif token {token!r}")
         object.__setattr__(self, "tokens", tuple(merged))
 
 

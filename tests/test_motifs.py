@@ -126,6 +126,19 @@ class TestParseMotif:
         pattern = parse_motif("A x(2) {D,E} x(1) K")
         assert parse_motif(format_motif(pattern)) == pattern
 
+    def test_direct_construction_checks_every_token(self):
+        # Unchecked, a two-letter str formats as two literals, a non-token does
+        # not format at all, and a two-letter class symbol formats as a class
+        # that parse_motif refuses.
+        with pytest.raises(MotifError, match=r"^bad motif token 'AB'$"):
+            MotifPattern(("AB",))
+        with pytest.raises(MotifError, match=r"^bad motif token 5$"):
+            MotifPattern(("A", 5))
+        with pytest.raises(MotifError, match=r"^bad class symbol 'AB'$"):
+            AnyOf({"AB", "C"})
+        with pytest.raises(MotifError, match=r"^bad class symbol 5$"):
+            AnyOf({"C", 5})
+
     def test_direct_construction_merges_wildcards(self):
         assert MotifPattern((Wildcard(1), Wildcard(2))) == MotifPattern((Wildcard(3),))
         pattern = MotifPattern((Wildcard(1), "A", Wildcard(2), Wildcard(2)))

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from observement import core, familytree, genetics, graphs, strings
-from observement._shared import BLANKS, BREAKS, significant_lines
+from observement._shared import one_break, significant_lines
 from observement.cli import _looks_like_graph
 from observement.errors import ObservementError
 
@@ -44,15 +44,20 @@ def test_first_word_is_the_first_word_of_the_first_significant_line():
     for _ in range(20000):
         text = "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 8)))
         lines = significant_lines(text)
-        head = graphs._HEAD.search(text)
+        head = graphs._HEAD.search(one_break(text))
         word = lines[0][1].split()[0] if lines else ""
         assert (head[1] if head else "") == word, repr(text)
         assert _looks_like_graph(text) == (word in graphs._READERS), repr(text)
 
 
 def test_breaks_and_blanks_are_where_splitlines_and_split_part():
+    # Respelled, the text has a "\n" exactly where ``str.splitlines`` breaks,
+    # and the graph readers' blank matches exactly the other whitespace.
     every = "".join(map(chr, range(sys.maxunicode + 1)))  # no "\r\n" pair in it
-    breaks = "".join(line[-1] for line in every.splitlines(keepends=True)[:-1])
-    blanks = "".join(ch for ch in filter(str.isspace, every) if ch not in breaks)
-    assert "".join(re.findall(f"[{BREAKS}]", every)) == breaks
-    assert "".join(re.findall(f"[{BLANKS}]", every)) == blanks
+    respelled = one_break(every)
+    assert respelled.split("\n") == every.splitlines()
+    blanks = "".join(ch for ch in every if ch.isspace() and len(f"a{ch}b".splitlines()) == 1)
+    assert "".join(re.findall(graphs._B, respelled)) == blanks
+    plain = "a\nb\n"
+    assert one_break(plain) is plain
+    assert one_break("a\r\nb\r\n") == "a\nb"
